@@ -357,14 +357,12 @@ def test_columnar_detect_core_speedup(candidate_archive):
     from repro.columnar.criteria import evaluate_block
     from repro.columnar.quantify import quantify_block
     from repro.archive.query import ArchiveQuery
-    from repro.core.criteria import view_cache_clear
     from repro.parallel.worker import _load_mini_store
 
-    # Object core: working set preloaded, caches cold.
+    # Object core: working set preloaded.
     database, task = _single_chunk_task(candidate_archive, "object")
     mini = _load_mini_store(database, task)
     detector = task.spec.build_detector()
-    view_cache_clear()
     started = time.perf_counter()
     events = detector.detect_all(mini)
     object_quantified = LossQuantifier(PriceOracle(150.0)).quantify_all(

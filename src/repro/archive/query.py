@@ -467,8 +467,8 @@ class ArchiveQuery:
 
         Row shape: ``(seq, bundle_id, slot, landed_at, tip_lamports,
         num_transactions, transaction_ids_json)`` in ``seq`` order — the
-        same working set :func:`repro.parallel.worker.analyze_chunk` loads
-        for a chunk task, minus the per-row JSON parse.
+        same working set :func:`repro.parallel.worker.load_task` loads
+        for an object-engine chunk task, minus the per-row JSON parse.
         """
         return self._timed(
             "bundle_columns",

@@ -17,7 +17,6 @@ from repro.collector.client import ExplorerClient, InProcessExplorerClient
 from repro.collector.coverage import CoverageEstimator
 from repro.collector.detail_fetcher import DetailFetcherConfig, TxDetailFetcher
 from repro.collector.http_client import HttpExplorerClient
-from repro.collector.persistent import PersistentBundleStore
 from repro.collector.poller import BundlePoller, PollerConfig, PollStatus
 from repro.collector.store import BundleStore
 
@@ -31,7 +30,6 @@ __all__ = [
     "HttpExplorerClient",
     "InProcessExplorerClient",
     "MeasurementCampaign",
-    "PersistentBundleStore",
     "PollStatus",
     "PollerConfig",
     "TxDetailFetcher",

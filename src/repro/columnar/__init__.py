@@ -12,10 +12,12 @@ quantification over *columns*:
   vectorized masks over a whole candidate block at once;
 - :mod:`repro.columnar.quantify` — victim-loss / attacker-gain lamport
   math on arrays, bit-identical to the scalar quantifier;
-- :mod:`repro.columnar.engine` — :func:`analyze_chunk_columnar`, a drop-in
-  producer of the parallel tier's :class:`~repro.parallel.worker.
-  ChunkOutcome`, so the deterministic merge, the report builders, and the
-  differential oracle all apply unchanged.
+- :mod:`repro.columnar.engine` — the load and compute stages that
+  :func:`repro.parallel.worker.load_task` and
+  :func:`~repro.parallel.worker.compute_task` run for
+  ``engine="columnar"`` tasks. They produce the parallel tier's
+  :class:`~repro.parallel.worker.ChunkOutcome`, so the deterministic merge,
+  the report builders, and the differential oracle all apply unchanged.
 
 The object path stays the conformance reference: the oracle's acceptance
 matrix holds the ``columnar`` column byte-identical to serial on every
@@ -50,13 +52,11 @@ from repro.columnar.blocks import (  # noqa: E402  (gated re-exports)
     CandidateBlock,
     TxFeatures,
 )
-from repro.columnar.engine import analyze_chunk_columnar  # noqa: E402
 
 __all__ = [
     "BundleBlock",
     "CandidateBlock",
     "TxFeatures",
-    "analyze_chunk_columnar",
     "columnar_available",
     "require_columnar",
 ]

@@ -1,11 +1,12 @@
-"""The columnar chunk analyzer: a drop-in for the object worker.
+"""The columnar chunk analyzer: the ``engine="columnar"`` half of the worker.
 
-:func:`analyze_chunk_columnar` accepts the same
-:class:`~repro.parallel.chunks.ChunkTask` and produces the same
-:class:`~repro.parallel.worker.ChunkOutcome` as
-:func:`repro.parallel.worker.analyze_chunk` — byte-identically, on any
-archive — so the parallel tier's deterministic merge, the incremental
-analyzer, and the differential oracle apply without modification.
+:func:`repro.parallel.worker.load_task` and
+:func:`~repro.parallel.worker.compute_task` route a columnar
+:class:`~repro.parallel.chunks.ChunkTask` here, and the result is the same
+:class:`~repro.parallel.worker.ChunkOutcome` the object engine produces —
+byte-identically, on any archive — so the parallel tier's deterministic
+merge, the incremental analyzer, and the differential oracle apply without
+modification.
 Vectorization therefore *multiplies* with ``--jobs`` sharding: each worker
 analyzes its chunks columnar-style, and the reducer cannot tell the
 difference.
@@ -28,9 +29,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.archive.database import ArchiveDatabase
 from repro.archive.query import ArchiveQuery
 from repro.columnar import require_columnar
 from repro.columnar.blocks import (
@@ -45,7 +45,6 @@ from repro.columnar.blocks import (
 )
 from repro.columnar.criteria import evaluate_block
 from repro.columnar.quantify import quantify_block
-from repro.core.criteria import view_cache_stats
 from repro.core.detector import DetectionStats
 from repro.dex.oracle import PriceOracle
 from repro.errors import ConfigError
@@ -78,21 +77,6 @@ class ColumnarChunkPayload:
     candidate_indexes: list[int]
     features: dict[str, TxFeatures]
     load_seconds: float = 0.0
-    cache_deltas: dict = field(default_factory=dict)
-
-
-def _cache_counters() -> dict:
-    """Snapshot the hot-path cache counters the outcome reports."""
-    views = view_cache_stats()
-    from repro.utils.base58 import b58_cache_stats
-
-    b58 = b58_cache_stats()
-    return {
-        "view_cache_hits": views["hits"],
-        "view_cache_misses": views["misses"],
-        "b58_cache_hits": b58["hits"],
-        "b58_cache_misses": b58["misses"],
-    }
 
 
 def load_chunk_columnar(
@@ -111,7 +95,6 @@ def load_chunk_columnar(
     task.validate()
     require_columnar_spec(task.spec)
     started = time.perf_counter()
-    before = _cache_counters()
     if task.bundle_ids:
         block = load_bundle_block_for_ids(query, task.bundle_ids)
     else:
@@ -137,15 +120,11 @@ def load_chunk_columnar(
         features = load_tx_features_range(
             query, task.chunk.seq_lo, task.chunk.seq_hi
         )
-    after = _cache_counters()
     return ColumnarChunkPayload(
         block=block,
         candidate_indexes=candidate_indexes,
         features=features,
         load_seconds=time.perf_counter() - started,
-        cache_deltas={
-            key: after[key] - before[key] for key in after
-        },
     )
 
 
@@ -165,7 +144,6 @@ def compute_chunk_columnar(
     """
     spec = task.spec
     block = payload.block
-    before = _cache_counters()
 
     intern_started = time.perf_counter()
     candidates, skipped, pending = split_candidates(
@@ -203,8 +181,6 @@ def compute_chunk_columnar(
         bundles_skipped_incomplete=skipped,
         rejections_by_criterion=verdicts.rejections,
     )
-    after = _cache_counters()
-    deltas = payload.cache_deltas
     return ChunkOutcome(
         index=task.index,
         bundle_count=len(block),
@@ -220,26 +196,6 @@ def compute_chunk_columnar(
             + quantify_seconds
         ),
         worker=f"pid-{os.getpid()}",
-        view_cache_hits=(
-            after["view_cache_hits"]
-            - before["view_cache_hits"]
-            + deltas.get("view_cache_hits", 0)
-        ),
-        view_cache_misses=(
-            after["view_cache_misses"]
-            - before["view_cache_misses"]
-            + deltas.get("view_cache_misses", 0)
-        ),
-        b58_cache_hits=(
-            after["b58_cache_hits"]
-            - before["b58_cache_hits"]
-            + deltas.get("b58_cache_hits", 0)
-        ),
-        b58_cache_misses=(
-            after["b58_cache_misses"]
-            - before["b58_cache_misses"]
-            + deltas.get("b58_cache_misses", 0)
-        ),
         stage_seconds=(
             ("load", payload.load_seconds),
             ("intern", intern_seconds),
@@ -247,14 +203,3 @@ def compute_chunk_columnar(
             ("quantify", quantify_seconds),
         ),
     )
-
-
-def analyze_chunk_columnar(
-    database: ArchiveDatabase,
-    task: ChunkTask,
-    intern: InternPool | None = None,
-) -> ChunkOutcome:
-    """Analyze one chunk through the columnar path (load then compute)."""
-    query = ArchiveQuery(database)
-    payload = load_chunk_columnar(query, task)
-    return compute_chunk_columnar(task, payload, intern=intern)

@@ -8,7 +8,6 @@ at a time to measure each one's contribution to precision.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.core.trades import (
@@ -20,67 +19,6 @@ from repro.core.trades import (
 )
 from repro.errors import DetectionError
 from repro.explorer.models import BundleRecord, TransactionRecord
-
-
-class _ViewCache:
-    """A bounded LRU of built :class:`BundleView`\\ s, keyed by identity.
-
-    Keys are the ``id()``s of the bundle and detail records passed to
-    :meth:`BundleView.build`. Identity keys are normally unsound (CPython
-    recycles addresses), but every entry pins strong references to exactly
-    the objects whose ids form its key — an id in a live key therefore
-    cannot be recycled, so a key match proves the caller passed the very
-    same objects. Eviction drops the pins along with the entry.
-    """
-
-    def __init__(self, maxsize: int = 4_096) -> None:
-        self._maxsize = maxsize
-        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple) -> "BundleView | None":
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry[0]
-
-    def put(self, key: tuple, view: "BundleView", pinned: tuple) -> None:
-        # ``pinned`` must cover every object whose id is in the key: the
-        # bundle and the *input* records (build may drop inputs that are
-        # not members of the bundle, so ``view.records`` is not enough).
-        self._entries[key] = (view, pinned)
-        while len(self._entries) > self._maxsize:
-            self._entries.popitem(last=False)
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/size tallies (feeds the engine's cache gauges)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self._entries),
-        }
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-_VIEW_CACHE = _ViewCache()
-
-
-def view_cache_stats() -> dict[str, int]:
-    """Process-wide :meth:`BundleView.build` cache tallies."""
-    return _VIEW_CACHE.stats()
-
-
-def view_cache_clear() -> None:
-    """Drop the process-wide view cache (tests, long-lived processes)."""
-    _VIEW_CACHE.clear()
 
 
 @dataclass(frozen=True)
@@ -110,18 +48,9 @@ class BundleView:
     ) -> "BundleView":
         """Order ``records`` to match the bundle and build the view.
 
-        Repeated builds over the same objects (re-analysis passes, ablation
-        sweeps, incremental re-feeds of pending bundles) hit a bounded LRU
-        keyed by object identity — see :class:`_ViewCache` for why identity
-        keys are safe here.
-
         Raises:
             DetectionError: if any member transaction lacks a detail record.
         """
-        key = (id(bundle),) + tuple(id(record) for record in records)
-        cached = _VIEW_CACHE.get(key)
-        if cached is not None:
-            return cached
         by_id = {record.transaction_id: record for record in records}
         ordered = []
         for tx_id in bundle.transaction_ids:
@@ -131,9 +60,7 @@ class BundleView:
                     f"missing detail record for transaction {tx_id[:12]}"
                 )
             ordered.append(record)
-        view = cls(bundle=bundle, records=tuple(ordered))
-        _VIEW_CACHE.put(key, view, (bundle, *records))
-        return view
+        return cls(bundle=bundle, records=tuple(ordered))
 
     def first_trade(self, index: int) -> TradeLeg | None:
         """The first swap leg of transaction ``index`` (None if no swap)."""
@@ -227,39 +154,6 @@ CRITERIA: tuple[tuple[str, callable], ...] = (
 """All five criteria, in the paper's order."""
 
 
-#: A skip-set resolved once: ``(name, predicate-or-None)`` per criterion,
-#: where ``None`` marks a skipped criterion. Hot loops evaluate this instead
-#: of re-testing membership in the skip set for every bundle.
-CompiledCriteria = tuple
-
-
-def compile_criteria(skip: frozenset[str] = frozenset()) -> CompiledCriteria:
-    """Resolve the skip set against :data:`CRITERIA` once, at setup time."""
-    return tuple(
-        (name, None if name in skip else predicate)
-        for name, predicate in CRITERIA
-    )
-
-
-_DEFAULT_COMPILED = compile_criteria()
-
-
-def evaluate_compiled(
-    view: BundleView, compiled: CompiledCriteria
-) -> list[CriterionResult]:
-    """Evaluate precompiled criteria, short-circuiting on failure."""
-    results: list[CriterionResult] = []
-    for name, predicate in compiled:
-        if predicate is None:
-            results.append(CriterionResult(name=name, passed=True))
-            continue
-        passed = bool(predicate(view))
-        results.append(CriterionResult(name=name, passed=passed))
-        if not passed:
-            break
-    return results
-
-
 def evaluate_criteria(
     view: BundleView, skip: frozenset[str] = frozenset()
 ) -> list[CriterionResult]:
@@ -268,5 +162,13 @@ def evaluate_criteria(
     ``skip`` names criteria to bypass (for ablation studies); skipped
     criteria are reported as passed.
     """
-    compiled = _DEFAULT_COMPILED if not skip else compile_criteria(skip)
-    return evaluate_compiled(view, compiled)
+    results: list[CriterionResult] = []
+    for name, predicate in CRITERIA:
+        if name in skip:
+            results.append(CriterionResult(name=name, passed=True))
+            continue
+        passed = bool(predicate(view))
+        results.append(CriterionResult(name=name, passed=passed))
+        if not passed:
+            break
+    return results

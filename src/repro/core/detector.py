@@ -5,11 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.collector.store import BundleStore
-from repro.core.criteria import (
-    BundleView,
-    compile_criteria,
-    evaluate_compiled,
-)
+from repro.core.criteria import BundleView, evaluate_criteria
 from repro.core.events import SandwichEvent
 from repro.errors import DetectionError
 from repro.explorer.models import BundleRecord
@@ -33,8 +29,6 @@ class SandwichDetector:
 
     def __init__(self, skip_criteria: frozenset[str] | set[str] = frozenset()) -> None:
         self._skip = frozenset(skip_criteria)
-        # The skip set is resolved once here, not per bundle in the hot loop.
-        self._compiled = compile_criteria(self._skip)
         self.stats = DetectionStats()
 
     @property
@@ -45,7 +39,7 @@ class SandwichDetector:
     def detect_view(self, view: BundleView) -> SandwichEvent | None:
         """Evaluate one bundle view; returns the event if all criteria pass."""
         self.stats.bundles_examined += 1
-        results = evaluate_compiled(view, self._compiled)
+        results = evaluate_criteria(view, self._skip)
         failed = next((r for r in results if not r.passed), None)
         if failed is not None:
             self.stats.rejections_by_criterion[failed.name] = (

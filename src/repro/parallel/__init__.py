@@ -1,15 +1,15 @@
 """repro.parallel: the work-sharded analysis engine.
 
 Detection, quantification, and defensive classification are embarrassingly
-parallel per bundle, so the engine streams an archived campaign in bounded
-``seq``-range chunks (:meth:`repro.archive.query.ArchiveQuery.iter_chunks`),
+parallel per bundle, so the engine splits an archived campaign into bounded
+``seq``-range chunks (:meth:`repro.archive.query.ArchiveQuery.chunk_bounds`),
 fans the chunks out to a ``multiprocessing`` pool whose workers re-open the
 archive read-only, and folds the per-chunk results back together with a
 deterministic, order-independent reducer — serial and parallel runs produce
 byte-identical reports.
 
 - :mod:`repro.parallel.chunks` — picklable task/spec datatypes
-- :mod:`repro.parallel.worker` — per-chunk analysis (pool or in-process)
+- :mod:`repro.parallel.worker` — per-chunk load and compute stages
 - :mod:`repro.parallel.merge` — the deterministic reducer
 - :mod:`repro.parallel.engine` — :class:`ParallelAnalysisEngine`
 
@@ -25,7 +25,7 @@ from repro.parallel.merge import (
     merge_outcomes,
     report_to_jsonable,
 )
-from repro.parallel.worker import ChunkOutcome, analyze_chunk
+from repro.parallel.worker import ChunkOutcome
 
 __all__ = [
     "ChunkOutcome",
@@ -33,7 +33,6 @@ __all__ = [
     "DetectorSpec",
     "MergedAnalysis",
     "ParallelAnalysisEngine",
-    "analyze_chunk",
     "default_jobs",
     "merge_outcomes",
     "plan_chunks",

@@ -116,9 +116,9 @@ class ChunkTask:
 class ChunkBatch:
     """One worker's ordered task group, pipelined inside the worker.
 
-    Under ``--jobs`` with prefetching, the engine deals the chunk
-    sequence round-robin into one batch per worker; each worker then
-    overlaps its own loads with its own compute via
+    Under ``--jobs``, the engine deals the chunk sequence round-robin into
+    one batch per worker; each worker then runs its own loads and compute
+    (overlapped when prefetching) via
     :func:`repro.parallel.worker.iter_batch_outcomes`. Outcomes still
     carry their tasks' global ``index`` values, so the deterministic
     merge is indifferent to the batching.
@@ -131,16 +131,6 @@ class ChunkBatch:
     def archive_path(self) -> str:
         """The archive every task in the batch reads."""
         return self.tasks[0].archive_path
-
-    def validate(self) -> None:
-        """Raise :class:`ConfigError` on an empty or mixed-archive batch."""
-        if not self.tasks:
-            raise ConfigError("a chunk batch needs at least one task")
-        paths = {task.archive_path for task in self.tasks}
-        if len(paths) != 1:
-            raise ConfigError(
-                f"a chunk batch must target one archive, got {sorted(paths)}"
-            )
 
 
 def plan_chunks(

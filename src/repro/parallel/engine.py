@@ -41,7 +41,6 @@ from repro.parallel.worker import (
     ChunkOutcome,
     init_worker,
     iter_batch_outcomes,
-    run_chunk,
     run_chunk_batch,
 )
 from repro.pipeline.profile import StageProfile, StageTimer
@@ -121,14 +120,6 @@ class ParallelAnalysisEngine:
         self._jobs_gauge = self.metrics.gauge(
             "parallel_jobs", "Worker processes the engine fans out to."
         )
-        self._cache_hits = self.metrics.counter(
-            "hotpath_cache_hits_total",
-            "Hot-path memo hits observed during chunk analysis, by cache.",
-        )
-        self._cache_misses = self.metrics.counter(
-            "hotpath_cache_misses_total",
-            "Hot-path memo misses observed during chunk analysis, by cache.",
-        )
         self._stage_seconds = self.metrics.histogram(
             "analyze_stage_seconds",
             "Wall-clock seconds per pipeline stage "
@@ -150,14 +141,6 @@ class ParallelAnalysisEngine:
         self.stage_profile.add_outcome(outcome)
         for stage, elapsed in outcome.stage_seconds:
             self._stage_seconds.observe(elapsed, stage=stage)
-        for cache, hits, misses in (
-            ("view", outcome.view_cache_hits, outcome.view_cache_misses),
-            ("b58", outcome.b58_cache_hits, outcome.b58_cache_misses),
-        ):
-            if hits:
-                self._cache_hits.inc(hits, cache=cache)
-            if misses:
-                self._cache_misses.inc(misses, cache=cache)
 
     def _run_in_process(self, tasks: list[ChunkTask]) -> list[ChunkOutcome]:
         outcomes: list[ChunkOutcome] = []
@@ -179,29 +162,21 @@ class ParallelAnalysisEngine:
             initializer=init_worker,
             initargs=(str(self.database.path),),
         )
+        # Deal the chunk sequence round-robin into one batch per worker;
+        # each worker runs its batch's loads and computes itself, overlapped
+        # when prefetching. Outcomes keep their global index, so the
+        # deterministic merge is indifferent to the dealing.
+        batches = [
+            ChunkBatch(
+                tasks=tuple(tasks[offset::workers]), prefetch=self.prefetch
+            )
+            for offset in range(workers)
+        ]
         try:
-            if self.prefetch > 0 and len(tasks) > workers:
-                # Deal the chunk sequence round-robin into one batch per
-                # worker; each worker pipelines its own loads against its
-                # own compute. Outcomes keep their global index, so the
-                # deterministic merge is indifferent to the dealing.
-                batches = [
-                    ChunkBatch(
-                        tasks=tuple(tasks[offset::workers]),
-                        prefetch=self.prefetch,
-                    )
-                    for offset in range(workers)
-                ]
-                for batch_outcomes in pool.imap_unordered(
-                    run_chunk_batch, batches
-                ):
-                    for outcome in batch_outcomes:
-                        self._observe(
-                            outcome, remaining=len(tasks) - len(outcomes) - 1
-                        )
-                        outcomes.append(outcome)
-            else:
-                for outcome in pool.imap_unordered(run_chunk, tasks):
+            for batch_outcomes in pool.imap_unordered(
+                run_chunk_batch, batches
+            ):
+                for outcome in batch_outcomes:
                     self._observe(
                         outcome, remaining=len(tasks) - len(outcomes) - 1
                     )

@@ -1,45 +1,37 @@
-"""Per-chunk analysis: the function that runs inside pool workers.
-
-Each worker process opens the archive exactly once, read-only, in its pool
-initializer, then analyzes every chunk it is handed over that connection.
-The same :func:`analyze_chunk` also serves the ``jobs=1`` in-process path —
-the engine calls it directly on its own connection, so single-job runs
-execute byte-for-byte the same analysis code without any
-:mod:`multiprocessing` import.
+"""Per-chunk analysis, split into a load stage and a compute stage.
 
 Every chunk's work is split at the I/O boundary into a *load* stage
 (:func:`load_task`, all SQLite round-trips) and a *compute* stage
-(:func:`compute_task`, pure in-memory detection). :func:`iter_batch_outcomes`
-threads a bounded prefetcher between the two so chunk N+1's loads overlap
-chunk N's compute; :func:`run_chunk_batch` is the pool entry point that
-runs that same pipeline inside a worker process over a
-:class:`~repro.parallel.chunks.ChunkBatch`.
+(:func:`compute_task`, pure in-memory detection); the task's ``engine``
+picks the object or the columnar implementation of each. Every caller runs
+chunks through those two functions. :func:`iter_batch_outcomes` threads a
+bounded prefetcher between them so chunk N+1's loads overlap chunk N's
+compute (with ``prefetch=0`` the stages simply alternate). The ``jobs=1``
+engine calls it directly on its own connection; under ``--jobs`` each pool
+worker runs :func:`run_chunk_batch` once, over its round-robin
+:class:`~repro.parallel.chunks.ChunkBatch`, on the read-only connection its
+pool initializer opened.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.archive.database import ArchiveDatabase
 from repro.archive.query import ArchiveQuery
 from repro.archive.schema import bundle_from_row
 from repro.collector.store import BundleStore
-from repro.core.criteria import view_cache_stats
 from repro.core.detector import DetectionStats
 from repro.core.quantify import LossQuantifier, QuantifiedSandwich
 from repro.dex.oracle import PriceOracle
 from repro.explorer.models import BundleRecord
 from repro.parallel.chunks import ChunkBatch, ChunkTask
-from repro.utils.base58 import b58_cache_stats
 
 #: The worker process's lazily-opened read-only archive handle.
 _WORKER_DB: ArchiveDatabase | None = None
-
-#: The worker process's cross-chunk interning pool (columnar runs only).
-_WORKER_INTERN = None
 
 
 @dataclass(frozen=True)
@@ -63,10 +55,6 @@ class ChunkOutcome:
     pending_detail_ids: tuple[str, ...]
     elapsed_seconds: float
     worker: str
-    view_cache_hits: int = 0
-    view_cache_misses: int = 0
-    b58_cache_hits: int = 0
-    b58_cache_misses: int = 0
     stage_seconds: tuple[tuple[str, float], ...] = ()
 
 
@@ -76,19 +64,6 @@ class ObjectChunkPayload:
 
     mini: BundleStore
     load_seconds: float = 0.0
-    cache_deltas: dict = field(default_factory=dict)
-
-
-def _counters() -> dict:
-    """Snapshot the hot-path cache counters the outcome reports."""
-    views = view_cache_stats()
-    b58 = b58_cache_stats()
-    return {
-        "view_cache_hits": views["hits"],
-        "view_cache_misses": views["misses"],
-        "b58_cache_hits": b58["hits"],
-        "b58_cache_misses": b58["misses"],
-    }
 
 
 def init_worker(archive_path: str) -> None:
@@ -106,51 +81,19 @@ def _worker_db(archive_path: str) -> ArchiveDatabase:
     return _WORKER_DB
 
 
-def _worker_intern():
-    """This worker's cross-chunk :class:`InternPool`, created lazily."""
-    global _WORKER_INTERN
-    if _WORKER_INTERN is None:
-        from repro.columnar.blocks import InternPool
-
-        _WORKER_INTERN = InternPool()
-    return _WORKER_INTERN
-
-
-def run_chunk(task: ChunkTask) -> ChunkOutcome:
-    """Pool entry point: analyze one chunk on this worker's connection."""
-    database = _worker_db(task.archive_path)
-    if task.engine == "columnar":
-        return dispatch_chunk(database, task, intern=_worker_intern())
-    return dispatch_chunk(database, task)
-
-
 def run_chunk_batch(batch: ChunkBatch) -> list[ChunkOutcome]:
     """Pool entry point: run one worker's task group through the pipeline.
 
     Each worker receives a round-robin slice of the chunk sequence as a
     :class:`~repro.parallel.chunks.ChunkBatch` and overlaps its own loads
     with its own compute via :func:`iter_batch_outcomes` — prefetching
-    composes with process parallelism instead of competing with it.
+    composes with process parallelism instead of competing with it. With
+    ``prefetch=0`` the worker's loads and computes simply alternate.
     """
     database = _worker_db(batch.archive_path)
     return list(
         iter_batch_outcomes(database, batch.tasks, prefetch=batch.prefetch)
     )
-
-
-def dispatch_chunk(
-    database: ArchiveDatabase, task: ChunkTask, intern=None
-) -> ChunkOutcome:
-    """Route one task to the engine it names (object or columnar).
-
-    The columnar import is deferred so object-only runs never touch
-    :mod:`repro.columnar` (or numpy) at all.
-    """
-    if task.engine == "columnar":
-        from repro.columnar.engine import analyze_chunk_columnar
-
-        return analyze_chunk_columnar(database, task, intern=intern)
-    return analyze_chunk(database, task)
 
 
 def load_task(database: ArchiveDatabase, task: ChunkTask):
@@ -167,13 +110,9 @@ def load_task(database: ArchiveDatabase, task: ChunkTask):
         return load_chunk_columnar(ArchiveQuery(database), task)
     task.validate()
     started = time.perf_counter()
-    before = _counters()
     mini = _load_mini_store(database, task)
-    after = _counters()
     return ObjectChunkPayload(
-        mini=mini,
-        load_seconds=time.perf_counter() - started,
-        cache_deltas={key: after[key] - before[key] for key in after},
+        mini=mini, load_seconds=time.perf_counter() - started
     )
 
 
@@ -190,7 +129,6 @@ def iter_batch_outcomes(
     database: ArchiveDatabase,
     tasks: Iterable[ChunkTask],
     prefetch: int,
-    intern=None,
 ) -> Iterator[ChunkOutcome]:
     """Yield outcomes for ``tasks`` in order, loads overlapped with compute.
 
@@ -202,7 +140,8 @@ def iter_batch_outcomes(
     happen, never what they return.
     """
     tasks = list(tasks)
-    if intern is None and any(task.engine == "columnar" for task in tasks):
+    intern = None
+    if any(task.engine == "columnar" for task in tasks):
         from repro.columnar.blocks import InternPool
 
         intern = InternPool()
@@ -260,7 +199,6 @@ def _compute_object_chunk(
     """
     mini = payload.mini
     spec = task.spec
-    before = _counters()
 
     detect_started = time.perf_counter()
     detector = spec.build_detector()
@@ -286,8 +224,6 @@ def _compute_object_chunk(
     )
     quantify_seconds = time.perf_counter() - quantify_started
 
-    after = _counters()
-    deltas = payload.cache_deltas
     return ChunkOutcome(
         index=task.index,
         bundle_count=len(mini),
@@ -300,34 +236,9 @@ def _compute_object_chunk(
             payload.load_seconds + detect_seconds + quantify_seconds
         ),
         worker=f"pid-{os.getpid()}",
-        view_cache_hits=(
-            after["view_cache_hits"]
-            - before["view_cache_hits"]
-            + deltas.get("view_cache_hits", 0)
-        ),
-        view_cache_misses=(
-            after["view_cache_misses"]
-            - before["view_cache_misses"]
-            + deltas.get("view_cache_misses", 0)
-        ),
-        b58_cache_hits=(
-            after["b58_cache_hits"]
-            - before["b58_cache_hits"]
-            + deltas.get("b58_cache_hits", 0)
-        ),
-        b58_cache_misses=(
-            after["b58_cache_misses"]
-            - before["b58_cache_misses"]
-            + deltas.get("b58_cache_misses", 0)
-        ),
         stage_seconds=(
             ("load", payload.load_seconds),
             ("detect", detect_seconds),
             ("quantify", quantify_seconds),
         ),
     )
-
-
-def analyze_chunk(database: ArchiveDatabase, task: ChunkTask) -> ChunkOutcome:
-    """Run the full detection stack over one chunk of the archive."""
-    return _compute_object_chunk(task, load_task(database, task))

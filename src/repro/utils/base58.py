@@ -3,11 +3,9 @@
 Solana public keys and transaction signatures are conventionally rendered in
 base58. This is a from-scratch implementation with no dependencies.
 
-Both directions are memoized behind bounded LRU caches: the analysis hot
-path decodes the same 32-byte addresses (wallets, mints, pools) millions of
-times per campaign, and the big-integer conversion dominates the cost.
-:func:`b58_cache_stats` exposes the hit/miss tallies so the parallel engine
-can publish cache hit-rate gauges.
+Both directions are memoized behind bounded LRU caches: the simulator
+encodes and decodes the same 32-byte addresses (wallets, mints, pools) over
+and over, and the big-integer conversion dominates the cost.
 """
 
 from __future__ import annotations
@@ -73,20 +71,3 @@ def b58decode(encoded: str) -> bytes:
         ValueError: if ``encoded`` contains characters outside the alphabet.
     """
     return _b58decode(encoded)
-
-
-def b58_cache_stats() -> dict[str, int]:
-    """Combined hit/miss/size tallies of both direction caches."""
-    encode_info = b58encode.cache_info()
-    decode_info = b58decode.cache_info()
-    return {
-        "hits": encode_info.hits + decode_info.hits,
-        "misses": encode_info.misses + decode_info.misses,
-        "entries": encode_info.currsize + decode_info.currsize,
-    }
-
-
-def b58_cache_clear() -> None:
-    """Drop both memos (tests and long-lived processes)."""
-    b58encode.cache_clear()
-    b58decode.cache_clear()

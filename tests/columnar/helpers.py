@@ -14,7 +14,7 @@ from pathlib import Path
 from repro.archive.database import ArchiveDatabase
 from repro.explorer.models import BundleRecord, TransactionRecord
 from repro.parallel.chunks import ChunkTask, DetectorSpec
-from repro.parallel.worker import ChunkOutcome, analyze_chunk
+from repro.parallel.worker import ChunkOutcome, compute_task, load_task
 from tests.core.helpers import MEME, OTHER, SOL, swap_record
 from tests.parallel.helpers import write_rows
 
@@ -161,7 +161,6 @@ def both_outcomes(
 ) -> tuple[ChunkOutcome, ChunkOutcome]:
     """Run the object and columnar analyzers over the same chunk."""
     from repro.archive.query import ArchiveQuery
-    from repro.columnar.engine import analyze_chunk_columnar
 
     database = ArchiveDatabase(path, read_only=True)
     spec = spec or DetectorSpec(usd_per_sol=150.0)
@@ -172,16 +171,16 @@ def both_outcomes(
             database.close()
             raise AssertionError("archive is empty; pass bundle_ids")
         chunk = chunks[0]
-    task = dict(
+    fields = dict(
         index=0,
         archive_path=str(path),
         spec=spec,
         chunk=chunk,
         bundle_ids=bundle_ids,
     )
-    obj = analyze_chunk(database, ChunkTask(**task, engine="object"))
-    col = analyze_chunk_columnar(
-        database, ChunkTask(**task, engine="columnar")
-    )
+    obj_task = ChunkTask(**fields, engine="object")
+    col_task = ChunkTask(**fields, engine="columnar")
+    obj = compute_task(obj_task, load_task(database, obj_task))
+    col = compute_task(col_task, load_task(database, col_task))
     database.close()
     return obj, col

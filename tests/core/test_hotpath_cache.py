@@ -1,22 +1,14 @@
-"""Hot-path caches: base58 memoization, the view LRU, compiled criteria."""
+"""Hot-path caches: base58 memoization and the per-record trade memo.
 
-import pytest
+Built bundle views are deliberately not cached: a view must not outlive
+its last reference, nor keep its bundle and records alive.
+"""
 
-from repro.core.criteria import (
-    BundleView,
-    compile_criteria,
-    evaluate_compiled,
-    evaluate_criteria,
-    view_cache_clear,
-    view_cache_stats,
-)
+import gc
+import weakref
+
 from repro.core.trades import extract_trades, traded_mints
-from repro.utils.base58 import (
-    b58_cache_clear,
-    b58_cache_stats,
-    b58decode,
-    b58encode,
-)
+from repro.utils.base58 import b58decode, b58encode
 from tests.core.helpers import MEME, SOL, canonical_sandwich_view, swap_record
 
 
@@ -26,20 +18,13 @@ class TestBase58Cache:
         assert b58decode(b58encode(payload)) == payload
 
     def test_repeat_encodes_hit_the_cache(self):
-        b58_cache_clear()
         payload = b"parallel-engine-hot-path"
         first = b58encode(payload)
-        before = b58_cache_stats()
+        before = b58encode.cache_info()
         assert b58encode(payload) == first
-        after = b58_cache_stats()
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
-
-    def test_clear_resets_tallies(self):
-        b58encode(b"warm")
-        b58_cache_clear()
-        stats = b58_cache_stats()
-        assert stats == {"hits": 0, "misses": 0, "entries": 0}
+        after = b58encode.cache_info()
+        assert after.hits == before.hits + 1
+        assert after.misses == before.misses
 
 
 class TestTradeMemoization:
@@ -63,71 +48,11 @@ class TestTradeMemoization:
         assert traded_mints(record) is traded_mints(record)
 
 
-class TestViewCache:
-    def test_same_objects_return_cached_view(self):
-        view_cache_clear()
+class TestViewsAreNotRetained:
+    def test_dropped_view_frees_its_bundle_and_records(self):
         view = canonical_sandwich_view()
-        records = list(view.records)
-        before = view_cache_stats()
-        again = BundleView.build(view.bundle, records)
-        after = view_cache_stats()
-        assert again.bundle is view.bundle
-        assert after["hits"] == before["hits"] + 1
-
-    def test_different_record_objects_miss(self):
-        view_cache_clear()
-        view = canonical_sandwich_view()
-        other = canonical_sandwich_view()
-        stats = view_cache_stats()
-        assert stats["hits"] == 0
-        assert stats["misses"] == 2
-        assert view.bundle is not other.bundle
-
-    def test_cache_stays_bounded(self):
-        from repro.core import criteria
-
-        view_cache_clear()
-        original = criteria._VIEW_CACHE._maxsize
-        criteria._VIEW_CACHE._maxsize = 4
-        try:
-            views = [canonical_sandwich_view() for _ in range(10)]
-            assert view_cache_stats()["entries"] <= 4
-            assert len(views) == 10
-        finally:
-            criteria._VIEW_CACHE._maxsize = original
-            view_cache_clear()
-
-    def test_entries_pin_their_inputs(self):
-        view_cache_clear()
-        view = canonical_sandwich_view()
-        entry = next(iter(criteria_entries().values()))
-        pinned = entry[1]
-        assert view.bundle in pinned
-        for record in view.records:
-            assert record in pinned
-
-
-def criteria_entries():
-    from repro.core import criteria
-
-    return criteria._VIEW_CACHE._entries
-
-
-class TestCompiledCriteria:
-    def test_compiled_matches_interpreted(self):
-        view = canonical_sandwich_view()
-        compiled = compile_criteria(frozenset())
-        assert evaluate_compiled(view, compiled) == evaluate_criteria(view)
-
-    def test_skip_set_resolved_at_compile_time(self):
-        skip = frozenset({"attacker_net_gain"})
-        compiled = compile_criteria(skip)
-        skipped = {name for name, predicate in compiled if predicate is None}
-        assert skipped == skip
-
-    def test_compiled_rejection_names_match(self):
-        view = canonical_sandwich_view(victim_in=10_000, victim_out=11_000_000)
-        compiled = compile_criteria(frozenset())
-        results = evaluate_compiled(view, compiled)
-        assert results == evaluate_criteria(view)
-        assert not results[-1].passed  # short-circuited on the rejection
+        refs = [weakref.ref(view.bundle)]
+        refs.extend(weakref.ref(record) for record in view.records)
+        del view
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4

@@ -104,16 +104,6 @@ class TestInstrumentation:
         assert registry.gauge("parallel_chunks_pending").value() == 0
         engine.database.close()
 
-    def test_hotpath_cache_counters_flow_through(self, archive):
-        registry = MetricsRegistry()
-        engine = ParallelAnalysisEngine(
-            archive, jobs=1, chunk_size=50, metrics=registry
-        )
-        engine.analyze(persist=False)
-        misses = registry.counter("hotpath_cache_misses_total")
-        assert misses.value(cache="view") > 0
-        engine.database.close()
-
 
 class TestConfiguration:
     def test_default_jobs_is_at_least_one(self):
