@@ -452,15 +452,37 @@ class ArchiveQuery:
             found[tx_id] for tx_id in bundle.transaction_ids if tx_id in found
         ]
 
+    def details_for_range(
+        self, seq_lo: int, seq_hi: int, length: int
+    ) -> list[TransactionRecord]:
+        """Member details of every ``length`` bundle in a ``seq`` range.
+
+        One join in bundle order, then member order — the concatenation
+        of :meth:`details_for_bundle` over the range's ``length`` bundles,
+        for members recorded in ``bundle_transactions``.
+        """
+        return [
+            detail_from_row(row)
+            for row in self._timed(
+                "details_for_range",
+                "SELECT t.* FROM bundles b "
+                "JOIN bundle_transactions m ON m.bundle_id = b.bundle_id "
+                "JOIN transactions t ON t.transaction_id = m.transaction_id "
+                "WHERE b.seq >= ? AND b.seq <= ? AND b.num_transactions = ? "
+                "ORDER BY b.seq, m.position",
+                [seq_lo, seq_hi, length],
+            )
+        ]
+
     # --- columnar projections ----------------------------------------------
     #
     # The columnar engine (:mod:`repro.columnar`) loads whole chunks through
     # these projections instead of per-bundle object queries: scalar bundle
-    # columns by ``seq`` range, batched detail lookups, and ``json_each``
-    # decompositions that push event/delta JSON parsing into SQLite's C
-    # parser. All of them return raw row tuples in a documented column
-    # order — the block builders in :mod:`repro.columnar.blocks` transpose
-    # them into struct-of-arrays form without intermediate objects.
+    # columns by ``seq`` range or id worklist, and each candidate member's
+    # raw ``events`` / ``token_deltas`` text, which
+    # :mod:`repro.columnar.blocks` parses with Python's exact ``json``. All
+    # of them return raw row tuples in a documented column order, so the
+    # block builders transpose them without intermediate objects.
 
     def bundle_columns(self, seq_lo: int, seq_hi: int) -> list:
         """Scalar bundle columns for one contiguous ``seq`` range.
@@ -499,8 +521,8 @@ class ArchiveQuery:
             )
         return rows
 
-    def detail_signers(self, tx_ids: Sequence[str]) -> list:
-        """``(transaction_id, signer)`` for every archived id in ``tx_ids``.
+    def detail_payloads(self, tx_ids: Sequence[str]) -> list:
+        """``(transaction_id, signer, events, token_deltas)`` raw text.
 
         Ids with no detail row produce no output row, which is how the
         columnar loader discovers incomplete (pending) candidates without
@@ -510,165 +532,41 @@ class ArchiveQuery:
         for batch in _in_batches(tx_ids):
             rows.extend(
                 self._timed(
-                    "detail_signers",
-                    "SELECT transaction_id, signer FROM transactions "
-                    f"WHERE transaction_id IN ({','.join('?' * len(batch))})",
-                    list(batch),
-                )
-            )
-        return rows
-
-    def event_columns(self, tx_ids: Sequence[str]) -> list:
-        """Flattened event rows for the given transactions, via ``json_each``.
-
-        Row shape: ``(transaction_id, ordinal, type, owner, pool, mint_in,
-        mint_out, amount_in, amount_out, dest)`` — one row per event, typed
-        by SQLite (JSON ints surface as INTEGER while they fit in 64 bits;
-        see :func:`repro.columnar.blocks.load_tx_features` for the
-        precision fallback beyond that).
-        """
-        rows: list = []
-        for batch in _in_batches(tx_ids):
-            rows.extend(
-                self._timed(
-                    "event_columns",
-                    "SELECT t.transaction_id, je.key, "
-                    "je.value ->> '$.type', je.value ->> '$.owner', "
-                    "je.value ->> '$.pool', je.value ->> '$.mint_in', "
-                    "je.value ->> '$.mint_out', je.value ->> '$.amount_in', "
-                    "je.value ->> '$.amount_out', je.value ->> '$.dest' "
-                    "FROM transactions t, json_each(t.events) je "
-                    f"WHERE t.transaction_id IN ({','.join('?' * len(batch))})",
-                    list(batch),
-                )
-            )
-        return rows
-
-    def token_delta_columns(self, tx_ids: Sequence[str]) -> list:
-        """Long-form token deltas: ``(transaction_id, owner, mint, delta)``.
-
-        Two nested ``json_each`` calls unroll the ``owner -> mint -> delta``
-        mapping into one row per (owner, mint) pair, keeping the JSON walk
-        in C. Row order within a transaction follows JSON storage order,
-        which is the object path's dict iteration order.
-        """
-        rows: list = []
-        for batch in _in_batches(tx_ids):
-            rows.extend(
-                self._timed(
-                    "token_delta_columns",
-                    "SELECT t.transaction_id, o.key, m.key, m.value "
-                    "FROM transactions t, json_each(t.token_deltas) o, "
-                    "json_each(o.value) m "
-                    f"WHERE t.transaction_id IN ({','.join('?' * len(batch))})",
-                    list(batch),
-                )
-            )
-        return rows
-
-    # The ``candidate_*`` projections below coalesce a chunk's detail
-    # lookups into one round-trip each: instead of parsing every bundle's
-    # ``transaction_ids`` JSON in Python and shipping thousands of ids
-    # back through ``IN (...)`` batches, the membership join runs inside
-    # SQLite. Their SQL text is constant (no per-batch placeholder lists),
-    # so the connection's prepared-statement cache compiles each of them
-    # exactly once per worker for the whole run.
-
-    def candidate_members(
-        self, seq_lo: int, seq_hi: int, length: int = 3
-    ) -> list:
-        """Member rows of candidate bundles in one contiguous ``seq`` range.
-
-        Row shape: ``(seq, position, transaction_id, signer)`` ordered by
-        ``(seq, position)`` — bundle order, then member order. ``signer``
-        is NULL for members whose detail was never fetched, which is how
-        the columnar loader discovers pending candidates without a second
-        query.
-        """
-        return self._timed(
-            "candidate_members",
-            "SELECT b.seq, m.position, m.transaction_id, t.signer "
-            "FROM bundles b "
-            "JOIN bundle_transactions m ON m.bundle_id = b.bundle_id "
-            "LEFT JOIN transactions t "
-            "ON t.transaction_id = m.transaction_id "
-            "WHERE b.seq >= ? AND b.seq <= ? AND b.num_transactions = ? "
-            "ORDER BY b.seq, m.position",
-            [seq_lo, seq_hi, length],
-        )
-
-    def candidate_event_columns(
-        self, seq_lo: int, seq_hi: int, length: int = 3
-    ) -> list:
-        """Flattened event rows for every member of candidate bundles.
-
-        Same row shape as :meth:`event_columns`, selected by a membership
-        semijoin instead of an id list (the ``IN`` subquery deduplicates
-        transactions shared between bundles, exactly as the Python-side
-        ``dict.fromkeys`` pass did).
-        """
-        return self._timed(
-            "candidate_event_columns",
-            "SELECT t.transaction_id, je.key, "
-            "je.value ->> '$.type', je.value ->> '$.owner', "
-            "je.value ->> '$.pool', je.value ->> '$.mint_in', "
-            "je.value ->> '$.mint_out', je.value ->> '$.amount_in', "
-            "je.value ->> '$.amount_out', je.value ->> '$.dest' "
-            "FROM transactions t, json_each(t.events) je "
-            "WHERE t.transaction_id IN "
-            "(SELECT m.transaction_id FROM bundles b "
-            " JOIN bundle_transactions m ON m.bundle_id = b.bundle_id "
-            " WHERE b.seq >= ? AND b.seq <= ? AND b.num_transactions = ?)",
-            [seq_lo, seq_hi, length],
-        )
-
-    def candidate_token_delta_columns(
-        self,
-        seq_lo: int,
-        seq_hi: int,
-        length: int = 3,
-        positions: tuple[int, int] = (0, 2),
-    ) -> list:
-        """Long-form token deltas for the edge members of candidates.
-
-        Same row shape as :meth:`token_delta_columns`, restricted to the
-        bundle positions quantification reads (the attacker-side front and
-        back transactions by default).
-        """
-        return self._timed(
-            "candidate_token_delta_columns",
-            "SELECT t.transaction_id, o.key, m.key, m.value "
-            "FROM transactions t, json_each(t.token_deltas) o, "
-            "json_each(o.value) m "
-            "WHERE t.transaction_id IN "
-            "(SELECT bm.transaction_id FROM bundles b "
-            " JOIN bundle_transactions bm ON bm.bundle_id = b.bundle_id "
-            " WHERE b.seq >= ? AND b.seq <= ? AND b.num_transactions = ? "
-            " AND bm.position IN (?, ?))",
-            [seq_lo, seq_hi, length, positions[0], positions[1]],
-        )
-
-    def raw_payloads(self, tx_ids: Sequence[str]) -> list:
-        """``(transaction_id, events_json, token_deltas_json)`` raw text.
-
-        The precision fallback for :meth:`event_columns` /
-        :meth:`token_delta_columns`: SQLite's ``json_each`` degrades JSON
-        integers beyond 64 bits to REAL, so transactions whose extracted
-        numbers look degraded are re-read as text and parsed with Python's
-        arbitrary-precision ``json`` module.
-        """
-        rows: list = []
-        for batch in _in_batches(tx_ids):
-            rows.extend(
-                self._timed(
-                    "raw_payloads",
-                    "SELECT transaction_id, events, token_deltas "
+                    "detail_payloads",
+                    "SELECT transaction_id, signer, events, token_deltas "
                     "FROM transactions "
                     f"WHERE transaction_id IN ({','.join('?' * len(batch))})",
                     list(batch),
                 )
             )
         return rows
+
+    def candidate_payloads(
+        self, seq_lo: int, seq_hi: int, length: int = 3
+    ) -> list:
+        """Detail payloads of every candidate member in a ``seq`` range.
+
+        Row shape: ``(transaction_id, signer, events, token_deltas)`` as
+        in :meth:`detail_payloads`, with ``token_deltas`` NULL except at
+        the edge positions 0 and 2 (the attacker-side front and back
+        transactions, the only ones quantification reads). One join
+        replaces parsing every bundle's ``transaction_ids`` in Python and
+        shipping the ids back through ``IN`` batches; its SQL text is
+        constant, so the connection's statement cache compiles it once
+        per worker. ``bundle_transactions`` is keyed by transaction id,
+        so every member yields at most one row; members whose detail was
+        never fetched yield none. Rows are unordered.
+        """
+        return self._timed(
+            "candidate_payloads",
+            "SELECT t.transaction_id, t.signer, t.events, "
+            "CASE WHEN m.position IN (0, 2) THEN t.token_deltas END "
+            "FROM bundles b "
+            "JOIN bundle_transactions m ON m.bundle_id = b.bundle_id "
+            "JOIN transactions t ON t.transaction_id = m.transaction_id "
+            "WHERE b.seq >= ? AND b.seq <= ? AND b.num_transactions = ?",
+            [seq_lo, seq_hi, length],
+        )
 
     # --- sandwiches --------------------------------------------------------
 

@@ -7,7 +7,7 @@ quantification over *columns*:
 
 - :mod:`repro.columnar.blocks` — typed column blocks loaded from SQLite
   projections (:meth:`repro.archive.query.ArchiveQuery.bundle_columns`
-  and friends), with JSON decomposition pushed into SQLite's ``json_each``;
+  and friends);
 - :mod:`repro.columnar.criteria` — the five paper criteria evaluated as
   vectorized masks over a whole candidate block at once;
 - :mod:`repro.columnar.quantify` — victim-loss / attacker-gain lamport

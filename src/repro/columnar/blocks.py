@@ -7,16 +7,12 @@ transaction ids stay as raw JSON text and are parsed lazily — most bundles
 in a mixed archive are length-one singles whose single id has a fast
 string-slice parse.
 
-Per-transaction features (:class:`TxFeatures`) are extracted from the
-``json_each`` projections: swap legs, traded mint sets, the tip-only flag,
-and long-form token deltas. SQLite's JSON parser does the heavy lifting in
-C; Python only regroups rows.
-
-Precision: ``json_each`` degrades JSON integers beyond 64 bits to REAL.
-Any extracted number that looks degraded (a float that is integral or has
-magnitude >= 2**53) flags its transaction for a raw-JSON refetch parsed
-with Python's arbitrary-precision ``json`` — so columnar results match the
-object path even on adversarial integer amounts.
+Per-transaction features (:class:`TxFeatures`) are extracted from each
+candidate member's raw ``events`` and ``token_deltas`` text: swap legs,
+traded mint sets, the tip-only flag, and long-form token deltas. Python's
+``json`` parses the text exactly as the object path's record loader does,
+so identities and arbitrary-size integer amounts reach the criteria
+unchanged.
 """
 
 from __future__ import annotations
@@ -33,10 +29,6 @@ try:  # numpy is optional; blocks degrade to pure-python containers
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via columnar_available
     _np = None
-
-#: Above this magnitude a float returned by ``json_each`` may be a
-#: degraded JSON integer (float64 has 53 bits of mantissa).
-_DEGRADED_FLOAT = 2**53
 
 #: First-leg amounts at or below this bound make int64 vector math
 #: bit-identical to Python scalar math (see :mod:`repro.columnar.criteria`
@@ -267,13 +259,6 @@ class TxFeatures:
     deltas: tuple[tuple, ...]
 
 
-def _suspect(value) -> bool:
-    """Whether a ``json_each`` number may be a degraded big integer."""
-    return isinstance(value, float) and (
-        value.is_integer() or abs(value) >= _DEGRADED_FLOAT
-    )
-
-
 def _features_from_parts(
     signer: str, events: Sequence, delta_rows: Sequence[tuple]
 ) -> TxFeatures:
@@ -318,45 +303,37 @@ def _features_from_parts(
     )
 
 
-def _assemble_features(
-    query: ArchiveQuery,
-    signers: dict[str, str],
-    event_rows: Sequence,
-    delta_rows: Sequence,
-) -> dict[str, TxFeatures]:
-    """Regroup projection rows into per-transaction features.
+def _features_from_json(
+    signer: str, events_json: str, deltas_json: str | None
+) -> TxFeatures:
+    """One transaction's features from its raw ``events`` / deltas text.
 
-    Shared by the id-list and range-join load paths — both feed it the
-    same row shapes, so suspect detection, the raw-JSON precision
-    refetch, and feature assembly are identical regardless of how the
-    rows were selected.
+    ``deltas_json`` is None for members whose deltas detection never
+    reads; their ``deltas`` stay empty.
     """
-    events_by_tx: dict[str, list] = {tx: [] for tx in signers}
-    suspects: set[str] = set()
-    for row in event_rows:
-        tx, ordinal = row[0], row[1]
-        etype, a_in, a_out = row[2], row[7], row[8]
-        if etype == "swap" and (_suspect(a_in) or _suspect(a_out)):
-            suspects.add(tx)
-        events_by_tx[tx].append((ordinal, row[2:]))
-
-    deltas_by_tx: dict[str, list] = {tx: [] for tx in signers}
-    for tx, owner, mint, value in delta_rows:
-        if _suspect(value):
-            suspects.add(tx)
-        deltas_by_tx[tx].append((owner, mint, value))
-
-    if suspects:
-        _refetch_raw(query, suspects, events_by_tx, deltas_by_tx)
-
-    features: dict[str, TxFeatures] = {}
-    for tx, signer in signers.items():
-        rows = events_by_tx[tx]
-        rows.sort(key=lambda item: item[0])
-        features[tx] = _features_from_parts(
-            signer, [row for _, row in rows], deltas_by_tx[tx]
+    events = [
+        (
+            event.get("type"),
+            event.get("owner"),
+            event.get("pool"),
+            event.get("mint_in"),
+            event.get("mint_out"),
+            event.get("amount_in"),
+            event.get("amount_out"),
+            event.get("dest"),
         )
-    return features
+        for event in json.loads(events_json)
+    ]
+    deltas = (
+        ()
+        if deltas_json is None
+        else [
+            (owner, mint, value)
+            for owner, mint_map in json.loads(deltas_json).items()
+            for mint, value in mint_map.items()
+        ]
+    )
+    return _features_from_parts(signer, events, deltas)
 
 
 def load_tx_features(
@@ -364,23 +341,21 @@ def load_tx_features(
     tx_ids: Sequence[str],
     delta_ids: Sequence[str],
 ) -> dict[str, TxFeatures]:
-    """Extract features for ``tx_ids`` through the columnar projections.
+    """Extract features for ``tx_ids`` from their archived detail text.
 
     ``delta_ids`` names the subset whose token deltas matter (the
-    attacker-side edge transactions); the others skip the nested
-    ``json_each`` walk entirely. Transactions with degraded big-integer
-    extractions are transparently refetched as raw JSON.
+    attacker-side edge transactions); the others skip the deltas parse.
+    Ids without an archived detail are absent from the result.
     """
-    tx_ids = list(dict.fromkeys(tx_ids))
     delta_wanted = set(delta_ids)
-    signers = dict(query.detail_signers(tx_ids))
-    wanted = [tx for tx in signers if tx in delta_wanted]
-    return _assemble_features(
-        query,
-        signers,
-        query.event_columns(list(signers)),
-        query.token_delta_columns(wanted),
-    )
+    return {
+        tx: _features_from_json(
+            signer, events, deltas if tx in delta_wanted else None
+        )
+        for tx, signer, events, deltas in query.detail_payloads(
+            list(dict.fromkeys(tx_ids))
+        )
+    }
 
 
 def load_tx_features_range(
@@ -388,55 +363,18 @@ def load_tx_features_range(
 ) -> dict[str, TxFeatures]:
     """Extract candidate features for a whole ``seq`` range, coalesced.
 
-    The range-join form of :func:`load_tx_features`: three constant-SQL
-    round-trips (members+signers, events, edge deltas) cover every
-    length-three bundle in the chunk, with no Python-side id collection
-    and no ``IN``-list construction. Members whose details were never
-    fetched surface as NULL signers and are simply absent from the
-    result — the same "missing feature" signal the id path produces.
+    The range-join form of :func:`load_tx_features`: one constant-SQL
+    round-trip covers every length-three bundle in the chunk, with no
+    Python-side id collection and no ``IN``-list construction. Members
+    whose details were never fetched are simply absent from the result —
+    the same "missing feature" signal the id path produces.
     """
-    signers = {
-        row[2]: row[3]
-        for row in query.candidate_members(seq_lo, seq_hi)
-        if row[3] is not None
+    return {
+        tx: _features_from_json(signer, events, deltas)
+        for tx, signer, events, deltas in query.candidate_payloads(
+            seq_lo, seq_hi
+        )
     }
-    return _assemble_features(
-        query,
-        signers,
-        query.candidate_event_columns(seq_lo, seq_hi),
-        query.candidate_token_delta_columns(seq_lo, seq_hi),
-    )
-
-
-def _refetch_raw(
-    query: ArchiveQuery,
-    suspects: set[str],
-    events_by_tx: dict[str, list],
-    deltas_by_tx: dict[str, list],
-) -> None:
-    """Replace suspect transactions' extractions with exact JSON parses."""
-    for tx, events_json, deltas_json in query.raw_payloads(list(suspects)):
-        events_by_tx[tx] = [
-            (
-                ordinal,
-                (
-                    event.get("type"),
-                    event.get("owner"),
-                    event.get("pool"),
-                    event.get("mint_in"),
-                    event.get("mint_out"),
-                    event.get("amount_in"),
-                    event.get("amount_out"),
-                    event.get("dest"),
-                ),
-            )
-            for ordinal, event in enumerate(json.loads(events_json))
-        ]
-        deltas_by_tx[tx] = [
-            (owner, mint, value)
-            for owner, mint_map in json.loads(deltas_json).items()
-            for mint, value in mint_map.items()
-        ]
 
 
 @dataclass

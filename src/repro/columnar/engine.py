@@ -84,9 +84,9 @@ def load_chunk_columnar(
 ) -> ColumnarChunkPayload:
     """Run every SQLite projection one chunk needs (the *load* stage).
 
-    Range tasks take the coalesced fast path — three constant-SQL
-    candidate projections keyed by the chunk's seq bounds, reusing the
-    connection's prepared statements across chunks — while explicit
+    Range tasks take the coalesced fast path — one constant-SQL
+    candidate join keyed by the chunk's seq bounds, reusing the
+    connection's prepared statement across chunks — while explicit
     worklists (the incremental analyzer's pending re-checks) keep the
     id-batched path. Both produce the same features mapping: members
     without archived details are simply absent, surfacing as pending

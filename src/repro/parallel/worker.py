@@ -173,17 +173,23 @@ def _load_mini_store(database: ArchiveDatabase, task: ChunkTask) -> BundleStore:
             )
             if bundle is not None
         ]
-    else:
-        chunk = task.chunk
-        rows = database.connection.execute(
-            "SELECT * FROM bundles WHERE seq >= ? AND seq <= ? ORDER BY seq",
-            (chunk.seq_lo, chunk.seq_hi),
-        ).fetchall()
-        bundles = [bundle_from_row(row) for row in rows]
-    mini.add_bundles(bundles)
+        mini.add_bundles(bundles)
+        for length in task.spec.detail_lengths:
+            for bundle in mini.bundles_of_length(length):
+                mini.add_details(query.details_for_bundle(bundle))
+        return mini
+    chunk = task.chunk
+    rows = database.connection.execute(
+        "SELECT * FROM bundles WHERE seq >= ? AND seq <= ? ORDER BY seq",
+        (chunk.seq_lo, chunk.seq_hi),
+    ).fetchall()
+    mini.add_bundles([bundle_from_row(row) for row in rows])
+    # One join per detail length, in the same bundle-then-member order
+    # the per-bundle lookups above produce.
     for length in task.spec.detail_lengths:
-        for bundle in mini.bundles_of_length(length):
-            mini.add_details(query.details_for_bundle(bundle))
+        mini.add_details(
+            query.details_for_range(chunk.seq_lo, chunk.seq_hi, length)
+        )
     return mini
 
 

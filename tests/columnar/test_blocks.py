@@ -1,5 +1,7 @@
 """Unit coverage for the struct-of-arrays blocks and their loaders."""
 
+from dataclasses import replace
+
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -9,14 +11,18 @@ from repro.archive.query import ArchiveQuery  # noqa: E402
 from repro.columnar.blocks import (  # noqa: E402
     BundleBlock,
     _parse_txids,
-    _suspect,
     load_bundle_block,
     load_bundle_block_for_ids,
     load_tx_features,
+    load_tx_features_range,
     num_array,
     obj_array,
 )
+from repro.core.trades import extract_trades  # noqa: E402
+from repro.explorer.models import BundleRecord  # noqa: E402
 from tests.columnar.helpers import build_archive, descriptor_rows  # noqa: E402
+from tests.core.helpers import swap_record  # noqa: E402
+from tests.parallel.helpers import write_rows  # noqa: E402
 
 pytestmark = pytest.mark.columnar
 
@@ -98,16 +104,9 @@ def test_obj_array_never_nests_sequences():
     assert array[1] == frozenset({"b", "c"})
 
 
-def test_suspect_flags_degraded_json_numbers():
-    assert _suspect(1.0)  # integral float: int degraded by json_each
-    assert _suspect(float(2**63))
-    assert not _suspect(7)
-    assert not _suspect(0.25)
-
-
 def test_big_integer_amounts_survive_feature_extraction(archive):
-    """Amounts past 2**63 degrade through json_each; the raw-JSON refetch
-    must restore them exactly."""
+    """Amounts past 2**63 reach the features exactly: details are parsed
+    by Python's arbitrary-precision ``json``."""
     database = ArchiveDatabase(archive, read_only=True)
     query = ArchiveQuery(database)
     block = load_bundle_block(query, 1, 10_000)
@@ -136,3 +135,50 @@ def test_features_skip_deltas_outside_the_edge_set(archive):
     assert features[members[0]].deltas
     assert features[members[1]].deltas == ()
     database.close()
+
+
+def test_non_string_identities_coerce_like_the_object_path(tmp_path):
+    """Swap legs with a non-string ``owner`` / ``pool`` carry the object
+    path's ``str()`` of the parsed JSON value on both loaders."""
+    records = [
+        replace(
+            record,
+            events=tuple(
+                {**event, "owner": True, "pool": {"p": 1}}
+                for event in record.events
+            ),
+        )
+        for record in (
+            swap_record(f"odd-{position}") for position in range(3)
+        )
+    ]
+    bundle = BundleRecord(
+        bundle_id="odd-identities",
+        slot=1_000,
+        landed_at=1_739_059_200.0,
+        tip_lamports=500_000,
+        transaction_ids=tuple(r.transaction_id for r in records),
+    )
+    path = tmp_path / "odd.db"
+    write_rows(path, [(bundle, records)])
+    database = ArchiveDatabase(path, read_only=True)
+    query = ArchiveQuery(database)
+    members = list(bundle.transaction_ids)
+    by_ids = load_tx_features(query, members, members)
+    by_range = load_tx_features_range(query, 1, 1)
+    database.close()
+    for record in records:
+        expected = tuple(
+            (
+                leg.owner,
+                leg.pool,
+                leg.mint_in,
+                leg.mint_out,
+                leg.amount_in,
+                leg.amount_out,
+            )
+            for leg in extract_trades(record)
+        )
+        assert expected[0][:2] == ("True", "{'p': 1}")
+        assert by_ids[record.transaction_id].legs == expected
+        assert by_range[record.transaction_id].legs == expected

@@ -1,9 +1,9 @@
 """Parity of the coalesced range loaders and the fast record constructor.
 
 The read-path optimizations must be invisible above their seams:
-:func:`load_tx_features_range` (three constant-SQL projections per
-chunk) must produce exactly the features the id-batched
-:func:`load_tx_features` produces, :func:`_fast_record` and
+:func:`load_tx_features_range` (one constant-SQL join per chunk) must
+produce exactly the features the id-batched :func:`load_tx_features`
+produces, :func:`_fast_record` and
 :meth:`BundleBlock.classify_singles` must build records
 field-for-field equal to the frozen-dataclass constructor, and the
 shared :class:`InternPool` must not change any block output.
