@@ -3,10 +3,10 @@
 Runs one seeded streaming campaign and gates the property that justifies
 streaming at all: the full report must be ready within
 ``BENCH_STREAM_REPORT_BUDGET`` seconds (default 2.0) of the *final bundle*
-landing — everything after the last publish is a detector finalize plus
-one deterministic merge, never a fresh detection pass. Alongside the
-gate it checks byte identity against the batch path and that bounded
-queues actually bounded memory, then writes the measurements to
+landing — everything after the last batch is yielded is that batch's
+ingest, a detector finalize and one deterministic merge, never a fresh
+detection pass. Alongside the gate it checks byte identity against the
+batch path, then writes the measurements to
 ``benchmarks/output/BENCH_STREAM.json`` (uploaded as a CI artifact by the
 ``stream-smoke`` job).
 
@@ -26,34 +26,33 @@ from repro.core.pipeline import AnalysisPipeline
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.merge import report_bytes
 from repro.simulation.scenario import small_scenario
-from repro.stream import StreamConfig, StreamingCampaign
+from repro.stream import StreamingCampaign
 
 BENCH_STREAM_PATH = OUTPUT_DIR / "BENCH_STREAM.json"
 
 DAYS = int(os.environ.get("BENCH_STREAM_DAYS", "6"))
 SEED = int(os.environ.get("BENCH_STREAM_SEED", "20250806"))
-QUEUE_SIZE = int(os.environ.get("BENCH_STREAM_QUEUE", "64"))
 REPORT_BUDGET_SECONDS = float(
     os.environ.get("BENCH_STREAM_REPORT_BUDGET", "2.0")
 )
 
 
 class _TimedStreamingCampaign(StreamingCampaign):
-    """Stamps the moment the producer publishes its final batch."""
+    """Stamps each batch as it is yielded; the last stamp is the moment
+    collection handed over its final batch."""
 
     collect_done: float | None = None
 
-    async def _produce(self, queue):
-        await super()._produce(queue)
-        self.collect_done = time.perf_counter()
+    def _batches(self):
+        for batch in super()._batches():
+            self.collect_done = time.perf_counter()
+            yield batch
 
 
 def test_streaming_report_lands_with_the_last_bundle():
     metrics = MetricsRegistry()
     streaming = _TimedStreamingCampaign(
-        small_scenario(seed=SEED, days=DAYS),
-        metrics=metrics,
-        stream_config=StreamConfig(queue_size=QUEUE_SIZE),
+        small_scenario(seed=SEED, days=DAYS), metrics=metrics
     )
     started = time.perf_counter()
     result, report = streaming.run()
@@ -76,30 +75,18 @@ def test_streaming_report_lands_with_the_last_bundle():
     assert len(result.store) == len(batch_result.store)
     assert report_bytes(report) == report_bytes(batch_report)
 
-    # Bounded queues stayed bounded.
-    high_water = metrics.gauge("stream_queue_high_water", "")
-    peak_batches = high_water.value(queue="batches")
-    peak_deltas = high_water.value(queue="deltas")
-    assert peak_batches <= QUEUE_SIZE
-    assert peak_deltas <= QUEUE_SIZE
-
     bundles = len(result.store)
     judged = streaming.detector.candidates_judged
     payload = {
-        "schema": "bench-stream/1",
+        "schema": "bench-stream/2",
         "days": DAYS,
         "seed": SEED,
-        "queue_size": QUEUE_SIZE,
         "bundles": bundles,
         "candidates_judged": judged,
         "wall_seconds": round(wall, 6),
         "bundles_per_sec": round(bundles / wall, 2) if wall > 0 else None,
         "time_to_report_seconds": round(time_to_report, 6),
         "report_budget_seconds": REPORT_BUDGET_SECONDS,
-        "peak_queue_depth": {
-            "batches": peak_batches,
-            "deltas": peak_deltas,
-        },
         "batch_identical": True,
         "cpu_count": os.cpu_count(),
     }
@@ -112,5 +99,4 @@ def test_streaming_report_lands_with_the_last_bundle():
         bundles=bundles,
         seconds=wall,
         time_to_report_seconds=payload["time_to_report_seconds"],
-        peak_queue_depth=peak_batches,
     )

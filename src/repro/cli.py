@@ -83,6 +83,41 @@ def _build_logs(args: argparse.Namespace) -> tuple[EventLog, EventLog]:
     return progress, output
 
 
+def _add_log_options(
+    parser: argparse.ArgumentParser, metrics_of: str | None = None
+) -> None:
+    """Add ``--log-jsonl`` and, when ``metrics_of`` names whose metrics a
+    snapshot would hold, ``--metrics-out``."""
+    if metrics_of is not None:
+        parser.add_argument(
+            "--metrics-out",
+            default=None,
+            help=f"write the {metrics_of}'s metrics snapshot (JSON) to this "
+            "path",
+        )
+    parser.add_argument(
+        "--log-jsonl",
+        default=None,
+        help="also append structured events to this JSONL file",
+    )
+
+
+def _save_metrics(
+    args: argparse.Namespace,
+    metrics: MetricsRegistry,
+    progress: EventLog,
+    event: str,
+) -> None:
+    """Write the ``--metrics-out`` snapshot, if one was asked for."""
+    if args.metrics_out:
+        save_snapshot(metrics, args.metrics_out)
+        progress.info(
+            event,
+            f"wrote metrics snapshot to {args.metrics_out}",
+            path=str(args.metrics_out),
+        )
+
+
 def _scenario_from_args(args: argparse.Namespace):
     # ``campaign`` leaves --seed at None so pack runs can distinguish "use
     # the pack's own base seed" from an explicit override; plain campaigns
@@ -183,11 +218,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 "the batch resume first or start a fresh streaming run",
             )
             return 2
-        from repro.obs.registry import MetricsRegistry
-        from repro.stream import StreamConfig, StreamingCampaign
+        from repro.stream import StreamingCampaign
 
         # One registry shared by collection, the archive writer, and the
-        # streaming stages, so the report's pipeline-health section sees
+        # streaming detector, so the report's pipeline-health section sees
         # the whole run (store dedup, archive flushes, stream_* series).
         stream_metrics = MetricsRegistry()
         stream_store = None
@@ -198,10 +232,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 args.archive, metrics=stream_metrics
             )
         streaming = StreamingCampaign(
-            scenario,
-            metrics=stream_metrics,
-            store=stream_store,
-            stream_config=StreamConfig(queue_size=args.queue_size),
+            scenario, metrics=stream_metrics, store=stream_store
         )
         result, report = streaming.run()
         progress.info(
@@ -292,13 +323,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             f"archive committed at {args.archive}",
             archive=str(args.archive),
         )
-    if args.metrics_out:
-        save_snapshot(result.metrics, args.metrics_out)
-        progress.info(
-            "cli.campaign",
-            f"wrote metrics snapshot to {args.metrics_out}",
-            path=str(args.metrics_out),
-        )
+    _save_metrics(args, result.metrics, progress, "cli.campaign")
     output.info("cli.campaign", json.dumps(summary, indent=2), **summary)
     output.info(
         "cli.campaign",
@@ -561,7 +586,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     """Attach-mode streaming: replay an archive through the online analyzer.
 
     Reads an existing archive database in insertion (``seq``) order,
-    streams it through the bounded-queue pipeline, and prints the same
+    folds it through the streaming detector, and prints the same
     headline figures as ``repro analyze`` — byte-identically, which
     ``--report-out`` makes checkable: it writes the canonical report JSON
     (the exact bytes the conformance oracle compares).
@@ -569,7 +594,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     from repro.archive.database import is_archive_path
     from repro.parallel import DetectorSpec
     from repro.parallel.merge import report_bytes
-    from repro.stream import StreamConfig, analyze_archive_stream
+    from repro.stream import analyze_archive_stream
 
     progress, output = _build_logs(args)
     emit = lambda message, **fields: output.info(  # noqa: E731
@@ -588,9 +613,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
         kind="windowed" if args.windowed else "standard",
         threshold_lamports=args.threshold,
     )
-    config = StreamConfig(
-        queue_size=args.queue_size, batch_bundles=args.batch_size
-    )
 
     def on_delta(delta) -> None:
         if delta.verdicts or delta.final:
@@ -607,7 +629,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
             )
 
     report = analyze_archive_stream(
-        db_path, spec=spec, config=config, on_delta=on_delta
+        db_path,
+        spec=spec,
+        batch_bundles=args.batch_size,
+        on_delta=on_delta,
     )
     if args.report_out:
         Path(args.report_out).write_bytes(report_bytes(report))
@@ -906,13 +931,7 @@ def cmd_api(args: argparse.Namespace) -> int:
         )
 
     run_until_interrupt(server, announce)
-    if args.metrics_out:
-        save_snapshot(metrics, args.metrics_out)
-        progress.info(
-            "cli.api",
-            f"wrote metrics snapshot to {args.metrics_out}",
-            path=str(args.metrics_out),
-        )
+    _save_metrics(args, metrics, progress, "cli.api")
     return 0
 
 
@@ -972,13 +991,7 @@ def cmd_scrape(args: argparse.Namespace) -> int:
             for p in coverage.pairs
         ],
     )
-    if args.metrics_out:
-        save_snapshot(metrics, args.metrics_out)
-        progress.info(
-            "cli.scrape",
-            f"wrote metrics snapshot to {args.metrics_out}",
-            path=str(args.metrics_out),
-        )
+    _save_metrics(args, metrics, progress, "cli.scrape")
     output.info(
         "cli.scrape",
         f"wrote {len(store)} bundles to {out}",
@@ -1030,13 +1043,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         metrics=metrics,
         emit=lambda line: output.info("cli.selftest", line),
     )
-    if args.metrics_out:
-        save_snapshot(metrics, args.metrics_out)
-        progress.info(
-            "cli.selftest",
-            f"wrote metrics snapshot to {args.metrics_out}",
-            path=str(args.metrics_out),
-        )
+    _save_metrics(args, metrics, progress, "cli.selftest")
     verdict = "PASS" if report.passed else "FAIL"
     output.info(
         "cli.selftest",
@@ -1116,11 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
         "archives and the measurement-bias report",
     )
     campaign.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the pipeline's metrics snapshot (JSON) to this path",
-    )
-    campaign.add_argument(
         "--archive",
         default=None,
         help="collect into this archive database with per-day checkpoints "
@@ -1152,17 +1154,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stream so the report is ready the moment collection ends "
         "(byte-identical to the batch pipeline)",
     )
-    campaign.add_argument(
-        "--queue-size",
-        type=int,
-        default=64,
-        help="bounded stream-queue capacity with --stream (default 64)",
-    )
-    campaign.add_argument(
-        "--log-jsonl",
-        default=None,
-        help="also append structured events to this JSONL file",
-    )
+    _add_log_options(campaign, metrics_of="pipeline")
     campaign.set_defaults(func=cmd_campaign)
 
     chaos = sub.add_parser(
@@ -1178,11 +1170,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fault-plan JSON file",
     )
     chaos.add_argument("--out", default="chaos-output")
-    chaos.add_argument(
-        "--log-jsonl",
-        default=None,
-        help="also append structured events to this JSONL file",
-    )
+    _add_log_options(chaos)
     chaos.set_defaults(func=cmd_chaos)
 
     analyze = sub.add_parser("analyze", help="re-analyze a persisted store")
@@ -1256,12 +1244,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scan lengths 3-5 with the windowed detector",
     )
     stream.add_argument(
-        "--queue-size",
-        type=int,
-        default=64,
-        help="bounded stream-queue capacity (default 64)",
-    )
-    stream.add_argument(
         "--batch-size",
         type=int,
         default=256,
@@ -1272,11 +1254,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the canonical report JSON (oracle byte format) here",
     )
-    stream.add_argument(
-        "--log-jsonl",
-        default=None,
-        help="also append structured events to this JSONL file",
-    )
+    _add_log_options(stream)
     stream.set_defaults(func=cmd_stream)
 
     archive = sub.add_parser("archive", help="maintain an archive database")
@@ -1408,16 +1386,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1_024,
         help="response-cache capacity (entries per watermark generation)",
     )
-    api.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the API's metrics snapshot (JSON) to this path on exit",
-    )
-    api.add_argument(
-        "--log-jsonl",
-        default=None,
-        help="also append structured events to this JSONL file",
-    )
+    _add_log_options(api, metrics_of="API")
     api.set_defaults(func=cmd_api)
 
     scrape = sub.add_parser("scrape", help="collect from a live explorer")
@@ -1426,16 +1395,7 @@ def build_parser() -> argparse.ArgumentParser:
     scrape.add_argument("--polls", type=int, default=10)
     scrape.add_argument("--window", type=int, default=1_000)
     scrape.add_argument("--out", default="scrape-output")
-    scrape.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the collector's metrics snapshot (JSON) to this path",
-    )
-    scrape.add_argument(
-        "--log-jsonl",
-        default=None,
-        help="also append structured events to this JSONL file",
-    )
+    _add_log_options(scrape, metrics_of="collector")
     scrape.set_defaults(func=cmd_scrape)
 
     metrics = sub.add_parser(
@@ -1487,16 +1447,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the sharded leg of the differential "
         "matrix (default 4)",
     )
-    selftest.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the selftest's metrics snapshot (JSON) to this path",
-    )
-    selftest.add_argument(
-        "--log-jsonl",
-        default=None,
-        help="also append structured events to this JSONL file",
-    )
+    _add_log_options(selftest, metrics_of="selftest")
     selftest.set_defaults(func=cmd_selftest)
 
     scenarios = sub.add_parser(
@@ -1512,11 +1463,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the full pack recipes as JSON instead of the table",
     )
-    scenarios.add_argument(
-        "--log-jsonl",
-        default=None,
-        help="also append structured events to this JSONL file",
-    )
+    _add_log_options(scenarios)
     scenarios.set_defaults(func=cmd_scenarios, scenarios_command="list")
 
     table1 = sub.add_parser("table1", help="print the example sandwich")

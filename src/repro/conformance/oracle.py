@@ -41,7 +41,7 @@ from repro.errors import ConfigError, ConformanceError
 from repro.parallel.chunks import DEFAULT_CHUNK_SIZE
 from repro.parallel.engine import ParallelAnalysisEngine
 from repro.parallel.merge import report_bytes, report_to_jsonable
-from repro.stream.pipeline import StreamConfig, analyze_archive_stream
+from repro.stream.pipeline import analyze_archive_stream
 
 #: Diff entries rendered before truncating (full list stays on the object).
 RENDER_LIMIT = 12
@@ -425,15 +425,10 @@ def run_config(
         return report
     if config.mode == "stream":
         # Attach-mode streaming: replay the archive through the online
-        # pipeline in small batches over a deliberately tight queue, so
-        # the byte-identity check also exercises backpressure paths.
+        # fold in chunk-sized batches, so candidates register in one
+        # batch and complete in a later one.
         write_archive(rows, path)
-        return analyze_archive_stream(
-            path,
-            config=StreamConfig(
-                queue_size=4, batch_bundles=config.chunk_size
-            ),
-        )
+        return analyze_archive_stream(path, batch_bundles=config.chunk_size)
     if config.mode == "incremental":
         write_archive(rows, path)
         analyzer = IncrementalAnalyzer(

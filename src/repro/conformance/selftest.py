@@ -276,9 +276,9 @@ def _stream_equivalence_check(seed: int) -> Callable[[], tuple[bool, str]]:
     """Full-level fixture: a streaming chaos campaign must byte-match batch.
 
     Runs the same fault-injected scenario twice — once collect-then-analyze,
-    once through the analyze-while-collecting pipeline — and demands byte
+    once through the analyze-while-collecting fold — and demands byte
     identity of the canonical report, proving the online path holds its
-    contract even when outages stall and drain the stream queues.
+    contract even when outages and retries reshape the batches it sees.
     """
 
     def check() -> tuple[bool, str]:
@@ -287,7 +287,7 @@ def _stream_equivalence_check(seed: int) -> Callable[[], tuple[bool, str]]:
         from repro.faults.plan import preset_plan
         from repro.parallel.merge import report_bytes
         from repro.simulation.scenario import small_scenario
-        from repro.stream import StreamConfig, StreamingCampaign
+        from repro.stream import StreamingCampaign
 
         batch_result = MeasurementCampaign(
             small_scenario(seed=seed, days=2), fault_plan=preset_plan("storm")
@@ -296,7 +296,6 @@ def _stream_equivalence_check(seed: int) -> Callable[[], tuple[bool, str]]:
         _, streamed = StreamingCampaign(
             small_scenario(seed=seed, days=2),
             fault_plan=preset_plan("storm"),
-            stream_config=StreamConfig(queue_size=8),
         ).run()
         if report_bytes(batch) != report_bytes(streamed):
             return False, (

@@ -6,8 +6,7 @@ parts happen and *where the time goes*:
 
 - :mod:`repro.pipeline.prefetch` — a thread-safe bounded work queue plus
   a background chunk reader that overlaps SQLite projection loading with
-  in-memory mask evaluation, the threaded sibling of
-  :class:`repro.stream.queues.BoundedStreamQueue`;
+  in-memory mask evaluation;
 - :mod:`repro.pipeline.profile` — the load/intern/detect/quantify/merge
   stage taxonomy, per-run accumulation, and the stage-breakdown table
   behind ``repro analyze --profile``.

@@ -1,12 +1,11 @@
 """The bounded background chunk reader behind pipelined analysis.
 
-:class:`BoundedWorkQueue` is the threaded sibling of
-:class:`repro.stream.queues.BoundedStreamQueue`, with the same shutdown
+:class:`BoundedWorkQueue` is a bounded queue with an explicit shutdown
 contract — a synchronous idempotent :meth:`~BoundedWorkQueue.close` that
 wakes every waiter, drain-on-close for buffered items, and a hard error
 (:class:`WorkQueueClosedError`) for producers that race a closed queue —
-re-expressed on a :class:`threading.Condition` because the reader runs on
-a real thread (SQLite loads release the GIL inside the C library, so a
+built on a :class:`threading.Condition` because the reader runs on a real
+thread (SQLite loads release the GIL inside the C library, so a
 background reader genuinely overlaps with numpy mask evaluation).
 
 :class:`ChunkPrefetcher` owns that thread: it opens its *own* read-only
@@ -49,7 +48,6 @@ END_OF_WORK = _EndOfWork()
 class BoundedWorkQueue:
     """A bounded thread-safe producer/consumer queue with explicit close.
 
-    Mirrors the streaming tier's queue contract across a thread boundary:
     ``put`` blocks while full and raises :class:`WorkQueueClosedError`
     once closed (including while blocked); ``get`` blocks while empty,
     drains buffered items after close, then returns :data:`END_OF_WORK`

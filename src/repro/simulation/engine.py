@@ -193,11 +193,10 @@ class SimulationEngine:
         Each yielded value is the freshly produced block, *after* the block
         callbacks and pool rebalancing have run — the point where one
         block's collection side effects are complete and the next has not
-        started. Cooperative consumers (the streaming campaign's asyncio
-        producer) use this seam to hand control to the event loop between
-        blocks; exhausting the generator performs the same end-of-day
-        bookkeeping as :meth:`run_day`, which is a plain consuming wrapper
-        around it.
+        started. The streaming campaign uses this seam to fold each
+        block's new records into its report before the next block runs;
+        exhausting the generator performs the same end-of-day bookkeeping
+        as :meth:`run_day`, which is a plain consuming wrapper around it.
         """
         if self._wall_started is None:
             self._wall_started = time.perf_counter()

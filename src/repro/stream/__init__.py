@@ -1,10 +1,10 @@
 """repro.stream — the analyze-while-collecting streaming pipeline.
 
 Collapses the repo's collect → archive → analyze sequence into one online
-path: an asyncio producer/consumer graph with bounded queues and explicit
-backpressure, a streaming detector over sliding slot windows, and an
-incremental report builder that folds monotone deltas so the final report
-is ready the moment collection ends — byte-identical to the batch
+path: each collected batch is folded synchronously through a streaming
+detector that judges candidates the moment their details complete, and
+an incremental report builder that folds monotone deltas, so the final
+report is ready the moment collection ends — byte-identical to the batch
 pipeline over the same data (see ``docs/STREAMING.md``).
 """
 
@@ -15,35 +15,22 @@ from repro.stream.deltas import (
     VerdictRecord,
 )
 from repro.stream.detector import StreamingDetector
-from repro.stream.events import END_OF_STREAM, StreamBatch
+from repro.stream.events import StreamBatch
 from repro.stream.pipeline import (
-    StreamConfig,
     analyze_archive_stream,
-    archive_producer,
-    run_stages,
+    archive_batches,
+    fold_batches,
 )
-from repro.stream.queues import (
-    BoundedStreamQueue,
-    StreamClosedError,
-    StreamStallError,
-)
-from repro.stream.windows import SlidingSlotWindows
 
 __all__ = [
-    "END_OF_STREAM",
-    "BoundedStreamQueue",
     "CollectorTap",
     "IncrementalReportBuilder",
     "ReportDelta",
-    "SlidingSlotWindows",
     "StreamBatch",
-    "StreamClosedError",
-    "StreamConfig",
-    "StreamStallError",
     "StreamingCampaign",
     "StreamingDetector",
     "VerdictRecord",
     "analyze_archive_stream",
-    "archive_producer",
-    "run_stages",
+    "archive_batches",
+    "fold_batches",
 ]

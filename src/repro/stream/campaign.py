@@ -1,24 +1,22 @@
-"""Analyze-while-collecting: a measurement campaign on the streaming graph.
+"""Analyze-while-collecting: a measurement campaign folded as it runs.
 
 Wraps :class:`~repro.collector.campaign.MeasurementCampaign` without
 changing its collection behaviour: a tap on the campaign's
 :class:`~repro.collector.store.BundleStore` buffers every genuinely-new
-record, and the producer stage drives the simulation block by block
-(via :meth:`~repro.simulation.engine.SimulationEngine.iter_day_blocks`),
-publishing one :class:`~repro.stream.events.StreamBatch` per block onto
-the bounded queue. Because the producer *awaits* the put, a slow detector
-stage exerts backpressure straight onto the simulation/collection loop —
-collection pacing stretches rather than memory growing without bound.
-
-The detector and builder stages run concurrently, so the final report is
-ready the moment the campaign's last drain completes — and it is
-byte-identical to what the batch path would compute over the same store,
-a contract the conformance oracle's ``stream`` column enforces.
+record, and :meth:`StreamingCampaign._batches` drives the simulation
+block by block (via
+:meth:`~repro.simulation.engine.SimulationEngine.iter_day_blocks`),
+yielding one :class:`~repro.stream.events.StreamBatch` per block. Each
+batch is detected and folded into the report builder before the next
+block is simulated, so the final report is ready the moment the
+campaign's last drain completes — and it is byte-identical to what the
+batch path would compute over the same store, a contract the
+conformance oracle's ``stream`` column enforces.
 """
 
 from __future__ import annotations
 
-import asyncio
+from typing import Iterator
 
 from repro.collector.campaign import CampaignResult, MeasurementCampaign
 from repro.collector.detail_fetcher import DetailFetcherConfig
@@ -36,8 +34,7 @@ from repro.simulation.downtime import DowntimeSchedule
 from repro.stream.deltas import IncrementalReportBuilder
 from repro.stream.detector import StreamingDetector
 from repro.stream.events import StreamBatch
-from repro.stream.pipeline import DeltaObserver, StreamConfig, run_stages
-from repro.stream.queues import BoundedStreamQueue
+from repro.stream.pipeline import DeltaObserver, fold_batches
 
 
 class CollectorTap:
@@ -88,7 +85,6 @@ class StreamingCampaign:
         fault_plan: FaultPlan | None = None,
         spec: DetectorSpec | None = None,
         oracle: PriceOracle | None = None,
-        stream_config: StreamConfig | None = None,
         on_delta: DeltaObserver | None = None,
     ) -> None:
         self.campaign = MeasurementCampaign(
@@ -101,14 +97,9 @@ class StreamingCampaign:
             store=store,
             fault_plan=fault_plan,
         )
-        self.stream_config = stream_config or StreamConfig()
-        self.stream_config.validate()
         self.on_delta = on_delta
         self.detector = StreamingDetector(
-            spec=spec,
-            oracle=oracle,
-            window_slots=self.stream_config.window_slots,
-            metrics=self.campaign.metrics,
+            spec=spec, oracle=oracle, metrics=self.campaign.metrics
         )
         self.builder = IncrementalReportBuilder(
             spec=self.detector.spec, oracle=self.detector.oracle
@@ -120,27 +111,24 @@ class StreamingCampaign:
         self.result: CampaignResult | None = None
         self.report: AnalysisReport | None = None
 
-    async def _produce(self, queue: BoundedStreamQueue) -> None:
-        """Drive the simulation block by block, publishing after each.
+    def _batches(self) -> Iterator[StreamBatch]:
+        """Drive the simulation block by block, yielding after each.
 
-        The ``await`` on every put is the backpressure seam: when the
-        detector stage falls behind, the producer — and with it the
-        simulated poller cadence — stalls until capacity frees, so queue
-        depth (and memory) stays bounded no matter how bursty collection
-        gets.
+        The caller folds every batch before asking for the next, so the
+        simulation never runs ahead of detection by more than one block.
         """
         campaign = self.campaign
         for day in range(campaign.scenario.days):
             for _block in campaign.engine.iter_day_blocks(day):
                 batch = self.tap.take()
                 if batch is not None:
-                    await queue.put(batch)
+                    yield batch
         # The final sweep (finish + last poll + detail drain) lands the
-        # tail of the data; publish it as the closing batch.
+        # tail of the data; yield it as the closing batch.
         self.result = campaign.finalize()
         batch = self.tap.take()
         if batch is not None:
-            await queue.put(batch)
+            yield batch
 
     def _publish_detection_metrics(self, report: AnalysisReport) -> None:
         """Mirror the batch pipeline's detection counters for the report.
@@ -180,17 +168,12 @@ class StreamingCampaign:
             len(report.defensive.priority), classification="priority"
         )
 
-    async def run_async(self) -> tuple[CampaignResult, AnalysisReport]:
-        """Run collection and analysis concurrently on the current loop."""
-        await run_stages(
-            self._produce,
-            self.detector,
-            self.builder,
-            config=self.stream_config,
-            metrics=self.campaign.metrics,
-            on_delta=self.on_delta,
+    def run(self) -> tuple[CampaignResult, AnalysisReport]:
+        """Collect and analyze in one pass; return the campaign and report."""
+        fold_batches(
+            self._batches(), self.detector, self.builder, self.on_delta
         )
-        assert self.result is not None  # producer completed
+        assert self.result is not None  # _batches() ran to completion
         report = self.builder.build(
             poll_overlap_fraction=self.result.coverage.overlap_fraction()
         )
@@ -203,7 +186,3 @@ class StreamingCampaign:
             recorder(report)
         self.report = report
         return self.result, report
-
-    def run(self) -> tuple[CampaignResult, AnalysisReport]:
-        """Blocking wrapper around :meth:`run_async`."""
-        return asyncio.run(self.run_async())

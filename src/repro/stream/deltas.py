@@ -70,13 +70,6 @@ class ReportDelta:
     sandwiches: int = 0
     final: bool = False
 
-    @property
-    def empty(self) -> bool:
-        """Whether this delta carries no new verdicts or classifications."""
-        return not (
-            self.verdicts or self.new_defensive or self.new_priority
-        )
-
 
 class IncrementalReportBuilder:
     """Folds report deltas into the final campaign report.
@@ -84,7 +77,7 @@ class IncrementalReportBuilder:
     ``apply`` is cheap (list appends and counter updates); ``build``
     performs the single deterministic merge. The builder never inspects
     bundle contents — everything report-shaped was already decided by the
-    detector stage.
+    streaming detector.
     """
 
     def __init__(

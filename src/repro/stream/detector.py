@@ -15,10 +15,9 @@ that makes streaming byte-identical to batch analysis:
 - length-one bundles are classified on arrival, in arrival order — the
   order ``DefensiveBundlingClassifier.classify`` iterates.
 
-Sliding slot windows (:class:`~repro.stream.windows.SlidingSlotWindows`)
-keep the incremental work proportional to change: an ingest step sweeps
-only windows whose membership changed, so candidates from quiet slots are
-never revisited.
+An ingest step judges exactly the candidates the batch completed, in
+index order: the ``tx → candidate`` map says which candidate each
+arriving detail belongs to, so no other candidate is ever revisited.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.parallel.chunks import DetectorSpec
 from repro.stream.deltas import ReportDelta, VerdictRecord
 from repro.stream.events import StreamBatch
-from repro.stream.windows import SlidingSlotWindows
 
 
 @dataclass
@@ -57,7 +55,6 @@ class StreamingDetector:
         self,
         spec: DetectorSpec | None = None,
         oracle: PriceOracle | None = None,
-        window_slots: int = 32,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.spec = spec or DetectorSpec()
@@ -73,9 +70,6 @@ class StreamingDetector:
         self._quantifier = LossQuantifier(oracle)
         self._classifier = self.spec.build_classifier()
         self._wanted = set(self.spec.detail_lengths)
-        self.windows = SlidingSlotWindows(
-            window_slots=window_slots, metrics=self.metrics
-        )
         self._details: dict[str, TransactionRecord] = {}
         self._tx_to_candidate: dict[str, int] = {}
         self._candidates: dict[int, _Candidate] = {}
@@ -83,8 +77,6 @@ class StreamingDetector:
         self.candidates_registered = 0
         self.candidates_judged = 0
         self.sandwiches = 0
-        self._defensive_seen = 0
-        self._priority_seen = 0
         self._ingested_metric = self.metrics.counter(
             "stream_bundles_ingested_total",
             "Bundles the streaming detector has consumed.",
@@ -107,21 +99,22 @@ class StreamingDetector:
     # --- ingest ------------------------------------------------------------
 
     def ingest(self, batch: StreamBatch) -> ReportDelta:
-        """Consume one batch; judge candidates whose windows went dirty."""
+        """Consume one batch; judge the candidates it completed."""
         new_defensive: list[BundleRecord] = []
         new_priority: list[BundleRecord] = []
+        completed: set[int] = set()
         for bundle in batch.bundles:
             self.bundles_seen += 1
             self._ingested_metric.inc()
             if bundle.num_transactions == 1:
                 if self._classifier.is_defensive(bundle):
                     new_defensive.append(bundle)
-                    self._defensive_seen += 1
                 else:
                     new_priority.append(bundle)
-                    self._priority_seen += 1
             if bundle.num_transactions in self._wanted:
-                self._register(bundle)
+                candidate = self._register(bundle)
+                if not candidate.missing:
+                    completed.add(candidate.index)
         for record in batch.details:
             if record.transaction_id not in self._details:
                 self._details[record.transaction_id] = record
@@ -130,11 +123,15 @@ class StreamingDetector:
                 candidate = self._candidates.get(index)
                 if candidate is not None:
                     candidate.missing.discard(record.transaction_id)
-                    self.windows.touch(candidate.bundle.slot)
-        verdicts = self._sweep()
+                    if not candidate.missing:
+                        completed.add(index)
+        verdicts = [
+            self._judge(self._candidates[index], pending=False)
+            for index in sorted(completed)
+        ]
         return self._delta(verdicts, new_defensive, new_priority)
 
-    def _register(self, bundle: BundleRecord) -> None:
+    def _register(self, bundle: BundleRecord) -> _Candidate:
         index = self.candidates_registered
         self.candidates_registered += 1
         missing = {
@@ -142,23 +139,11 @@ class StreamingDetector:
             for tx_id in bundle.transaction_ids
             if tx_id not in self._details
         }
-        self._candidates[index] = _Candidate(
-            index=index, bundle=bundle, missing=missing
-        )
+        candidate = _Candidate(index=index, bundle=bundle, missing=missing)
+        self._candidates[index] = candidate
         for tx_id in bundle.transaction_ids:
             self._tx_to_candidate[tx_id] = index
-        self.windows.add(bundle.slot, index)
-
-    def _sweep(self) -> list[VerdictRecord]:
-        """Judge every complete candidate in a dirty window."""
-        verdicts: list[VerdictRecord] = []
-        for _key, members in self.windows.sweep_dirty():
-            for index in members:
-                candidate = self._candidates.get(index)
-                if candidate is None or candidate.missing:
-                    continue
-                verdicts.append(self._judge(candidate, pending=False))
-        return verdicts
+        return candidate
 
     def _judge(self, candidate: _Candidate, pending: bool) -> VerdictRecord:
         """Run the batch detection stack over one candidate, once.
@@ -186,7 +171,6 @@ class StreamingDetector:
         for tx_id in candidate.bundle.transaction_ids:
             if self._tx_to_candidate.get(tx_id) == candidate.index:
                 del self._tx_to_candidate[tx_id]
-        self.windows.discard(candidate.bundle.slot, candidate.index)
         return VerdictRecord(
             index=candidate.index,
             bundle_id=candidate.bundle.bundle_id,

@@ -1,11 +1,9 @@
-"""Messages that flow between the streaming pipeline's stages.
+"""The message the streaming fold consumes.
 
-The producer publishes :class:`StreamBatch` messages (the genuinely-new
-bundles and transaction details one collection step landed, in insertion
-order); the detector stage turns each batch into a
-:class:`~repro.stream.deltas.ReportDelta`. End of stream is signalled by
-closing the queue, which hands every waiting consumer the
-:data:`END_OF_STREAM` sentinel once the buffered items drain.
+A producer (the live campaign's collector tap, or an archive replay)
+yields :class:`StreamBatch` messages: the genuinely-new bundles and
+transaction details one collection step landed, in insertion order. The
+detector turns each batch into a :class:`~repro.stream.deltas.ReportDelta`.
 """
 
 from __future__ import annotations
@@ -13,17 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.explorer.models import BundleRecord, TransactionRecord
-
-
-class _EndOfStream:
-    """Singleton sentinel a closed queue yields once its items drain."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<END_OF_STREAM>"
-
-
-#: The one end-of-stream marker every consumer compares against by identity.
-END_OF_STREAM = _EndOfStream()
 
 
 @dataclass(frozen=True)
@@ -38,11 +25,3 @@ class StreamBatch:
 
     bundles: tuple[BundleRecord, ...] = field(default_factory=tuple)
     details: tuple[TransactionRecord, ...] = field(default_factory=tuple)
-
-    def __len__(self) -> int:
-        return len(self.bundles) + len(self.details)
-
-    @property
-    def empty(self) -> bool:
-        """Whether this batch carries no records at all."""
-        return not self.bundles and not self.details

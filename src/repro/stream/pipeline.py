@@ -1,234 +1,133 @@
-"""The asyncio producer/consumer graph that analyzes while collecting.
+"""The synchronous fold that analyzes while collecting.
 
-Three stages connected by two :class:`~repro.stream.queues.BoundedStreamQueue`
-instances::
+Every :class:`~repro.stream.events.StreamBatch` goes through
+:meth:`~repro.stream.detector.StreamingDetector.ingest`, the resulting
+delta through :meth:`~repro.stream.deltas.IncrementalReportBuilder.apply`
+and the optional ``on_delta`` observer, the moment it is produced::
 
-    producer ──batches──▶ detector stage ──deltas──▶ report builder
+    batches ──▶ detector.ingest ──delta──▶ builder.apply (+ on_delta)
 
-The producer publishes :class:`~repro.stream.events.StreamBatch` messages
-(from a live campaign's collector tap, or from an existing archive in
-attach mode); the detector stage folds each batch through the
-:class:`~repro.stream.detector.StreamingDetector`; the builder stage
-accumulates the resulting deltas so the final
-:class:`~repro.core.pipeline.AnalysisReport` is one cheap merge away the
-moment the last batch lands.
-
-Shutdown is cooperative and deadlock-free by construction: each stage
-closes its downstream queue in a ``finally`` block (close is synchronous
-and wakes every waiter), and the detector stage also closes its *upstream*
-queue on failure so a producer blocked on a full queue is released
-immediately instead of waiting out its stall timeout.
+Batches come from a live campaign's collector tap, or from an existing
+archive in attach mode (:func:`archive_batches`). Detection keeps pace
+with collection and memory holds one batch at a time; once the batches
+run out, ``finalize`` judges the stragglers and the final
+:class:`~repro.core.pipeline.AnalysisReport` is one cheap merge away.
 """
 
 from __future__ import annotations
 
-import asyncio
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Awaitable, Callable
+from typing import Callable, Iterable, Iterator
 
 from repro.archive.database import ArchiveDatabase
 from repro.archive.schema import bundle_from_row, detail_from_row
 from repro.core.pipeline import AnalysisReport
 from repro.dex.oracle import PriceOracle
 from repro.errors import ConfigError
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.parallel.chunks import DetectorSpec
 from repro.stream.deltas import IncrementalReportBuilder, ReportDelta
 from repro.stream.detector import StreamingDetector
-from repro.stream.events import END_OF_STREAM, StreamBatch
-from repro.stream.queues import BoundedStreamQueue
-
-#: Signature of a producer stage: fed the batch queue, must close it when done.
-Producer = Callable[[BoundedStreamQueue], Awaitable[None]]
+from repro.stream.events import StreamBatch
 
 #: Optional observer invoked with every delta the builder folds.
 DeltaObserver = Callable[[ReportDelta], None]
 
 
-@dataclass(frozen=True)
-class StreamConfig:
-    """Tuning knobs for the streaming pipeline.
-
-    ``queue_size`` bounds both inter-stage queues (and therefore peak
-    memory); ``put_timeout_seconds`` is the stall guard that turns a dead
-    consumer into a loud :class:`~repro.stream.queues.StreamStallError`
-    instead of a silent hang; ``window_slots`` sizes the detector's
-    sliding slot windows; ``batch_bundles`` is the attach-mode read chunk.
-    """
-
-    queue_size: int = 64
-    put_timeout_seconds: float | None = 30.0
-    window_slots: int = 32
-    batch_bundles: int = 256
-
-    def validate(self) -> None:
-        """Reject non-positive sizes before any queue is built."""
-        if self.queue_size < 1:
-            raise ConfigError(
-                f"queue_size must be >= 1, got {self.queue_size}"
-            )
-        if self.batch_bundles < 1:
-            raise ConfigError(
-                f"batch_bundles must be >= 1, got {self.batch_bundles}"
-            )
-        if (
-            self.put_timeout_seconds is not None
-            and self.put_timeout_seconds <= 0
-        ):
-            raise ConfigError("put_timeout_seconds must be positive or None")
-
-
-async def _detector_stage(
-    batches: BoundedStreamQueue,
-    deltas: BoundedStreamQueue,
+def fold_batches(
+    batches: Iterable[StreamBatch],
     detector: StreamingDetector,
-) -> None:
-    """Fold batches into deltas until end of stream, then finalize."""
-    try:
-        while True:
-            item = await batches.get()
-            if item is END_OF_STREAM:
-                await deltas.put(detector.finalize())
-                return
-            await deltas.put(detector.ingest(item))
-    finally:
-        # Order matters: releasing a blocked producer first (upstream
-        # close) means nobody is left parked on a full queue while the
-        # builder drains the deltas already emitted.
-        batches.close()
-        deltas.close()
-
-
-async def _builder_stage(
-    deltas: BoundedStreamQueue,
     builder: IncrementalReportBuilder,
     on_delta: DeltaObserver | None = None,
 ) -> None:
-    """Fold deltas into the report builder until end of stream."""
-    while True:
-        item = await deltas.get()
-        if item is END_OF_STREAM:
-            return
-        builder.apply(item)
-        if on_delta is not None:
-            on_delta(item)
+    """Fold every batch into the builder, then the finalize delta.
 
-
-async def run_stages(
-    producer: Producer,
-    detector: StreamingDetector,
-    builder: IncrementalReportBuilder,
-    config: StreamConfig | None = None,
-    metrics: MetricsRegistry | None = None,
-    on_delta: DeltaObserver | None = None,
-) -> None:
-    """Run the three-stage graph to completion on the current loop.
-
-    On success the builder holds every verdict (``builder.finalized`` is
-    True). On failure the first stage exception propagates after the
-    close cascade has released all other stages.
+    On return the builder holds every verdict (``builder.finalized`` is
+    True); an exception from any step propagates unchanged.
     """
-    config = config or StreamConfig()
-    config.validate()
-    metrics = metrics if metrics is not None else NULL_REGISTRY
-    batches = BoundedStreamQueue(
-        config.queue_size,
-        name="batches",
-        metrics=metrics,
-        put_timeout=config.put_timeout_seconds,
-    )
-    deltas = BoundedStreamQueue(
-        config.queue_size,
-        name="deltas",
-        metrics=metrics,
-        put_timeout=config.put_timeout_seconds,
-    )
-
-    async def _produce() -> None:
-        try:
-            await producer(batches)
-        finally:
-            batches.close()
-
-    await asyncio.gather(
-        _produce(),
-        _detector_stage(batches, deltas, detector),
-        _builder_stage(deltas, builder, on_delta),
-    )
+    for batch in batches:
+        _apply(detector.ingest(batch), builder, on_delta)
+    _apply(detector.finalize(), builder, on_delta)
 
 
-def archive_producer(
-    database: ArchiveDatabase, config: StreamConfig
-) -> Producer:
-    """A producer that replays an existing archive in ``seq`` order.
+def _apply(
+    delta: ReportDelta,
+    builder: IncrementalReportBuilder,
+    on_delta: DeltaObserver | None,
+) -> None:
+    builder.apply(delta)
+    if on_delta is not None:
+        on_delta(delta)
+
+
+def archive_batches(
+    database: ArchiveDatabase, batch_bundles: int
+) -> Iterator[StreamBatch]:
+    """Replay an existing archive in ``seq`` order, ``batch_bundles`` rows
+    per batch: every bundle first, then every transaction detail.
 
     ``seq`` order equals original insertion order, so attach-mode
     streaming sees records exactly as a live campaign would have
     published them.
     """
-
-    async def produce(queue: BoundedStreamQueue) -> None:
-        conn = database.connection
-        pending: list = []
-        for row in conn.execute("SELECT * FROM bundles ORDER BY seq"):
-            pending.append(bundle_from_row(row))
-            if len(pending) >= config.batch_bundles:
-                await queue.put(StreamBatch(bundles=tuple(pending)))
-                pending = []
-        if pending:
-            await queue.put(StreamBatch(bundles=tuple(pending)))
-        details: list = []
-        for row in conn.execute("SELECT * FROM transactions ORDER BY seq"):
-            details.append(detail_from_row(row))
-            if len(details) >= config.batch_bundles:
-                await queue.put(StreamBatch(details=tuple(details)))
-                details = []
-        if details:
-            await queue.put(StreamBatch(details=tuple(details)))
-
-    return produce
+    conn = database.connection
+    pending: list = []
+    for row in conn.execute("SELECT * FROM bundles ORDER BY seq"):
+        pending.append(bundle_from_row(row))
+        if len(pending) >= batch_bundles:
+            yield StreamBatch(bundles=tuple(pending))
+            pending = []
+    if pending:
+        yield StreamBatch(bundles=tuple(pending))
+    details: list = []
+    for row in conn.execute("SELECT * FROM transactions ORDER BY seq"):
+        details.append(detail_from_row(row))
+        if len(details) >= batch_bundles:
+            yield StreamBatch(details=tuple(details))
+            details = []
+    if details:
+        yield StreamBatch(details=tuple(details))
 
 
 def analyze_archive_stream(
     database: ArchiveDatabase | str | Path,
     spec: DetectorSpec | None = None,
     oracle: PriceOracle | None = None,
-    config: StreamConfig | None = None,
+    batch_bundles: int = 256,
     metrics: MetricsRegistry | None = None,
     on_delta: DeltaObserver | None = None,
 ) -> AnalysisReport:
-    """Attach-mode analysis: stream an archive through the online pipeline.
+    """Attach-mode analysis: stream an archive through the online fold.
 
     Produces a report byte-identical (per
     :func:`repro.parallel.merge.report_bytes`) to
     ``AnalysisPipeline().analyze_store(ArchiveBundleStore.resume(db))``
     with the equivalent detector configuration, without materialising an
     in-memory store.
+
+    Raises:
+        ConfigError: ``batch_bundles`` is below 1 (checked before the
+            archive is opened).
     """
-    config = config or StreamConfig()
+    if batch_bundles < 1:
+        raise ConfigError(
+            f"batch_bundles must be >= 1, got {batch_bundles}"
+        )
     owns_database = not isinstance(database, ArchiveDatabase)
     if owns_database:
         database = ArchiveDatabase(database, read_only=True)
     try:
         detector = StreamingDetector(
-            spec=spec,
-            oracle=oracle,
-            window_slots=config.window_slots,
-            metrics=metrics,
+            spec=spec, oracle=oracle, metrics=metrics
         )
         builder = IncrementalReportBuilder(
             spec=detector.spec, oracle=detector.oracle
         )
-        asyncio.run(
-            run_stages(
-                archive_producer(database, config),
-                detector,
-                builder,
-                config=config,
-                metrics=metrics,
-                on_delta=on_delta,
-            )
+        fold_batches(
+            archive_batches(database, batch_bundles),
+            detector,
+            builder,
+            on_delta=on_delta,
         )
     finally:
         if owns_database:

@@ -1,11 +1,11 @@
-"""Shutdown and drain semantics of the threaded prefetch work queue.
+"""The full contract of the bounded work queue behind prefetching.
 
-Mirrors the streaming tier's queue-contract tests
-(``tests/stream/test_queues.py``) on the thread-based
-:class:`~repro.pipeline.prefetch.BoundedWorkQueue` — in particular the
-shutdown-deadlock regression: a producer parked against a full queue
-must be unblocked (with an error, not a hang) when the consumer closes
-the queue, and every item buffered before the close must still drain.
+Blocking, close, drain and failure semantics of
+:class:`~repro.pipeline.prefetch.BoundedWorkQueue` across real threads —
+in particular the shutdown-deadlock regression: a producer parked
+against a full queue must be unblocked (with an error, not a hang) when
+the consumer closes the queue, and every item buffered before the close
+must still drain.
 """
 
 import threading
@@ -55,6 +55,24 @@ class TestBasics:
         assert not consumer.is_alive()
         assert got == ["late"]
 
+    def test_put_blocks_at_capacity_until_a_get_frees_a_slot(self):
+        q = BoundedWorkQueue(1)
+        q.put("first")
+        done = threading.Event()
+
+        def produce():
+            q.put("second")  # parks: queue is full
+            done.set()
+
+        producer = threading.Thread(target=produce)
+        producer.start()
+        assert not done.wait(timeout=0.05)
+        assert q.get() == "first"
+        producer.join(timeout=5.0)
+        assert not producer.is_alive()
+        assert done.is_set()
+        assert q.get() == "second"
+
 
 class TestClose:
     def test_drain_on_close_then_sentinel_forever(self):
@@ -66,6 +84,23 @@ class TestClose:
         assert q.get() == "y"
         assert q.get() is END_OF_WORK
         assert q.get() is END_OF_WORK  # idempotent terminal state
+
+    def test_close_wakes_a_blocked_getter(self):
+        q = BoundedWorkQueue(1)
+        got = []
+
+        def consume():
+            got.append(q.get())  # parks: queue is empty
+
+        consumer = threading.Thread(target=consume)
+        consumer.start()
+        # Give the consumer time to park; if the close wins the race
+        # instead, the get still sees a closed, drained queue.
+        time.sleep(0.05)
+        q.close()
+        consumer.join(timeout=5.0)
+        assert not consumer.is_alive()
+        assert got == [END_OF_WORK]
 
     def test_put_after_close_raises(self):
         q = BoundedWorkQueue(2)

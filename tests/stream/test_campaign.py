@@ -16,7 +16,7 @@ from repro.core.pipeline import AnalysisPipeline
 from repro.faults.plan import preset_plan
 from repro.parallel.merge import report_bytes
 from repro.simulation.scenario import small_scenario
-from repro.stream import StreamConfig, StreamingCampaign
+from repro.stream import StreamingCampaign
 
 
 def _batch_report(seed, days=2, preset=None):
@@ -34,7 +34,6 @@ def test_streaming_campaign_matches_batch(preset):
     streaming = StreamingCampaign(
         small_scenario(seed=77, days=2),
         fault_plan=preset_plan(preset) if preset else None,
-        stream_config=StreamConfig(queue_size=8),
     )
     result, streamed = streaming.run()
     assert len(result.store) == len(batch_result.store)
@@ -50,10 +49,7 @@ def test_streaming_campaign_matches_batch(preset):
 def test_streaming_report_is_ready_at_finalize():
     """The builder holds every verdict the moment run() returns — no
     post-hoc detection pass happens in build()."""
-    streaming = StreamingCampaign(
-        small_scenario(seed=11, days=1),
-        stream_config=StreamConfig(queue_size=4),
-    )
+    streaming = StreamingCampaign(small_scenario(seed=11, days=1))
     _, report = streaming.run()
     assert streaming.builder.finalized
     rebuilt = streaming.builder.build(
@@ -62,6 +58,21 @@ def test_streaming_report_is_ready_at_finalize():
         )
     )
     assert report_bytes(rebuilt) == report_bytes(report)
+
+
+def test_default_campaign_judges_while_collecting():
+    """Detection keeps pace with collection: every delta except the
+    closing batch's and finalize's is folded before the campaign's
+    ``finalize()`` returns (``streaming.result`` is still unset)."""
+    collecting = []
+    streaming = StreamingCampaign(
+        small_scenario(seed=11, days=1),
+        on_delta=lambda delta: collecting.append(streaming.result is None),
+    )
+    streaming.run()
+    assert len(collecting) > 2
+    assert all(collecting[:-2])
+    assert not collecting[-1]
 
 
 def test_streaming_campaign_archive_matches_batch_archive(tmp_path):
@@ -81,7 +92,6 @@ def test_streaming_campaign_archive_matches_batch_archive(tmp_path):
     streaming = StreamingCampaign(
         small_scenario(seed=42, days=2),
         store=stream_store,
-        stream_config=StreamConfig(queue_size=8),
     )
     _, streamed = streaming.run()
     stream_store.flush()
@@ -106,7 +116,6 @@ def test_streaming_archive_watermark_advances_during_collection(tmp_path):
     streaming = StreamingCampaign(
         small_scenario(seed=7, days=1),
         store=store,
-        stream_config=StreamConfig(queue_size=8),
         on_delta=lambda delta: seen.append(store.database.max_seq("bundles")),
     )
     streaming.run()

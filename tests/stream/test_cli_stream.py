@@ -11,7 +11,6 @@ class TestParser:
     def test_campaign_stream_defaults(self):
         args = build_parser().parse_args(["campaign", "--stream"])
         assert args.stream
-        assert args.queue_size == 64
 
     def test_stream_subcommand(self):
         args = build_parser().parse_args(
@@ -86,6 +85,11 @@ class TestStreamCommands:
     def test_stream_rejects_missing_archive(self, tmp_path, capsys):
         assert main(["stream", "--db", str(tmp_path / "nope.db")]) == 2
         assert "not an archive database" in capsys.readouterr().err
+
+    def test_stream_rejects_zero_batch_size(self, outputs, capsys):
+        db = str(outputs / "batch.db")
+        assert main(["stream", "--db", db, "--batch-size", "0"]) == 2
+        assert "batch_bundles must be >= 1" in capsys.readouterr().err
 
     def test_campaign_stream_rejects_resume(self, tmp_path, capsys):
         code = main(

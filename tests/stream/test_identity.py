@@ -1,7 +1,7 @@
 """The hard contract: streaming output is byte-identical to batch output.
 
 Attach-mode streaming over every golden-corpus scenario — standard and
-windowed detector stacks, tight queues and odd batch sizes — must yield
+windowed detector stacks, tiny and odd batch sizes — must yield
 the exact ``report_bytes`` the serial pipeline produces over the same
 archive.
 """
@@ -19,7 +19,7 @@ from repro.core.detector import WindowedSandwichDetector
 from repro.core.pipeline import AnalysisPipeline
 from repro.parallel.chunks import DetectorSpec
 from repro.parallel.merge import report_bytes
-from repro.stream import StreamConfig, analyze_archive_stream
+from repro.stream import analyze_archive_stream
 
 
 def _serial_bytes(path, windowed=False):
@@ -37,9 +37,7 @@ def test_stream_matches_serial_over_corpus(scenario, tmp_path):
     path = tmp_path / "corpus.db"
     write_archive(generate_rows(scenario), path)
     expected = _serial_bytes(path)
-    streamed = analyze_archive_stream(
-        path, config=StreamConfig(queue_size=4, batch_bundles=33)
-    )
+    streamed = analyze_archive_stream(path, batch_bundles=33)
     assert report_bytes(streamed) == expected
 
 
@@ -53,21 +51,18 @@ def test_stream_matches_serial_windowed(scenario, tmp_path):
     streamed = analyze_archive_stream(
         path,
         spec=DetectorSpec(kind="windowed"),
-        config=StreamConfig(queue_size=2, batch_bundles=11),
+        batch_bundles=11,
     )
     assert report_bytes(streamed) == expected
 
 
-@pytest.mark.parametrize("queue_size,batch", [(1, 1), (2, 7), (64, 512)])
-def test_stream_identity_is_batching_invariant(queue_size, batch, tmp_path):
-    """Queue capacity and batch granularity must never leak into output."""
+@pytest.mark.parametrize("batch", [1, 7, 512])
+def test_stream_identity_is_batching_invariant(batch, tmp_path):
+    """Batch granularity must never leak into output."""
     path = tmp_path / "sized.db"
     write_archive(generate_rows(selftest_scenario(77, bundles=120)), path)
     expected = _serial_bytes(path)
-    streamed = analyze_archive_stream(
-        path,
-        config=StreamConfig(queue_size=queue_size, batch_bundles=batch),
-    )
+    streamed = analyze_archive_stream(path, batch_bundles=batch)
     assert report_bytes(streamed) == expected
 
 
