@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sqlite3
 from pathlib import Path
+from typing import Sequence
 
 from repro.archive.schema import MIGRATIONS, SCHEMA_VERSION
 from repro.errors import StoreError
@@ -101,6 +102,17 @@ class ArchiveDatabase:
     def connection(self) -> sqlite3.Connection:
         """The underlying connection (row factory: :class:`sqlite3.Row`)."""
         return self._conn
+
+    def tuples(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
+        """Execute ``sql`` on a cursor that yields plain tuples.
+
+        The positional decoders in :mod:`repro.archive.schema` read every
+        bulk row through this: a tuple is cheaper to build and to unpack
+        than the connection's by-name :class:`sqlite3.Row`.
+        """
+        cursor = self._conn.cursor()
+        cursor.row_factory = None
+        return cursor.execute(sql, params)
 
     def _migrate(self) -> None:
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]

@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.archive.database import ArchiveDatabase
 from repro.archive.query import ArchiveQuery
-from repro.archive.schema import bundle_from_row
 from repro.archive.store import ArchiveBundleStore
 from repro.collector.store import BundleStore
 from repro.core.aggregate import headline_stats, sandwiches_per_day
@@ -44,6 +43,7 @@ from repro.dex.oracle import PriceOracle
 from repro.errors import ConfigError
 from repro.explorer.models import BundleRecord
 from repro.obs.registry import MetricsRegistry
+from repro.pipeline.profile import StageProfile, StageTimer
 
 if TYPE_CHECKING:  # deferred: repro.parallel imports repro.archive
     from repro.parallel.chunks import DetectorSpec
@@ -116,6 +116,10 @@ class IncrementalAnalyzer:
             "archive_incremental_runs_total",
             "Incremental analysis passes over the archive.",
         )
+        #: Wall-clock breakdown of the most recent pass: the chunked
+        #: engine's stages (or one ``delta`` row for the serial object
+        #: path) plus a ``rebuild`` row for the report rebuild.
+        self.stage_profile = StageProfile(seconds={})
 
     # --- watermark state ---------------------------------------------------
 
@@ -167,19 +171,17 @@ class IncrementalAnalyzer:
 
     def _slice_store(
         self, state: dict, detail_lengths: tuple[int, ...] = (3,)
-    ) -> tuple[BundleStore, list, int]:
+    ) -> tuple[BundleStore, list[BundleRecord], int]:
         """The working set: pending bundles plus everything past the mark.
 
-        Returns the mini in-memory store, the new bundle rows, and the new
+        Returns the mini in-memory store, the new bundles, and the new
         high-water ``seq``. ``detail_lengths`` names the bundle lengths the
         detector will want transaction details for (``(3,)`` for the
         standard detector, the window lengths for the windowed one).
         """
         last_seq = int(state["last_bundle_seq"])
-        rows = self.database.connection.execute(
-            "SELECT * FROM bundles WHERE seq > ? ORDER BY seq", (last_seq,)
-        ).fetchall()
-        high_seq = rows[-1]["seq"] if rows else last_seq
+        high_seq = max(last_seq, self.database.max_seq("bundles"))
+        new_bundles = self.query.bundle_range(last_seq + 1, high_seq)
         mini = BundleStore()
         pending: list[BundleRecord] = []
         for bundle_id in state["state"].get("pending_ids", []):
@@ -187,12 +189,12 @@ class IncrementalAnalyzer:
             if bundle is not None:
                 pending.append(bundle)
         mini.add_bundles(pending)
-        mini.add_bundles([bundle_from_row(row) for row in rows])
+        mini.add_bundles(new_bundles)
         # Pull whatever details exist for each detection candidate.
         for length in detail_lengths:
             for bundle in mini.bundles_of_length(length):
                 mini.add_details(self.query.details_for_bundle(bundle))
-        return mini, rows, high_seq
+        return mini, new_bundles, high_seq
 
     def _serial_delta(
         self, state: dict
@@ -200,7 +202,7 @@ class IncrementalAnalyzer:
         """Analyze the delta in-process (the ``jobs=1`` path)."""
         detector = self.detector_factory()
         detail_lengths = tuple(getattr(detector, "lengths", (3,)))
-        mini, new_rows, high_seq = self._slice_store(
+        mini, new_bundles, high_seq = self._slice_store(
             state, detail_lengths=detail_lengths
         )
         events = detector.detect_all(mini)
@@ -218,7 +220,7 @@ class IncrementalAnalyzer:
             classification,
             detector.stats,
             pending_ids,
-            len(new_rows),
+            len(new_bundles),
             high_seq,
         )
 
@@ -278,9 +280,11 @@ class IncrementalAnalyzer:
             )
         tasks.extend(engine.tasks_for_chunks(chunks, first_index=1))
         outcomes = engine.run_tasks(tasks)
-        merged = merge_outcomes(
-            outcomes, threshold_lamports=engine.spec.threshold_lamports
-        )
+        self.stage_profile = engine.stage_profile
+        with StageTimer(self.stage_profile, "merge"):
+            merged = merge_outcomes(
+                outcomes, threshold_lamports=engine.spec.threshold_lamports
+            )
         high_seq = chunks[-1].seq_hi if chunks else last_seq
         return (
             merged.quantified,
@@ -309,20 +313,6 @@ class IncrementalAnalyzer:
         merged["rejections_by_criterion"] = rejections
         return merged
 
-    def _defensive_report(self) -> DefensiveReport:
-        """Rebuild the campaign-wide defensive report from archive rows."""
-        report = DefensiveReport(
-            threshold_lamports=self.classifier.threshold_lamports
-        )
-        for classification, bundle in self.query.defensive_records():
-            bucket = (
-                report.defensive
-                if classification == "defensive"
-                else report.priority
-            )
-            bucket.append(bundle)
-        return report
-
     def _is_no_op(self, state: dict) -> bool:
         """Whether a pass over ``state`` would find nothing to analyze.
 
@@ -350,6 +340,7 @@ class IncrementalAnalyzer:
         ``sim_time`` stamps the watermark row (pass the campaign clock when
         available; defaults keep standalone use simple).
         """
+        self.stage_profile = StageProfile(seconds={})
         with self.metrics.span("analysis.incremental"):
             state = self.load_state()
             if self._is_no_op(state):
@@ -377,7 +368,8 @@ class IncrementalAnalyzer:
                 # delta — at jobs=1 it runs in-process, just vectorized.
                 delta = self._parallel_delta(state)
             else:
-                delta = self._serial_delta(state)
+                with StageTimer(self.stage_profile, "delta"):
+                    delta = self._serial_delta(state)
             quantified, classification, stats, pending_ids = delta[:4]
             new_bundles, high_seq = delta[4:]
 
@@ -421,29 +413,32 @@ class IncrementalAnalyzer:
 
     def _build_report(self, merged_stats: dict) -> AnalysisReport:
         """Assemble the campaign-wide report from archive rows."""
-        all_quantified = self.query.sandwiches(order_by="landed_at")
-        defensive_report = self._defensive_report()
-        daily = sandwiches_per_day(all_quantified, self.oracle)
-        headline = headline_stats(
-            all_quantified,
-            defensive_report,
-            bundles_collected=self.query.count_bundles(),
-            oracle=self.oracle,
-        )
-        stats = DetectionStats(
-            bundles_examined=merged_stats.get("bundles_examined", 0),
-            bundles_detected=merged_stats.get("bundles_detected", 0),
-            bundles_skipped_incomplete=merged_stats.get(
-                "bundles_skipped_incomplete", 0
-            ),
-            rejections_by_criterion=dict(
-                merged_stats.get("rejections_by_criterion", {})
-            ),
-        )
-        return AnalysisReport(
-            quantified=all_quantified,
-            defensive=defensive_report,
-            daily=daily,
-            headline=headline,
-            detection_stats=stats,
-        )
+        with StageTimer(self.stage_profile, "rebuild"):
+            all_quantified = self.query.sandwiches(order_by="landed_at")
+            defensive_report = self.query.defensive_report(
+                self.classifier.threshold_lamports
+            )
+            daily = sandwiches_per_day(all_quantified, self.oracle)
+            headline = headline_stats(
+                all_quantified,
+                defensive_report,
+                bundles_collected=self.query.count_bundles(),
+                oracle=self.oracle,
+            )
+            stats = DetectionStats(
+                bundles_examined=merged_stats.get("bundles_examined", 0),
+                bundles_detected=merged_stats.get("bundles_detected", 0),
+                bundles_skipped_incomplete=merged_stats.get(
+                    "bundles_skipped_incomplete", 0
+                ),
+                rejections_by_criterion=dict(
+                    merged_stats.get("rejections_by_criterion", {})
+                ),
+            )
+            return AnalysisReport(
+                quantified=all_quantified,
+                defensive=defensive_report,
+                daily=daily,
+                headline=headline,
+                detection_stats=stats,
+            )

@@ -15,18 +15,30 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Iterator, Sequence
 
 from repro.archive.database import ArchiveDatabase
 from repro.archive.schema import (
-    bundle_from_row,
-    detail_from_row,
-    sandwich_from_row,
+    BUNDLE_COLUMNS,
+    DETAIL_COLUMNS,
+    SANDWICH_COLUMNS,
+    bundle_from_columns,
+    detail_from_columns,
+    sandwich_from_columns,
 )
+from repro.core.defensive import DefensiveReport
 from repro.core.quantify import QuantifiedSandwich
 from repro.errors import ConfigError
 from repro.explorer.models import BundleRecord, TransactionRecord
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+
+#: Select lists of the decoded columns, bare and qualified for joins.
+_BUNDLES = ", ".join(BUNDLE_COLUMNS)
+_B_BUNDLES = ", ".join(f"b.{column}" for column in BUNDLE_COLUMNS)
+_DETAILS = ", ".join(DETAIL_COLUMNS)
+_T_DETAILS = ", ".join(f"t.{column}" for column in DETAIL_COLUMNS)
+_SANDWICHES = ", ".join(SANDWICH_COLUMNS)
 
 #: Columns ``order_by`` may name, per entity.
 BUNDLE_ORDER_COLUMNS = frozenset(
@@ -226,9 +238,22 @@ class ArchiveQuery:
             buckets=(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0),
         )
 
-    def _timed(self, name: str, sql: str, params: list) -> list:
+    def _timed(
+        self, name: str, sql: str, params: list, tuples: bool = False
+    ) -> list:
+        """Run one query and record its latency under ``name``.
+
+        Rows are :class:`sqlite3.Row` (read by column name) unless
+        ``tuples``: then plain tuples, what the positional decoders and
+        the columnar block builders unpack.
+        """
         started = time.perf_counter()
-        rows = self._db.connection.execute(sql, params).fetchall()
+        cursor = (
+            self._db.tuples(sql, params)
+            if tuples
+            else self._db.connection.execute(sql, params)
+        )
+        rows = cursor.fetchall()
         self._latency_metric.observe(
             time.perf_counter() - started, query=name
         )
@@ -249,14 +274,27 @@ class ArchiveQuery:
         clause, params = where.compile()
         page, page_params = _page_clause(limit, offset)
         sql = (
-            f"SELECT * FROM bundles WHERE {clause}"
+            f"SELECT {_BUNDLES} FROM bundles WHERE {clause}"
             + _order_clause(order_by, descending, BUNDLE_ORDER_COLUMNS)
             + page
         )
-        return [
-            bundle_from_row(row)
-            for row in self._timed("bundles", sql, params + page_params)
-        ]
+        rows = self._timed("bundles", sql, params + page_params, tuples=True)
+        return list(starmap(bundle_from_columns, rows))
+
+    def bundle_range(self, seq_lo: int, seq_hi: int) -> list[BundleRecord]:
+        """Bundle records with ``seq_lo <= seq <= seq_hi``, in ``seq`` order.
+
+        The object engine's chunk load and the serial incremental delta
+        read their bundles through this.
+        """
+        rows = self._timed(
+            "bundle_range",
+            f"SELECT {_BUNDLES} FROM bundles "
+            "WHERE seq >= ? AND seq <= ? ORDER BY seq",
+            [seq_lo, seq_hi],
+            tuples=True,
+        )
+        return list(starmap(bundle_from_columns, rows))
 
     def bundle_index(
         self,
@@ -394,21 +432,23 @@ class ArchiveQuery:
         """One bundle by id."""
         rows = self._timed(
             "bundle",
-            "SELECT * FROM bundles WHERE bundle_id = ?",
+            f"SELECT {_BUNDLES} FROM bundles WHERE bundle_id = ?",
             [bundle_id],
+            tuples=True,
         )
-        return bundle_from_row(rows[0]) if rows else None
+        return bundle_from_columns(*rows[0]) if rows else None
 
     def bundle_of_transaction(self, tx_id: str) -> BundleRecord | None:
         """The bundle containing a member transaction id, if archived."""
         rows = self._timed(
             "bundle_of_transaction",
-            "SELECT b.* FROM bundles b "
+            f"SELECT {_B_BUNDLES} FROM bundles b "
             "JOIN bundle_transactions m ON m.bundle_id = b.bundle_id "
             "WHERE m.transaction_id = ?",
             [tx_id],
+            tuples=True,
         )
-        return bundle_from_row(rows[0]) if rows else None
+        return bundle_from_columns(*rows[0]) if rows else None
 
     # --- transaction details ----------------------------------------------
 
@@ -422,11 +462,12 @@ class ArchiveQuery:
         clause = "signer = ?" if signer is not None else "1=1"
         params: list = [signer] if signer is not None else []
         page, page_params = _page_clause(limit, offset)
-        sql = f"SELECT * FROM transactions WHERE {clause} ORDER BY seq" + page
-        return [
-            detail_from_row(row)
-            for row in self._timed("details", sql, params + page_params)
-        ]
+        sql = (
+            f"SELECT {_DETAILS} FROM transactions WHERE {clause} ORDER BY seq"
+            + page
+        )
+        rows = self._timed("details", sql, params + page_params, tuples=True)
+        return list(starmap(detail_from_columns, rows))
 
     def count_transactions(self) -> int:
         """Number of archived transaction details."""
@@ -440,12 +481,17 @@ class ArchiveQuery:
     def details_for_bundle(self, bundle: BundleRecord) -> list[TransactionRecord]:
         """Details of a bundle's member transactions, in bundle order."""
         found = {
-            row["transaction_id"]: detail_from_row(row)
-            for row in self._timed(
-                "details_for_bundle",
-                "SELECT * FROM transactions WHERE transaction_id IN "
-                f"({','.join('?' * len(bundle.transaction_ids))})",
-                list(bundle.transaction_ids),
+            record.transaction_id: record
+            for record in starmap(
+                detail_from_columns,
+                self._timed(
+                    "details_for_bundle",
+                    f"SELECT {_DETAILS} FROM transactions "
+                    "WHERE transaction_id IN "
+                    f"({','.join('?' * len(bundle.transaction_ids))})",
+                    list(bundle.transaction_ids),
+                    tuples=True,
+                ),
             )
         }
         return [
@@ -461,18 +507,17 @@ class ArchiveQuery:
         of :meth:`details_for_bundle` over the range's ``length`` bundles,
         for members recorded in ``bundle_transactions``.
         """
-        return [
-            detail_from_row(row)
-            for row in self._timed(
-                "details_for_range",
-                "SELECT t.* FROM bundles b "
-                "JOIN bundle_transactions m ON m.bundle_id = b.bundle_id "
-                "JOIN transactions t ON t.transaction_id = m.transaction_id "
-                "WHERE b.seq >= ? AND b.seq <= ? AND b.num_transactions = ? "
-                "ORDER BY b.seq, m.position",
-                [seq_lo, seq_hi, length],
-            )
-        ]
+        rows = self._timed(
+            "details_for_range",
+            f"SELECT {_T_DETAILS} FROM bundles b "
+            "JOIN bundle_transactions m ON m.bundle_id = b.bundle_id "
+            "JOIN transactions t ON t.transaction_id = m.transaction_id "
+            "WHERE b.seq >= ? AND b.seq <= ? AND b.num_transactions = ? "
+            "ORDER BY b.seq, m.position",
+            [seq_lo, seq_hi, length],
+            tuples=True,
+        )
+        return list(starmap(detail_from_columns, rows))
 
     # --- columnar projections ----------------------------------------------
     #
@@ -498,6 +543,7 @@ class ArchiveQuery:
             "num_transactions, transaction_ids FROM bundles "
             "WHERE seq >= ? AND seq <= ? ORDER BY seq",
             [seq_lo, seq_hi],
+            tuples=True,
         )
 
     def bundle_columns_for_ids(self, bundle_ids: Sequence[str]) -> list:
@@ -517,6 +563,7 @@ class ArchiveQuery:
                     "num_transactions, transaction_ids FROM bundles "
                     f"WHERE bundle_id IN ({','.join('?' * len(batch))})",
                     list(batch),
+                    tuples=True,
                 )
             )
         return rows
@@ -537,6 +584,7 @@ class ArchiveQuery:
                     "FROM transactions "
                     f"WHERE transaction_id IN ({','.join('?' * len(batch))})",
                     list(batch),
+                    tuples=True,
                 )
             )
         return rows
@@ -566,6 +614,7 @@ class ArchiveQuery:
             "JOIN transactions t ON t.transaction_id = m.transaction_id "
             "WHERE b.seq >= ? AND b.seq <= ? AND b.num_transactions = ?",
             [seq_lo, seq_hi, length],
+            tuples=True,
         )
 
     # --- sandwiches --------------------------------------------------------
@@ -583,14 +632,14 @@ class ArchiveQuery:
         clause, params = where.compile()
         page, page_params = _page_clause(limit, offset)
         sql = (
-            f"SELECT * FROM sandwiches WHERE {clause}"
+            f"SELECT {_SANDWICHES} FROM sandwiches WHERE {clause}"
             + _order_clause(order_by, descending, SANDWICH_ORDER_COLUMNS)
             + page
         )
-        return [
-            sandwich_from_row(row)
-            for row in self._timed("sandwiches", sql, params + page_params)
-        ]
+        rows = self._timed(
+            "sandwiches", sql, params + page_params, tuples=True
+        )
+        return list(starmap(sandwich_from_columns, rows))
 
     def sandwich_for_bundle(self, bundle_id: str) -> QuantifiedSandwich | None:
         """The detection recorded for one attacked bundle, if any.
@@ -599,10 +648,11 @@ class ArchiveQuery:
         """
         rows = self._timed(
             "sandwich_for_bundle",
-            "SELECT * FROM sandwiches WHERE bundle_id = ?",
+            f"SELECT {_SANDWICHES} FROM sandwiches WHERE bundle_id = ?",
             [bundle_id],
+            tuples=True,
         )
-        return sandwich_from_row(rows[0]) if rows else None
+        return sandwich_from_columns(*rows[0]) if rows else None
 
     def count_sandwiches(self, where: SandwichFilter | None = None) -> int:
         """Number of detections matching the filter."""
@@ -709,11 +759,27 @@ class ArchiveQuery:
         """
         rows = self._timed(
             "defensive_records",
-            "SELECT d.classification, b.* FROM defensive d "
+            f"SELECT d.classification, {_B_BUNDLES} FROM defensive d "
             "JOIN bundles b ON b.bundle_id = d.bundle_id ORDER BY b.seq",
             [],
+            tuples=True,
         )
-        return [(row["classification"], bundle_from_row(row)) for row in rows]
+        return [(row[0], bundle_from_columns(*row[1:])) for row in rows]
+
+    def defensive_report(self, threshold_lamports: int) -> DefensiveReport:
+        """The campaign-wide defensive report, rebuilt from archive rows.
+
+        Bundles land in each bucket in ``seq`` (collection) order, the
+        order the in-memory classifier appended them in.
+        """
+        report = DefensiveReport(threshold_lamports=threshold_lamports)
+        defensive, priority = report.defensive, report.priority
+        for classification, bundle in self.defensive_records():
+            if classification == "defensive":
+                defensive.append(bundle)
+            else:
+                priority.append(bundle)
+        return report
 
     def pending_detail_count(self, min_length: int = 3) -> int:
         """Bundles of ``min_length``+ still missing member details.

@@ -1,4 +1,4 @@
-"""The archive's versioned SQLite schema and row converters.
+"""The archive's versioned SQLite schema and its record codec.
 
 The archive is the durable, indexed form of everything one measurement
 campaign collects and derives: bundle listings, transaction details,
@@ -17,7 +17,6 @@ under a newer one.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from repro.core.events import SandwichEvent
 from repro.core.quantify import QuantifiedSandwich
@@ -121,7 +120,243 @@ CREATE TABLE IF NOT EXISTS analysis_state (
 MIGRATIONS: tuple[str, ...] = (_V1_DDL,)
 
 
-# --- bundles ------------------------------------------------------------------
+# --- positional decoding ------------------------------------------------------
+#
+# Every bulk read selects one of the column lists below, fetches plain
+# tuples (never ``sqlite3.Row``), and hands each tuple to the matching
+# ``*_from_columns`` decoder by position: one exact decoder per record type.
+# The decoders build the frozen records by assigning each a ready
+# ``__dict__`` (see :func:`new_bundle`) and parse single-id
+# ``transaction_ids`` arrays by slicing (see :func:`parse_transaction_ids`);
+# every malformed value raises :class:`StoreError`.
+
+#: ``bundles`` columns :func:`bundle_from_columns` takes, in schema order.
+BUNDLE_COLUMNS = (
+    "bundle_id",
+    "slot",
+    "landed_at",
+    "tip_lamports",
+    "transaction_ids",
+)
+#: ``transactions`` columns :func:`detail_from_columns` takes, in schema order.
+DETAIL_COLUMNS = (
+    "transaction_id",
+    "slot",
+    "block_time",
+    "signer",
+    "signers",
+    "fee_lamports",
+    "token_deltas",
+    "lamport_deltas",
+    "events",
+)
+#: ``sandwiches`` columns :func:`sandwich_from_columns` takes, in schema order.
+SANDWICH_COLUMNS = (
+    "bundle_id",
+    "slot",
+    "landed_at",
+    "tip_lamports",
+    "attacker",
+    "victim",
+    "victim_loss_quote",
+    "attacker_gain_quote",
+    "victim_loss_usd",
+    "attacker_gain_usd",
+    "legs",
+)
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def new_bundle(
+    bundle_id: str,
+    slot: int,
+    landed_at: float,
+    tip_lamports: int,
+    transaction_ids: tuple[str, ...],
+) -> BundleRecord:
+    """A :class:`BundleRecord` built without the frozen-init overhead.
+
+    A frozen dataclass's ``__init__`` assigns every field through its own
+    ``object.__setattr__`` call. Assigning the new instance one ready
+    ``__dict__`` instead (``object.__setattr__`` bypasses the frozen
+    guard, which lives in the class's ``__setattr__``) yields a record
+    with identical fields, equality and hash for less, and the guard still
+    rejects any later assignment. The dict must be a fresh one: filling
+    the dict that ``instance.__dict__`` materializes is cheaper still, but
+    on CPython 3.11 every later attribute read of such a record misses the
+    interpreter's specialized fast path and runs several times slower.
+    This holds only while the record types keep their fields in
+    ``__dict__`` (are not slots dataclasses); ``tests/archive/test_codec.py``
+    pins it for every decoded type.
+    """
+    record = _new(BundleRecord)
+    _set(
+        record,
+        "__dict__",
+        {
+            "bundle_id": bundle_id,
+            "slot": slot,
+            "landed_at": landed_at,
+            "tip_lamports": tip_lamports,
+            "transaction_ids": transaction_ids,
+        },
+    )
+    return record
+
+
+def parse_transaction_ids(raw: str) -> tuple[str, ...]:
+    """Decode a ``transaction_ids`` JSON array of strings, exactly.
+
+    Most bundles hold one id, and a one-element array whose id contains no
+    ``"``, no ``\\`` and no control character means the same to JSON as
+    its slice, so that case skips the decoder. ``str.isprintable`` is the
+    control-character test: it also refuses some printable-but-unusual
+    characters, which then simply take the exact ``json`` path. Anything
+    that is not JSON text holding an array of strings raises
+    :class:`StoreError`.
+    """
+    try:
+        if raw.startswith('["') and raw.endswith('"]') and len(raw) > 3:
+            inner = raw[2:-2]
+            if (
+                '"' not in inner
+                and "\\" not in inner
+                and inner.isprintable()
+            ):
+                return (inner,)
+        ids = json.loads(raw)
+        if type(ids) is not list:
+            raise TypeError(f"not an array: {type(ids).__name__}")
+        # str.join type-checks every element in C: the cheapest exact
+        # "every id is a string" test.
+        "".join(ids)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise StoreError(f"malformed transaction_ids {raw!r}: {exc}") from exc
+    return tuple(ids)
+
+
+def bundle_from_columns(
+    bundle_id: str,
+    slot: int,
+    landed_at: float,
+    tip_lamports: int,
+    transaction_ids: str,
+) -> BundleRecord:
+    """Decode one :data:`BUNDLE_COLUMNS` row into a bundle record."""
+    return new_bundle(
+        bundle_id,
+        slot,
+        landed_at,
+        tip_lamports,
+        parse_transaction_ids(transaction_ids),
+    )
+
+
+def detail_from_columns(
+    transaction_id: str,
+    slot: int,
+    block_time: float,
+    signer: str,
+    signers: str,
+    fee_lamports: int,
+    token_deltas: str,
+    lamport_deltas: str,
+    events: str,
+) -> TransactionRecord:
+    """Decode one :data:`DETAIL_COLUMNS` row into a transaction record."""
+    try:
+        fields = {
+            "transaction_id": transaction_id,
+            "slot": slot,
+            "block_time": block_time,
+            "signer": signer,
+            "signers": tuple(json.loads(signers)),
+            "fee_lamports": fee_lamports,
+            "token_deltas": json.loads(token_deltas),
+            "lamport_deltas": json.loads(lamport_deltas),
+            "events": tuple(json.loads(events)),
+        }
+    except (TypeError, ValueError) as exc:
+        raise StoreError(f"malformed transactions row: {exc}") from exc
+    record = _new(TransactionRecord)
+    _set(record, "__dict__", fields)
+    return record
+
+
+def _leg_from_json(payload: dict) -> TradeLeg:
+    leg = _new(TradeLeg)
+    _set(
+        leg,
+        "__dict__",
+        {
+            "owner": str(payload["owner"]),
+            "pool": str(payload["pool"]),
+            "mint_in": str(payload["mint_in"]),
+            "mint_out": str(payload["mint_out"]),
+            "amount_in": int(payload["amount_in"]),
+            "amount_out": int(payload["amount_out"]),
+        },
+    )
+    return leg
+
+
+def sandwich_from_columns(
+    bundle_id: str,
+    slot: int,
+    landed_at: float,
+    tip_lamports: int,
+    attacker: str,
+    victim: str,
+    victim_loss_quote: float,
+    attacker_gain_quote: float,
+    victim_loss_usd: float | None,
+    attacker_gain_usd: float | None,
+    legs: str,
+) -> QuantifiedSandwich:
+    """Decode one :data:`SANDWICH_COLUMNS` row: event plus financials.
+
+    The rebuilt event carries an id-only bundle (no member ids); see
+    :func:`sandwich_with_bundle`.
+    """
+    try:
+        payload = json.loads(legs)
+        frontrun = _leg_from_json(payload["frontrun"])
+        victim_trade = _leg_from_json(payload["victim_trade"])
+        backrun = _leg_from_json(payload["backrun"])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise StoreError(f"malformed sandwiches row: {exc}") from exc
+    bundle = new_bundle(bundle_id, slot, landed_at, tip_lamports, ())
+    event = _new(SandwichEvent)
+    _set(
+        event,
+        "__dict__",
+        {
+            "bundle": bundle,
+            "attacker": attacker,
+            "victim": victim,
+            "frontrun": frontrun,
+            "victim_trade": victim_trade,
+            "backrun": backrun,
+        },
+    )
+    item = _new(QuantifiedSandwich)
+    _set(
+        item,
+        "__dict__",
+        {
+            "event": event,
+            "victim_loss_quote": victim_loss_quote,
+            "attacker_gain_quote": attacker_gain_quote,
+            "victim_loss_usd": victim_loss_usd,
+            "attacker_gain_usd": attacker_gain_usd,
+        },
+    )
+    return item
+
+
+# --- encoding -----------------------------------------------------------------
 
 
 def bundle_to_row(record: BundleRecord) -> tuple:
@@ -135,23 +370,6 @@ def bundle_to_row(record: BundleRecord) -> tuple:
         record.num_transactions,
         json.dumps(list(record.transaction_ids)),
     )
-
-
-def bundle_from_row(row: Any) -> BundleRecord:
-    """Rebuild a bundle record from a ``bundles`` row (by column name)."""
-    try:
-        return BundleRecord(
-            bundle_id=row["bundle_id"],
-            slot=row["slot"],
-            landed_at=row["landed_at"],
-            tip_lamports=row["tip_lamports"],
-            transaction_ids=tuple(json.loads(row["transaction_ids"])),
-        )
-    except (KeyError, IndexError, ValueError, TypeError) as exc:
-        raise StoreError(f"malformed bundles row: {exc}") from exc
-
-
-# --- transaction details ------------------------------------------------------
 
 
 def detail_to_row(record: TransactionRecord) -> tuple:
@@ -169,27 +387,6 @@ def detail_to_row(record: TransactionRecord) -> tuple:
     )
 
 
-def detail_from_row(row: Any) -> TransactionRecord:
-    """Rebuild a transaction record from a ``transactions`` row."""
-    try:
-        return TransactionRecord(
-            transaction_id=row["transaction_id"],
-            slot=row["slot"],
-            block_time=row["block_time"],
-            signer=row["signer"],
-            signers=tuple(json.loads(row["signers"])),
-            fee_lamports=row["fee_lamports"],
-            token_deltas=json.loads(row["token_deltas"]),
-            lamport_deltas=json.loads(row["lamport_deltas"]),
-            events=tuple(json.loads(row["events"])),
-        )
-    except (KeyError, IndexError, ValueError, TypeError) as exc:
-        raise StoreError(f"malformed transactions row: {exc}") from exc
-
-
-# --- sandwich detections ------------------------------------------------------
-
-
 def _leg_to_json(leg: TradeLeg) -> dict:
     return {
         "owner": leg.owner,
@@ -199,17 +396,6 @@ def _leg_to_json(leg: TradeLeg) -> dict:
         "amount_in": leg.amount_in,
         "amount_out": leg.amount_out,
     }
-
-
-def _leg_from_json(payload: dict) -> TradeLeg:
-    return TradeLeg(
-        owner=str(payload["owner"]),
-        pool=str(payload["pool"]),
-        mint_in=str(payload["mint_in"]),
-        mint_out=str(payload["mint_out"]),
-        amount_in=int(payload["amount_in"]),
-        amount_out=int(payload["amount_out"]),
-    )
 
 
 def sandwich_to_row(item: QuantifiedSandwich) -> tuple:
@@ -241,44 +427,14 @@ def sandwich_to_row(item: QuantifiedSandwich) -> tuple:
     )
 
 
-def sandwich_from_row(row: Any) -> QuantifiedSandwich:
-    """Rebuild a quantified sandwich (event + financials) from its row."""
-    try:
-        legs = json.loads(row["legs"])
-        bundle = BundleRecord(
-            bundle_id=row["bundle_id"],
-            slot=row["slot"],
-            landed_at=row["landed_at"],
-            tip_lamports=row["tip_lamports"],
-            transaction_ids=(),
-        )
-        event = SandwichEvent(
-            bundle=bundle,
-            attacker=row["attacker"],
-            victim=row["victim"],
-            frontrun=_leg_from_json(legs["frontrun"]),
-            victim_trade=_leg_from_json(legs["victim_trade"]),
-            backrun=_leg_from_json(legs["backrun"]),
-        )
-        return QuantifiedSandwich(
-            event=event,
-            victim_loss_quote=row["victim_loss_quote"],
-            attacker_gain_quote=row["attacker_gain_quote"],
-            victim_loss_usd=row["victim_loss_usd"],
-            attacker_gain_usd=row["attacker_gain_usd"],
-        )
-    except (KeyError, IndexError, ValueError, TypeError) as exc:
-        raise StoreError(f"malformed sandwiches row: {exc}") from exc
-
-
 def sandwich_with_bundle(
     item: QuantifiedSandwich, bundle: BundleRecord
 ) -> QuantifiedSandwich:
     """Reattach the full bundle record (with member tx ids) to a rebuilt row.
 
-    ``sandwich_from_row`` alone carries an id-only bundle; joining against
-    the ``bundles`` table restores the exact wire-level record, making the
-    round trip loss-free.
+    ``sandwich_from_columns`` alone carries an id-only bundle; joining
+    against the ``bundles`` table restores the exact wire-level record,
+    making the round trip loss-free.
     """
     event = item.event
     return QuantifiedSandwich(

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.archive.database import ArchiveDatabase
+from repro.archive.query import ArchiveQuery
 from repro.archive.schema import (
-    bundle_from_row,
     bundle_to_row,
-    detail_from_row,
     detail_to_row,
     sandwich_to_row,
 )
@@ -327,18 +326,10 @@ class ArchiveBundleStore(BundleStore):
         in-memory store iterates identically to the store that wrote the
         archive — a prerequisite for byte-identical resumed analysis.
         """
-        conn = self.database.connection
-        bundles = [
-            bundle_from_row(row)
-            for row in conn.execute("SELECT * FROM bundles ORDER BY seq")
-        ]
-        details = [
-            detail_from_row(row)
-            for row in conn.execute("SELECT * FROM transactions ORDER BY seq")
-        ]
+        query = ArchiveQuery(self.database)
         # Parent-class inserts only: nothing is re-queued for the archive.
-        BundleStore.add_bundles(self, bundles)
-        BundleStore.add_details(self, details)
+        BundleStore.add_bundles(self, query.bundles())
+        BundleStore.add_details(self, query.details())
 
     @classmethod
     def resume(

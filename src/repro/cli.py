@@ -460,13 +460,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             threshold_lamports=args.threshold,
         )
         if args.incremental:
-            if args.profile:
-                progress.info(
-                    "cli.analyze",
-                    "--profile covers full archive passes only; "
-                    "incremental deltas are too small to profile "
-                    "meaningfully, flag ignored",
-                )
             analyzer = IncrementalAnalyzer(
                 ArchiveDatabase(store_path),
                 detector_factory=(
@@ -500,6 +493,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     jobs=jobs,
                 )
             store_size = report.headline.bundles_collected
+            profile = analyzer.stage_profile
         else:
             engine_kwargs = (
                 {} if args.prefetch is None else {"prefetch": args.prefetch}
@@ -514,15 +508,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             )
             report = engine.analyze()
             store_size = report.headline.bundles_collected
-            if args.profile:
-                profile = engine.stage_profile
-                emit(
-                    "stage breakdown (wall-clock seconds per stage; "
-                    "overlapped stages can sum past elapsed time):",
-                    stage_profile=profile.as_dict(),
-                )
-                for line in profile.render_table().splitlines():
-                    emit("  " + line)
+            profile = engine.stage_profile
+        if args.profile:
+            emit(
+                "stage breakdown (wall-clock seconds per stage; "
+                "overlapped stages can sum past elapsed time):",
+                stage_profile=profile.as_dict(),
+            )
+            for line in profile.render_table().splitlines():
+                emit("  " + line)
     elif (store_path / "bundles.jsonl").is_file():
         if args.jobs is not None and args.jobs > 1:
             progress.info(
@@ -1225,8 +1219,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--profile",
         action="store_true",
-        help="archive full passes only: print the per-stage wall-time "
-        "breakdown (load/intern/detect/quantify/merge) after analysis",
+        help="archive stores only: print the per-stage wall-time "
+        "breakdown (load/intern/detect/quantify/merge) after analysis; "
+        "incremental passes add a rebuild row (the serial object path "
+        "times its whole delta as one delta row)",
     )
     analyze.set_defaults(func=cmd_analyze)
 

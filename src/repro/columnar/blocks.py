@@ -3,7 +3,8 @@
 A :class:`BundleBlock` holds one chunk's bundle scalars as parallel Python
 lists (SQLite already returns typed Python values; keeping them avoids a
 numpy round-trip for fields that end up in output records). Member
-transaction ids stay as raw JSON text and are parsed lazily — most bundles
+transaction ids stay as raw JSON text and are parsed lazily by the archive
+codec's :func:`~repro.archive.schema.parse_transaction_ids` — most bundles
 in a mixed archive are length-one singles whose single id has a fast
 string-slice parse.
 
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.archive.query import ArchiveQuery
+from repro.archive.schema import new_bundle, parse_transaction_ids
 from repro.explorer.models import BundleRecord
 from repro.jito.tips import is_tip_account
 
@@ -58,43 +60,6 @@ def num_array(values: Sequence) -> "_np.ndarray":
         return obj_array(values)
 
 
-def _fast_record(
-    bundle_id: str,
-    slot: int,
-    landed_at: float,
-    tip_lamports: int,
-    transaction_ids: tuple[str, ...],
-) -> BundleRecord:
-    """Construct a :class:`BundleRecord` without the frozen-init overhead.
-
-    Frozen dataclasses assign every field through ``object.__setattr__``;
-    writing the instance ``__dict__`` directly produces an object with
-    identical fields, hash, and equality at a fraction of the cost. This
-    only holds while :class:`BundleRecord` stores fields in ``__dict__``
-    (i.e. is not a slots dataclass) — the parity test guards that.
-    """
-    record = BundleRecord.__new__(BundleRecord)
-    # In-place update: the frozen __setattr__ guard also rejects direct
-    # __dict__ *assignment*, but mutating the existing dict bypasses it.
-    record.__dict__.update(
-        bundle_id=bundle_id,
-        slot=slot,
-        landed_at=landed_at,
-        tip_lamports=tip_lamports,
-        transaction_ids=transaction_ids,
-    )
-    return record
-
-
-def _parse_txids(raw: str) -> tuple[str, ...]:
-    """Parse a ``transaction_ids`` JSON array, fast-pathing single ids."""
-    if raw.startswith('["') and raw.endswith('"]'):
-        inner = raw[2:-2]
-        if '"' not in inner and "\\" not in inner:
-            return (inner,)
-    return tuple(json.loads(raw))
-
-
 @dataclass
 class BundleBlock:
     """One chunk's bundles in struct-of-arrays form (collection order)."""
@@ -121,22 +86,21 @@ class BundleBlock:
         """Member transaction ids of bundle ``index`` (parsed lazily)."""
         ids = self._txids[index]
         if ids is None:
-            ids = _parse_txids(self.txids_raw[index])
+            ids = parse_transaction_ids(self.txids_raw[index])
             self._txids[index] = ids
         return ids
 
     def record(self, index: int) -> BundleRecord:
         """Materialize one bundle as the object path's record type.
 
-        Built through :func:`_fast_record`: a mixed archive is mostly
+        Built through the archive codec's
+        :func:`~repro.archive.schema.new_bundle`: a mixed archive is mostly
         length-one bundles that all flow through here for classification,
         and the frozen dataclass ``__init__`` (one guarded
         ``object.__setattr__`` per field) was the single largest cost of
-        the columnar quantify stage. The fast constructor fills the
-        instance ``__dict__`` directly — field-for-field identical, as
-        :func:`tests.columnar.test_blocks` pins.
+        the columnar quantify stage.
         """
-        return _fast_record(
+        return new_bundle(
             self.bundle_ids[index],
             self.slots[index],
             self.landed_at[index],
@@ -155,31 +119,24 @@ class BundleBlock:
 
         The batched form of calling :meth:`record` per single: a mixed
         archive is mostly length-one bundles, so this loop materializes
-        tens of thousands of records per chunk — everything it touches is
-        bound to a local once, and records are built with the
-        :func:`_fast_record` ``__dict__`` technique inline. Order (block
-        order) and record values match the per-call path exactly.
+        tens of thousands of records per chunk, with everything it touches
+        bound to a local once. Order (block order) and record values match
+        the per-call path exactly.
         """
         defensive: list[BundleRecord] = []
         priority: list[BundleRecord] = []
         ids, slots, landed = self.bundle_ids, self.slots, self.landed_at
         tips, raw, txids = self.tips, self.txids_raw, self._txids
-        new = BundleRecord.__new__
         for index, length in enumerate(self.lengths):
             if length != 1:
                 continue
             members = txids[index]
             if members is None:
-                members = _parse_txids(raw[index])
+                members = parse_transaction_ids(raw[index])
                 txids[index] = members
             tip = tips[index]
-            record = new(BundleRecord)
-            record.__dict__.update(
-                bundle_id=ids[index],
-                slot=slots[index],
-                landed_at=landed[index],
-                tip_lamports=tip,
-                transaction_ids=members,
+            record = new_bundle(
+                ids[index], slots[index], landed[index], tip, members
             )
             (defensive if tip <= threshold else priority).append(record)
         return defensive, priority

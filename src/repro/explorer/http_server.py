@@ -45,6 +45,7 @@ from repro.explorer.wire import bundle_record_to_json, transaction_record_to_jso
 from repro.obs.export import render_prometheus
 from repro.serve.httpcommon import (
     PlainText as _PlainText,
+    close_connection,
     read_request,
     write_response,
 )
@@ -99,28 +100,28 @@ class ExplorerHttpServer:
     ) -> None:
         head_only = False
         try:
-            request = await read_request(reader)
-            if request is None:
-                return
-            method, target, headers, body = request
-            head_only = method == "HEAD"
-            peer = writer.get_extra_info("peername") or ("unknown",)
-            client_id = headers.get("x-client-id", str(peer[0]))
-            status, payload, headers = self._dispatch(
-                method, target, body, client_id
-            )
-        except Exception as exc:  # noqa: BLE001 - server must not crash
-            status, payload, headers = 500, {"error": f"internal error: {exc}"}, {}
-        try:
+            try:
+                request = await read_request(reader)
+                if request is None:
+                    return  # a framing error: drop the connection
+                method, target, headers, body = request
+                head_only = method == "HEAD"
+                peer = writer.get_extra_info("peername") or ("unknown",)
+                client_id = headers.get("x-client-id", str(peer[0]))
+                status, payload, headers = self._dispatch(
+                    method, target, body, client_id
+                )
+            except Exception as exc:  # noqa: BLE001 - server must not crash
+                status, payload, headers = (
+                    500,
+                    {"error": f"internal error: {exc}"},
+                    {},
+                )
             await write_response(
                 writer, status, payload, headers, head_only=head_only
             )
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            await close_connection(writer)
 
     def _dispatch(
         self, method: str, target: str, body: bytes, client_id: str

@@ -22,7 +22,6 @@ from typing import Iterable, Iterator
 
 from repro.archive.database import ArchiveDatabase
 from repro.archive.query import ArchiveQuery
-from repro.archive.schema import bundle_from_row
 from repro.collector.store import BundleStore
 from repro.core.detector import DetectionStats
 from repro.core.quantify import LossQuantifier, QuantifiedSandwich
@@ -179,11 +178,7 @@ def _load_mini_store(database: ArchiveDatabase, task: ChunkTask) -> BundleStore:
                 mini.add_details(query.details_for_bundle(bundle))
         return mini
     chunk = task.chunk
-    rows = database.connection.execute(
-        "SELECT * FROM bundles WHERE seq >= ? AND seq <= ? ORDER BY seq",
-        (chunk.seq_lo, chunk.seq_hi),
-    ).fetchall()
-    mini.add_bundles([bundle_from_row(row) for row in rows])
+    mini.add_bundles(query.bundle_range(chunk.seq_lo, chunk.seq_hi))
     # One join per detail length, in the same bundle-then-member order
     # the per-bundle lookups above produce.
     for length in task.spec.detail_lengths:

@@ -106,6 +106,15 @@ async def read_request(
     return method.upper(), target, headers, body
 
 
+async def close_connection(writer: asyncio.StreamWriter) -> None:
+    """Close the connection, tolerating a peer that already hung up."""
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):  # pragma: no cover - peer reset
+        pass
+
+
 async def write_response(
     writer: asyncio.StreamWriter,
     status: int,

@@ -8,10 +8,10 @@ validation is strict — an unknown parameter or a malformed value raises
 instead of silently returning the unfiltered collection.
 
 The financial summary deliberately reuses the incremental analyzer's
-archive-row path (``sandwiches(order_by="landed_at")`` + the defensive
-join + :func:`~repro.core.aggregate.headline_stats`): the conformance
-oracle already pins that path byte-identical to a serial batch analysis,
-so the API inherits the same guarantee for free.
+archive-row path (``sandwiches(order_by="landed_at")`` +
+``defensive_report`` + :func:`~repro.core.aggregate.headline_stats`): the
+conformance oracle already pins that path byte-identical to a serial batch
+analysis, so the API inherits the same guarantee for free.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from repro.archive.query import ArchiveQuery, BundleFilter, SandwichFilter
 from repro.core.aggregate import headline_stats
 from repro.constants import DEFENSIVE_TIP_THRESHOLD_LAMPORTS
-from repro.core.defensive import DefensiveReport
 from repro.dex.oracle import PriceOracle
 from repro.serve.models import (
     FinancialSummary,
@@ -226,17 +225,6 @@ class AggregateRepository:
         self._oracle = oracle or PriceOracle()
         self._threshold = threshold_lamports
 
-    def _defensive_report(self) -> DefensiveReport:
-        report = DefensiveReport(threshold_lamports=self._threshold)
-        for classification, bundle in self._query.defensive_records():
-            bucket = (
-                report.defensive
-                if classification == "defensive"
-                else report.priority
-            )
-            bucket.append(bundle)
-        return report
-
     def financials(self) -> dict:
         """Campaign headline figures, canonically rendered.
 
@@ -247,7 +235,7 @@ class AggregateRepository:
         quantified = self._query.sandwiches(order_by="landed_at")
         headline = headline_stats(
             quantified,
-            self._defensive_report(),
+            self._query.defensive_report(self._threshold),
             bundles_collected=self._query.count_bundles(),
             oracle=self._oracle,
         )

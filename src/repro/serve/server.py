@@ -17,7 +17,11 @@ import asyncio
 import threading
 
 from repro.serve.app import ApiConfig, ArchiveApiApp
-from repro.serve.httpcommon import read_request, write_response
+from repro.serve.httpcommon import (
+    close_connection,
+    read_request,
+    write_response,
+)
 
 #: Listen backlog; sized for the bench harness's connection bursts.
 LISTEN_BACKLOG = 2_048
@@ -68,28 +72,28 @@ class ApiHttpServer:
     ) -> None:
         head_only = False
         try:
-            request = await read_request(reader)
-            if request is None:
-                return
-            method, target, headers, _body = request
-            head_only = method == "HEAD"
-            peer = writer.get_extra_info("peername") or ("unknown",)
-            client_id = headers.get("x-client-id", str(peer[0]))
-            status, payload, extra = self._app.handle(
-                method, target, headers, client_id
-            )
-        except Exception as exc:  # noqa: BLE001 - server must not crash
-            status, payload, extra = 500, {"error": f"internal error: {exc}"}, {}
-        try:
+            try:
+                request = await read_request(reader)
+                if request is None:
+                    return  # a framing error: drop the connection
+                method, target, headers, _body = request
+                head_only = method == "HEAD"
+                peer = writer.get_extra_info("peername") or ("unknown",)
+                client_id = headers.get("x-client-id", str(peer[0]))
+                status, payload, extra = self._app.handle(
+                    method, target, headers, client_id
+                )
+            except Exception as exc:  # noqa: BLE001 - server must not crash
+                status, payload, extra = (
+                    500,
+                    {"error": f"internal error: {exc}"},
+                    {},
+                )
             await write_response(
                 writer, status, payload, extra, head_only=head_only
             )
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            await close_connection(writer)
 
 
 class ThreadedApiServer:

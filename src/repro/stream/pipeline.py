@@ -20,7 +20,12 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.archive.database import ArchiveDatabase
-from repro.archive.schema import bundle_from_row, detail_from_row
+from repro.archive.schema import (
+    BUNDLE_COLUMNS,
+    DETAIL_COLUMNS,
+    bundle_from_columns,
+    detail_from_columns,
+)
 from repro.core.pipeline import AnalysisReport
 from repro.dex.oracle import PriceOracle
 from repro.errors import ConfigError
@@ -70,18 +75,21 @@ def archive_batches(
     streaming sees records exactly as a live campaign would have
     published them.
     """
-    conn = database.connection
     pending: list = []
-    for row in conn.execute("SELECT * FROM bundles ORDER BY seq"):
-        pending.append(bundle_from_row(row))
+    for row in database.tuples(
+        f"SELECT {', '.join(BUNDLE_COLUMNS)} FROM bundles ORDER BY seq"
+    ):
+        pending.append(bundle_from_columns(*row))
         if len(pending) >= batch_bundles:
             yield StreamBatch(bundles=tuple(pending))
             pending = []
     if pending:
         yield StreamBatch(bundles=tuple(pending))
     details: list = []
-    for row in conn.execute("SELECT * FROM transactions ORDER BY seq"):
-        details.append(detail_from_row(row))
+    for row in database.tuples(
+        f"SELECT {', '.join(DETAIL_COLUMNS)} FROM transactions ORDER BY seq"
+    ):
+        details.append(detail_from_columns(*row))
         if len(details) >= batch_bundles:
             yield StreamBatch(details=tuple(details))
             details = []

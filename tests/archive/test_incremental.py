@@ -116,3 +116,43 @@ class TestWatermark:
         assert fresh.load_state()["last_bundle_seq"] == 0
         result = fresh.analyze()
         assert result.new_bundles == len(campaign_store)
+
+
+class TestStageProfile:
+    def test_serial_pass_profiles_delta_and_rebuild(self, db, campaign_store):
+        fill_archive(
+            db,
+            list(campaign_store.bundles()),
+            list(campaign_store.details()),
+        )
+        analyzer = IncrementalAnalyzer(db)
+        analyzer.analyze()
+        assert set(analyzer.stage_profile.seconds) == {"delta", "rebuild"}
+        assert analyzer.stage_profile.seconds["rebuild"] > 0
+        # A no-op pass touches no delta: the rebuild is all it profiles.
+        assert analyzer.analyze().no_op
+        assert set(analyzer.stage_profile.seconds) == {"rebuild"}
+
+    def test_chunked_pass_profiles_engine_stages_and_rebuild(
+        self, db, campaign_store
+    ):
+        pytest.importorskip("numpy")
+        fill_archive(
+            db,
+            list(campaign_store.bundles()),
+            list(campaign_store.details()),
+        )
+        analyzer = IncrementalAnalyzer(db, engine="columnar")
+        analyzer.analyze()
+        profile = analyzer.stage_profile
+        assert list(profile.seconds) == [
+            "load",
+            "intern",
+            "detect",
+            "quantify",
+            "merge",
+            "rebuild",
+        ]
+        assert profile.chunks >= 1
+        assert profile.seconds["load"] > 0
+        assert profile.seconds["rebuild"] > 0

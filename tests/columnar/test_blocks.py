@@ -1,5 +1,6 @@
 """Unit coverage for the struct-of-arrays blocks and their loaders."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -10,7 +11,6 @@ from repro.archive.database import ArchiveDatabase  # noqa: E402
 from repro.archive.query import ArchiveQuery  # noqa: E402
 from repro.columnar.blocks import (  # noqa: E402
     BundleBlock,
-    _parse_txids,
     load_bundle_block,
     load_bundle_block_for_ids,
     load_tx_features,
@@ -54,12 +54,20 @@ def test_load_bundle_block_matches_archive_rows(archive):
     database = ArchiveDatabase(archive, read_only=True)
     query = ArchiveQuery(database)
     block = load_bundle_block(query, 1, 10_000)
-    from repro.archive.schema import bundle_from_row
-
     rows = database.connection.execute(
         "SELECT * FROM bundles ORDER BY seq"
     ).fetchall()
-    assert block.to_records() == [bundle_from_row(row) for row in rows]
+    # An independent decode: the frozen constructor over by-name columns.
+    assert block.to_records() == [
+        BundleRecord(
+            bundle_id=row["bundle_id"],
+            slot=row["slot"],
+            landed_at=row["landed_at"],
+            tip_lamports=row["tip_lamports"],
+            transaction_ids=tuple(json.loads(row["transaction_ids"])),
+        )
+        for row in rows
+    ]
     assert block.lengths == [3, 1, 3, 3, 2, 3]
     database.close()
 
@@ -77,14 +85,6 @@ def test_load_block_for_ids_preserves_worklist_order(archive):
     # Missing ids are dropped; the rest keep worklist (not seq) order.
     assert block.bundle_ids == [full.bundle_ids[3], full.bundle_ids[0]]
     database.close()
-
-
-def test_parse_txids_fast_path_and_fallback():
-    assert _parse_txids('["only-one"]') == ("only-one",)
-    assert _parse_txids('["a","b"]') == ("a", "b")
-    assert _parse_txids("[]") == ()
-    # Escapes defeat the slice fast path but not correctness.
-    assert _parse_txids('["a\\"b"]') == ('a"b',)
 
 
 def test_num_array_falls_back_to_object_dtype():

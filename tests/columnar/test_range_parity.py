@@ -1,12 +1,12 @@
-"""Parity of the coalesced range loaders and the fast record constructor.
+"""Parity of the coalesced range loaders and the batched record builder.
 
 The read-path optimizations must be invisible above their seams:
 :func:`load_tx_features_range` (one constant-SQL join per chunk) must
 produce exactly the features the id-batched :func:`load_tx_features`
-produces, :func:`_fast_record` and
-:meth:`BundleBlock.classify_singles` must build records
-field-for-field equal to the frozen-dataclass constructor, and the
-shared :class:`InternPool` must not change any block output.
+produces, :meth:`BundleBlock.classify_singles` must build exactly the
+records the per-record path builds, and the shared :class:`InternPool`
+must not change any block output. The record constructor itself is pinned
+against the frozen dataclass in ``tests/archive/test_codec.py``.
 """
 
 import pytest
@@ -15,13 +15,11 @@ from repro.archive.database import ArchiveDatabase
 from repro.archive.query import ArchiveQuery
 from repro.columnar.blocks import (
     InternPool,
-    _fast_record,
     load_bundle_block,
     load_tx_features,
     load_tx_features_range,
     split_candidates,
 )
-from repro.explorer.models import BundleRecord
 from tests.parallel.helpers import build_archive
 
 DESCRIPTORS = (
@@ -82,24 +80,6 @@ class TestRangeFeatureParity:
 
 
 class TestFastRecordParity:
-    def test_fast_record_equals_frozen_constructor(self):
-        built = _fast_record("b-1", 7, 123.5, 9000, ("t1", "t2"))
-        plain = BundleRecord(
-            bundle_id="b-1",
-            slot=7,
-            landed_at=123.5,
-            tip_lamports=9000,
-            transaction_ids=("t1", "t2"),
-        )
-        assert built == plain
-        assert isinstance(built, BundleRecord)
-        assert built.__dict__ == plain.__dict__
-
-    def test_fast_record_stays_frozen(self):
-        built = _fast_record("b-1", 7, 123.5, 9000, ("t1",))
-        with pytest.raises(Exception):
-            built.slot = 8
-
     def test_classify_singles_matches_per_record_path(self, query):
         total = query.count_bundles()
         block = load_bundle_block(query, 1, total)

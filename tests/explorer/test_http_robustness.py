@@ -103,6 +103,36 @@ class TestHostileInputs:
             assert client.health()
 
 
+#: Requests the framing layer rejects without a response.
+MALFORMED_REQUESTS = (
+    pytest.param(b"\x00\x01\x02\r\n\r\n", id="garbage-request-line"),
+    pytest.param(b"GET /healthz\r\n\r\n", id="missing-version"),
+    pytest.param(
+        b"POST /api/v1/transactions HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        id="negative-length",
+    ),
+    pytest.param(
+        b"POST /api/v1/transactions HTTP/1.1\r\n"
+        b"Content-Length: 999999999999\r\n\r\n",
+        id="oversized-length",
+    ),
+    pytest.param(
+        b"POST /api/v1/transactions HTTP/1.1\r\n"
+        b"Content-Length: banana\r\n\r\n",
+        id="non-numeric-length",
+    ),
+)
+
+
+@pytest.mark.parametrize("payload", MALFORMED_REQUESTS)
+def test_malformed_request_connection_reaches_eof(robust_server, payload):
+    """The server closes a connection it will not answer, promptly."""
+    address = ("127.0.0.1", robust_server.port)
+    with socket.create_connection(address, timeout=1) as conn:
+        conn.sendall(payload)
+        assert conn.recv(1) == b""
+
+
 def self_still_alive(server) -> bool:
     """The server answers a well-formed health check after the abuse."""
     client = HttpExplorerClient("127.0.0.1", server.port, timeout=5)

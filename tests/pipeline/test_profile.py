@@ -8,6 +8,8 @@ load/detect/quantify/merge, the columnar path adds intern, and the
 object path leaves intern at zero.
 """
 
+import re
+
 import pytest
 
 from repro.obs.registry import MetricsRegistry
@@ -157,7 +159,7 @@ class TestProfileCli:
         assert "load" in out
         assert "merge" in out
 
-    def test_profile_flag_noted_on_incremental(self, archive, capsys):
+    def test_profile_flag_prints_incremental_breakdown(self, archive, capsys):
         from repro.cli import main
 
         capsys.readouterr()
@@ -167,12 +169,17 @@ class TestProfileCli:
                 "--store",
                 str(archive),
                 "--incremental",
+                "--jobs",
+                "1",
                 "--profile",
             ]
         )
-        captured = capsys.readouterr()
+        out = capsys.readouterr().out
         assert code == 0
-        assert "full archive passes" in captured.out + captured.err
+        assert "stage breakdown" in out
+        # The serial object delta is one row; the rebuild is its own.
+        assert re.search(r"^\s*delta\s", out, re.MULTILINE)
+        assert re.search(r"^\s*rebuild\s", out, re.MULTILINE)
 
     def test_negative_prefetch_rejected(self, archive, capsys):
         from repro.cli import main

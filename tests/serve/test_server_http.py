@@ -8,6 +8,7 @@ semantics, and the metrics endpoint.
 """
 
 import json
+import socket
 
 import pytest
 
@@ -100,6 +101,36 @@ class TestEndpoints:
     def test_missing_detail_404(self, server):
         status, _, _ = http_request(server.port, "/v1/bundles/zzz")
         assert status == 404
+
+
+class TestFraming:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param(b"\x00\x01\x02\r\n\r\n", id="garbage-request-line"),
+            pytest.param(b"GET /v1/status\r\n\r\n", id="missing-version"),
+            pytest.param(
+                b"GET /v1/status HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+                id="negative-length",
+            ),
+            pytest.param(
+                b"GET /v1/status HTTP/1.1\r\n"
+                b"Content-Length: 999999999999\r\n\r\n",
+                id="oversized-length",
+            ),
+            pytest.param(
+                b"GET /v1/status HTTP/1.1\r\n"
+                b"Content-Length: banana\r\n\r\n",
+                id="non-numeric-length",
+            ),
+        ],
+    )
+    def test_malformed_request_connection_reaches_eof(self, server, payload):
+        """A request the server will not answer is closed, promptly."""
+        address = ("127.0.0.1", server.port)
+        with socket.create_connection(address, timeout=1) as conn:
+            conn.sendall(payload)
+            assert conn.recv(1) == b""
 
 
 class TestConditionalGet:

@@ -8,6 +8,8 @@ into a one-line stderr diagnostic with exit code 2.
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.cli import main
@@ -71,6 +73,41 @@ class TestAnalyzeErrors:
     def test_valid_archive_still_analyzes(self, archive, capsys):
         assert main(["analyze", "--store", str(archive), "--jobs", "1"]) == 0
         assert "sandwiches:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("engine", ["object", "columnar"])
+    def test_hostile_transaction_id_is_refused_by_both_engines(
+        self, archive, engine, capsys
+    ):
+        """A raw control character in a stored id is not JSON: both
+        engines refuse the archive instead of one of them accepting it."""
+        if engine == "columnar":
+            pytest.importorskip("numpy")
+        conn = sqlite3.connect(archive)
+        try:
+            changed = conn.execute(
+                "UPDATE bundles SET transaction_ids = ? WHERE seq = "
+                "(SELECT MIN(seq) FROM bundles WHERE num_transactions = 1)",
+                ('["a\nb"]',),
+            ).rowcount
+            conn.commit()
+        finally:
+            conn.close()
+        assert changed == 1
+        code = main(
+            [
+                "analyze",
+                "--store",
+                str(archive),
+                "--engine",
+                engine,
+                "--jobs",
+                "1",
+            ]
+        )
+        assert code == 2
+        lines = _stderr_lines(capsys)
+        assert len(lines) == 1
+        assert "malformed" in lines[0]
 
 
 class TestSelftestErrors:
