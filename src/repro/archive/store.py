@@ -204,15 +204,27 @@ class ArchiveBundleStore(BundleStore):
 
     # --- analysis outputs --------------------------------------------------
 
+    def _write_rows(self, sql: str, rows: list[tuple], table: str) -> int:
+        """Insert ``rows``; commit unless a caller's transaction is open.
+
+        :meth:`record_analysis` opens one with its deletes and commits the
+        inserts with them; a standalone call commits its own rows.
+        """
+        conn = self.database.connection
+        nested = conn.in_transaction
+        conn.executemany(sql, rows)
+        if not nested:
+            conn.commit()
+        self._rows_metric.inc(len(rows), table=table)
+        return len(rows)
+
     def record_sandwiches(self, quantified: list[QuantifiedSandwich]) -> int:
         """Persist detection rows (idempotent per bundle id)."""
-        conn = self.database.connection
-        conn.executemany(
-            _INSERT_SANDWICH, [sandwich_to_row(q) for q in quantified]
+        return self._write_rows(
+            _INSERT_SANDWICH,
+            [sandwich_to_row(q) for q in quantified],
+            "sandwiches",
         )
-        conn.commit()
-        self._rows_metric.inc(len(quantified), table="sandwiches")
-        return len(quantified)
 
     def record_defensive(self, report: DefensiveReport) -> int:
         """Persist defensive/priority classification rows."""
@@ -229,20 +241,25 @@ class ArchiveBundleStore(BundleStore):
             )
             for record in records
         ]
-        conn = self.database.connection
-        conn.executemany(_INSERT_DEFENSIVE, rows)
-        conn.commit()
-        self._rows_metric.inc(len(rows), table="defensive")
-        return len(rows)
+        return self._write_rows(_INSERT_DEFENSIVE, rows, "defensive")
 
     def record_analysis(self, report) -> None:
-        """Persist one analysis pass's detections and classifications.
+        """Replace the archive's analysis with one whole-archive pass's.
 
-        The analysis pipeline calls this by duck type on any store that
-        offers it, keeping :mod:`repro.core` free of archive imports.
+        Deletes every sandwich and defensive row and the incremental
+        watermark, then inserts ``report``'s detections and
+        classifications, in one transaction: rows judged under another
+        detector spec never mix with these, and the next incremental pass
+        starts over from ``seq`` 0. The analysis pipeline calls this by
+        duck type on any store that offers it, keeping :mod:`repro.core`
+        free of archive imports.
         """
-        self.record_sandwiches(report.quantified)
-        self.record_defensive(report.defensive)
+        conn = self.database.connection
+        with conn:  # commits on success, rolls every statement back on error
+            for table in ("sandwiches", "defensive", "analysis_state"):
+                conn.execute(f"DELETE FROM {table}")
+            self.record_sandwiches(report.quantified)
+            self.record_defensive(report.defensive)
 
     # --- checkpoints -------------------------------------------------------
 

@@ -51,7 +51,11 @@ from repro.collector import (
     TxDetailFetcher,
 )
 from repro.collector.poller import PollerConfig
-from repro.core import DefensiveBundlingClassifier, SandwichDetector
+from repro.core import (
+    DefensiveBundlingClassifier,
+    SandwichDetector,
+    WindowedSandwichDetector,
+)
 from repro.errors import ConfigError, ReproError
 from repro.obs import (
     ConsoleSink,
@@ -414,7 +418,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     re-detects only rows newer than the last analyzed watermark.
     """
     from repro.archive.database import is_archive_path
-    from repro.core import WindowedSandwichDetector
 
     progress, output = _build_logs(args)
     emit = lambda message, **fields: output.info(  # noqa: E731
@@ -439,14 +442,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigError(f"chunk_size must be >= 1, got {args.chunk_size}")
     if args.prefetch is not None and args.prefetch < 0:
         raise ConfigError(f"prefetch must be >= 0, got {args.prefetch}")
-    is_archive = is_archive_path(store_path)
-    detector = (
-        WindowedSandwichDetector() if args.windowed else SandwichDetector()
-    )
-    classifier = DefensiveBundlingClassifier(
-        threshold_lamports=args.threshold
-    )
-    if is_archive:
+    if is_archive_path(store_path):
         from repro.archive import ArchiveDatabase, IncrementalAnalyzer
         from repro.parallel import (
             DetectorSpec,
@@ -462,12 +458,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.incremental:
             analyzer = IncrementalAnalyzer(
                 ArchiveDatabase(store_path),
-                detector_factory=(
-                    WindowedSandwichDetector
-                    if args.windowed
-                    else SandwichDetector
-                ),
-                classifier=classifier,
                 jobs=jobs,
                 chunk_size=args.chunk_size,
                 spec=spec,
@@ -495,16 +485,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             store_size = report.headline.bundles_collected
             profile = analyzer.stage_profile
         else:
-            engine_kwargs = (
-                {} if args.prefetch is None else {"prefetch": args.prefetch}
-            )
             engine = ParallelAnalysisEngine(
                 ArchiveDatabase(store_path),
                 jobs=jobs,
                 chunk_size=args.chunk_size,
                 spec=spec,
                 engine=args.engine,
-                **engine_kwargs,
+                prefetch=args.prefetch,
             )
             report = engine.analyze()
             store_size = report.headline.bundles_collected
@@ -544,7 +531,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             )
             return 2
         store = BundleStore.load(args.store)
-        pipeline = AnalysisPipeline(detector=detector, classifier=classifier)
+        pipeline = AnalysisPipeline(
+            detector=(
+                WindowedSandwichDetector()
+                if args.windowed
+                else SandwichDetector()
+            ),
+            classifier=DefensiveBundlingClassifier(
+                threshold_lamports=args.threshold
+            ),
+        )
         report = pipeline.analyze_store(store)
         store_size = len(store)
     else:
@@ -1221,8 +1217,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="archive stores only: print the per-stage wall-time "
         "breakdown (load/intern/detect/quantify/merge) after analysis; "
-        "incremental passes add a rebuild row (the serial object path "
-        "times its whole delta as one delta row)",
+        "incremental passes add a rebuild row for the report rebuild",
     )
     analyze.set_defaults(func=cmd_analyze)
 

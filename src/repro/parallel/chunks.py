@@ -53,6 +53,21 @@ class DetectorSpec:
                 f"got {self.kind!r}"
             )
 
+    def canonical(self) -> dict:
+        """The JSON-ready settings that decide the analysis rows.
+
+        An archive's incremental watermark is stamped with this form.
+        Engine, jobs, chunk size and prefetch depth are not settings of
+        the spec: they leave the rows byte-identical.
+        """
+        return {
+            "kind": self.kind,
+            "lengths": list(self.lengths),
+            "skip_criteria": sorted(self.skip_criteria),
+            "threshold_lamports": self.threshold_lamports,
+            "usd_per_sol": self.usd_per_sol,
+        }
+
     @property
     def detail_lengths(self) -> tuple[int, ...]:
         """Bundle lengths whose details a chunk loader must resolve."""

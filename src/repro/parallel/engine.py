@@ -55,7 +55,12 @@ def default_jobs() -> int:
 
 
 class ParallelAnalysisEngine:
-    """Chunked, multi-process analysis over one archive database."""
+    """Chunked, multi-process analysis over one archive database.
+
+    ``jobs=None`` means :func:`default_jobs` and ``prefetch=None`` means
+    :data:`DEFAULT_PREFETCH_DEPTH`, so an unset CLI option passes
+    straight through.
+    """
 
     def __init__(
         self,
@@ -66,7 +71,7 @@ class ParallelAnalysisEngine:
         oracle: PriceOracle | None = None,
         metrics: MetricsRegistry | None = None,
         engine: str = "object",
-        prefetch: int = DEFAULT_PREFETCH_DEPTH,
+        prefetch: int | None = None,
     ) -> None:
         self.database = (
             database
@@ -79,9 +84,11 @@ class ParallelAnalysisEngine:
         if chunk_size < 1:
             raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size
-        if prefetch < 0:
-            raise ConfigError(f"prefetch must be >= 0, got {prefetch}")
-        self.prefetch = prefetch
+        self.prefetch = (
+            DEFAULT_PREFETCH_DEPTH if prefetch is None else prefetch
+        )
+        if self.prefetch < 0:
+            raise ConfigError(f"prefetch must be >= 0, got {self.prefetch}")
         self.oracle = oracle or PriceOracle()
         spec = spec or DetectorSpec()
         spec.validate()
@@ -228,8 +235,9 @@ class ParallelAnalysisEngine:
         """Analyze the whole archive and assemble the campaign report.
 
         With ``persist`` (the default) the merged detections and
-        classifications are written back to the archive, mirroring what
-        the serial pipeline's ``record_analysis`` hook does.
+        classifications replace the archive's stored analysis through
+        :meth:`ArchiveBundleStore.record_analysis`, the serial pipeline's
+        hook.
         """
         with self.metrics.span("parallel.analyze"):
             self.stage_profile = StageProfile()
@@ -249,7 +257,9 @@ class ParallelAnalysisEngine:
                     merged, poll_overlap_fraction=poll_overlap_fraction
                 )
             if persist:
-                self.persist(report)
+                ArchiveBundleStore(
+                    self.database, metrics=self.metrics
+                ).record_analysis(report)
         return report
 
     def build_report(
@@ -273,9 +283,3 @@ class ParallelAnalysisEngine:
             headline=headline,
             detection_stats=merged.stats,
         )
-
-    def persist(self, report: AnalysisReport) -> None:
-        """Write detections and classifications back to the archive."""
-        writer = ArchiveBundleStore(self.database, metrics=self.metrics)
-        writer.record_sandwiches(report.quantified)
-        writer.record_defensive(report.defensive)

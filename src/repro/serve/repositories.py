@@ -219,11 +219,9 @@ class AggregateRepository:
         self,
         query: ArchiveQuery,
         oracle: PriceOracle | None = None,
-        threshold_lamports: int = DEFENSIVE_TIP_THRESHOLD_LAMPORTS,
     ) -> None:
         self._query = query
         self._oracle = oracle or PriceOracle()
-        self._threshold = threshold_lamports
 
     def financials(self) -> dict:
         """Campaign headline figures, canonically rendered.
@@ -235,7 +233,7 @@ class AggregateRepository:
         quantified = self._query.sandwiches(order_by="landed_at")
         headline = headline_stats(
             quantified,
-            self._query.defensive_report(self._threshold),
+            self._query.defensive_report(DEFENSIVE_TIP_THRESHOLD_LAMPORTS),
             bundles_collected=self._query.count_bundles(),
             oracle=self._oracle,
         )

@@ -1,10 +1,28 @@
-"""Incremental analysis: two watermarked passes equal one monolithic pass."""
+"""Incremental analysis: two watermarked passes equal one monolithic pass,
+and a pass under another detector spec is refused."""
+
+import json
 
 import pytest
 
-from repro.archive import ArchiveBundleStore, FlushPolicy, IncrementalAnalyzer
+from repro.archive import (
+    ArchiveBundleStore,
+    ArchiveDatabase,
+    FlushPolicy,
+    IncrementalAnalyzer,
+)
 from repro.collector.campaign import MeasurementCampaign
+from repro.conformance.scenarios import (
+    SyntheticScenario,
+    generate_rows,
+    write_archive,
+)
 from repro.core import AnalysisPipeline
+from repro.errors import ConfigError
+from repro.parallel import DetectorSpec, ParallelAnalysisEngine
+from repro.parallel.merge import report_bytes
+from repro.scenarios.generate import build_pack_campaign
+from repro.scenarios.packs import get_pack
 from tests.conftest import tiny_scenario
 
 
@@ -109,14 +127,6 @@ class TestWatermark:
         assert state["last_detail_seq"] == db.max_seq("transactions")
         assert state["updated_sim_time"] == 7.0
 
-    def test_consumers_progress_independently(self, db, campaign_store):
-        fill_archive(db, list(campaign_store.bundles()), [])
-        IncrementalAnalyzer(db, consumer="nightly").analyze()
-        fresh = IncrementalAnalyzer(db, consumer="adhoc")
-        assert fresh.load_state()["last_bundle_seq"] == 0
-        result = fresh.analyze()
-        assert result.new_bundles == len(campaign_store)
-
 
 class TestStageProfile:
     def test_serial_pass_profiles_delta_and_rebuild(self, db, campaign_store):
@@ -125,10 +135,20 @@ class TestStageProfile:
             list(campaign_store.bundles()),
             list(campaign_store.details()),
         )
+        # The default pass (object engine, jobs=1) runs its delta through
+        # the chunked engine, so the delta profiles as the engine's stages.
         analyzer = IncrementalAnalyzer(db)
         analyzer.analyze()
-        assert set(analyzer.stage_profile.seconds) == {"delta", "rebuild"}
-        assert analyzer.stage_profile.seconds["rebuild"] > 0
+        profile = analyzer.stage_profile
+        assert list(profile.seconds) == [
+            "load",
+            "detect",
+            "quantify",
+            "merge",
+            "rebuild",
+        ]
+        assert profile.chunks >= 1
+        assert profile.seconds["rebuild"] > 0
         # A no-op pass touches no delta: the rebuild is all it profiles.
         assert analyzer.analyze().no_op
         assert set(analyzer.stage_profile.seconds) == {"rebuild"}
@@ -156,3 +176,90 @@ class TestStageProfile:
         assert profile.chunks >= 1
         assert profile.seconds["load"] > 0
         assert profile.seconds["rebuild"] > 0
+        assert analyzer.analyze().no_op
+        assert set(analyzer.stage_profile.seconds) == {"rebuild"}
+
+
+#: The archive of the threshold repros: 74 of its 274 length-one bundles
+#: tip below 100,000 lamports, none below 5,000.
+THRESHOLD_ROWS = generate_rows(
+    SyntheticScenario(name="x", seed=7, bundles=600)
+)
+
+
+def _archive(rows, path):
+    return ArchiveDatabase(write_archive(rows, path))
+
+
+def _full_pass(database, **spec):
+    return ParallelAnalysisEngine(
+        database, jobs=1, spec=DetectorSpec(**spec)
+    ).analyze()
+
+
+def _fresh_incremental_bytes(rows, path):
+    """A standard incremental pass over a fresh copy of ``rows``."""
+    with _archive(rows, path) as database:
+        return report_bytes(IncrementalAnalyzer(database).analyze().report)
+
+
+class TestSpecStamp:
+    """The watermark is stamped with the spec its analysis rows came from."""
+
+    def test_pass_with_another_threshold_is_refused_untouched(self, tmp_path):
+        database = _archive(THRESHOLD_ROWS, tmp_path / "a.db")
+        analyzer = IncrementalAnalyzer(database)
+        assert analyzer.analyze().report.headline.defensive_bundles == 74
+        counts, state = database.table_counts(), analyzer.load_state()
+        other = IncrementalAnalyzer(
+            database, spec=DetectorSpec(threshold_lamports=5_000)
+        )
+        with pytest.raises(ConfigError) as refused:
+            other.analyze()
+        assert '"threshold_lamports": 100000' in str(refused.value)
+        assert '"threshold_lamports": 5000' in str(refused.value)
+        assert database.table_counts() == counts
+        assert analyzer.load_state() == state
+        database.close()
+
+    def test_unstamped_state_is_refused(self, tmp_path):
+        database = _archive(THRESHOLD_ROWS[:60], tmp_path / "old.db")
+        analyzer = IncrementalAnalyzer(database)
+        analyzer.analyze()
+        state = analyzer.load_state()["state"]
+        del state["spec"]
+        database.connection.execute(
+            "UPDATE analysis_state SET state = ?", (json.dumps(state),)
+        )
+        database.connection.commit()
+        with pytest.raises(ConfigError, match="before specs were stamped"):
+            analyzer.analyze()
+        database.close()
+
+    def test_full_pass_between_incremental_passes_restarts_them(
+        self, tmp_path
+    ):
+        database = _archive(THRESHOLD_ROWS, tmp_path / "b.db")
+        IncrementalAnalyzer(database).analyze()
+        low = _full_pass(database, threshold_lamports=5_000)
+        assert low.headline.defensive_bundles == 0
+        result = IncrementalAnalyzer(database).analyze()
+        assert not result.no_op
+        assert result.new_bundles == len(THRESHOLD_ROWS)
+        assert result.report.headline.defensive_bundles == 74
+        assert report_bytes(result.report) == _fresh_incremental_bytes(
+            THRESHOLD_ROWS, tmp_path / "fresh.db"
+        )
+        database.close()
+
+    def test_windowed_full_pass_then_standard_incremental(self, tmp_path):
+        pack = get_pack("pack-adaptive-attacker")
+        rows = build_pack_campaign(pack).truth_rows
+        database = _archive(rows, tmp_path / "c.db")
+        assert _full_pass(database, kind="windowed").sandwich_count == 30
+        standard = IncrementalAnalyzer(database).analyze().report
+        assert standard.sandwich_count == 14
+        assert report_bytes(standard) == _fresh_incremental_bytes(
+            rows, tmp_path / "fresh.db"
+        )
+        database.close()

@@ -128,6 +128,55 @@ class TestAnalysisOutputs:
         assert count(db, "sandwiches") == 1
         assert count(db, "defensive") == 1
 
+    def test_record_analysis_replaces_rows_and_drops_watermark(self, db):
+        store = ArchiveBundleStore(db)
+
+        class First:
+            quantified = [make_sandwich(1), make_sandwich(2)]
+            defensive = DefensiveReport(
+                threshold_lamports=100_000,
+                defensive=[make_bundle(7)],
+                priority=[make_bundle(8)],
+            )
+
+        class Second:
+            quantified = [make_sandwich(3)]
+            defensive = DefensiveReport(
+                threshold_lamports=5_000, priority=[make_bundle(9)]
+            )
+
+        class Broken:
+            quantified = [make_sandwich(4)]
+
+            @property
+            def defensive(self):
+                raise RuntimeError("classification failed")
+
+        store.record_analysis(First())
+        db.connection.execute(
+            "INSERT INTO analysis_state (consumer, state) VALUES (?, ?)",
+            ("analysis", "{}"),
+        )
+        db.connection.commit()
+        # One transaction: a failure part-way leaves the first analysis.
+        with pytest.raises(RuntimeError):
+            store.record_analysis(Broken())
+        assert count(db, "sandwiches") == 2
+        assert count(db, "defensive") == 2
+        assert count(db, "analysis_state") == 1
+
+        store.record_analysis(Second())
+        sandwiches = db.connection.execute(
+            "SELECT bundle_id FROM sandwiches"
+        ).fetchall()
+        assert [row["bundle_id"] for row in sandwiches] == ["b3"]
+        defensive = db.connection.execute(
+            "SELECT bundle_id, classification FROM defensive"
+        ).fetchall()
+        assert [tuple(row) for row in defensive] == [("b9", "priority")]
+        assert count(db, "analysis_state") == 0
+        assert not db.connection.in_transaction
+
 
 class TestCheckpointsAndTruncation:
     def test_checkpoint_flushes_first(self, db):

@@ -9,6 +9,9 @@ from repro.dex.oracle import PriceOracle
 
 
 class TestAnalysisReport:
+    def test_bundles_landed(self, small_campaign):
+        assert small_campaign.world.bundles_landed > 0
+
     def test_sandwiches_detected(self, small_report):
         assert small_report.sandwich_count > 0
         assert small_report.sandwich_count == len(small_report.quantified)

@@ -175,18 +175,6 @@ class TestIncrementalParity:
         # The two undetailed bundles stay pending through both passes.
         assert second.pending_detail_bundles == 2
 
-    def test_custom_factory_requires_spec_for_parallel(self, tmp_path):
-        path = tmp_path / "custom.db"
-        build_archive(path, [("plain", 0, 10_000)])
-        analyzer = IncrementalAnalyzer(
-            ArchiveDatabase(path),
-            jobs=2,
-            detector_factory=WindowedSandwichDetector,
-        )
-        with pytest.raises(ConfigError):
-            analyzer.analyze()
-        analyzer.database.close()
-
 
 class TestByteIdenticalAcrossDatabases:
     def test_identical_rows_identical_bytes_any_jobs(self, tmp_path):

@@ -177,8 +177,9 @@ class TestProfileCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "stage breakdown" in out
-        # The serial object delta is one row; the rebuild is its own.
-        assert re.search(r"^\s*delta\s", out, re.MULTILINE)
+        # The delta runs the chunk stages; the rebuild is its own row.
+        assert re.search(r"^\s*load\s", out, re.MULTILINE)
+        assert not re.search(r"^\s*delta\s", out, re.MULTILINE)
         assert re.search(r"^\s*rebuild\s", out, re.MULTILINE)
 
     def test_negative_prefetch_rejected(self, archive, capsys):

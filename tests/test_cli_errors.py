@@ -109,6 +109,40 @@ class TestAnalyzeErrors:
         assert len(lines) == 1
         assert "malformed" in lines[0]
 
+    def test_incremental_pass_with_another_threshold_is_refused(
+        self, tmp_path, capsys
+    ):
+        """Stored analysis at one threshold is never reported under
+        another: the pass exits 2 naming both specs and writes nothing."""
+        from repro.conformance.scenarios import (
+            SyntheticScenario,
+            generate_rows,
+            write_archive,
+        )
+
+        path = write_archive(
+            generate_rows(SyntheticScenario(name="x", seed=7, bundles=600)),
+            tmp_path / "stamped.db",
+        )
+        incremental = ["analyze", "--store", str(path), "--incremental"]
+        assert main(incremental + ["--jobs", "1"]) == 0
+
+        def dump() -> list[str]:
+            conn = sqlite3.connect(path)
+            try:
+                return list(conn.iterdump())
+            finally:
+                conn.close()
+
+        before = dump()
+        capsys.readouterr()
+        assert main(incremental + ["--threshold", "5000"]) == 2
+        lines = _stderr_lines(capsys)
+        assert len(lines) == 1
+        assert '"threshold_lamports": 100000' in lines[0]
+        assert '"threshold_lamports": 5000' in lines[0]
+        assert dump() == before
+
 
 class TestSelftestErrors:
     def test_empty_corpus_fails_with_diagnostic(self, tmp_path, capsys):
