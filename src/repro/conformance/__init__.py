@@ -5,6 +5,8 @@ Machine-checked equivalence across every way the pipeline can execute:
 - :mod:`repro.conformance.scenarios` — deterministic synthetic campaigns;
 - :mod:`repro.conformance.golden` — frozen golden-master fixtures with an
   explicit bless workflow;
+- :mod:`repro.conformance.simulation` — simulator-preset recipes whose
+  fixtures pin the simulator's own output;
 - :mod:`repro.conformance.oracle` — the differential oracle that runs any
   two pipeline configurations and structurally diffs their results;
 - :mod:`repro.conformance.metamorphic` — invariants relating transformed

@@ -7,6 +7,11 @@ figures, detector statistics, and a SHA-256 digest of the canonical bytes.
 expectations — an *explicit* action (``repro selftest --bless``), never a
 side effect of a failing check.
 
+A fixture's ``kind`` says where its recipe starts: a synthetic scenario
+(no ``kind``), a scenario pack (``"pack"``), or a simulator preset
+(``"simulation"``, see :mod:`repro.conformance.simulation`), which pins the
+simulator's own output as well as the analysis of it.
+
 Fixtures live in ``tests/golden/`` (override with ``--corpus`` or the
 ``REPRO_GOLDEN_DIR`` environment variable) and are written with canon
 rounding (:mod:`repro.conformance.canon`), so they are stable across
@@ -28,6 +33,11 @@ from repro.conformance.scenarios import (
     SyntheticScenario,
     build_store,
     generate_rows,
+)
+from repro.conformance.simulation import (
+    SIMULATION_CORPUS,
+    SimulationRecipe,
+    simulation_payload,
 )
 from repro.core.pipeline import AnalysisPipeline
 from repro.errors import ConfigError, ConformanceError, StoreError
@@ -59,16 +69,32 @@ def expected_payload(scenario: SyntheticScenario) -> dict:
     return canon_jsonable(comparable_payload(report))
 
 
-def build_fixture(scenario: SyntheticScenario) -> dict:
-    """The full fixture document for one scenario."""
-    payload = expected_payload(scenario)
-    return {
+def _document(kind: str | None, recipe, payload: dict) -> dict:
+    document = {
         "format": GOLDEN_FORMAT,
-        "scenario": scenario.to_json(),
-        "scenario_fingerprint": scenario.fingerprint(),
+        "scenario": recipe.to_json(),
+        "scenario_fingerprint": recipe.fingerprint(),
         "digest": digest(payload),
         "expected": payload,
     }
+    if kind is not None:
+        document["kind"] = kind
+    return document
+
+
+def _write(name: str, document: dict, corpus_dir: str | Path) -> Path:
+    target = fixture_path(corpus_dir, name)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(
+        json.dumps(document, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    return target
+
+
+def build_fixture(scenario: SyntheticScenario) -> dict:
+    """The full fixture document for one scenario."""
+    return _document(None, scenario, expected_payload(scenario))
 
 
 def expected_pack_payload(pack) -> dict:
@@ -90,39 +116,34 @@ def build_pack_fixture(pack) -> dict:
     dispatch key :func:`check_fixture` uses — with the pack recipe (base
     scenario embedded) under the ``scenario`` key.
     """
-    payload = expected_pack_payload(pack)
-    return {
-        "format": GOLDEN_FORMAT,
-        "kind": "pack",
-        "scenario": pack.to_json(),
-        "scenario_fingerprint": pack.fingerprint(),
-        "digest": digest(payload),
-        "expected": payload,
-    }
+    return _document("pack", pack, expected_pack_payload(pack))
+
+
+def build_simulation_fixture(recipe: SimulationRecipe) -> dict:
+    """The full fixture document for one simulator recipe.
+
+    Same shape as a scenario fixture plus ``"kind": "simulation"``, with
+    the preset name and its arguments under the ``scenario`` key and the
+    scenario's checkpoint fingerprint under ``scenario_fingerprint``.
+    """
+    return _document("simulation", recipe, simulation_payload(recipe))
 
 
 def write_pack_fixture(pack, corpus_dir: str | Path) -> Path:
     """Bless one pack: (re)write its fixture file."""
-    target = fixture_path(corpus_dir, pack.name)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    document = build_pack_fixture(pack)
-    target.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return target
+    return _write(pack.name, build_pack_fixture(pack), corpus_dir)
+
+
+def write_simulation_fixture(
+    recipe: SimulationRecipe, corpus_dir: str | Path
+) -> Path:
+    """Bless one simulator recipe: (re)write its fixture file."""
+    return _write(recipe.name, build_simulation_fixture(recipe), corpus_dir)
 
 
 def write_fixture(scenario: SyntheticScenario, corpus_dir: str | Path) -> Path:
     """Bless one scenario: (re)write its fixture file."""
-    target = fixture_path(corpus_dir, scenario.name)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    document = build_fixture(scenario)
-    target.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return target
+    return _write(scenario.name, build_fixture(scenario), corpus_dir)
 
 
 def load_fixture(path: str | Path) -> dict:
@@ -161,66 +182,51 @@ class GoldenCheck:
         return f"golden[{self.name}]: {status}{suffix}"
 
 
+def _recipe_of(document: dict, path: str | Path):
+    """The fixture's recipe, the payload function and the recipe's noun."""
+    kind = document.get("kind")
+    if kind is None:
+        scenario = SyntheticScenario.from_json(document["scenario"])
+        return scenario, expected_payload, "scenario"
+    if kind == "pack":
+        from repro.scenarios.packs import ScenarioPack
+
+        pack = ScenarioPack.from_json(document["scenario"])
+        return pack, expected_pack_payload, "pack"
+    if kind == "simulation":
+        recipe = SimulationRecipe.from_json(document["scenario"])
+        return recipe, simulation_payload, "simulation"
+    raise StoreError(f"golden fixture {path} has unknown kind {kind!r}")
+
+
 def check_fixture(path: str | Path) -> GoldenCheck:
     """Re-run the pipeline for one fixture and compare against its freeze.
 
     Dispatches on the fixture's ``kind``: pack fixtures re-evaluate the
-    full pack (observed report plus bias figures), plain fixtures re-run
-    the serial pipeline over the scenario.
+    full pack (observed report plus bias figures), simulation fixtures
+    re-run the simulator preset's campaign and analysis, plain fixtures
+    re-run the serial pipeline over the scenario.
     """
     document = load_fixture(path)
-    if document.get("kind") == "pack":
-        from repro.scenarios.packs import ScenarioPack
-
-        pack = ScenarioPack.from_json(document["scenario"])
-        recorded = document.get("scenario_fingerprint")
-        if recorded and recorded != pack.fingerprint():
-            return GoldenCheck(
-                name=pack.name,
-                passed=False,
-                reason=(
-                    "pack fingerprint drifted "
-                    f"({recorded} != {pack.fingerprint()}); the recipe no "
-                    "longer matches its frozen vectors"
-                ),
-            )
-        actual = expected_pack_payload(pack)
-        actual_digest = digest(actual)
-        if actual_digest == document["digest"]:
-            return GoldenCheck(name=pack.name, passed=True)
-        differences = diff_jsonable(document["expected"], actual)
+    recipe, compute, noun = _recipe_of(document, path)
+    recorded = document.get("scenario_fingerprint")
+    if recorded and recorded != recipe.fingerprint():
         return GoldenCheck(
-            name=pack.name,
+            name=recipe.name,
             passed=False,
             reason=(
-                f"digest {actual_digest[:12]} != frozen "
-                f"{document['digest'][:12]} "
-                f"({len(differences)} field difference(s))"
-            ),
-            differences=differences,
-        )
-    scenario = SyntheticScenario.from_json(document["scenario"])
-    recorded_fingerprint = document.get("scenario_fingerprint")
-    if (
-        recorded_fingerprint
-        and recorded_fingerprint != scenario.fingerprint()
-    ):
-        return GoldenCheck(
-            name=scenario.name,
-            passed=False,
-            reason=(
-                "scenario fingerprint drifted "
-                f"({recorded_fingerprint} != {scenario.fingerprint()}); "
-                "the recipe no longer matches its frozen vectors"
+                f"{noun} fingerprint drifted "
+                f"({recorded} != {recipe.fingerprint()}); the recipe no "
+                "longer matches its frozen vectors"
             ),
         )
-    actual = expected_payload(scenario)
+    actual = compute(recipe)
     actual_digest = digest(actual)
     if actual_digest == document["digest"]:
-        return GoldenCheck(name=scenario.name, passed=True)
+        return GoldenCheck(name=recipe.name, passed=True)
     differences = diff_jsonable(document["expected"], actual)
     return GoldenCheck(
-        name=scenario.name,
+        name=recipe.name,
         passed=False,
         reason=(
             f"digest {actual_digest[:12]} != frozen "
@@ -259,12 +265,17 @@ def bless_corpus(
     corpus_dir: str | Path,
     scenarios: tuple[SyntheticScenario, ...] = CORPUS_SCENARIOS,
     packs: tuple | None = None,
+    simulations: tuple[SimulationRecipe, ...] = SIMULATION_CORPUS,
 ) -> list[Path]:
-    """(Re)write the full corpus: canonical scenarios plus scenario packs.
+    """(Re)write the full corpus: scenarios, scenario packs, simulations.
 
     ``packs=None`` blesses the built-in pack corpus
     (:data:`repro.scenarios.packs.CORPUS_PACKS`); pass an explicit (maybe
-    empty) tuple to bless a different set.
+    empty) tuple to bless a different set. ``simulations`` defaults to the
+    simulator recipes of
+    :data:`repro.conformance.simulation.SIMULATION_CORPUS`, each a full
+    campaign that takes seconds; a caller exercising the selftest
+    machinery rather than the simulator may pass ``()``.
     """
     if packs is None:
         from repro.scenarios.packs import CORPUS_PACKS
@@ -272,6 +283,9 @@ def bless_corpus(
         packs = CORPUS_PACKS
     written = [write_fixture(scenario, corpus_dir) for scenario in scenarios]
     written += [write_pack_fixture(pack, corpus_dir) for pack in packs]
+    written += [
+        write_simulation_fixture(recipe, corpus_dir) for recipe in simulations
+    ]
     return written
 
 

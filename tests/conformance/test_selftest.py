@@ -19,7 +19,7 @@ from repro.obs.registry import MetricsRegistry
 @pytest.fixture(scope="module")
 def blessed_corpus(tmp_path_factory):
     corpus = tmp_path_factory.mktemp("selftest-corpus")
-    bless_corpus(corpus)
+    bless_corpus(corpus, simulations=())
     return corpus
 
 

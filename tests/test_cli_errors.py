@@ -162,7 +162,7 @@ class TestSelftestErrors:
 
     def test_blessed_corpus_passes(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
-        bless_corpus(corpus)
+        bless_corpus(corpus, simulations=())
         code = main(
             ["selftest", "--corpus", str(corpus), "--seed", "11", "--jobs", "2"]
         )
