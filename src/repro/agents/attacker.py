@@ -10,7 +10,6 @@ if the victim's slippage check fails, the whole bundle is dropped.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from repro.agents.base import (
@@ -28,6 +27,7 @@ from repro.errors import (
     ConfigError,
     InsufficientLiquidityError,
     PoolNotFoundError,
+    ProgramError,
 )
 from repro.jito.tips import build_tip_instruction
 from repro.solana.instruction import DEX_PROGRAM_ID
@@ -94,8 +94,8 @@ def parse_swap_payload(tx: Transaction) -> dict | None:
         if instruction.program_id != DEX_PROGRAM_ID:
             continue
         try:
-            payload = json.loads(instruction.data.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            payload = instruction.payload()
+        except ProgramError:
             continue
         if payload.get("op") == "swap":
             return payload

@@ -113,6 +113,8 @@ def build_table1(
         if token_amount:
             bank.fund_tokens(keypair.pubkey, token.address, token_amount)
 
+    # Explicit blockhashes: the auto-nonce is process-global, so without
+    # them the rendered transaction ids would depend on what ran earlier.
     transactions = [
         Transaction.build(
             attacker,
@@ -121,6 +123,7 @@ def build_table1(
                     attacker.pubkey, pool, SOL_MINT.address, plan.frontrun_in, 0
                 )
             ],
+            recent_blockhash="table1-frontrun",
         ),
         Transaction.build(
             victim,
@@ -129,6 +132,7 @@ def build_table1(
                     victim.pubkey, pool, SOL_MINT.address, victim_in, victim_min_out
                 )
             ],
+            recent_blockhash="table1-victim",
         ),
         Transaction.build(
             attacker,
@@ -137,6 +141,7 @@ def build_table1(
                     attacker.pubkey, pool, token.address, plan.frontrun_out, 0
                 )
             ],
+            recent_blockhash="table1-backrun",
         ),
     ]
 

@@ -6,15 +6,21 @@ inside a failed bundle roll back together with everything else.
 
 from __future__ import annotations
 
-import json
-
 from repro.errors import (
+    ConfigError,
     PoolNotFoundError,
     ProgramError,
     SlippageExceededError,
 )
 from repro.dex.pool import PoolSpec, execution_rate, quote_constant_product
-from repro.solana.instruction import DEX_PROGRAM_ID, AccountMeta, Instruction
+from repro.solana.instruction import (
+    DEX_PROGRAM_ID,
+    AccountMeta,
+    Instruction,
+    encode_payload,
+    int_field,
+    pubkey_field,
+)
 from repro.solana.keys import Pubkey
 from repro.solana.program import BankView
 
@@ -93,7 +99,7 @@ def swap_instruction(
             AccountMeta(owner, is_signer=True, is_writable=True),
             AccountMeta(pool.address, is_writable=True),
         ),
-        data=json.dumps(payload, sort_keys=True).encode(),
+        data=encode_payload(payload),
     )
 
 
@@ -119,13 +125,11 @@ class DexProgram:
         """Execute a swap instruction.
 
         Raises:
-            ProgramError: malformed payload or missing signer.
+            ProgramError: malformed payload, a mint the pool does not
+                trade, or a missing signer.
             SlippageExceededError: output below ``min_amount_out``.
         """
-        try:
-            payload = json.loads(instruction.data.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProgramError(f"dex: malformed payload: {exc}") from exc
+        payload = instruction.payload()
         if payload.get("op") != "swap":
             raise ProgramError(f"dex: unknown op {payload.get('op')!r}")
         if len(instruction.accounts) != 2:
@@ -137,11 +141,14 @@ class DexProgram:
         if not bank.is_signer(owner):
             raise ProgramError(f"swap owner {owner.to_base58()} did not sign")
 
-        pool = self._registry.get(Pubkey.from_base58(payload["pool"]))
-        mint_in = Pubkey.from_base58(payload["mint_in"])
-        mint_out = pool.other_mint(mint_in)
-        amount_in = int(payload["amount_in"])
-        min_amount_out = int(payload["min_amount_out"])
+        pool = self._registry.get(pubkey_field(payload, "pool"))
+        mint_in = pubkey_field(payload, "mint_in")
+        try:
+            mint_out = pool.other_mint(mint_in)
+        except ConfigError as exc:
+            raise ProgramError(f"dex: {exc}") from exc
+        amount_in = int_field(payload, "amount_in", minimum=1)
+        min_amount_out = int_field(payload, "min_amount_out")
 
         amount_out = self.quote(bank, pool, mint_in, amount_in)
         if amount_out < min_amount_out:

@@ -26,6 +26,9 @@ class Bundle:
 
     transactions: tuple[Transaction, ...]
     bundle_id: str = field(init=False)
+    #: Total lamports the bundle pays to Jito tip accounts, computed once at
+    #: construction (members are signed, so their instructions are final).
+    tip_lamports: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.transactions:
@@ -44,6 +47,11 @@ class Bundle:
         for tx_id in tx_ids:
             digest.update(tx_id.encode())
         object.__setattr__(self, "bundle_id", digest.hexdigest())
+        object.__setattr__(
+            self,
+            "tip_lamports",
+            sum(extract_tip_lamports(tx) for tx in self.transactions),
+        )
 
     @classmethod
     def of(cls, *transactions: Transaction) -> "Bundle":
@@ -57,11 +65,6 @@ class Bundle:
     def transaction_ids(self) -> list[str]:
         """Member transaction ids, in bundle order."""
         return [tx.transaction_id for tx in self.transactions]
-
-    @property
-    def tip_lamports(self) -> int:
-        """Total lamports the bundle pays to Jito tip accounts."""
-        return sum(extract_tip_lamports(tx) for tx in self.transactions)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

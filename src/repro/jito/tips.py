@@ -10,7 +10,6 @@ priority-seeking ones, and to characterize attack bundles (median tip above
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 
 from repro.constants import (
@@ -18,14 +17,14 @@ from repro.constants import (
     MIN_JITO_TIP_LAMPORTS,
     NUM_JITO_TIP_ACCOUNTS,
 )
-from repro.errors import BundleError
+from repro.errors import BundleError, ProgramError
 from repro.solana.instruction import (
     COMPUTE_BUDGET_PROGRAM_ID,
     SYSTEM_PROGRAM_ID,
     Instruction,
 )
 from repro.solana.keys import Pubkey
-from repro.solana.system_program import transfer
+from repro.solana.system_program import decode_transfer, transfer
 from repro.solana.transaction import Transaction
 from repro.utils.stats import percentile
 
@@ -67,26 +66,29 @@ def build_tip_instruction(
     return transfer(payer, account, lamports)
 
 
-def _iter_system_transfers(tx: Transaction):
-    for instruction in tx.message.instructions:
-        if instruction.program_id != SYSTEM_PROGRAM_ID:
-            continue
-        try:
-            payload = json.loads(instruction.data.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            continue
-        if payload.get("op") != "transfer" or len(instruction.accounts) != 2:
-            continue
-        yield instruction.accounts[1].pubkey, int(payload["lamports"])
+def _tip_lamports(instruction: Instruction) -> int | None:
+    """Lamports ``instruction`` pays a tip account, or None if it is no tip.
+
+    A tip is a system transfer the system program would accept, to a tip
+    account; a malformed transfer is no tip (its transaction fails).
+    """
+    if instruction.program_id != SYSTEM_PROGRAM_ID:
+        return None
+    try:
+        _source, dest, lamports = decode_transfer(instruction)
+    except ProgramError:
+        return None
+    return lamports if is_tip_account(dest) else None
 
 
 def extract_tip_lamports(tx: Transaction) -> int:
     """Total lamports a transaction pays to Jito tip accounts."""
-    return sum(
-        lamports
-        for dest, lamports in _iter_system_transfers(tx)
-        if is_tip_account(dest)
-    )
+    total = 0
+    for instruction in tx.message.instructions:
+        lamports = _tip_lamports(instruction)
+        if lamports is not None:
+            total += lamports
+    return total
 
 
 def is_tip_only_transaction(tx: Transaction) -> bool:
@@ -100,15 +102,7 @@ def is_tip_only_transaction(tx: Transaction) -> bool:
     for instruction in tx.message.instructions:
         if instruction.program_id == COMPUTE_BUDGET_PROGRAM_ID:
             continue
-        if instruction.program_id != SYSTEM_PROGRAM_ID:
-            return False
-        try:
-            payload = json.loads(instruction.data.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return False
-        if payload.get("op") != "transfer" or len(instruction.accounts) != 2:
-            return False
-        if not is_tip_account(instruction.accounts[1].pubkey):
+        if _tip_lamports(instruction) is None:
             return False
         saw_tip = True
     return saw_tip

@@ -344,7 +344,11 @@ class Bank:
     def _execute(self, tx: Transaction) -> TransactionReceipt:
         self._current_logs = []
         self._current_events = []
-        fee = self._fee_schedule.breakdown(tx)
+        # Stands on the receipt only if the compute-budget payloads are
+        # malformed, which fails the transaction before any fee is owed.
+        fee = FeeBreakdown(
+            base_fee=self._fee_schedule.base_fee_lamports, priority_fee=0
+        )
         checkpoint = self._checkpoint()
 
         def make_receipt(success: bool, error: str | None) -> TransactionReceipt:
@@ -364,12 +368,9 @@ class Bank:
             )
 
         try:
+            fee = self._fee_schedule.breakdown(tx)
             tx.verify_signatures()
-        except TransactionError as exc:
-            return make_receipt(False, str(exc))
-
-        self._current_signers = frozenset(tx.signatures)
-        try:
+            self._current_signers = frozenset(tx.signatures)
             payer_account = self._accounts.get(tx.message.fee_payer)
             if payer_account is None:
                 raise AccountNotFoundError(

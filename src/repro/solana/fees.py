@@ -8,11 +8,15 @@ as on mainnet.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from repro.constants import BASE_FEE_LAMPORTS
-from repro.solana.instruction import COMPUTE_BUDGET_PROGRAM_ID, Instruction
+from repro.solana.instruction import (
+    COMPUTE_BUDGET_PROGRAM_ID,
+    Instruction,
+    encode_payload,
+    int_field,
+)
 from repro.solana.transaction import Transaction
 
 DEFAULT_COMPUTE_UNITS = 200_000
@@ -26,7 +30,7 @@ def set_compute_unit_price(micro_lamports: int) -> Instruction:
     payload = {"op": "set_compute_unit_price", "micro_lamports": micro_lamports}
     return Instruction(
         program_id=COMPUTE_BUDGET_PROGRAM_ID,
-        data=json.dumps(payload, sort_keys=True).encode(),
+        data=encode_payload(payload),
     )
 
 
@@ -37,7 +41,7 @@ def set_compute_unit_limit(units: int) -> Instruction:
     payload = {"op": "set_compute_unit_limit", "units": units}
     return Instruction(
         program_id=COMPUTE_BUDGET_PROGRAM_ID,
-        data=json.dumps(payload, sort_keys=True).encode(),
+        data=encode_payload(payload),
     )
 
 
@@ -72,16 +76,22 @@ class FeeSchedule:
 
         The priority fee is ``compute_units * unit_price`` (in micro-lamports,
         rounded up), using the transaction's requested limit or the default.
+
+        Raises:
+            ProgramError: on a malformed compute-budget payload: not a
+                JSON object, a field missing or not an integer, or a value
+                the builders above refuse (a negative price, a limit
+                below one).
         """
         unit_price = 0
         units = DEFAULT_COMPUTE_UNITS
         for instruction in tx.message.instructions:
             if instruction.program_id != COMPUTE_BUDGET_PROGRAM_ID:
                 continue
-            payload = json.loads(instruction.data.decode())
+            payload = instruction.payload()
             if payload.get("op") == "set_compute_unit_price":
-                unit_price = int(payload["micro_lamports"])
+                unit_price = int_field(payload, "micro_lamports")
             elif payload.get("op") == "set_compute_unit_limit":
-                units = int(payload["units"])
+                units = int_field(payload, "units", minimum=1)
         priority = -(-units * unit_price // MICRO_LAMPORTS_PER_LAMPORT)
         return FeeBreakdown(base_fee=self._base_fee, priority_fee=priority)

@@ -42,7 +42,14 @@ memoizing their base58 form is one of the simulator's hottest wins."""
 
 @dataclass(frozen=True, order=True)
 class Pubkey:
-    """A 32-byte account address, rendered in base58."""
+    """A 32-byte account address, rendered in base58.
+
+    Equality and hashing work on the raw bytes directly: the bank keys its
+    balances by ``Pubkey`` and ``(Pubkey, Pubkey)``, and the generated
+    methods would build a one-field tuple on every lookup. A key equals
+    only another ``Pubkey``, never its own bytes; ordering stays the
+    generated field order.
+    """
 
     raw: bytes
 
@@ -51,6 +58,14 @@ class Pubkey:
             raise ValueError(
                 f"pubkey must be {PUBKEY_LENGTH} bytes, got {len(self.raw)}"
             )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Pubkey:
+            return self.raw == other.raw
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.raw)
 
     @classmethod
     def from_seed(cls, seed: str) -> "Pubkey":

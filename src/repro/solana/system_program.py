@@ -6,10 +6,14 @@ so this program is on the hot path of both attack and defensive bundles.
 
 from __future__ import annotations
 
-import json
-
 from repro.errors import ProgramError
-from repro.solana.instruction import SYSTEM_PROGRAM_ID, AccountMeta, Instruction
+from repro.solana.instruction import (
+    SYSTEM_PROGRAM_ID,
+    AccountMeta,
+    Instruction,
+    encode_payload,
+    int_field,
+)
 from repro.solana.keys import Pubkey
 from repro.solana.program import BankView
 
@@ -25,8 +29,32 @@ def transfer(source: Pubkey, dest: Pubkey, lamports: int) -> Instruction:
             AccountMeta(source, is_signer=True, is_writable=True),
             AccountMeta(dest, is_writable=True),
         ),
-        data=json.dumps(payload, sort_keys=True).encode(),
+        data=encode_payload(payload),
     )
+
+
+def decode_transfer(instruction: Instruction) -> tuple[Pubkey, Pubkey, int]:
+    """The ``(source, dest, lamports)`` of a system transfer instruction.
+
+    The one reading of a transfer: :func:`process` executes what it
+    returns, and Jito tip extraction counts exactly the transfers it
+    accepts.
+
+    Raises:
+        ProgramError: on a malformed payload, an op other than
+            ``transfer``, an account list that is not ``[source, dest]``,
+            or a lamport amount that is not a non-negative integer.
+    """
+    payload = instruction.payload()
+    op = payload.get("op")
+    if op != "transfer":
+        raise ProgramError(f"system program: unknown op {op!r}")
+    if len(instruction.accounts) != 2:
+        raise ProgramError(
+            f"system transfer expects 2 accounts, got {len(instruction.accounts)}"
+        )
+    source, dest = instruction.accounts
+    return source.pubkey, dest.pubkey, int_field(payload, "lamports")
 
 
 def process(bank: BankView, instruction: Instruction) -> None:
@@ -36,27 +64,11 @@ def process(bank: BankView, instruction: Instruction) -> None:
         ProgramError: on malformed payloads or missing signatures; balance
             failures surface as :class:`InsufficientFundsError` from the bank.
     """
-    try:
-        payload = json.loads(instruction.data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProgramError(f"system program: malformed payload: {exc}") from exc
-
-    op = payload.get("op")
-    if op != "transfer":
-        raise ProgramError(f"system program: unknown op {op!r}")
-    if len(instruction.accounts) != 2:
-        raise ProgramError(
-            f"system transfer expects 2 accounts, got {len(instruction.accounts)}"
-        )
-
-    source = instruction.accounts[0].pubkey
-    dest = instruction.accounts[1].pubkey
+    source, dest, lamports = decode_transfer(instruction)
     if not bank.is_signer(source):
         raise ProgramError(
             f"system transfer source {source.to_base58()} did not sign"
         )
-
-    lamports = int(payload["lamports"])
     bank.transfer_lamports(source, dest, lamports)
     bank.emit_event(
         {

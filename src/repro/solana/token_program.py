@@ -7,10 +7,15 @@ paper's balance-delta analysis operates at.
 
 from __future__ import annotations
 
-import json
-
 from repro.errors import ProgramError
-from repro.solana.instruction import TOKEN_PROGRAM_ID, AccountMeta, Instruction
+from repro.solana.instruction import (
+    TOKEN_PROGRAM_ID,
+    AccountMeta,
+    Instruction,
+    encode_payload,
+    int_field,
+    pubkey_field,
+)
 from repro.solana.keys import Pubkey
 from repro.solana.program import BankView
 
@@ -26,7 +31,7 @@ def transfer(source: Pubkey, dest: Pubkey, mint: Pubkey, amount: int) -> Instruc
             AccountMeta(source, is_signer=True, is_writable=True),
             AccountMeta(dest, is_writable=True),
         ),
-        data=json.dumps(payload, sort_keys=True).encode(),
+        data=encode_payload(payload),
     )
 
 
@@ -41,7 +46,7 @@ def mint_to(authority: Pubkey, dest: Pubkey, mint: Pubkey, amount: int) -> Instr
             AccountMeta(authority, is_signer=True),
             AccountMeta(dest, is_writable=True),
         ),
-        data=json.dumps(payload, sort_keys=True).encode(),
+        data=encode_payload(payload),
     )
 
 
@@ -51,11 +56,7 @@ def process(bank: BankView, instruction: Instruction) -> None:
     Raises:
         ProgramError: on malformed payloads, unknown ops, or missing signers.
     """
-    try:
-        payload = json.loads(instruction.data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProgramError(f"token program: malformed payload: {exc}") from exc
-
+    payload = instruction.payload()
     op = payload.get("op")
     if len(instruction.accounts) != 2:
         raise ProgramError(
@@ -63,8 +64,8 @@ def process(bank: BankView, instruction: Instruction) -> None:
         )
     first = instruction.accounts[0].pubkey
     second = instruction.accounts[1].pubkey
-    mint = Pubkey.from_base58(payload["mint"])
-    amount = int(payload["amount"])
+    mint = pubkey_field(payload, "mint")
+    amount = int_field(payload, "amount")
 
     if op == "transfer":
         if not bank.is_signer(first):

@@ -8,8 +8,8 @@ attach a valid signature; the fee payer's signature is the transaction id.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from repro.errors import InvalidSignatureError, TransactionError
 from repro.solana.instruction import Instruction
@@ -35,29 +35,39 @@ class Message:
     def serialize(self) -> bytes:
         """Canonical byte serialization used for signing and hashing.
 
+        The bytes are exactly ``json.dumps(payload, separators=(",", ":"),
+        sort_keys=True)`` of ``{"fee_payer": ..., "instructions": [{
+        "accounts": [[pubkey, is_signer, is_writable], ...], "data": hex,
+        "program_id": ...}, ...], "recent_blockhash": ...}``, and
+        signatures and transaction ids hash them. The shape is fixed, so it
+        is written directly with the keys in sorted order. Base58 and hex
+        text never needs escaping, so only the free-form blockhash goes
+        through the encoder's own ASCII quoting.
+
         Memoized: a message is serialized at signing time and again at
         verification; the instance is frozen, so the bytes never change.
         """
         cached = getattr(self, "_serialized", None)
         if cached is not None:
             return cached
-        payload = {
-            "fee_payer": self.fee_payer.to_base58(),
-            "recent_blockhash": self.recent_blockhash,
-            "instructions": [
-                {
-                    "program_id": ix.program_id.to_base58(),
-                    "accounts": [
-                        [m.pubkey.to_base58(), m.is_signer, m.is_writable]
-                        for m in ix.accounts
-                    ],
-                    "data": ix.data.hex(),
-                }
-                for ix in self.instructions
-            ],
-        }
-        serialized = json.dumps(
-            payload, separators=(",", ":"), sort_keys=True
+        instructions = []
+        for ix in self.instructions:
+            accounts = ",".join(
+                [
+                    f'["{meta.pubkey.to_base58()}",'
+                    f"{'true' if meta.is_signer else 'false'},"
+                    f"{'true' if meta.is_writable else 'false'}]"
+                    for meta in ix.accounts
+                ]
+            )
+            instructions.append(
+                f'{{"accounts":[{accounts}],"data":"{ix.data.hex()}",'
+                f'"program_id":"{ix.program_id.to_base58()}"}}'
+            )
+        serialized = (
+            f'{{"fee_payer":"{self.fee_payer.to_base58()}",'
+            f'"instructions":[{",".join(instructions)}],'
+            f'"recent_blockhash":{_quote(self.recent_blockhash)}}}'
         ).encode()
         object.__setattr__(self, "_serialized", serialized)
         return serialized

@@ -39,6 +39,21 @@ class TestTable1:
     def test_attacker_profits(self, table):
         assert table.attacker_profit_lamports > 0
 
+    def test_transaction_ids_do_not_depend_on_process_history(self, table):
+        # Transactions built elsewhere advance the process-global
+        # auto-nonce; the table's rendering must not move with it.
+        from repro.solana.system_program import transfer
+        from repro.solana.keys import Keypair
+        from repro.solana.transaction import Transaction
+
+        before = build_table1().render()
+        sender = Keypair("table1-unrelated")
+        for amount in range(1, 4):
+            Transaction.build(
+                sender, [transfer(sender.pubkey, sender.pubkey, amount)]
+            )
+        assert build_table1().render() == before == table.render()
+
     def test_render(self, table):
         text = table.render()
         assert "Table 1" in text

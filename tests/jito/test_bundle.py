@@ -1,6 +1,8 @@
 """Bundle construction and identity tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constants import MAX_BUNDLE_SIZE
 from repro.errors import (
@@ -9,7 +11,8 @@ from repro.errors import (
     EmptyBundleError,
 )
 from repro.jito.bundle import Bundle
-from repro.jito.tips import build_tip_instruction
+from repro.jito.tips import build_tip_instruction, extract_tip_lamports
+from repro.solana.fees import set_compute_unit_price
 from repro.solana.keys import Keypair
 from repro.solana.system_program import transfer
 from repro.solana.transaction import Transaction
@@ -86,3 +89,44 @@ class TestBundleTip:
 
     def test_tipless_bundle_has_zero_tip(self, payer):
         assert Bundle.of(make_tx(payer)).tip_lamports == 0
+
+
+#: One member transaction's instructions, as (kind, lamports, account) draws:
+#: tips to any of the eight tip accounts, plain transfers, priority fees.
+member_instructions = st.lists(
+    st.tuples(
+        st.sampled_from(["tip", "transfer", "priority"]),
+        st.integers(min_value=1_000, max_value=10**12),
+        st.integers(min_value=0, max_value=7),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestCachedTip:
+    @settings(max_examples=60, deadline=None)
+    @given(members=st.lists(member_instructions, min_size=1, max_size=5))
+    def test_cached_tip_is_the_sum_over_members(self, members):
+        other = Keypair("bundle-other")
+        transactions = []
+        for index, draws in enumerate(members):
+            payer = Keypair(f"bundle-member-{index}")
+            instructions = []
+            for kind, lamports, account in draws:
+                if kind == "tip":
+                    ix = build_tip_instruction(payer.pubkey, lamports, account)
+                elif kind == "transfer":
+                    ix = transfer(payer.pubkey, other.pubkey, lamports)
+                else:
+                    ix = set_compute_unit_price(lamports)
+                instructions.append(ix)
+            transactions.append(Transaction.build(payer, instructions))
+        bundle = Bundle(transactions=tuple(transactions))
+        assert bundle.tip_lamports == sum(
+            extract_tip_lamports(tx) for tx in transactions
+        )
+        assert bundle.tip_lamports == sum(
+            lamports for draws in members
+            for kind, lamports, _ in draws if kind == "tip"
+        )
