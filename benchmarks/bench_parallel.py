@@ -19,7 +19,7 @@ default 50,000 — CI's perf-smoke job shrinks it), then:
   detection core — criteria evaluation plus quantification over a
   preloaded working set — on a candidate-dense archive, asserting the
   >= 10x single-core speedup over the object core on full-size runs, and
-  the pipelined end-to-end throughput on the mixed archive, asserting
+  the end-to-end throughput on the mixed archive, asserting
   byte identity against the serial report always and the >= 3x
   end-to-end speedup over the serial object pipeline on full-size runs,
   with the engine's stage profile persisted alongside the number.
@@ -52,7 +52,7 @@ CORE_BUNDLES = max(1_000, TOTAL_BUNDLES // 8)
 #: The columnar acceptance bar: vectorized criteria evaluation plus
 #: quantification must clear 10x the object core, single-core.
 COLUMNAR_CORE_FLOOR = 10.0
-#: The pipelined read path's acceptance bar: columnar end-to-end must
+#: The columnar read path's acceptance bar: columnar end-to-end must
 #: clear 3x the serial object pipeline on full-size runs, single-core.
 COLUMNAR_E2E_FLOOR = 3.0
 BASE_TIME = 1_739_059_200.0
@@ -335,7 +335,6 @@ def _single_chunk_task(path, engine):
     chunk = next(ArchiveQuery(database).iter_chunks(chunk_size=10**9))
     task = ChunkTask(
         index=0,
-        archive_path=str(path),
         spec=DetectorSpec(usd_per_sol=150.0),
         chunk=chunk,
         engine=engine,
@@ -422,8 +421,8 @@ def test_columnar_detect_core_speedup(candidate_archive):
 def test_columnar_end_to_end_byte_identical_and_throughput(big_archive):
     """End-to-end columnar numbers on the mixed archive: byte identity
     against both the object engine and the serial pipeline is the hard
-    requirement, and on full-size runs the pipelined read path (coalesced
-    projections + prefetch) must clear ``COLUMNAR_E2E_FLOOR`` x the
+    requirement, and on full-size runs the columnar read path (coalesced
+    projections) must clear ``COLUMNAR_E2E_FLOOR`` x the
     serial object pipeline. Both sides of the gated ratio are measured
     the same way — collector paused, best of N fresh runs, back to back
     in this test — so the gate compares code, not suite-position noise;
@@ -446,7 +445,6 @@ def test_columnar_end_to_end_byte_identical_and_throughput(big_archive):
         if columnar_s is None or elapsed < columnar_s:
             columnar_s = elapsed
             stage_profile = engine.stage_profile.as_dict()
-            prefetch = engine.prefetch
     ensure_reports_identical(
         object_report, columnar_report, "object", "columnar", mode="exact"
     )
@@ -460,7 +458,6 @@ def test_columnar_end_to_end_byte_identical_and_throughput(big_archive):
         columnar_s,
         engine="columnar",
         jobs=1,
-        prefetch=prefetch,
         speedup_vs_object=round(object_s / columnar_s, 3),
         speedup_vs_serial=round(speedup_vs_serial, 3),
         stage_profile=stage_profile,

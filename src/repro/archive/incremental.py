@@ -43,8 +43,8 @@ from repro.core.pipeline import AnalysisReport
 from repro.core.quantify import QuantifiedSandwich
 from repro.dex.oracle import PriceOracle
 from repro.errors import ConfigError
+from repro.obs.profile import StageProfile, StageTimer
 from repro.obs.registry import MetricsRegistry
-from repro.pipeline.profile import StageProfile, StageTimer
 
 if TYPE_CHECKING:  # deferred: repro.parallel imports repro.archive
     from repro.parallel.chunks import DetectorSpec
@@ -91,9 +91,9 @@ class IncrementalAnalyzer:
     """Watermarked analysis over an archive database, under one spec.
 
     ``spec`` (default :class:`~repro.parallel.chunks.DetectorSpec`) is the
-    only description of the detector stack; ``jobs``, ``chunk_size``,
-    ``engine`` and ``prefetch`` configure the chunked engine and leave the
-    stored rows byte-identical, so they are free to change between passes.
+    only description of the detector stack; ``jobs``, ``chunk_size`` and
+    ``engine`` configure the chunked engine and leave the stored rows
+    byte-identical, so they are free to change between passes.
     """
 
     def __init__(
@@ -105,7 +105,6 @@ class IncrementalAnalyzer:
         chunk_size: int = 2_048,
         spec: DetectorSpec | None = None,
         engine: str = "object",
-        prefetch: int | None = None,
     ) -> None:
         from repro.parallel.engine import ParallelAnalysisEngine
 
@@ -122,7 +121,6 @@ class IncrementalAnalyzer:
             oracle=oracle,
             metrics=self.metrics,
             engine=engine,
-            prefetch=prefetch,
         )
         #: The oracle-pinned spec every pass runs and is stamped with.
         self.spec = self._engine.spec
@@ -222,7 +220,6 @@ class IncrementalAnalyzer:
             tasks.append(
                 ChunkTask(
                     index=0,
-                    archive_path=str(self.database.path),
                     spec=self.spec,
                     bundle_ids=pending,
                     engine=engine.engine,

@@ -135,24 +135,29 @@ class ArchiveWatermark:
     """The archive's read-side version: how much data any reader can see.
 
     A watermark is the tuple of high-water ``seq`` values of the appended
-    tables plus the defensive row count (that table has no sequence). Two
-    reads of an archive return identical results iff their watermarks are
-    equal, which is what the serving tier's response cache keys on: the
-    token changes exactly when the collector lands new rows or an
-    incremental analysis pass appends detections.
+    tables, the defensive row count (that table has no sequence), and the
+    analysis generation, which every whole-archive replacement of the
+    stored analysis advances. Two reads of an archive return identical
+    results iff their watermarks are equal, which is what the serving
+    tier's response cache keys on: the token changes when the collector
+    lands new rows, an incremental analysis pass appends detections, or a
+    full pass replaces the analysis — even one that only moves bundles
+    between the defensive and priority classes.
     """
 
     bundle_seq: int
     transaction_seq: int
     sandwich_seq: int
     defensive_rows: int
+    analysis_generation: int
 
     @property
     def token(self) -> str:
         """Compact opaque form, embedded in ETags and cache keys."""
         return (
             f"b{self.bundle_seq}.t{self.transaction_seq}."
-            f"s{self.sandwich_seq}.d{self.defensive_rows}"
+            f"s{self.sandwich_seq}.d{self.defensive_rows}."
+            f"g{self.analysis_generation}"
         )
 
 
@@ -800,7 +805,8 @@ class ArchiveQuery:
         return rows[0]["n"]
 
     def watermark(self) -> ArchiveWatermark:
-        """The archive's current read-side version (three MAX, one COUNT)."""
+        """The archive's current read-side version (three MAX, one COUNT,
+        one single-row read)."""
         rows = self._timed(
             "watermark",
             "SELECT "
@@ -808,7 +814,9 @@ class ArchiveQuery:
             "(SELECT COALESCE(MAX(seq), 0) FROM transactions) "
             "  AS transaction_seq, "
             "(SELECT COALESCE(MAX(seq), 0) FROM sandwiches) AS sandwich_seq, "
-            "(SELECT COUNT(*) FROM defensive) AS defensive_rows",
+            "(SELECT COUNT(*) FROM defensive) AS defensive_rows, "
+            "(SELECT generation FROM analysis_generation) "
+            "  AS analysis_generation",
             [],
         )
         row = rows[0]
@@ -817,6 +825,7 @@ class ArchiveQuery:
             transaction_seq=row["transaction_seq"],
             sandwich_seq=row["sandwich_seq"],
             defensive_rows=row["defensive_rows"],
+            analysis_generation=row["analysis_generation"],
         )
 
     def defensive_summary(self) -> dict[str, dict[str, float]]:

@@ -2,11 +2,12 @@
 
 The archive is the durable, indexed form of everything one measurement
 campaign collects and derives: bundle listings, transaction details,
-sandwich detections, defensive classifications, campaign checkpoints, and
-incremental-analysis watermarks. The layout follows the shape of real
-sandwich-measurement stores (an indexed relational schema per entity, with
-secondary indexes on the columns analysts filter by) while staying on the
-standard library's :mod:`sqlite3`.
+sandwich detections, defensive classifications, campaign checkpoints,
+incremental-analysis watermarks, and the count of whole-archive analysis
+replacements. The layout follows the shape of real sandwich-measurement
+stores (an indexed relational schema per entity, with secondary indexes
+on the columns analysts filter by) while staying on the standard
+library's :mod:`sqlite3`.
 
 Migrations are append-only: each entry in :data:`MIGRATIONS` upgrades the
 database by exactly one version, and ``PRAGMA user_version`` records which
@@ -26,7 +27,7 @@ from repro.explorer.models import BundleRecord, TransactionRecord
 from repro.utils.simtime import unix_to_date
 
 #: Current schema version (``PRAGMA user_version`` of an up-to-date file).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _V1_DDL = """
 CREATE TABLE IF NOT EXISTS bundles (
@@ -116,8 +117,18 @@ CREATE TABLE IF NOT EXISTS analysis_state (
 ) WITHOUT ROWID;
 """
 
+#: v2: one row counting the stored analysis's whole-archive replacements,
+#: so the serving watermark moves when a re-analysis only reclassifies.
+_V2_DDL = """
+CREATE TABLE IF NOT EXISTS analysis_generation (
+    generation INTEGER NOT NULL
+);
+INSERT INTO analysis_generation (generation)
+    SELECT 0 WHERE NOT EXISTS (SELECT 1 FROM analysis_generation);
+"""
+
 #: Ordered migration steps: ``MIGRATIONS[v]`` upgrades version v to v+1.
-MIGRATIONS: tuple[str, ...] = (_V1_DDL,)
+MIGRATIONS: tuple[str, ...] = (_V1_DDL, _V2_DDL)
 
 
 # --- positional decoding ------------------------------------------------------

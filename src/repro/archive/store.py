@@ -250,14 +250,19 @@ class ArchiveBundleStore(BundleStore):
         watermark, then inserts ``report``'s detections and
         classifications, in one transaction: rows judged under another
         detector spec never mix with these, and the next incremental pass
-        starts over from ``seq`` 0. The analysis pipeline calls this by
-        duck type on any store that offers it, keeping :mod:`repro.core`
-        free of archive imports.
+        starts over from ``seq`` 0. The same transaction advances the
+        analysis generation, which the serving watermark reads: a pass
+        that only reclassifies bundles moves no ``seq`` and no row count.
+        The analysis pipeline calls this by duck type on any store that
+        offers it, keeping :mod:`repro.core` free of archive imports.
         """
         conn = self.database.connection
         with conn:  # commits on success, rolls every statement back on error
             for table in ("sandwiches", "defensive", "analysis_state"):
                 conn.execute(f"DELETE FROM {table}")
+            conn.execute(
+                "UPDATE analysis_generation SET generation = generation + 1"
+            )
             self.record_sandwiches(report.quantified)
             self.record_defensive(report.defensive)
 

@@ -440,8 +440,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
     if args.chunk_size is not None and args.chunk_size < 1:
         raise ConfigError(f"chunk_size must be >= 1, got {args.chunk_size}")
-    if args.prefetch is not None and args.prefetch < 0:
-        raise ConfigError(f"prefetch must be >= 0, got {args.prefetch}")
     if is_archive_path(store_path):
         from repro.archive import ArchiveDatabase, IncrementalAnalyzer
         from repro.parallel import (
@@ -462,7 +460,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 chunk_size=args.chunk_size,
                 spec=spec,
                 engine=args.engine,
-                prefetch=args.prefetch,
             )
             outcome = analyzer.analyze()
             report = outcome.report
@@ -491,15 +488,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 chunk_size=args.chunk_size,
                 spec=spec,
                 engine=args.engine,
-                prefetch=args.prefetch,
             )
             report = engine.analyze()
             store_size = report.headline.bundles_collected
             profile = engine.stage_profile
         if args.profile:
             emit(
-                "stage breakdown (wall-clock seconds per stage; "
-                "overlapped stages can sum past elapsed time):",
+                "stage breakdown (wall-clock seconds per stage; under "
+                "--jobs the workers' stages add up past elapsed time):",
                 stage_profile=profile.as_dict(),
             )
             for line in profile.render_table().splitlines():
@@ -1203,14 +1199,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="archive chunk analyzer: per-bundle objects (default) or "
         "the vectorized columnar path (needs numpy; byte-identical "
         "reports either way)",
-    )
-    analyze.add_argument(
-        "--prefetch",
-        type=int,
-        default=None,
-        help="loaded chunks a background reader keeps in flight ahead of "
-        "the analyzing thread (default 2; 0 disables prefetching — "
-        "reports are byte-identical at any depth)",
     )
     analyze.add_argument(
         "--profile",

@@ -15,10 +15,8 @@ The analysis is split at the I/O boundary into
 :func:`load_chunk_columnar` (every SQLite round-trip, producing a
 picklable-free in-memory :class:`ColumnarChunkPayload`) and
 :func:`compute_chunk_columnar` (pure in-memory mask evaluation). The
-split is what lets the prefetching pipeline in ``repro.parallel`` overlap
-the next chunk's loads with the current chunk's compute, and it is also
-the stage-profiling seam: load time is measured around the former,
-intern/detect/quantify around the latter's phases.
+split is the stage-profiling seam: load time is measured around the
+former, intern/detect/quantify around the latter's phases.
 
 Only the standard length-three detector is supported; the windowed
 detector's overlapping-window scan has no columnar formulation yet and
@@ -67,10 +65,9 @@ def require_columnar_spec(spec: DetectorSpec) -> None:
 class ColumnarChunkPayload:
     """Everything a chunk needs after its last SQLite round-trip.
 
-    Produced by :func:`load_chunk_columnar` (possibly on a prefetch
-    thread holding its own read-only connection) and consumed by
-    :func:`compute_chunk_columnar` on the analyzing thread — the payload
-    itself never touches the database again.
+    Produced by :func:`load_chunk_columnar` and consumed by
+    :func:`compute_chunk_columnar` — the payload itself never touches the
+    database again.
     """
 
     block: BundleBlock

@@ -11,12 +11,18 @@ scraper was doing. This package gives the reproduction the same eyes:
 - :mod:`repro.obs.events` — structured event logging with console, JSONL,
   and in-memory sinks;
 - :mod:`repro.obs.export` — Prometheus text, JSON snapshots, summary
-  tables, and the campaign report's "Pipeline health" section.
+  tables, and the campaign report's "Pipeline health" section;
+- :mod:`repro.obs.profile` — the wall-clock stage profile behind
+  ``repro analyze --profile`` (load/intern/detect/quantify/merge).
 
 Determinism contract: recording is passive (no RNG draws, no clock
 advances) and every value that feeds a report derives from the injected
 sim-time clock — so instrumented and uninstrumented replays of the same
-seed produce byte-identical analysis output.
+seed produce byte-identical analysis output. The wall-clock profile is
+the one reader of the real clock, and it never feeds a deterministic
+output: its seconds go to the ``--profile`` table, the
+``analyze_stage_seconds`` histogram and benchmark records, never into
+``report.txt``, a golden fixture or a sim-time metric.
 """
 
 from repro.obs.events import (

@@ -12,9 +12,10 @@ itself via :class:`StageTimer`, and feeds every sample through the
 
 The profile answers one question — *where does the wall time go?* — so
 ``repro analyze --profile`` can print the stage-breakdown table and the
-benchmarks can persist the split into BENCH_PERF.json. Under prefetching
-the stages overlap in wall time, so their sum can exceed the run's
-elapsed time; shares are of stage-time, not of wall-clock.
+benchmarks can persist the split into BENCH_PERF.json. Under ``--jobs``
+the workers' stages run side by side and their seconds add up, so the sum
+can exceed the run's elapsed time; shares are of stage-time, not of
+wall-clock.
 """
 
 from __future__ import annotations

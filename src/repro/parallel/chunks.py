@@ -22,12 +22,6 @@ from repro.errors import ConfigError
 #: that a 50k-bundle archive still spreads across a 4-worker pool.
 DEFAULT_CHUNK_SIZE = 2_048
 
-#: Default loaded-chunks-in-flight bound for the prefetching pipeline.
-#: One chunk being computed plus two loaded-ahead keeps the reader busy
-#: without holding more than a few chunks' columns in memory; 0 disables
-#: prefetching entirely (loads and computes alternate on one thread).
-DEFAULT_PREFETCH_DEPTH = 2
-
 
 @dataclass(frozen=True)
 class DetectorSpec:
@@ -57,8 +51,8 @@ class DetectorSpec:
         """The JSON-ready settings that decide the analysis rows.
 
         An archive's incremental watermark is stamped with this form.
-        Engine, jobs, chunk size and prefetch depth are not settings of
-        the spec: they leave the rows byte-identical.
+        Engine, jobs and chunk size are not settings of the spec: they
+        leave the rows byte-identical.
         """
         return {
             "kind": self.kind,
@@ -104,11 +98,12 @@ class ChunkTask:
     pending bundles) selects the slice. ``index`` orders results during the
     merge regardless of completion order. ``engine`` picks the per-chunk
     implementation — both produce byte-identical outcomes, so tasks with
-    different engines may even be mixed within one run.
+    different engines may even be mixed within one run. Tasks name no
+    archive: every task runs on the connection of the thread or pool
+    worker that executes it.
     """
 
     index: int
-    archive_path: str
     spec: DetectorSpec
     chunk: ArchiveChunk | None = None
     bundle_ids: tuple[str, ...] = field(default_factory=tuple)
@@ -125,27 +120,6 @@ class ChunkTask:
                 f"chunk engine must be one of {CHUNK_ENGINES}, "
                 f"got {self.engine!r}"
             )
-
-
-@dataclass(frozen=True)
-class ChunkBatch:
-    """One worker's ordered task group, pipelined inside the worker.
-
-    Under ``--jobs``, the engine deals the chunk sequence round-robin into
-    one batch per worker; each worker then runs its own loads and compute
-    (overlapped when prefetching) via
-    :func:`repro.parallel.worker.iter_batch_outcomes`. Outcomes still
-    carry their tasks' global ``index`` values, so the deterministic
-    merge is indifferent to the batching.
-    """
-
-    tasks: tuple[ChunkTask, ...]
-    prefetch: int
-
-    @property
-    def archive_path(self) -> str:
-        """The archive every task in the batch reads."""
-        return self.tasks[0].archive_path
 
 
 def plan_chunks(

@@ -26,12 +26,11 @@ from repro.core.aggregate import headline_stats, sandwiches_per_day
 from repro.core.pipeline import AnalysisReport
 from repro.dex.oracle import PriceOracle
 from repro.errors import ConfigError
+from repro.obs.profile import StageProfile, StageTimer
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.parallel.chunks import (
     CHUNK_ENGINES,
     DEFAULT_CHUNK_SIZE,
-    DEFAULT_PREFETCH_DEPTH,
-    ChunkBatch,
     ChunkTask,
     DetectorSpec,
     plan_chunks,
@@ -43,7 +42,6 @@ from repro.parallel.worker import (
     iter_batch_outcomes,
     run_chunk_batch,
 )
-from repro.pipeline.profile import StageProfile, StageTimer
 
 #: Histogram buckets for per-chunk wall-clock (seconds).
 _CHUNK_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0)
@@ -57,9 +55,8 @@ def default_jobs() -> int:
 class ParallelAnalysisEngine:
     """Chunked, multi-process analysis over one archive database.
 
-    ``jobs=None`` means :func:`default_jobs` and ``prefetch=None`` means
-    :data:`DEFAULT_PREFETCH_DEPTH`, so an unset CLI option passes
-    straight through.
+    ``jobs=None`` means :func:`default_jobs`, so an unset CLI option
+    passes straight through.
     """
 
     def __init__(
@@ -71,7 +68,6 @@ class ParallelAnalysisEngine:
         oracle: PriceOracle | None = None,
         metrics: MetricsRegistry | None = None,
         engine: str = "object",
-        prefetch: int | None = None,
     ) -> None:
         self.database = (
             database
@@ -84,11 +80,6 @@ class ParallelAnalysisEngine:
         if chunk_size < 1:
             raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size
-        self.prefetch = (
-            DEFAULT_PREFETCH_DEPTH if prefetch is None else prefetch
-        )
-        if self.prefetch < 0:
-            raise ConfigError(f"prefetch must be >= 0, got {self.prefetch}")
         self.oracle = oracle or PriceOracle()
         spec = spec or DetectorSpec()
         spec.validate()
@@ -151,10 +142,9 @@ class ParallelAnalysisEngine:
 
     def _run_in_process(self, tasks: list[ChunkTask]) -> list[ChunkOutcome]:
         outcomes: list[ChunkOutcome] = []
-        pipelined = iter_batch_outcomes(
-            self.database, tasks, prefetch=self.prefetch
-        )
-        for position, outcome in enumerate(pipelined):
+        for position, outcome in enumerate(
+            iter_batch_outcomes(self.database, tasks)
+        ):
             self._observe(outcome, remaining=len(tasks) - position - 1)
             outcomes.append(outcome)
         return outcomes
@@ -170,15 +160,10 @@ class ParallelAnalysisEngine:
             initargs=(str(self.database.path),),
         )
         # Deal the chunk sequence round-robin into one batch per worker;
-        # each worker runs its batch's loads and computes itself, overlapped
-        # when prefetching. Outcomes keep their global index, so the
-        # deterministic merge is indifferent to the dealing.
-        batches = [
-            ChunkBatch(
-                tasks=tuple(tasks[offset::workers]), prefetch=self.prefetch
-            )
-            for offset in range(workers)
-        ]
+        # each worker loads and computes its batch itself. Outcomes keep
+        # their global index, so the deterministic merge is indifferent to
+        # the dealing.
+        batches = [tuple(tasks[offset::workers]) for offset in range(workers)]
         try:
             for batch_outcomes in pool.imap_unordered(
                 run_chunk_batch, batches
@@ -218,7 +203,6 @@ class ParallelAnalysisEngine:
         return [
             ChunkTask(
                 index=first_index + offset,
-                archive_path=str(self.database.path),
                 spec=self.spec,
                 chunk=chunk,
                 engine=self.engine,

@@ -4,13 +4,11 @@ Every chunk's work is split at the I/O boundary into a *load* stage
 (:func:`load_task`, all SQLite round-trips) and a *compute* stage
 (:func:`compute_task`, pure in-memory detection); the task's ``engine``
 picks the object or the columnar implementation of each. Every caller runs
-chunks through those two functions. :func:`iter_batch_outcomes` threads a
-bounded prefetcher between them so chunk N+1's loads overlap chunk N's
-compute (with ``prefetch=0`` the stages simply alternate). The ``jobs=1``
-engine calls it directly on its own connection; under ``--jobs`` each pool
-worker runs :func:`run_chunk_batch` once, over its round-robin
-:class:`~repro.parallel.chunks.ChunkBatch`, on the read-only connection its
-pool initializer opened.
+chunks through :func:`iter_batch_outcomes`, which loads and then computes
+each chunk in turn on one connection, on the calling thread. The
+``jobs=1`` engine calls it on its own connection; under ``--jobs`` each
+pool worker runs :func:`run_chunk_batch` once, over its round-robin share
+of the tasks, on the read-only connection its pool initializer opened.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 from repro.archive.database import ArchiveDatabase
 from repro.archive.query import ArchiveQuery
@@ -27,9 +25,9 @@ from repro.core.detector import DetectionStats
 from repro.core.quantify import LossQuantifier, QuantifiedSandwich
 from repro.dex.oracle import PriceOracle
 from repro.explorer.models import BundleRecord
-from repro.parallel.chunks import ChunkBatch, ChunkTask
+from repro.parallel.chunks import ChunkTask
 
-#: The worker process's lazily-opened read-only archive handle.
+#: The pool worker's read-only archive handle, opened by :func:`init_worker`.
 _WORKER_DB: ArchiveDatabase | None = None
 
 
@@ -71,37 +69,18 @@ def init_worker(archive_path: str) -> None:
     _WORKER_DB = ArchiveDatabase(archive_path, read_only=True)
 
 
-def _worker_db(archive_path: str) -> ArchiveDatabase:
-    """This worker's connection, opened on first use if the initializer
-    did not run (in-process fallbacks in tests)."""
-    global _WORKER_DB
-    if _WORKER_DB is None:  # pragma: no cover - initializer normally ran
-        _WORKER_DB = ArchiveDatabase(archive_path, read_only=True)
-    return _WORKER_DB
-
-
-def run_chunk_batch(batch: ChunkBatch) -> list[ChunkOutcome]:
-    """Pool entry point: run one worker's task group through the pipeline.
-
-    Each worker receives a round-robin slice of the chunk sequence as a
-    :class:`~repro.parallel.chunks.ChunkBatch` and overlaps its own loads
-    with its own compute via :func:`iter_batch_outcomes` — prefetching
-    composes with process parallelism instead of competing with it. With
-    ``prefetch=0`` the worker's loads and computes simply alternate.
-    """
-    database = _worker_db(batch.archive_path)
-    return list(
-        iter_batch_outcomes(database, batch.tasks, prefetch=batch.prefetch)
-    )
+def run_chunk_batch(tasks: tuple[ChunkTask, ...]) -> list[ChunkOutcome]:
+    """Pool entry point: run one worker's round-robin share of the tasks
+    on the connection :func:`init_worker` opened."""
+    return list(iter_batch_outcomes(_WORKER_DB, tasks))
 
 
 def load_task(database: ArchiveDatabase, task: ChunkTask):
     """Run one task's *load* stage (every SQLite round-trip it needs).
 
     The returned payload is engine-specific but always self-contained:
-    :func:`compute_task` never touches the database, which is what lets a
-    prefetch thread run this stage on its own read-only connection while
-    the analyzing thread computes the previous chunk.
+    :func:`compute_task` never touches the database, so the stage profile
+    can time the two stages apart.
     """
     if task.engine == "columnar":
         from repro.columnar.engine import load_chunk_columnar
@@ -125,37 +104,20 @@ def compute_task(task: ChunkTask, payload, intern=None) -> ChunkOutcome:
 
 
 def iter_batch_outcomes(
-    database: ArchiveDatabase,
-    tasks: Iterable[ChunkTask],
-    prefetch: int,
+    database: ArchiveDatabase, tasks: Sequence[ChunkTask]
 ) -> Iterator[ChunkOutcome]:
-    """Yield outcomes for ``tasks`` in order, loads overlapped with compute.
+    """Load then compute each of ``tasks`` on ``database``, in order.
 
-    With ``prefetch > 0`` a bounded background reader (its own read-only
-    connection) keeps up to ``prefetch`` loaded payloads in flight while
-    this thread computes; with ``prefetch <= 0`` the stages simply
-    alternate on ``database``. Either way the outcomes are the same
-    objects in the same order — the pipeline only changes *when* loads
-    happen, never what they return.
+    Columnar tasks share one :class:`~repro.columnar.blocks.InternPool`
+    across the batch.
     """
-    tasks = list(tasks)
     intern = None
     if any(task.engine == "columnar" for task in tasks):
         from repro.columnar.blocks import InternPool
 
         intern = InternPool()
-    if prefetch <= 0 or len(tasks) <= 1:
-        for task in tasks:
-            yield compute_task(task, load_task(database, task), intern=intern)
-        return
-    from repro.pipeline.prefetch import ChunkPrefetcher
-
-    prefetcher = ChunkPrefetcher(
-        tasks[0].archive_path, tasks, depth=prefetch, load=load_task
-    )
-    with prefetcher:
-        for task, payload in prefetcher:
-            yield compute_task(task, payload, intern=intern)
+    for task in tasks:
+        yield compute_task(task, load_task(database, task), intern=intern)
 
 
 def _load_mini_store(database: ArchiveDatabase, task: ChunkTask) -> BundleStore:

@@ -1,13 +1,14 @@
 """Watermark-keyed response cache.
 
-The archive is append-only, so the serving tier's cache-invalidation
-contract is one rule: *a cached response is valid exactly as long as the
-archive watermark it was built under*. Every request recomputes the
-watermark (four indexed scalar reads — microseconds); when the token
-differs from the cache's generation, the whole cache is dropped at once.
-There is no TTL and no per-entry invalidation to get wrong: an
-incremental-analysis pass that appends detections moves the watermark, and
-the very next request sees fresh data.
+The serving tier's cache-invalidation contract is one rule: *a cached
+response is valid exactly as long as the archive watermark it was built
+under*. Every request recomputes the watermark (five indexed scalar reads
+— microseconds); when the token differs from the cache's generation, the
+whole cache is dropped at once. There is no TTL and no per-entry
+invalidation to get wrong: an incremental-analysis pass that appends
+detections moves the watermark, a full pass that replaces the stored
+analysis advances its generation, and the very next request sees fresh
+data.
 
 Entries carry the canonical body bytes plus the strong ETag computed over
 them, so a hit serves exactly the bytes the ETag validates.

@@ -5,7 +5,8 @@ import sqlite3
 import pytest
 
 from repro.archive.database import ArchiveDatabase, is_archive_path
-from repro.archive.schema import SCHEMA_VERSION
+from repro.archive.query import ArchiveQuery
+from repro.archive.schema import MIGRATIONS, SCHEMA_VERSION
 from repro.archive.store import ArchiveBundleStore, FlushPolicy
 from repro.errors import StoreError
 from tests.archive.conftest import make_bundle, make_detail
@@ -37,6 +38,25 @@ class TestMigration:
         conn.close()
         with pytest.raises(StoreError, match="newer"):
             ArchiveDatabase(path)
+
+    def test_v1_archive_migrates_to_generation_zero(self, tmp_path):
+        path = tmp_path / "v1.db"
+        conn = sqlite3.connect(str(path))
+        conn.executescript(MIGRATIONS[0])
+        conn.execute("PRAGMA user_version=1")
+        conn.commit()
+        conn.close()
+        # A read-only open cannot migrate, so it refuses the old file.
+        with pytest.raises(StoreError, match="open it writable"):
+            ArchiveDatabase(path, read_only=True)
+        with ArchiveDatabase(path) as db:
+            assert db.schema_version == SCHEMA_VERSION
+            assert ArchiveQuery(db).watermark().analysis_generation == 0
+        with ArchiveDatabase(path) as db:  # the migration ran once
+            rows = db.connection.execute(
+                "SELECT COUNT(*) FROM analysis_generation"
+            ).fetchone()[0]
+            assert rows == 1
 
     def test_unopenable_path_raises_store_error(self, tmp_path):
         target = tmp_path / "dir.db"

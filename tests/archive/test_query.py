@@ -265,14 +265,16 @@ class TestServingQueries:
         assert mark.bundle_seq == 10
         assert mark.sandwich_seq == 3
         assert mark.defensive_rows == 2
+        assert mark.analysis_generation == 0
         assert mark.token == (
             f"b{mark.bundle_seq}.t{mark.transaction_seq}."
-            f"s{mark.sandwich_seq}.d{mark.defensive_rows}"
+            f"s{mark.sandwich_seq}.d{mark.defensive_rows}."
+            f"g{mark.analysis_generation}"
         )
 
     def test_watermark_of_empty_archive_is_zeros(self, db):
         mark = ArchiveQuery(db).watermark()
-        assert mark.token == "b0.t0.s0.d0"
+        assert mark.token == "b0.t0.s0.d0.g0"
 
     def test_defensive_records_join_in_seq_order(self, populated):
         records = populated.defensive_records()

@@ -128,6 +128,39 @@ class TestAnalysisOutputs:
         assert count(db, "sandwiches") == 1
         assert count(db, "defensive") == 1
 
+    def test_record_analysis_advances_generation_once_per_replace(self, db):
+        store = ArchiveBundleStore(db)
+
+        def generation():
+            return db.connection.execute(
+                "SELECT generation FROM analysis_generation"
+            ).fetchone()[0]
+
+        class Report:
+            quantified = []
+            defensive = DefensiveReport(
+                threshold_lamports=100_000, defensive=[make_bundle(9)]
+            )
+
+        class Broken:
+            quantified = []
+
+            @property
+            def defensive(self):
+                raise RuntimeError("classification failed")
+
+        assert generation() == 0
+        store.record_analysis(Report())
+        store.record_analysis(Report())
+        assert generation() == 2
+        # The failed replace rolls its generation step back too.
+        with pytest.raises(RuntimeError):
+            store.record_analysis(Broken())
+        assert generation() == 2
+        # Appends are not replaces: the seq and row-count fields cover them.
+        store.record_defensive(Report.defensive)
+        assert generation() == 2
+
     def test_record_analysis_replaces_rows_and_drops_watermark(self, db):
         store = ArchiveBundleStore(db)
 

@@ -173,7 +173,6 @@ def both_outcomes(
         chunk = chunks[0]
     fields = dict(
         index=0,
-        archive_path=str(path),
         spec=spec,
         chunk=chunk,
         bundle_ids=bundle_ids,

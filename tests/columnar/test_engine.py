@@ -131,7 +131,6 @@ def test_unknown_engine_names_are_rejected(tmp_path):
         IncrementalAnalyzer(database, engine="simd")
     task = ChunkTask(
         index=0,
-        archive_path="x.db",
         spec=DetectorSpec(),
         bundle_ids=("b",),
         engine="simd",

@@ -1,6 +1,6 @@
 """Stage-level profiling: taxonomy, accumulation, rendering, CLI surface.
 
-Pins the stage taxonomy (:data:`~repro.pipeline.profile.STAGES`), the
+Pins the stage taxonomy (:data:`~repro.obs.profile.STAGES`), the
 :class:`StageProfile` arithmetic the ``--profile`` table and
 BENCH_PERF.json records are built from, the ``analyze_stage_seconds``
 histogram wiring, and the engine-level invariants: every run profiles
@@ -14,14 +14,14 @@ import pytest
 
 from repro.obs.registry import MetricsRegistry
 from repro.parallel import ParallelAnalysisEngine
-from repro.pipeline import STAGES, StageProfile, StageTimer
+from repro.obs.profile import STAGES, StageProfile, StageTimer
 from tests.parallel.test_engine import DESCRIPTORS
 from tests.parallel.helpers import build_archive
 
 
 @pytest.fixture(scope="module")
 def archive(tmp_path_factory):
-    path = tmp_path_factory.mktemp("pipeline-profile") / "archive.db"
+    path = tmp_path_factory.mktemp("stage-profile") / "archive.db"
     build_archive(path, DESCRIPTORS)
     return path
 
@@ -181,19 +181,3 @@ class TestProfileCli:
         assert re.search(r"^\s*load\s", out, re.MULTILINE)
         assert not re.search(r"^\s*delta\s", out, re.MULTILINE)
         assert re.search(r"^\s*rebuild\s", out, re.MULTILINE)
-
-    def test_negative_prefetch_rejected(self, archive, capsys):
-        from repro.cli import main
-
-        assert (
-            main(
-                [
-                    "analyze",
-                    "--store",
-                    str(archive),
-                    "--prefetch",
-                    "-1",
-                ]
-            )
-            != 0
-        )

@@ -139,16 +139,10 @@ class TestChunkTask:
         spec = DetectorSpec()
         chunk = plan_chunks(ArchiveQuery(archive), chunk_size=100)[0]
         with pytest.raises(ConfigError):
-            ChunkTask(index=0, archive_path="a", spec=spec).validate()
+            ChunkTask(index=0, spec=spec).validate()
         with pytest.raises(ConfigError):
             ChunkTask(
-                index=0,
-                archive_path="a",
-                spec=spec,
-                chunk=chunk,
-                bundle_ids=("b1",),
+                index=0, spec=spec, chunk=chunk, bundle_ids=("b1",)
             ).validate()
-        ChunkTask(index=0, archive_path="a", spec=spec, chunk=chunk).validate()
-        ChunkTask(
-            index=0, archive_path="a", spec=spec, bundle_ids=("b1",)
-        ).validate()
+        ChunkTask(index=0, spec=spec, chunk=chunk).validate()
+        ChunkTask(index=0, spec=spec, bundle_ids=("b1",)).validate()

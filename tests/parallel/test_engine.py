@@ -61,6 +61,18 @@ class TestFullAnalysisParity:
             assert report_bytes(parallel) == report_bytes(serial)
             engine.database.close()
 
+    def test_columnar_pool_batches_match_serial_pipeline(self, archive):
+        # chunk_size 5 over ~42 bundles gives more tasks than workers, so
+        # each pool worker runs a round-robin batch of several tasks.
+        serial = serial_report(archive)
+        engine = ParallelAnalysisEngine(
+            archive, jobs=2, chunk_size=5, engine="columnar"
+        )
+        assert report_bytes(engine.analyze(persist=False)) == report_bytes(
+            serial
+        )
+        engine.database.close()
+
     def test_windowed_spec_matches_windowed_pipeline(self, archive):
         serial = serial_report(archive, detector=WindowedSandwichDetector())
         engine = ParallelAnalysisEngine(
@@ -174,6 +186,86 @@ class TestIncrementalParity:
         _, second = self._two_phase(tmp_path, jobs=3)
         # The two undetailed bundles stay pending through both passes.
         assert second.pending_detail_bundles == 2
+
+
+class TestKillResumeIdentity:
+    def _resume(self, path, rows, kill_at, jobs):
+        """Write rows up to ``kill_at``, analyze, append the rest, resume."""
+        write_rows(path, rows[:kill_at])
+        analyzer = IncrementalAnalyzer(
+            ArchiveDatabase(path), jobs=jobs, chunk_size=4
+        )
+        passes = [analyzer.analyze()]
+        write_rows(path, rows[kill_at:])
+        passes.append(analyzer.analyze())
+        state = analyzer.load_state()
+        analyzer.database.close()
+        return passes, state
+
+    def test_pooled_resume_matches_in_process_resume(self, tmp_path):
+        """Stop mid-archive and resume from the watermark at ``jobs=2``:
+        both passes and the stored state must be byte-identical to the
+        same kill/resume run in-process."""
+        rows = descriptor_rows(DESCRIPTORS)
+        kill_at = len(rows) // 2
+        plain_passes, plain_state = self._resume(
+            tmp_path / "plain.db", rows, kill_at, jobs=1
+        )
+        pooled_passes, pooled_state = self._resume(
+            tmp_path / "pooled.db", rows, kill_at, jobs=2
+        )
+        assert pooled_state == plain_state
+        for plain, pooled in zip(plain_passes, pooled_passes):
+            assert report_bytes(pooled.report) == report_bytes(plain.report)
+            assert pooled.pending_detail_bundles == (
+                plain.pending_detail_bundles
+            )
+
+
+def _analysis_dump(path):
+    """Every stored analysis row, sorted: what a failed pass must keep."""
+    database = ArchiveDatabase(path)
+    dump = {
+        table: sorted(
+            tuple(row)
+            for row in database.connection.execute(f"SELECT * FROM {table}")
+        )
+        for table in ("sandwiches", "defensive", "analysis_state")
+    }
+    database.close()
+    return dump
+
+
+class TestFailedLoad:
+    def test_failed_chunk_load_leaves_stored_analysis_untouched(
+        self, tmp_path, monkeypatch
+    ):
+        rows = descriptor_rows(DESCRIPTORS)
+        kill_at = len(rows) // 2
+        path = tmp_path / "archive.db"
+        write_rows(path, rows[:kill_at])
+        analyzer = IncrementalAnalyzer(ArchiveDatabase(path), chunk_size=4)
+        analyzer.analyze()
+        before = _analysis_dump(path)
+        assert before["sandwiches"] and before["analysis_state"]
+
+        def exploding_load(database, task):
+            raise RuntimeError("chunk load failed")
+
+        monkeypatch.setattr(
+            "repro.parallel.worker.load_task", exploding_load
+        )
+        engine = ParallelAnalysisEngine(path, jobs=1, chunk_size=4)
+        with pytest.raises(RuntimeError, match="chunk load failed"):
+            engine.analyze(persist=True)
+        engine.database.close()
+        assert _analysis_dump(path) == before
+
+        write_rows(path, rows[kill_at:])
+        with pytest.raises(RuntimeError, match="chunk load failed"):
+            analyzer.analyze()
+        analyzer.database.close()
+        assert _analysis_dump(path) == before
 
 
 class TestByteIdenticalAcrossDatabases:

@@ -20,6 +20,8 @@ from repro.conformance.scenarios import (
     generate_rows,
     write_archive,
 )
+from repro.errors import ConfigError
+from repro.parallel import DetectorSpec, ParallelAnalysisEngine
 from repro.serve import ApiConfig, ArchiveApiApp, ThreadedApiServer
 from tests.serve.conftest import http_json, http_request
 
@@ -262,3 +264,64 @@ class TestCacheInvalidation:
                 headers2["x-archive-watermark"]
                 != headers1["x-archive-watermark"]
             )
+
+    def test_full_reanalysis_at_another_threshold_invalidates(self, tmp_path):
+        """A full pass that only reclassifies bundles must move the ETag.
+
+        ``quiet-defensive`` has no sandwiches, so re-analysis at another
+        threshold only moves length-one bundles between the defensive and
+        priority classes: no ``seq`` advances and no row count changes.
+        The analysis generation that every replace advances must still
+        invalidate the cached ``/v1/financials``.
+        """
+        scenario = next(
+            s for s in CORPUS_SCENARIOS if s.name == "quiet-defensive"
+        )
+        db_path = write_archive(generate_rows(scenario), tmp_path / "a.db")
+
+        def analyzer(threshold):
+            return IncrementalAnalyzer(
+                ArchiveDatabase(db_path),
+                spec=DetectorSpec(threshold_lamports=threshold),
+            )
+
+        def full_pass(threshold):
+            engine = ParallelAnalysisEngine(
+                ArchiveDatabase(db_path),
+                jobs=1,
+                spec=DetectorSpec(threshold_lamports=threshold),
+            )
+            engine.analyze()
+            engine.database.close()
+
+        def financials(port, etag=None):
+            headers = {"If-None-Match": etag} if etag else None
+            return http_request(port, "/v1/financials", headers=headers)
+
+        first = analyzer(100_000)
+        first.analyze()  # stamps the watermark row for the no-op below
+        app = ArchiveApiApp(ApiConfig(db_path=db_path))
+        with ThreadedApiServer(app) as srv:
+            status, headers, body = financials(srv.port)
+            assert status == 200
+            assert json.loads(body)["financials"]["defensiveBundles"] == 122
+            etag = headers["etag"]
+
+            # An incremental no-op writes nothing: the token stays.
+            assert first.analyze().no_op
+            first.database.close()
+            assert financials(srv.port, etag)[0] == 304
+            # A refused incremental pass at another threshold writes
+            # nothing either.
+            refused = analyzer(5_000)
+            with pytest.raises(ConfigError):
+                refused.analyze()
+            refused.database.close()
+            assert financials(srv.port, etag)[0] == 304
+
+            # A full pass at 5,000 lamports through its own connection.
+            full_pass(5_000)
+            status, headers, body = financials(srv.port, etag)
+            assert status == 200
+            assert headers["etag"] != etag
+            assert json.loads(body)["financials"]["defensiveBundles"] == 6
