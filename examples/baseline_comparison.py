@@ -73,7 +73,7 @@ def main() -> None:
         )
     print(
         "  - classify defensive bundling "
-        f"({len(report.defensive.defensive)} protective bundles found)"
+        f"({len(report.defensive.defensive_ids)} protective bundles found)"
     )
     print("  - confirm atomic execution (bundles are invisible on-ledger)")
     print()

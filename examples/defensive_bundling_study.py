@@ -30,7 +30,7 @@ def main() -> None:
     print()
     print("defensive bundling:")
     print(
-        f"  {len(defensive.defensive)} protective bundles "
+        f"  {len(defensive.defensive_ids)} protective bundles "
         f"({defensive.defensive_fraction:.0%} of all length-1 bundles)"
     )
     print(

@@ -77,7 +77,7 @@ def main() -> None:
         print()
         print(f"bundles collected:    {len(store)}")
         print(f"sandwiches detected:  {report.sandwich_count}")
-        print(f"defensive bundles:    {len(report.defensive.defensive)}")
+        print(f"defensive bundles:    {len(report.defensive.defensive_ids)}")
         print(f"victim losses (USD):  {report.headline.victim_loss_usd:,.2f}")
 
 

@@ -12,7 +12,11 @@ import sqlite3
 from pathlib import Path
 from typing import Sequence
 
-from repro.archive.schema import MIGRATIONS, SCHEMA_VERSION
+from repro.archive.schema import (
+    MIGRATION_BLOCKERS,
+    MIGRATIONS,
+    SCHEMA_VERSION,
+)
 from repro.errors import StoreError
 
 #: Conventional archive filename inside a campaign output directory.
@@ -115,6 +119,12 @@ class ArchiveDatabase:
         return cursor.execute(sql, params)
 
     def _migrate(self) -> None:
+        """Upgrade the file one version at a time.
+
+        Each step and its ``user_version`` bump commit together: a step
+        that fails part-way, or that finds rows blocking it, leaves the
+        file at the version it had before that step.
+        """
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
         if version > SCHEMA_VERSION:
             raise StoreError(
@@ -122,10 +132,25 @@ class ArchiveDatabase:
                 f"this build's v{SCHEMA_VERSION}"
             )
         while version < SCHEMA_VERSION:
-            self._conn.executescript(MIGRATIONS[version])
+            blocker = MIGRATION_BLOCKERS.get(version)
+            if blocker is not None:
+                sql, what = blocker
+                count = self._conn.execute(sql).fetchone()[0]
+                if count:
+                    raise StoreError(
+                        f"archive {self._path} stays at schema v{version}: "
+                        f"{what}: {count}"
+                    )
+            try:
+                self._conn.executescript(
+                    f"BEGIN;\n{MIGRATIONS[version]}\n"
+                    f"PRAGMA user_version={version + 1};\nCOMMIT;"
+                )
+            except sqlite3.Error:
+                if self._conn.in_transaction:
+                    self._conn.rollback()
+                raise
             version += 1
-            self._conn.execute(f"PRAGMA user_version={version}")
-        self._conn.commit()
 
     @property
     def schema_version(self) -> int:

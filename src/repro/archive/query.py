@@ -135,7 +135,7 @@ class ArchiveWatermark:
     """The archive's read-side version: how much data any reader can see.
 
     A watermark is the tuple of high-water ``seq`` values of the appended
-    tables, the defensive row count (that table has no sequence), and the
+    tables, the classified (defensive plus priority) row count, and the
     analysis generation, which every whole-archive replacement of the
     stored analysis advances. Two reads of an archive return identical
     results iff their watermarks are equal, which is what the serving
@@ -754,36 +754,33 @@ class ArchiveQuery:
             for row in rows
         ]
 
-    def defensive_records(self) -> list[tuple[str, BundleRecord]]:
-        """Every classified bundle with its label, in collection order.
-
-        The join restores the full bundle record, so rebuilding a
-        :class:`~repro.core.defensive.DefensiveReport` from archive rows
-        (incremental analysis, the serving tier's financial aggregates)
-        sees exactly what the in-memory classifier appended.
-        """
-        rows = self._timed(
-            "defensive_records",
-            f"SELECT d.classification, {_B_BUNDLES} FROM defensive d "
-            "JOIN bundles b ON b.bundle_id = d.bundle_id ORDER BY b.seq",
-            [],
-            tuples=True,
-        )
-        return [(row[0], bundle_from_columns(*row[1:])) for row in rows]
-
     def defensive_report(self, threshold_lamports: int) -> DefensiveReport:
         """The campaign-wide defensive report, rebuilt from archive rows.
 
-        Bundles land in each bucket in ``seq`` (collection) order, the
-        order the in-memory classifier appended them in.
+        One scan of ``defensive`` in ``bundle_seq`` (collection) order, the
+        order the in-memory classifier appended ids in; each row already
+        carries its bundle's date and tip, so no ``bundles`` row is read.
         """
+        rows = self._timed(
+            "defensive_report",
+            "SELECT classification, bundle_id, tip_lamports, landed_date "
+            "FROM defensive ORDER BY bundle_seq",
+            [],
+            tuples=True,
+        )
         report = DefensiveReport(threshold_lamports=threshold_lamports)
-        defensive, priority = report.defensive, report.priority
-        for classification, bundle in self.defensive_records():
+        defensive, priority = report.defensive_ids, report.priority_ids
+        tips = 0
+        by_day: dict[str, int] = {}
+        for classification, bundle_id, tip, date in rows:
             if classification == "defensive":
-                defensive.append(bundle)
+                defensive.append(bundle_id)
+                tips += tip
+                by_day[date] = by_day.get(date, 0) + 1
             else:
-                priority.append(bundle)
+                priority.append(bundle_id)
+        report.defensive_tips_lamports = tips
+        report.defensive_by_day = dict(sorted(by_day.items()))
         return report
 
     def pending_detail_count(self, min_length: int = 3) -> int:

@@ -27,7 +27,7 @@ from repro.explorer.models import BundleRecord, TransactionRecord
 from repro.utils.simtime import unix_to_date
 
 #: Current schema version (``PRAGMA user_version`` of an up-to-date file).
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _V1_DDL = """
 CREATE TABLE IF NOT EXISTS bundles (
@@ -127,8 +127,43 @@ INSERT INTO analysis_generation (generation)
     SELECT 0 WHERE NOT EXISTS (SELECT 1 FROM analysis_generation);
 """
 
+#: v3: ``defensive`` keyed by its bundle's ``seq`` (copied, with the
+#: date and tip, from the ``bundles`` row), so the report rebuild reads
+#: one table in collection order with no join.
+_V3_DDL = """
+CREATE TABLE defensive_v3 (
+    bundle_seq INTEGER PRIMARY KEY,
+    bundle_id TEXT NOT NULL,
+    landed_date TEXT NOT NULL,
+    tip_lamports INTEGER NOT NULL,
+    classification TEXT NOT NULL CHECK (
+        classification IN ('defensive', 'priority')
+    )
+);
+INSERT INTO defensive_v3
+    (bundle_seq, bundle_id, landed_date, tip_lamports, classification)
+    SELECT b.seq, d.bundle_id, b.landed_date, b.tip_lamports,
+        d.classification
+    FROM defensive d JOIN bundles b ON b.bundle_id = d.bundle_id;
+DROP TABLE defensive;
+ALTER TABLE defensive_v3 RENAME TO defensive;
+CREATE INDEX idx_defensive_class ON defensive(classification, landed_date);
+"""
+
 #: Ordered migration steps: ``MIGRATIONS[v]`` upgrades version v to v+1.
-MIGRATIONS: tuple[str, ...] = (_V1_DDL, _V2_DDL)
+MIGRATIONS: tuple[str, ...] = (_V1_DDL, _V2_DDL, _V3_DDL)
+
+#: Rows that would block ``MIGRATIONS[v]``: a query counting them and what
+#: they are. v3 keys every defensive row by its bundle's ``seq``, so a row
+#: naming no archived bundle has no key; the step refuses instead of
+#: dropping it.
+MIGRATION_BLOCKERS: dict[int, tuple[str, str]] = {
+    2: (
+        "SELECT COUNT(*) FROM defensive "
+        "WHERE bundle_id NOT IN (SELECT bundle_id FROM bundles)",
+        "defensive rows with no bundles row",
+    ),
+}
 
 
 # --- positional decoding ------------------------------------------------------

@@ -24,10 +24,9 @@ from repro.archive.schema import (
 from repro.collector.store import BundleStore
 from repro.core.defensive import DefensiveReport
 from repro.core.quantify import QuantifiedSandwich
-from repro.errors import ConfigError
+from repro.errors import ConfigError, StoreError
 from repro.explorer.models import BundleRecord, TransactionRecord
 from repro.obs.registry import MetricsRegistry
-from repro.utils.simtime import unix_to_date
 
 _INSERT_BUNDLE = (
     "INSERT OR IGNORE INTO bundles "
@@ -50,9 +49,12 @@ _INSERT_SANDWICH = (
     "attacker_gain_quote, victim_loss_usd, attacker_gain_usd, legs) "
     "VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?)"
 )
+#: One classified id's row, its key, date and tip copied from ``bundles``.
 _INSERT_DEFENSIVE = (
     "INSERT OR REPLACE INTO defensive "
-    "(bundle_id, landed_date, tip_lamports, classification) VALUES (?,?,?,?)"
+    "(bundle_seq, bundle_id, landed_date, tip_lamports, classification) "
+    "SELECT seq, bundle_id, landed_date, tip_lamports, ? FROM bundles "
+    "WHERE bundle_id = ?"
 )
 
 
@@ -208,11 +210,20 @@ class ArchiveBundleStore(BundleStore):
         """Insert ``rows``; commit unless a caller's transaction is open.
 
         :meth:`record_analysis` opens one with its deletes and commits the
-        inserts with them; a standalone call commits its own rows.
+        inserts with them; a standalone call commits its own rows. Raises
+        :class:`StoreError`, with nothing of a standalone call kept, when
+        an ``INSERT … SELECT`` finds no source row for some of ``rows``.
         """
         conn = self.database.connection
         nested = conn.in_transaction
-        conn.executemany(sql, rows)
+        written = conn.executemany(sql, rows).rowcount
+        if written != len(rows):
+            if not nested:
+                conn.rollback()
+            raise StoreError(
+                f"{len(rows) - written} of {len(rows)} {table} rows name "
+                "no archived bundle"
+            )
         if not nested:
             conn.commit()
         self._rows_metric.inc(len(rows), table=table)
@@ -227,35 +238,34 @@ class ArchiveBundleStore(BundleStore):
         )
 
     def record_defensive(self, report: DefensiveReport) -> int:
-        """Persist defensive/priority classification rows."""
-        rows = [
-            (
-                record.bundle_id,
-                unix_to_date(record.landed_at),
-                record.tip_lamports,
-                classification,
-            )
-            for classification, records in (
-                ("defensive", report.defensive),
-                ("priority", report.priority),
-            )
-            for record in records
-        ]
+        """Persist defensive/priority classification rows; returns the count.
+
+        Each row copies its key (``bundle_seq``), date and tip from the
+        id's ``bundles`` row. Raises :class:`StoreError` when an id has no
+        such row (still in a write buffer, or never collected).
+        """
+        rows = [("defensive", bundle_id) for bundle_id in report.defensive_ids]
+        rows.extend(
+            ("priority", bundle_id) for bundle_id in report.priority_ids
+        )
         return self._write_rows(_INSERT_DEFENSIVE, rows, "defensive")
 
     def record_analysis(self, report) -> None:
         """Replace the archive's analysis with one whole-archive pass's.
 
-        Deletes every sandwich and defensive row and the incremental
-        watermark, then inserts ``report``'s detections and
-        classifications, in one transaction: rows judged under another
-        detector spec never mix with these, and the next incremental pass
-        starts over from ``seq`` 0. The same transaction advances the
-        analysis generation, which the serving watermark reads: a pass
-        that only reclassifies bundles moves no ``seq`` and no row count.
-        The analysis pipeline calls this by duck type on any store that
-        offers it, keeping :mod:`repro.core` free of archive imports.
+        Flushes the write buffer first, so every bundle the analysis names
+        is committed before its analysis rows. Then deletes every sandwich
+        and defensive row and the incremental watermark, and inserts
+        ``report``'s detections and classifications, in one transaction:
+        rows judged under another detector spec never mix with these, and
+        the next incremental pass starts over from ``seq`` 0. The same
+        transaction advances the analysis generation, which the serving
+        watermark reads: a pass that only reclassifies bundles moves no
+        ``seq`` and no row count. The analysis pipeline calls this by duck
+        type on any store that offers it, keeping :mod:`repro.core` free
+        of archive imports.
         """
+        self.flush(trigger="analysis")
         conn = self.database.connection
         with conn:  # commits on success, rolls every statement back on error
             for table in ("sandwiches", "defensive", "analysis_state"):
@@ -315,13 +325,18 @@ class ArchiveBundleStore(BundleStore):
         Used on resume: a killed campaign keeps writing between its last
         checkpoint and the crash, and those post-checkpoint rows must be
         rolled back before replaying so the resumed run re-collects them
-        on the same schedule as an uninterrupted one. Returns rows deleted.
+        on the same schedule as an uninterrupted one. The deleted bundles'
+        classification rows go with them: a re-collected bundle gets a
+        new ``seq``, and its old row would be counted beside the new one.
+        Returns rows deleted.
         """
         conn = self.database.connection
+        deleted = conn.execute(
+            "DELETE FROM defensive WHERE bundle_seq > ?", (bundle_seq,)
+        ).rowcount
         stale_bundles = conn.execute(
             "SELECT bundle_id FROM bundles WHERE seq > ?", (bundle_seq,)
         ).fetchall()
-        deleted = 0
         for row in stale_bundles:
             cursor = conn.execute(
                 "DELETE FROM bundle_transactions WHERE bundle_id = ?",

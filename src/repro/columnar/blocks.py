@@ -3,10 +3,10 @@
 A :class:`BundleBlock` holds one chunk's bundle scalars as parallel Python
 lists (SQLite already returns typed Python values; keeping them avoids a
 numpy round-trip for fields that end up in output records). Member
-transaction ids stay as raw JSON text and are parsed lazily by the archive
-codec's :func:`~repro.archive.schema.parse_transaction_ids` — most bundles
-in a mixed archive are length-one singles whose single id has a fast
-string-slice parse.
+transaction ids stay as raw JSON text, parsed lazily by the archive
+codec's :func:`~repro.archive.schema.parse_transaction_ids`; classifying
+the length-one singles, most of a mixed archive, builds no record from
+them.
 
 Per-transaction features (:class:`TxFeatures`) are extracted from each
 candidate member's raw ``events`` and ``token_deltas`` text: swap legs,
@@ -24,8 +24,10 @@ from typing import Sequence
 
 from repro.archive.query import ArchiveQuery
 from repro.archive.schema import new_bundle, parse_transaction_ids
+from repro.core.defensive import DefensiveReport
 from repro.explorer.models import BundleRecord
 from repro.jito.tips import is_tip_account
+from repro.utils.simtime import count_dates
 
 try:  # numpy is optional; blocks degrade to pure-python containers
     import numpy as _np
@@ -94,11 +96,9 @@ class BundleBlock:
         """Materialize one bundle as the object path's record type.
 
         Built through the archive codec's
-        :func:`~repro.archive.schema.new_bundle`: a mixed archive is mostly
-        length-one bundles that all flow through here for classification,
-        and the frozen dataclass ``__init__`` (one guarded
-        ``object.__setattr__`` per field) was the single largest cost of
-        the columnar quantify stage.
+        :func:`~repro.archive.schema.new_bundle`, which skips the frozen
+        dataclass ``__init__`` (one guarded ``object.__setattr__`` per
+        field).
         """
         return new_bundle(
             self.bundle_ids[index],
@@ -112,34 +112,37 @@ class BundleBlock:
         """Materialize every bundle, in block order (round-trip helper)."""
         return [self.record(index) for index in range(len(self))]
 
-    def classify_singles(
-        self, threshold: int
-    ) -> tuple[list[BundleRecord], list[BundleRecord]]:
-        """Split length-one bundles into ``(defensive, priority)`` records.
+    def classify_singles(self, threshold: int) -> DefensiveReport:
+        """Classify the block's length-one bundles, in block order.
 
-        The batched form of calling :meth:`record` per single: a mixed
-        archive is mostly length-one bundles, so this loop materializes
-        tens of thousands of records per chunk, with everything it touches
-        bound to a local once. Order (block order) and record values match
-        the per-call path exactly.
+        Builds no record: ids, tip total and per-day counts come from the
+        id, tip and landing-time columns, and equal what
+        ``DefensiveBundlingClassifier.classify_records`` makes of
+        :meth:`to_records`. Each single's stored member ids are still
+        decoded and dropped, so a malformed value raises
+        :class:`~repro.errors.StoreError` here as it does in the object
+        engine's record decoder.
         """
-        defensive: list[BundleRecord] = []
-        priority: list[BundleRecord] = []
-        ids, slots, landed = self.bundle_ids, self.slots, self.landed_at
-        tips, raw, txids = self.tips, self.txids_raw, self._txids
+        report = DefensiveReport(threshold_lamports=threshold)
+        defensive, priority = report.defensive_ids, report.priority_ids
+        ids, landed, tips = self.bundle_ids, self.landed_at, self.tips
+        raw = self.txids_raw
+        tips_total = 0
+        defensive_landed: list[float] = []
         for index, length in enumerate(self.lengths):
             if length != 1:
                 continue
-            members = txids[index]
-            if members is None:
-                members = parse_transaction_ids(raw[index])
-                txids[index] = members
+            parse_transaction_ids(raw[index])
             tip = tips[index]
-            record = new_bundle(
-                ids[index], slots[index], landed[index], tip, members
-            )
-            (defensive if tip <= threshold else priority).append(record)
-        return defensive, priority
+            if tip <= threshold:
+                defensive.append(ids[index])
+                tips_total += tip
+                defensive_landed.append(landed[index])
+            else:
+                priority.append(ids[index])
+        report.defensive_tips_lamports = tips_total
+        report.defensive_by_day = count_dates(defensive_landed)
+        return report
 
     @classmethod
     def from_rows(cls, rows: Sequence) -> "BundleBlock":

@@ -47,7 +47,7 @@ from repro.core.detector import DetectionStats
 from repro.dex.oracle import PriceOracle
 from repro.errors import ConfigError
 from repro.parallel.chunks import ChunkTask, DetectorSpec
-from repro.parallel.worker import ChunkOutcome
+from repro.parallel.worker import ChunkOutcome, classification_fields
 
 
 def require_columnar_spec(spec: DetectorSpec) -> None:
@@ -169,7 +169,7 @@ def compute_chunk_columnar(
         candidates, event_order, usd_per_sol=oracle.usd_per_sol
     )
 
-    defensive, priority = block.classify_singles(spec.threshold_lamports)
+    classification = block.classify_singles(spec.threshold_lamports)
     quantify_seconds = time.perf_counter() - quantify_started
 
     stats = DetectionStats(
@@ -182,8 +182,6 @@ def compute_chunk_columnar(
         index=task.index,
         bundle_count=len(block),
         quantified=tuple(quantified),
-        defensive=tuple(defensive),
-        priority=tuple(priority),
         stats=stats,
         pending_detail_ids=pending,
         elapsed_seconds=(
@@ -199,4 +197,5 @@ def compute_chunk_columnar(
             ("detect", detect_seconds),
             ("quantify", quantify_seconds),
         ),
+        **classification_fields(classification),
     )

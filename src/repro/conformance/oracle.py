@@ -238,12 +238,8 @@ def comparable_payload(report: AnalysisReport) -> dict:
         },
         "defensive": {
             "threshold_lamports": defensive.threshold_lamports,
-            "defensive_ids": [
-                record.bundle_id for record in defensive.defensive
-            ],
-            "priority_ids": [
-                record.bundle_id for record in defensive.priority
-            ],
+            "defensive_ids": list(defensive.defensive_ids),
+            "priority_ids": list(defensive.priority_ids),
             # Integer lamports: immune to summation-order effects.
             "defensive_tips_lamports": defensive.defensive_tips_lamports,
         },

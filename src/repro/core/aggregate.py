@@ -98,7 +98,7 @@ def headline_stats(
         sandwich_bundle_fraction=(
             len(quantified) / bundles_collected if bundles_collected else 0.0
         ),
-        defensive_bundles=len(defensive_report.defensive),
+        defensive_bundles=len(defensive_report.defensive_ids),
         defensive_fraction_of_length_one=defensive_report.defensive_fraction,
         defensive_spend_usd=defensive_report.defensive_spend_usd(oracle),
         average_defensive_tip_usd=defensive_report.average_defensive_tip_usd(

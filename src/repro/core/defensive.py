@@ -9,38 +9,45 @@ as MEV protection. Everything above the threshold is priority-seeking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.constants import DEFENSIVE_TIP_THRESHOLD_LAMPORTS, LAMPORTS_PER_SOL
 from repro.collector.store import BundleStore
 from repro.dex.oracle import PriceOracle
 from repro.errors import ConfigError
 from repro.explorer.models import BundleRecord
-from repro.utils.simtime import unix_to_date
+from repro.utils.simtime import count_dates
 
 
 @dataclass
 class DefensiveReport:
-    """Classification results over all collected length-one bundles."""
+    """Classification results over all collected length-one bundles.
+
+    The report keeps what its consumers read, never the bundles: the
+    classified ids in collection order (the oracle's comparable payload
+    pins both lists), the defensive tip total as an exact integer (the
+    headline's spend and average tip), and the defensive count per UTC
+    date (Figure 2).
+    """
 
     threshold_lamports: int
-    defensive: list[BundleRecord] = field(default_factory=list)
-    priority: list[BundleRecord] = field(default_factory=list)
+    defensive_ids: list[str] = field(default_factory=list)
+    priority_ids: list[str] = field(default_factory=list)
+    #: Total lamports spent on defensive tips.
+    defensive_tips_lamports: int = 0
+    #: Defensive bundles per UTC date, sorted by date.
+    defensive_by_day: dict[str, int] = field(default_factory=dict)
 
     @property
     def length_one_total(self) -> int:
         """All length-one bundles classified."""
-        return len(self.defensive) + len(self.priority)
+        return len(self.defensive_ids) + len(self.priority_ids)
 
     @property
     def defensive_fraction(self) -> float:
         """Share of length-one bundles classified defensive (paper: ~86%)."""
         total = self.length_one_total
-        return len(self.defensive) / total if total else 0.0
-
-    @property
-    def defensive_tips_lamports(self) -> int:
-        """Total lamports spent on defensive tips."""
-        return sum(record.tip_lamports for record in self.defensive)
+        return len(self.defensive_ids) / total if total else 0.0
 
     def defensive_spend_usd(self, oracle: PriceOracle) -> float:
         """Cumulative USD spent on defensive bundling (paper: ~$2.42M)."""
@@ -48,27 +55,25 @@ class DefensiveReport:
 
     def average_defensive_tip_usd(self, oracle: PriceOracle) -> float:
         """Mean defensive tip in USD (paper: ~$0.0028)."""
-        if not self.defensive:
+        if not self.defensive_ids:
             return 0.0
         return oracle.lamports_to_usd(
-            self.defensive_tips_lamports / len(self.defensive)
+            self.defensive_tips_lamports / len(self.defensive_ids)
         )
 
     def average_defensive_tip_sol(self) -> float:
         """Mean defensive tip in SOL."""
-        if not self.defensive:
+        if not self.defensive_ids:
             return 0.0
         return (
-            self.defensive_tips_lamports / len(self.defensive) / LAMPORTS_PER_SOL
+            self.defensive_tips_lamports
+            / len(self.defensive_ids)
+            / LAMPORTS_PER_SOL
         )
 
     def defensive_per_day(self) -> dict[str, int]:
         """Defensive bundle count per UTC date (the Figure 2 top series)."""
-        counts: dict[str, int] = {}
-        for record in self.defensive:
-            date = unix_to_date(record.landed_at)
-            counts[date] = counts.get(date, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(self.defensive_by_day)
 
 
 class DefensiveBundlingClassifier:
@@ -88,19 +93,28 @@ class DefensiveBundlingClassifier:
         """The defensive/priority tip boundary."""
         return self._threshold
 
-    def is_defensive(self, record: BundleRecord) -> bool:
-        """Whether one bundle matches the defensive signature."""
-        return (
-            record.num_transactions == 1
-            and record.tip_lamports <= self._threshold
-        )
+    def classify_records(
+        self, records: Iterable[BundleRecord]
+    ) -> DefensiveReport:
+        """Classify the length-one bundles among ``records``, in order."""
+        report = DefensiveReport(threshold_lamports=self._threshold)
+        defensive, priority = report.defensive_ids, report.priority_ids
+        threshold = self._threshold
+        tips = 0
+        landed: list[float] = []
+        for record in records:
+            if record.num_transactions != 1:
+                continue
+            if record.tip_lamports <= threshold:
+                defensive.append(record.bundle_id)
+                tips += record.tip_lamports
+                landed.append(record.landed_at)
+            else:
+                priority.append(record.bundle_id)
+        report.defensive_tips_lamports = tips
+        report.defensive_by_day = count_dates(landed)
+        return report
 
     def classify(self, store: BundleStore) -> DefensiveReport:
         """Classify every collected length-one bundle."""
-        report = DefensiveReport(threshold_lamports=self._threshold)
-        for record in store.bundles_of_length(1):
-            if self.is_defensive(record):
-                report.defensive.append(record)
-            else:
-                report.priority.append(record)
-        return report
+        return self.classify_records(store.bundles_of_length(1))

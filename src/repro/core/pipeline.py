@@ -89,10 +89,10 @@ class AnalysisPipeline:
             "Length-one bundles classified, defensive vs priority.",
         )
         defensive.inc(
-            len(report.defensive.defensive), classification="defensive"
+            len(report.defensive.defensive_ids), classification="defensive"
         )
         defensive.inc(
-            len(report.defensive.priority), classification="priority"
+            len(report.defensive.priority_ids), classification="priority"
         )
 
     def analyze_store(

@@ -86,14 +86,19 @@ def merge_outcomes(
         )
     quantified: list[QuantifiedSandwich] = []
     report = DefensiveReport(threshold_lamports=threshold_lamports)
+    by_day: dict[str, int] = {}
     pending: list[str] = []
     bundles = 0
     for outcome in ordered:
         quantified.extend(outcome.quantified)
-        report.defensive.extend(outcome.defensive)
-        report.priority.extend(outcome.priority)
+        report.defensive_ids.extend(outcome.defensive)
+        report.priority_ids.extend(outcome.priority)
+        report.defensive_tips_lamports += outcome.defensive_tips_lamports
+        for date, count in outcome.defensive_by_day:
+            by_day[date] = by_day.get(date, 0) + count
         pending.extend(outcome.pending_detail_ids)
         bundles += outcome.bundle_count
+    report.defensive_by_day = dict(sorted(by_day.items()))
     # Stable: ties keep collection order, matching the serial detector.
     quantified.sort(key=lambda item: item.event.landed_at)
     return MergedAnalysis(

@@ -21,10 +21,10 @@ from typing import Iterator, Sequence
 from repro.archive.database import ArchiveDatabase
 from repro.archive.query import ArchiveQuery
 from repro.collector.store import BundleStore
+from repro.core.defensive import DefensiveReport
 from repro.core.detector import DetectionStats
 from repro.core.quantify import LossQuantifier, QuantifiedSandwich
 from repro.dex.oracle import PriceOracle
-from repro.explorer.models import BundleRecord
 from repro.parallel.chunks import ChunkTask
 
 #: The pool worker's read-only archive handle, opened by :func:`init_worker`.
@@ -38,6 +38,8 @@ class ChunkOutcome:
     All fields are picklable; per-chunk lists are already in the chunk's
     deterministic (collection-order) form, so the reducer only needs to
     concatenate outcomes by ``index`` and re-sort globally.
+    The classification travels as ids plus the two sums its report
+    keeps: the defensive tip total and ``(date, count)`` pairs.
     ``stage_seconds`` carries the chunk's wall-time split as
     ``(stage, seconds)`` pairs — purely observational, never merged into
     the report itself.
@@ -46,13 +48,25 @@ class ChunkOutcome:
     index: int
     bundle_count: int
     quantified: tuple[QuantifiedSandwich, ...]
-    defensive: tuple[BundleRecord, ...]
-    priority: tuple[BundleRecord, ...]
+    defensive: tuple[str, ...]
+    priority: tuple[str, ...]
     stats: DetectionStats
     pending_detail_ids: tuple[str, ...]
     elapsed_seconds: float
     worker: str
     stage_seconds: tuple[tuple[str, float], ...] = ()
+    defensive_tips_lamports: int = 0
+    defensive_by_day: tuple[tuple[str, int], ...] = ()
+
+
+def classification_fields(report: DefensiveReport) -> dict:
+    """A chunk's classification as :class:`ChunkOutcome` keyword fields."""
+    return {
+        "defensive": tuple(report.defensive_ids),
+        "priority": tuple(report.priority_ids),
+        "defensive_tips_lamports": report.defensive_tips_lamports,
+        "defensive_by_day": tuple(report.defensive_by_day.items()),
+    }
 
 
 @dataclass
@@ -191,8 +205,6 @@ def _compute_object_chunk(
         index=task.index,
         bundle_count=len(mini),
         quantified=tuple(quantified),
-        defensive=tuple(classification.defensive),
-        priority=tuple(classification.priority),
         stats=detector.stats,
         pending_detail_ids=pending,
         elapsed_seconds=(
@@ -204,4 +216,5 @@ def _compute_object_chunk(
             ("detect", detect_seconds),
             ("quantify", quantify_seconds),
         ),
+        **classification_fields(classification),
     )

@@ -227,8 +227,8 @@ class AggregateRepository:
         """Campaign headline figures, canonically rendered.
 
         Mirrors :meth:`IncrementalAnalyzer._build_report`: detections in
-        ``landed_at`` order, the defensive join in ``seq`` order — the
-        exact summation order the batch report uses.
+        ``landed_at`` order, the classified rows in ``bundle_seq`` order —
+        the exact summation order the batch report uses.
         """
         quantified = self._query.sandwiches(order_by="landed_at")
         headline = headline_stats(
@@ -286,13 +286,19 @@ class StatusRepository:
         self._query = query
 
     def status(self) -> dict:
-        """Archive row counts, pending-detail backlog, and the watermark."""
+        """Archive row counts, pending-detail backlog, and the watermark.
+
+        ``defensive`` counts the defensive class only, the figure
+        ``/v1/financials`` reports as ``defensiveBundles``; the
+        watermark's ``d`` field counts every classified row.
+        """
         watermark = self._query.watermark()
+        classes = self._query.defensive_summary()
         model = StatusModel(
             bundles=self._query.count_bundles(),
             transactions=self._query.count_transactions(),
             sandwiches=self._query.count_sandwiches(),
-            defensive=watermark.defensive_rows,
+            defensive=classes.get("defensive", {}).get("bundles", 0),
             pending_details=self._query.pending_detail_count(),
             watermark=watermark.token,
         )

@@ -162,10 +162,10 @@ class StreamingCampaign:
             "Length-one bundles classified, defensive vs priority.",
         )
         defensive.inc(
-            len(report.defensive.defensive), classification="defensive"
+            len(report.defensive.defensive_ids), classification="defensive"
         )
         defensive.inc(
-            len(report.defensive.priority), classification="priority"
+            len(report.defensive.priority_ids), classification="priority"
         )
 
     def run(self) -> tuple[CampaignResult, AnalysisReport]:

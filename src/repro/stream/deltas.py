@@ -26,7 +26,6 @@ from repro.core.pipeline import AnalysisReport
 from repro.core.quantify import QuantifiedSandwich
 from repro.dex.oracle import PriceOracle
 from repro.errors import ConformanceError
-from repro.explorer.models import BundleRecord
 from repro.parallel.chunks import DetectorSpec
 from repro.parallel.merge import merge_outcomes
 from repro.parallel.worker import ChunkOutcome
@@ -55,15 +54,19 @@ class VerdictRecord:
 class ReportDelta:
     """One ingest step's newly judged work plus cumulative progress.
 
-    The cumulative counters are monotone by construction — each delta's
+    The newly classified length-one bundles travel as ids, with the
+    defensive tip total and ``(date, count)`` pairs they add. The
+    cumulative counters are monotone by construction — each delta's
     values are >= its predecessor's — so any consumer (a progress line,
     a live dashboard) can render the latest delta alone without
     replaying history.
     """
 
     verdicts: tuple[VerdictRecord, ...] = ()
-    new_defensive: tuple[BundleRecord, ...] = ()
-    new_priority: tuple[BundleRecord, ...] = ()
+    new_defensive: tuple[str, ...] = ()
+    new_priority: tuple[str, ...] = ()
+    new_defensive_tips_lamports: int = 0
+    new_defensive_by_day: tuple[tuple[str, int], ...] = ()
     bundles_seen: int = 0
     candidates_registered: int = 0
     candidates_judged: int = 0
@@ -94,8 +97,10 @@ class IncrementalReportBuilder:
             )
         self.oracle = oracle
         self._verdicts: dict[int, VerdictRecord] = {}
-        self._defensive: list[BundleRecord] = []
-        self._priority: list[BundleRecord] = []
+        self._defensive: list[str] = []
+        self._priority: list[str] = []
+        self._defensive_tips = 0
+        self._defensive_by_day: dict[str, int] = {}
         self.bundles_seen = 0
         self.candidates_registered = 0
         self.sandwiches = 0
@@ -114,6 +119,10 @@ class IncrementalReportBuilder:
             self._verdicts[verdict.index] = verdict
         self._defensive.extend(delta.new_defensive)
         self._priority.extend(delta.new_priority)
+        self._defensive_tips += delta.new_defensive_tips_lamports
+        by_day = self._defensive_by_day
+        for date, count in delta.new_defensive_by_day:
+            by_day[date] = by_day.get(date, 0) + count
         self.bundles_seen = max(self.bundles_seen, delta.bundles_seen)
         self.candidates_registered = max(
             self.candidates_registered, delta.candidates_registered
@@ -170,6 +179,8 @@ class IncrementalReportBuilder:
                 pending_detail_ids=(),
                 elapsed_seconds=0.0,
                 worker="stream",
+                defensive_tips_lamports=self._defensive_tips,
+                defensive_by_day=tuple(self._defensive_by_day.items()),
             )
         )
         merged = merge_outcomes(

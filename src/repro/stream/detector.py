@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.defensive import DefensiveReport
 from repro.core.quantify import LossQuantifier, QuantifiedSandwich
 from repro.dex.oracle import PriceOracle
 from repro.explorer.models import BundleRecord, TransactionRecord
@@ -100,17 +101,11 @@ class StreamingDetector:
 
     def ingest(self, batch: StreamBatch) -> ReportDelta:
         """Consume one batch; judge the candidates it completed."""
-        new_defensive: list[BundleRecord] = []
-        new_priority: list[BundleRecord] = []
+        classified = self._classifier.classify_records(batch.bundles)
         completed: set[int] = set()
         for bundle in batch.bundles:
             self.bundles_seen += 1
             self._ingested_metric.inc()
-            if bundle.num_transactions == 1:
-                if self._classifier.is_defensive(bundle):
-                    new_defensive.append(bundle)
-                else:
-                    new_priority.append(bundle)
             if bundle.num_transactions in self._wanted:
                 candidate = self._register(bundle)
                 if not candidate.missing:
@@ -129,7 +124,7 @@ class StreamingDetector:
             self._judge(self._candidates[index], pending=False)
             for index in sorted(completed)
         ]
-        return self._delta(verdicts, new_defensive, new_priority)
+        return self._delta(verdicts, classified)
 
     def _register(self, bundle: BundleRecord) -> _Candidate:
         index = self.candidates_registered
@@ -193,19 +188,21 @@ class StreamingDetector:
             verdicts.append(
                 self._judge(candidate, pending=bool(candidate.missing))
             )
-        return self._delta(verdicts, [], [], final=True)
+        nothing = DefensiveReport(self.spec.threshold_lamports)
+        return self._delta(verdicts, nothing, final=True)
 
     def _delta(
         self,
         verdicts: list[VerdictRecord],
-        new_defensive: list[BundleRecord],
-        new_priority: list[BundleRecord],
+        classified: DefensiveReport,
         final: bool = False,
     ) -> ReportDelta:
         return ReportDelta(
             verdicts=tuple(verdicts),
-            new_defensive=tuple(new_defensive),
-            new_priority=tuple(new_priority),
+            new_defensive=tuple(classified.defensive_ids),
+            new_priority=tuple(classified.priority_ids),
+            new_defensive_tips_lamports=classified.defensive_tips_lamports,
+            new_defensive_by_day=tuple(classified.defensive_by_day.items()),
             bundles_seen=self.bundles_seen,
             candidates_registered=self.candidates_registered,
             candidates_judged=self.candidates_judged,

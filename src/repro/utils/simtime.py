@@ -9,6 +9,7 @@ reproducible in seconds, every component in this library reads time from a
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
+from typing import Iterable
 
 from repro.constants import CAMPAIGN_START_ISO
 from repro.errors import ConfigError
@@ -29,6 +30,30 @@ def unix_to_iso(unix: float) -> str:
 def unix_to_date(unix: float) -> str:
     """Convert unix seconds to a UTC calendar date string (YYYY-MM-DD)."""
     return datetime.fromtimestamp(unix, tz=timezone.utc).date().isoformat()
+
+
+def count_dates(unix_times: Iterable[float]) -> dict[str, int]:
+    """How many of ``unix_times`` fall on each UTC date, sorted by date.
+
+    Equal to counting :func:`unix_to_date` of every time, for a fraction of
+    its cost: a time at least one second clear of midnight is binned by
+    its day number, and only the rest take the exact conversion, which
+    rounds to the microsecond and so can put a time a hair before
+    midnight on the next date.
+    """
+    by_day: dict[float, int] = {}
+    counts: dict[str, int] = {}
+    for unix in unix_times:
+        day, offset = divmod(unix, SECONDS_PER_DAY)
+        if 1.0 <= offset <= SECONDS_PER_DAY - 1.0:
+            by_day[day] = by_day.get(day, 0) + 1
+        else:
+            date = unix_to_date(unix)
+            counts[date] = counts.get(date, 0) + 1
+    for day, count in by_day.items():
+        date = unix_to_date(day * SECONDS_PER_DAY + SECONDS_PER_DAY / 2)
+        counts[date] = counts.get(date, 0) + count
+    return dict(sorted(counts.items()))
 
 
 class SimClock:

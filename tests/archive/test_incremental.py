@@ -13,6 +13,7 @@ from repro.archive import (
 )
 from repro.collector.campaign import MeasurementCampaign
 from repro.conformance.scenarios import (
+    CORPUS_SCENARIOS,
     SyntheticScenario,
     generate_rows,
     write_archive,
@@ -201,6 +202,30 @@ def _fresh_incremental_bytes(rows, path):
     """A standard incremental pass over a fresh copy of ``rows``."""
     with _archive(rows, path) as database:
         return report_bytes(IncrementalAnalyzer(database).analyze().report)
+
+
+class TestTruncatedTail:
+    def test_recollected_tail_is_classified_once(self, tmp_path):
+        """A resumed campaign truncates the bundles past its checkpoint and
+        collects them again under new ``seq`` values; the classification
+        rows of the truncated bundles go with them, so the next pass
+        reports each bundle once, as a full pass does."""
+        rows = generate_rows(
+            next(s for s in CORPUS_SCENARIOS if s.name == "quiet-defensive")
+        )
+        with _archive(rows, tmp_path / "a.db") as database:
+            IncrementalAnalyzer(database).analyze()
+            store = ArchiveBundleStore(database)
+            checkpoint = database.connection.execute(
+                "SELECT seq FROM bundles ORDER BY seq LIMIT 1 OFFSET 99"
+            ).fetchone()[0]
+            store.truncate_after(checkpoint, database.max_seq("transactions"))
+            store.add_bundles([bundle for bundle, _ in rows[100:]])
+            store.flush()
+            report = IncrementalAnalyzer(database).analyze().report
+            full = _full_pass(database)
+        assert report.defensive.length_one_total == 122
+        assert report.defensive == full.defensive
 
 
 class TestSpecStamp:

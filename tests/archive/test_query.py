@@ -30,8 +30,8 @@ def populated(db):
     store.record_defensive(
         DefensiveReport(
             threshold_lamports=100_000,
-            defensive=[make_bundle(1)],
-            priority=[make_bundle(2)],
+            defensive_ids=["b1"],
+            priority_ids=["b2"],
         )
     )
     return ArchiveQuery(db)
@@ -258,7 +258,8 @@ class TestPaginationEdgeCases:
 
 
 class TestServingQueries:
-    """The watermark, defensive join, and integrity counts the API serves."""
+    """The watermark, defensive report, and integrity counts the API
+    serves."""
 
     def test_watermark_token_reflects_every_table(self, populated):
         mark = populated.watermark()
@@ -276,12 +277,32 @@ class TestServingQueries:
         mark = ArchiveQuery(db).watermark()
         assert mark.token == "b0.t0.s0.d0.g0"
 
-    def test_defensive_records_join_in_seq_order(self, populated):
-        records = populated.defensive_records()
-        assert [(c, b.bundle_id) for c, b in records] == [
-            ("defensive", "b1"),
-            ("priority", "b2"),
-        ]
+    def test_defensive_report_in_seq_order(self, db, populated):
+        store = ArchiveBundleStore(db)
+        for bundle_id in ("b7", "b4"):
+            store.record_defensive(
+                DefensiveReport(
+                    threshold_lamports=100_000, defensive_ids=[bundle_id]
+                )
+            )
+        report = populated.defensive_report(100_000)
+        assert report.defensive_ids == ["b1", "b4", "b7"]
+        assert report.priority_ids == ["b2"]
+        assert report.defensive_tips_lamports == sum(
+            make_bundle(i).tip_lamports for i in (1, 4, 7)
+        )
+        assert report.defensive_per_day() == {"1970-01-01": 3}
+
+    def test_defensive_report_reads_no_bundles_row(self, db, populated):
+        statements: list[str] = []
+        db.connection.set_trace_callback(statements.append)
+        try:
+            report = populated.defensive_report(100_000)
+        finally:
+            db.connection.set_trace_callback(None)
+        assert report.length_one_total == 2
+        assert statements
+        assert not any("bundles" in sql for sql in statements)
 
     def test_sandwich_for_bundle(self, populated):
         found = populated.sandwich_for_bundle("b21")

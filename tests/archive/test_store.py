@@ -4,13 +4,23 @@ import pytest
 
 from repro.archive.store import ArchiveBundleStore, FlushPolicy
 from repro.core.defensive import DefensiveReport
-from repro.errors import ConfigError
+from repro.errors import ConfigError, StoreError
 from repro.obs.registry import MetricsRegistry
+from repro.utils.simtime import unix_to_date
 from tests.archive.conftest import make_bundle, make_detail, make_sandwich
 
 
 def count(db, table: str) -> int:
     return db.connection.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+
+
+def archived_store(db, *indexes: int) -> ArchiveBundleStore:
+    """A store whose bundles ``b{i}`` are committed: classification rows
+    copy their key, date and tip from them."""
+    store = ArchiveBundleStore(db)
+    store.add_bundles([make_bundle(i) for i in indexes])
+    store.flush()
+    return store
 
 
 class TestFlushPolicy:
@@ -97,11 +107,11 @@ class TestAnalysisOutputs:
         assert count(db, "sandwiches") == 2
 
     def test_record_defensive_writes_both_classes(self, db):
-        store = ArchiveBundleStore(db)
+        store = archived_store(db, 1, 2, 3)
         report = DefensiveReport(
             threshold_lamports=100_000,
-            defensive=[make_bundle(1), make_bundle(2)],
-            priority=[make_bundle(3)],
+            defensive_ids=["b1", "b2"],
+            priority_ids=["b3"],
         )
         assert store.record_defensive(report) == 3
         rows = db.connection.execute(
@@ -113,23 +123,105 @@ class TestAnalysisOutputs:
             "priority": 1,
         }
 
-    def test_record_analysis_persists_both(self, db):
+    def test_record_defensive_copies_seq_date_and_tip(self, db):
+        store = archived_store(db, 4, 5)
+        store.record_defensive(
+            DefensiveReport(
+                threshold_lamports=100_000,
+                defensive_ids=["b5"],
+                priority_ids=["b4"],
+            )
+        )
+        rows = db.connection.execute(
+            "SELECT d.bundle_seq, b.seq, d.landed_date, b.landed_date, "
+            "d.tip_lamports, b.tip_lamports FROM defensive d "
+            "JOIN bundles b ON b.bundle_id = d.bundle_id"
+        ).fetchall()
+        assert len(rows) == 2
+        for row in rows:
+            assert row[0] == row[1]
+            assert row[2] == row[3]
+            assert row[4] == row[5]
+
+    def test_stored_date_is_the_bundle_date_around_midnight(self, db):
+        midnight = 1_739_059_200.0  # 2025-02-09T00:00:00Z
+        offsets = (0.0, -1e-6, -4e-7, 1e-6, -1.0, 43_200.0)
         store = ArchiveBundleStore(db)
+        store.add_bundles(
+            [
+                make_bundle(i, landed_at=midnight + offset)
+                for i, offset in enumerate(offsets)
+            ]
+        )
+        store.flush()
+        store.record_defensive(
+            DefensiveReport(
+                threshold_lamports=100_000,
+                defensive_ids=[f"b{i}" for i in range(len(offsets))],
+            )
+        )
+        rows = db.connection.execute(
+            "SELECT d.landed_date, b.landed_at FROM defensive d "
+            "JOIN bundles b ON b.seq = d.bundle_seq"
+        ).fetchall()
+        assert len(rows) == len(offsets)
+        for date, landed_at in rows:
+            assert date == unix_to_date(landed_at)
+        assert sorted(row[0] for row in rows) == [
+            "2025-02-08",
+            "2025-02-08",
+            "2025-02-09",
+            "2025-02-09",
+            "2025-02-09",
+            "2025-02-09",
+        ]
+
+    def test_record_defensive_refuses_unarchived_ids(self, db):
+        store = archived_store(db, 1)
+        report = DefensiveReport(
+            threshold_lamports=100_000, defensive_ids=["b1", "ghost"]
+        )
+        with pytest.raises(StoreError, match="1 of 2 defensive rows"):
+            store.record_defensive(report)
+        # A standalone call keeps none of its rows.
+        assert count(db, "defensive") == 0
+        assert not db.connection.in_transaction
+
+    def test_record_analysis_persists_both(self, db):
+        store = archived_store(db, 9)
 
         class Report:
             """Minimal duck-typed analysis report."""
 
             quantified = [make_sandwich(1)]
             defensive = DefensiveReport(
-                threshold_lamports=100_000, defensive=[make_bundle(9)]
+                threshold_lamports=100_000, defensive_ids=["b9"]
             )
 
         store.record_analysis(Report())
         assert count(db, "sandwiches") == 1
         assert count(db, "defensive") == 1
 
+    def test_record_analysis_flushes_pending_bundles_first(self, db):
+        store = ArchiveBundleStore(db, flush_policy=FlushPolicy(100))
+        store.add_bundles([make_bundle(1), make_bundle(2)])
+        assert store.pending == 2
+
+        class Report:
+            quantified = []
+            defensive = DefensiveReport(
+                threshold_lamports=100_000,
+                defensive_ids=["b1"],
+                priority_ids=["b2"],
+            )
+
+        store.record_analysis(Report())
+        assert store.pending == 0
+        assert count(db, "bundles") == 2
+        assert count(db, "defensive") == 2
+
     def test_record_analysis_advances_generation_once_per_replace(self, db):
-        store = ArchiveBundleStore(db)
+        store = archived_store(db, 9)
 
         def generation():
             return db.connection.execute(
@@ -139,7 +231,7 @@ class TestAnalysisOutputs:
         class Report:
             quantified = []
             defensive = DefensiveReport(
-                threshold_lamports=100_000, defensive=[make_bundle(9)]
+                threshold_lamports=100_000, defensive_ids=["b9"]
             )
 
         class Broken:
@@ -162,20 +254,20 @@ class TestAnalysisOutputs:
         assert generation() == 2
 
     def test_record_analysis_replaces_rows_and_drops_watermark(self, db):
-        store = ArchiveBundleStore(db)
+        store = archived_store(db, 7, 8, 9)
 
         class First:
             quantified = [make_sandwich(1), make_sandwich(2)]
             defensive = DefensiveReport(
                 threshold_lamports=100_000,
-                defensive=[make_bundle(7)],
-                priority=[make_bundle(8)],
+                defensive_ids=["b7"],
+                priority_ids=["b8"],
             )
 
         class Second:
             quantified = [make_sandwich(3)]
             defensive = DefensiveReport(
-                threshold_lamports=5_000, priority=[make_bundle(9)]
+                threshold_lamports=5_000, priority_ids=["b9"]
             )
 
         class Broken:
@@ -185,6 +277,12 @@ class TestAnalysisOutputs:
             def defensive(self):
                 raise RuntimeError("classification failed")
 
+        class Orphaned:
+            quantified = []
+            defensive = DefensiveReport(
+                threshold_lamports=100_000, defensive_ids=["ghost"]
+            )
+
         store.record_analysis(First())
         db.connection.execute(
             "INSERT INTO analysis_state (consumer, state) VALUES (?, ?)",
@@ -192,11 +290,12 @@ class TestAnalysisOutputs:
         )
         db.connection.commit()
         # One transaction: a failure part-way leaves the first analysis.
-        with pytest.raises(RuntimeError):
-            store.record_analysis(Broken())
-        assert count(db, "sandwiches") == 2
-        assert count(db, "defensive") == 2
-        assert count(db, "analysis_state") == 1
+        for failing, error in ((Broken, RuntimeError), (Orphaned, StoreError)):
+            with pytest.raises(error):
+                store.record_analysis(failing())
+            assert count(db, "sandwiches") == 2
+            assert count(db, "defensive") == 2
+            assert count(db, "analysis_state") == 1
 
         store.record_analysis(Second())
         sandwiches = db.connection.execute(
@@ -238,6 +337,22 @@ class TestCheckpointsAndTruncation:
         assert count(db, "transactions") == 1
         # Member rows of the deleted bundles must go with them.
         assert count(db, "bundle_transactions") == 4
+
+    def test_truncate_after_drops_deleted_bundles_classifications(self, db):
+        store = archived_store(db, 1, 2, 3, 4)
+        store.record_defensive(
+            DefensiveReport(
+                threshold_lamports=100_000,
+                defensive_ids=["b1", "b3"],
+                priority_ids=["b2", "b4"],
+            )
+        )
+        # Two classification rows, two member rows, two bundles.
+        assert store.truncate_after(bundle_seq=2, detail_seq=0) == 6
+        rows = db.connection.execute(
+            "SELECT bundle_id FROM defensive ORDER BY bundle_seq"
+        ).fetchall()
+        assert [row[0] for row in rows] == ["b1", "b2"]
 
     def test_load_memory_state_preserves_insertion_order(self, tmp_path):
         path = tmp_path / "a.db"

@@ -148,6 +148,8 @@ def outcome_key(outcome: ChunkOutcome) -> tuple:
         outcome.quantified,
         outcome.defensive,
         outcome.priority,
+        outcome.defensive_tips_lamports,
+        outcome.defensive_by_day,
         outcome.stats,
         outcome.pending_detail_ids,
     )

@@ -3,10 +3,11 @@
 The read-path optimizations must be invisible above their seams:
 :func:`load_tx_features_range` (one constant-SQL join per chunk) must
 produce exactly the features the id-batched :func:`load_tx_features`
-produces, :meth:`BundleBlock.classify_singles` must build exactly the
-records the per-record path builds, and the shared :class:`InternPool`
-must not change any block output. The record constructor itself is pinned
-against the frozen dataclass in ``tests/archive/test_codec.py``.
+produces, :meth:`BundleBlock.classify_singles` must classify exactly as
+the classifier does over the block's records, and the shared
+:class:`InternPool` must not change any block output. The record
+constructor itself is pinned against the frozen dataclass in
+``tests/archive/test_codec.py``.
 """
 
 import pytest
@@ -20,6 +21,7 @@ from repro.columnar.blocks import (
     load_tx_features_range,
     split_candidates,
 )
+from repro.core.defensive import DefensiveBundlingClassifier
 from tests.parallel.helpers import build_archive
 
 DESCRIPTORS = (
@@ -84,21 +86,13 @@ class TestFastRecordParity:
         total = query.count_bundles()
         block = load_bundle_block(query, 1, total)
         threshold = 100_000
-        defensive, priority = block.classify_singles(threshold)
-        expected_defensive, expected_priority = [], []
-        for index, length in enumerate(block.lengths):
-            if length != 1:
-                continue
-            record = block.record(index)
-            bucket = (
-                expected_defensive
-                if record.tip_lamports <= threshold
-                else expected_priority
-            )
-            bucket.append(record)
-        assert defensive == expected_defensive
-        assert priority == expected_priority
-        assert len(defensive) + len(priority) == sum(
+        report = block.classify_singles(threshold)
+        expected = DefensiveBundlingClassifier(threshold).classify_records(
+            block.record(index) for index in range(len(block))
+        )
+        assert report == expected
+        assert report.priority_ids and report.defensive_ids
+        assert report.length_one_total == sum(
             1 for length in block.lengths if length == 1
         )
 

@@ -23,15 +23,17 @@ def bundle(i: int, length: int = 1, tip: int = 1_000, day: float = 0.0):
 
 class TestClassification:
     def test_threshold_boundary_inclusive(self):
-        classifier = DefensiveBundlingClassifier()
         at = bundle(1, tip=DEFENSIVE_TIP_THRESHOLD_LAMPORTS)
         above = bundle(2, tip=DEFENSIVE_TIP_THRESHOLD_LAMPORTS + 1)
-        assert classifier.is_defensive(at)
-        assert not classifier.is_defensive(above)
+        report = DefensiveBundlingClassifier().classify_records([at, above])
+        assert report.defensive_ids == ["b1"]
+        assert report.priority_ids == ["b2"]
 
     def test_length_filter(self):
-        classifier = DefensiveBundlingClassifier()
-        assert not classifier.is_defensive(bundle(1, length=3, tip=1_000))
+        report = DefensiveBundlingClassifier().classify_records(
+            [bundle(1, length=3, tip=1_000)]
+        )
+        assert report.length_one_total == 0
 
     def test_classify_splits_length_one(self):
         store = BundleStore()
@@ -44,14 +46,15 @@ class TestClassification:
             ]
         )
         report = DefensiveBundlingClassifier().classify(store)
-        assert len(report.defensive) == 2
-        assert len(report.priority) == 1
+        assert report.defensive_ids == ["b1", "b2"]
+        assert report.priority_ids == ["b3"]
         assert report.length_one_total == 3
         assert report.defensive_fraction == pytest.approx(2 / 3)
 
     def test_custom_threshold(self):
         classifier = DefensiveBundlingClassifier(threshold_lamports=10_000)
-        assert not classifier.is_defensive(bundle(1, tip=50_000))
+        report = classifier.classify_records([bundle(1, tip=50_000)])
+        assert report.priority_ids == ["b1"]
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ConfigError):
@@ -113,7 +116,7 @@ class TestOnCampaign:
     def test_classification_matches_ground_truth(self, small_campaign):
         report = DefensiveBundlingClassifier().classify(small_campaign.store)
         truth = small_campaign.world.ground_truth
-        for record in report.defensive:
-            assert truth.label_of(record.bundle_id) is Label.DEFENSIVE
-        for record in report.priority:
-            assert truth.label_of(record.bundle_id) is Label.PRIORITY
+        for bundle_id in report.defensive_ids:
+            assert truth.label_of(bundle_id) is Label.DEFENSIVE
+        for bundle_id in report.priority_ids:
+            assert truth.label_of(bundle_id) is Label.PRIORITY

@@ -49,7 +49,7 @@ class TestAnalysisReport:
     def test_defensive_report_attached(self, small_report):
         assert small_report.defensive.length_one_total > 0
         assert small_report.headline.defensive_bundles == len(
-            small_report.defensive.defensive
+            small_report.defensive.defensive_ids
         )
 
 

@@ -71,8 +71,8 @@ class TestStorePersistenceThroughAnalysis:
         assert repeated.headline.victim_loss_usd == pytest.approx(
             original.headline.victim_loss_usd
         )
-        assert len(repeated.defensive.defensive) == len(
-            original.defensive.defensive
+        assert len(repeated.defensive.defensive_ids) == len(
+            original.defensive.defensive_ids
         )
 
 

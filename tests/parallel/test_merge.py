@@ -5,7 +5,7 @@ import random
 from repro.core.detector import DetectionStats
 from repro.parallel.merge import merge_outcomes, merge_stats
 from repro.parallel.worker import ChunkOutcome
-from tests.archive.conftest import make_bundle, make_sandwich
+from tests.archive.conftest import make_sandwich
 
 
 def outcome(index: int, landed: list[float], **overrides) -> ChunkOutcome:
@@ -15,8 +15,10 @@ def outcome(index: int, landed: list[float], **overrides) -> ChunkOutcome:
         "quantified": tuple(
             _sandwich(index * 100 + n, at) for n, at in enumerate(landed)
         ),
-        "defensive": (make_bundle(index * 100 + 50, length=1),),
+        "defensive": (f"b{index * 100 + 50}",),
         "priority": (),
+        "defensive_tips_lamports": 1_000 * (index + 1),
+        "defensive_by_day": (("1970-01-01", 1),),
         "stats": DetectionStats(
             bundles_examined=len(landed),
             bundles_detected=len(landed),
@@ -80,7 +82,33 @@ class TestMergeOutcomes:
     def test_defensive_report_carries_threshold(self):
         merged = merge_outcomes([outcome(0, [])], threshold_lamports=42)
         assert merged.defensive_report.threshold_lamports == 42
-        assert len(merged.defensive_report.defensive) == 1
+        assert merged.defensive_report.defensive_ids == ["b50"]
+
+    def test_classification_ids_concatenate_and_sums_add(self):
+        merged = merge_outcomes(
+            [
+                outcome(
+                    1,
+                    [],
+                    priority=("p1",),
+                    defensive_by_day=(
+                        ("2025-02-10", 2),
+                        ("2025-02-09", 1),
+                    ),
+                ),
+                outcome(0, [], defensive_by_day=(("2025-02-10", 1),)),
+            ],
+            threshold_lamports=100_000,
+        )
+        report = merged.defensive_report
+        assert report.defensive_ids == ["b50", "b150"]
+        assert report.priority_ids == ["p1"]
+        assert report.defensive_tips_lamports == 1_000 + 2_000
+        # Day counts add up and come back sorted by date.
+        assert list(report.defensive_by_day.items()) == [
+            ("2025-02-09", 1),
+            ("2025-02-10", 3),
+        ]
 
 
 class TestMergeStats:

@@ -8,10 +8,18 @@ report is recomputed here in-process and every served string compared
 against its canonical rendering.
 """
 
+import json
+
 import pytest
 
 from repro.archive.database import ArchiveDatabase
 from repro.conformance.canon import fmt_fixed
+from repro.conformance.scenarios import (
+    CORPUS_SCENARIOS,
+    generate_rows,
+    write_archive,
+)
+from repro.parallel.chunks import DetectorSpec
 from repro.parallel.engine import ParallelAnalysisEngine
 from repro.serve import ApiConfig, ArchiveApiApp, ThreadedApiServer
 from repro.serve.models import (
@@ -119,3 +127,46 @@ class TestDetectionsMatchBatchReport:
         assert {
             date: day["attacks"] for date, day in served.items()
         } == {date: stats.attacks for date, stats in report.daily.items()}
+
+
+class TestStatusMatchesFinancials:
+    def test_status_defensive_is_the_defensive_class(self, tmp_path):
+        """``/v1/status`` counts defensive bundles as ``/v1/financials``
+        does, not every classified row.
+
+        On ``quiet-defensive`` after a full pass at 5,000 lamports, 6 of
+        the 122 classified bundles are defensive and 116 priority.
+        """
+        scenario = next(
+            s for s in CORPUS_SCENARIOS if s.name == "quiet-defensive"
+        )
+        path = write_archive(generate_rows(scenario), tmp_path / "a.db")
+        engine = ParallelAnalysisEngine(
+            ArchiveDatabase(path),
+            jobs=1,
+            spec=DetectorSpec(threshold_lamports=5_000),
+        )
+        engine.analyze()
+        engine.database.close()
+
+        app = ArchiveApiApp(ApiConfig(db_path=path))
+        app.open()
+        try:
+
+            def get(target):
+                status, payload, _headers = app.handle(
+                    "GET", target, {}, "test"
+                )
+                assert status == 200, target
+                return json.loads(payload.content)
+
+            status = get("/v1/status")["status"]
+            financials = get("/v1/financials")["financials"]
+            classes = get("/v1/aggregates/defensive")["defensive"]
+        finally:
+            app.close()
+        assert status["defensive"] == financials["defensiveBundles"] == 6
+        assert classes["defensive"]["bundles"] == 6
+        assert classes["priority"]["bundles"] == 116
+        # The watermark's d field still counts every classified row.
+        assert ".d122." in status["watermark"]

@@ -37,8 +37,8 @@ def query(tmp_path):
     store.record_defensive(
         DefensiveReport(
             threshold_lamports=100_000,
-            defensive=[make_bundle(1)],
-            priority=[make_bundle(2)],
+            defensive_ids=["b1"],
+            priority_ids=["b2"],
         )
     )
     yield ArchiveQuery(db)
@@ -177,8 +177,10 @@ class TestStatusRepository:
         assert payload["bundles"] == 10
         assert payload["transactions"] == 1
         assert payload["sandwiches"] == 3
-        assert payload["defensive"] == 2
+        # The defensive class alone; the watermark's d field counts both.
+        assert payload["defensive"] == 1
         assert payload["watermark"] == query.watermark().token
+        assert query.watermark().defensive_rows == 2
         # Length-3 bundles exist with no archived details except b0's
         # first member — all four candidates are incomplete.
         assert payload["pendingDetails"] == 4

@@ -124,3 +124,32 @@ def test_streaming_archive_watermark_advances_during_collection(tmp_path):
     # between zero and the final value.
     assert seen
     assert any(0 < mark < seen[-1] for mark in seen)
+
+
+def test_streaming_campaign_commits_its_bundles_before_its_analysis(tmp_path):
+    """The analysis a streaming campaign stores names no uncommitted bundle.
+
+    ``record_analysis`` runs while the write buffer still holds the last
+    collected records; it flushes them before its replace transaction, so
+    a crash after that commit leaves no analysis row without its bundle.
+    """
+    store = ArchiveBundleStore(tmp_path / "stream.db")
+    record_analysis = store.record_analysis
+    at_commit = []
+
+    def checked(report):
+        record_analysis(report)
+        conn = store.database.connection
+        orphans = sum(
+            conn.execute(
+                f"SELECT COUNT(*) FROM {table} WHERE bundle_id NOT IN "
+                "(SELECT bundle_id FROM bundles)"
+            ).fetchone()[0]
+            for table in ("sandwiches", "defensive")
+        )
+        at_commit.append((store.pending, orphans))
+
+    store.record_analysis = checked
+    StreamingCampaign(small_scenario(seed=7, days=2), store=store).run()
+    store.close()
+    assert at_commit == [(0, 0)]

@@ -7,6 +7,7 @@ from repro.errors import ConfigError
 from repro.utils.simtime import (
     SECONDS_PER_DAY,
     SimClock,
+    count_dates,
     iso_to_unix,
     unix_to_date,
     unix_to_iso,
@@ -21,6 +22,44 @@ class TestConversions:
     def test_unix_to_date(self):
         unix = iso_to_unix("2025-02-09T13:45:00+00:00")
         assert unix_to_date(unix) == "2025-02-09"
+
+
+class TestCountDates:
+    MIDNIGHT = iso_to_unix("2025-02-09T00:00:00+00:00")
+
+    def recount(self, times):
+        counts = {}
+        for unix in times:
+            date = unix_to_date(unix)
+            counts[date] = counts.get(date, 0) + 1
+        return dict(sorted(counts.items()))
+
+    def test_equals_unix_to_date_around_midnight(self):
+        # 1 µs before midnight is the previous date; 0.4 µs before
+        # rounds (to the microsecond) onto midnight itself.
+        times = [
+            self.MIDNIGHT + offset
+            for offset in (0.0, -1e-6, -4e-7, -6e-7, 1e-6, -1.0, 1.0,
+                           -0.999_999, 0.5, -86_400.0, 86_399.999_999)
+        ]
+        assert count_dates(times) == self.recount(times)
+        assert count_dates([self.MIDNIGHT - 1e-6]) == {"2025-02-08": 1}
+        assert count_dates([self.MIDNIGHT - 4e-7]) == {"2025-02-09": 1}
+
+    def test_equals_unix_to_date_over_many_days(self):
+        times = [
+            self.MIDNIGHT + step * 1_234.567_89 for step in range(2_000)
+        ]
+        counts = count_dates(times)
+        assert counts == self.recount(times)
+        assert list(counts) == sorted(counts)
+
+    def test_integer_seconds_and_empty_input(self):
+        assert count_dates([]) == {}
+        assert count_dates([int(self.MIDNIGHT), int(self.MIDNIGHT) - 1]) == {
+            "2025-02-08": 1,
+            "2025-02-09": 1,
+        }
 
 
 class TestSimClock:
