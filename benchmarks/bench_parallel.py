@@ -332,7 +332,7 @@ def _single_chunk_task(path, engine):
     from repro.parallel.chunks import ChunkTask, DetectorSpec
 
     database = ArchiveDatabase(path, read_only=True)
-    chunk = next(ArchiveQuery(database).iter_chunks(chunk_size=10**9))
+    (chunk,) = ArchiveQuery(database).chunk_plan(10**9)
     task = ChunkTask(
         index=0,
         spec=DetectorSpec(usd_per_sol=150.0),

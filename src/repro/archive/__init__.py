@@ -26,7 +26,6 @@ from repro.archive.query import (
     ArchiveChunk,
     ArchiveQuery,
     BundleFilter,
-    BundleKey,
     SandwichFilter,
 )
 from repro.archive.schema import SCHEMA_VERSION
@@ -39,7 +38,6 @@ __all__ = [
     "ArchiveDatabase",
     "ArchiveQuery",
     "BundleFilter",
-    "BundleKey",
     "CHECKPOINT_VERSION",
     "CheckpointedCampaign",
     "FlushPolicy",

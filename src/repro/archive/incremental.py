@@ -36,10 +36,9 @@ from typing import TYPE_CHECKING
 
 from repro.archive.database import ArchiveDatabase
 from repro.archive.store import ArchiveBundleStore
-from repro.core.aggregate import headline_stats, sandwiches_per_day
 from repro.core.defensive import DefensiveReport
 from repro.core.detector import DetectionStats
-from repro.core.pipeline import AnalysisReport
+from repro.core.pipeline import AnalysisReport, assemble_report
 from repro.core.quantify import QuantifiedSandwich
 from repro.dex.oracle import PriceOracle
 from repro.errors import ConfigError
@@ -209,11 +208,7 @@ class IncrementalAnalyzer:
         engine = self._engine
         engine.stage_profile = self.stage_profile
         last_seq = int(state["last_bundle_seq"])
-        chunks = list(
-            self.query.iter_chunks(
-                chunk_size=engine.chunk_size, seq_min=last_seq
-            )
-        )
+        chunks = self.query.chunk_plan(engine.chunk_size, seq_min=last_seq)
         tasks = []
         pending = tuple(state["state"].get("pending_ids", []))
         if pending:
@@ -245,19 +240,14 @@ class IncrementalAnalyzer:
         """Detector bookkeeping over every pass so far: the stored totals
         plus this pass's, as one monolithic pass would have counted."""
         totals = DetectionStats(**state["state"].get("stats", {}))
-        totals.bundles_examined += stats.bundles_examined
-        totals.bundles_detected += stats.bundles_detected
+        totals.add(stats)
         # Every bundle carried over as pending was counted
         # skipped-incomplete last pass and re-fed this pass (where it is
         # either examined or counted skipped again); subtracting last
         # pass's count keeps totals equal to one monolithic run.
-        totals.bundles_skipped_incomplete += (
-            stats.bundles_skipped_incomplete
-            - state["state"].get("carried_skipped", 0)
+        totals.bundles_skipped_incomplete -= state["state"].get(
+            "carried_skipped", 0
         )
-        rejections = totals.rejections_by_criterion
-        for criterion, count in stats.rejections_by_criterion.items():
-            rejections[criterion] = rejections.get(criterion, 0) + count
         return totals
 
     def _is_no_op(self, state: dict) -> bool:
@@ -356,20 +346,10 @@ class IncrementalAnalyzer:
     def _build_report(self, stats: DetectionStats) -> AnalysisReport:
         """Assemble the campaign-wide report from archive rows."""
         with StageTimer(self.stage_profile, "rebuild"):
-            all_quantified = self.query.sandwiches(order_by="landed_at")
-            defensive_report = self.query.defensive_report(
-                self.spec.threshold_lamports
-            )
-            oracle = self._engine.oracle
-            return AnalysisReport(
-                quantified=all_quantified,
-                defensive=defensive_report,
-                daily=sandwiches_per_day(all_quantified, oracle),
-                headline=headline_stats(
-                    all_quantified,
-                    defensive_report,
-                    bundles_collected=self.query.count_bundles(),
-                    oracle=oracle,
-                ),
-                detection_stats=stats,
+            return assemble_report(
+                self.query.sandwiches(order_by="landed_at"),
+                self.query.defensive_report(self.spec.threshold_lamports),
+                stats,
+                bundles_collected=self.query.count_bundles(),
+                oracle=self._engine.oracle,
             )

@@ -35,7 +35,6 @@ from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
 #: Select lists of the decoded columns, bare and qualified for joins.
 _BUNDLES = ", ".join(BUNDLE_COLUMNS)
-_B_BUNDLES = ", ".join(f"b.{column}" for column in BUNDLE_COLUMNS)
 _DETAILS = ", ".join(DETAIL_COLUMNS)
 _T_DETAILS = ", ".join(f"t.{column}" for column in DETAIL_COLUMNS)
 _SANDWICHES = ", ".join(SANDWICH_COLUMNS)
@@ -113,24 +112,6 @@ class SandwichFilter:
 
 
 @dataclass(frozen=True)
-class BundleKey:
-    """A projected bundle row: index columns only, no payload parse.
-
-    Slot-range scans that need ids, slots, or lengths — chunk planning,
-    coverage checks, count-by-length summaries — previously paid a JSON
-    ``transaction_ids`` deserialization per row for data they never read.
-    This projection selects only indexed scalar columns.
-    """
-
-    seq: int
-    bundle_id: str
-    slot: int
-    landed_at: float
-    tip_lamports: int
-    num_transactions: int
-
-
-@dataclass(frozen=True)
 class ArchiveWatermark:
     """The archive's read-side version: how much data any reader can see.
 
@@ -167,17 +148,16 @@ class ArchiveChunk:
 
     Chunks partition the archive by the ``seq`` primary key (collection
     order), so every bundle falls in exactly one chunk and concatenating
-    chunks in ``index`` order reproduces a full sequential scan. The slot
-    bounds are carried for display and slot-range bookkeeping; ``seq``
-    bounds are what workers query by (indexed, skew-free).
+    chunks in ``index`` order reproduces a full sequential scan. Workers
+    load ``seq_lo <= seq <= seq_hi``; ``count`` is the rows that range
+    holds, which ``seq`` gaps left by a truncation make smaller than
+    its width.
     """
 
     index: int
     seq_lo: int
     seq_hi: int
     count: int
-    slot_lo: int
-    slot_hi: int
 
 
 #: Ids per ``IN (...)`` batch — comfortably under every SQLite build's
@@ -301,126 +281,35 @@ class ArchiveQuery:
         )
         return list(starmap(bundle_from_columns, rows))
 
-    def bundle_index(
-        self,
-        where: BundleFilter | None = None,
-        limit: int | None = None,
-        offset: int = 0,
-    ) -> list[BundleKey]:
-        """Projected bundle rows in ``seq`` order, skipping payload parse.
-
-        Use this instead of :meth:`bundles` when only ids/slots/lengths are
-        needed: no ``transaction_ids`` JSON is deserialized, which is the
-        dominant cost of wide slot-range scans.
-        """
-        where = where or BundleFilter()
-        clause, params = where.compile()
-        page, page_params = _page_clause(limit, offset)
-        rows = self._timed(
-            "bundle_index",
-            "SELECT seq, bundle_id, slot, landed_at, tip_lamports, "
-            f"num_transactions FROM bundles WHERE {clause} ORDER BY seq"
-            + page,
-            params + page_params,
-        )
-        return [
-            BundleKey(
-                seq=row["seq"],
-                bundle_id=row["bundle_id"],
-                slot=row["slot"],
-                landed_at=row["landed_at"],
-                tip_lamports=row["tip_lamports"],
-                num_transactions=row["num_transactions"],
-            )
-            for row in rows
-        ]
-
-    def iter_chunks(
-        self,
-        chunk_size: int = 2_048,
-        where: BundleFilter | None = None,
-        seq_min: int | None = None,
-    ) -> Iterator[ArchiveChunk]:
-        """Stream bounded chunk descriptors over the bundle table.
-
-        A keyset cursor walks the ``seq`` primary key in ``chunk_size``
-        steps (optionally restricted by a filter and/or to ``seq >
-        seq_min``, the incremental analyzer's watermark), yielding one
-        :class:`ArchiveChunk` per slice. Only projected index columns are
-        read — planning a 50k-bundle archive touches no JSON payloads and
-        never materializes more than one chunk's keys at a time.
-        """
-        if chunk_size < 1:
-            raise ConfigError("chunk_size must be >= 1")
-        where = where or BundleFilter()
-        clause, params = where.compile()
-        cursor = seq_min if seq_min is not None else 0
-        index = 0
-        while True:
-            rows = self._timed(
-                "iter_chunks",
-                "SELECT seq, slot FROM bundles "
-                f"WHERE seq > ? AND {clause} ORDER BY seq LIMIT ?",
-                [cursor] + params + [chunk_size],
-            )
-            if not rows:
-                return
-            seqs = [row["seq"] for row in rows]
-            slots = [row["slot"] for row in rows]
-            yield ArchiveChunk(
-                index=index,
-                seq_lo=seqs[0],
-                seq_hi=seqs[-1],
-                count=len(rows),
-                slot_lo=min(slots),
-                slot_hi=max(slots),
-            )
-            cursor = seqs[-1]
-            index += 1
-
-    def chunk_bounds(
-        self,
-        chunk_size: int = 2_048,
-        where: BundleFilter | None = None,
-        seq_min: int | None = None,
+    def chunk_plan(
+        self, chunk_size: int, seq_min: int = 0
     ) -> list[ArchiveChunk]:
-        """The whole chunk plan in one window-function pass.
+        """Partition the bundles with ``seq > seq_min`` into chunks.
 
-        Produces exactly the chunks :meth:`iter_chunks` yields (same
-        indexes, ``seq`` bounds, counts, and slot bounds) but with a
-        single C-side scan instead of one round-trip per chunk — the
-        keyset walk re-executes its query (and re-plans its variable
-        SQL) once per ``chunk_size`` rows, which showed up as a
-        measurable share of short analysis runs. The SQL text here is
-        constant, so SQLite's per-connection statement cache serves
-        every call after the first.
+        A keyset walk along the ``seq`` primary key: each step counts the
+        next ``chunk_size`` rows and takes their ``seq`` bounds in SQL,
+        reading no row payload, and the next step starts past the last
+        ``seq``. ``seq_min`` is the incremental analyzer's watermark (0
+        plans the whole archive). A short chunk ends the walk, so a plan
+        of ``n`` chunks costs at most ``n + 1`` queries.
         """
         if chunk_size < 1:
             raise ConfigError("chunk_size must be >= 1")
-        where = where or BundleFilter()
-        clause, params = where.compile()
-        cursor = seq_min if seq_min is not None else 0
-        rows = self._timed(
-            "chunk_bounds",
-            "SELECT grp, COUNT(*) AS n, MIN(seq) AS seq_lo, "
-            "MAX(seq) AS seq_hi, MIN(slot) AS slot_lo, MAX(slot) AS slot_hi "
-            "FROM (SELECT seq, slot, "
-            "(ROW_NUMBER() OVER (ORDER BY seq) - 1) / ? AS grp "
-            f"FROM bundles WHERE seq > ? AND {clause}) "
-            "GROUP BY grp ORDER BY grp",
-            [chunk_size, cursor] + params,
-        )
-        return [
-            ArchiveChunk(
-                index=index,
-                seq_lo=row["seq_lo"],
-                seq_hi=row["seq_hi"],
-                count=row["n"],
-                slot_lo=row["slot_lo"],
-                slot_hi=row["slot_hi"],
+        chunks: list[ArchiveChunk] = []
+        cursor = seq_min
+        while True:
+            ((count, seq_lo, seq_hi),) = self._timed(
+                "chunk_plan",
+                "SELECT COUNT(*), MIN(seq), MAX(seq) FROM "
+                "(SELECT seq FROM bundles WHERE seq > ? ORDER BY seq LIMIT ?)",
+                [cursor, chunk_size],
+                tuples=True,
             )
-            for index, row in enumerate(rows)
-        ]
+            if count:
+                chunks.append(ArchiveChunk(len(chunks), seq_lo, seq_hi, count))
+            if count < chunk_size:
+                return chunks
+            cursor = seq_hi
 
     def count_bundles(self, where: BundleFilter | None = None) -> int:
         """Number of bundles matching the filter."""
@@ -439,18 +328,6 @@ class ArchiveQuery:
             "bundle",
             f"SELECT {_BUNDLES} FROM bundles WHERE bundle_id = ?",
             [bundle_id],
-            tuples=True,
-        )
-        return bundle_from_columns(*rows[0]) if rows else None
-
-    def bundle_of_transaction(self, tx_id: str) -> BundleRecord | None:
-        """The bundle containing a member transaction id, if archived."""
-        rows = self._timed(
-            "bundle_of_transaction",
-            f"SELECT {_B_BUNDLES} FROM bundles b "
-            "JOIN bundle_transactions m ON m.bundle_id = b.bundle_id "
-            "WHERE m.transaction_id = ?",
-            [tx_id],
             tuples=True,
         )
         return bundle_from_columns(*rows[0]) if rows else None

@@ -7,8 +7,8 @@ Commands:
   ``--resume`` continues a killed run byte-identically; ``--scenario``
   runs a registered scenario pack and reports measurement bias instead);
 - ``scenarios`` — list the registered scenario packs;
-- ``analyze`` — re-analyze a persisted store offline; accepts either a
-  JSONL store directory or an archive database (auto-detected);
+- ``analyze`` — re-analyze an archive database offline (a JSONL store
+  directory enters through ``archive import-jsonl``);
 - ``archive`` — maintain an archive database (import/export/stats/vacuum);
 - ``query`` — run indexed queries and aggregations against an archive;
 - ``serve`` — simulate a world and serve its Jito Explorer over HTTP (the
@@ -51,11 +51,6 @@ from repro.collector import (
     TxDetailFetcher,
 )
 from repro.collector.poller import PollerConfig
-from repro.core import (
-    DefensiveBundlingClassifier,
-    SandwichDetector,
-    WindowedSandwichDetector,
-)
 from repro.errors import ConfigError, ReproError
 from repro.obs import (
     ConsoleSink,
@@ -213,7 +208,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     started = time.time()
     checkpointed = None
     streaming = None
-    report = None
     if args.stream:
         if args.resume:
             progress.error(
@@ -277,23 +271,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     else:
         result = MeasurementCampaign(scenario).run()
-    if streaming is not None:
-        pass  # the report streamed in alongside collection
-    elif checkpointed is not None and args.jobs is not None and args.jobs > 1:
-        # Archived campaigns can fan post-processing out to the sharded
-        # engine; the report is byte-identical to the serial pipeline's.
-        from repro.parallel import ParallelAnalysisEngine
-
-        checkpointed.store.flush()
-        engine = ParallelAnalysisEngine(
-            checkpointed.store.database,
-            jobs=args.jobs,
-            metrics=result.metrics,
-        )
-        report = engine.analyze(
-            poll_overlap_fraction=result.coverage.overlap_fraction()
-        )
-    else:
+    if streaming is None:
         report = AnalysisPipeline().analyze_campaign(result)
     elapsed = time.time() - started
 
@@ -410,14 +388,20 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    """Re-analyze a persisted store (no simulation).
+    """Re-analyze an archive database (no simulation).
 
-    ``--store`` accepts either layout, auto-detected: a JSONL store
-    directory (``bundles.jsonl`` + ``transactions.jsonl``) or an archive
-    database file (``archive.db``). Against an archive, ``--incremental``
-    re-detects only rows newer than the last analyzed watermark.
+    ``--store`` names an archive database file (``archive.db``); a JSONL
+    store directory enters analysis through ``repro archive import-jsonl``.
+    ``--incremental`` re-detects only rows newer than the last analyzed
+    watermark.
     """
+    from repro.archive import ArchiveDatabase, IncrementalAnalyzer
     from repro.archive.database import is_archive_path
+    from repro.parallel import (
+        DetectorSpec,
+        ParallelAnalysisEngine,
+        default_jobs,
+    )
 
     progress, output = _build_logs(args)
     emit = lambda message, **fields: output.info(  # noqa: E731
@@ -430,32 +414,33 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         progress.error(
             "cli.analyze",
             f"store {store_path} does not exist (expected an archive "
-            "database or a JSONL store directory)",
+            "database)",
             store=str(store_path),
         )
         return 2
+    if not is_archive_path(store_path):
+        progress.error(
+            "cli.analyze",
+            f"{store_path} is not an archive database (a SQLite file such "
+            "as archive.db); a JSONL store directory enters analysis "
+            "through 'repro archive import-jsonl --store DIR --db FILE'",
+            store=str(store_path),
+        )
+        return 2
+    # Validated before the archive is opened: a writable open migrates it.
     if args.jobs is not None and args.jobs < 1:
-        # Validated up front so a bad --jobs fails the same way on JSONL
-        # stores (which otherwise ignore the flag) as on archives.
         raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
-    if args.chunk_size is not None and args.chunk_size < 1:
+    if args.chunk_size < 1:
         raise ConfigError(f"chunk_size must be >= 1, got {args.chunk_size}")
-    if is_archive_path(store_path):
-        from repro.archive import ArchiveDatabase, IncrementalAnalyzer
-        from repro.parallel import (
-            DetectorSpec,
-            ParallelAnalysisEngine,
-            default_jobs,
-        )
-
-        jobs = args.jobs if args.jobs is not None else default_jobs()
-        spec = DetectorSpec(
-            kind="windowed" if args.windowed else "standard",
-            threshold_lamports=args.threshold,
-        )
+    jobs = args.jobs if args.jobs is not None else default_jobs()
+    spec = DetectorSpec(
+        kind="windowed" if args.windowed else "standard",
+        threshold_lamports=args.threshold,
+    )
+    with ArchiveDatabase(store_path) as database:
         if args.incremental:
             analyzer = IncrementalAnalyzer(
-                ArchiveDatabase(store_path),
+                database,
                 jobs=jobs,
                 chunk_size=args.chunk_size,
                 spec=spec,
@@ -479,77 +464,30 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     new_sandwiches=outcome.new_sandwiches,
                     jobs=jobs,
                 )
-            store_size = report.headline.bundles_collected
             profile = analyzer.stage_profile
         else:
             engine = ParallelAnalysisEngine(
-                ArchiveDatabase(store_path),
+                database,
                 jobs=jobs,
                 chunk_size=args.chunk_size,
                 spec=spec,
                 engine=args.engine,
             )
             report = engine.analyze()
-            store_size = report.headline.bundles_collected
             profile = engine.stage_profile
-        if args.profile:
-            emit(
-                "stage breakdown (wall-clock seconds per stage; under "
-                "--jobs the workers' stages add up past elapsed time):",
-                stage_profile=profile.as_dict(),
-            )
-            for line in profile.render_table().splitlines():
-                emit("  " + line)
-    elif (store_path / "bundles.jsonl").is_file():
-        if args.jobs is not None and args.jobs > 1:
-            progress.info(
-                "cli.analyze",
-                "JSONL stores have no chunk cursor; --jobs ignored, "
-                "analyzing serially",
-            )
-        if args.engine != "object":
-            progress.info(
-                "cli.analyze",
-                "JSONL stores have no columnar projections; --engine "
-                "ignored, analyzing with the object pipeline",
-            )
-        if args.profile:
-            progress.info(
-                "cli.analyze",
-                "JSONL stores run the serial pipeline, which has no "
-                "stage-profiled chunk path; --profile ignored",
-            )
-        if args.incremental:
-            progress.error(
-                "cli.analyze",
-                "--incremental needs an archive database; JSONL stores "
-                "have no analysis watermark",
-            )
-            return 2
-        store = BundleStore.load(args.store)
-        pipeline = AnalysisPipeline(
-            detector=(
-                WindowedSandwichDetector()
-                if args.windowed
-                else SandwichDetector()
-            ),
-            classifier=DefensiveBundlingClassifier(
-                threshold_lamports=args.threshold
-            ),
+    if args.profile:
+        emit(
+            "stage breakdown (wall-clock seconds per stage; under "
+            "--jobs the workers' stages add up past elapsed time):",
+            stage_profile=profile.as_dict(),
         )
-        report = pipeline.analyze_store(store)
-        store_size = len(store)
-    else:
-        progress.error(
-            "cli.analyze",
-            f"{args.store} is neither an archive database (a SQLite file "
-            "such as archive.db) nor a JSONL store directory (one holding "
-            "bundles.jsonl and transactions.jsonl)",
-            store=str(args.store),
-        )
-        return 2
+        for line in profile.render_table().splitlines():
+            emit("  " + line)
     headline = report.headline
-    emit(f"bundles:            {store_size}", bundles=store_size)
+    emit(
+        f"bundles:            {headline.bundles_collected}",
+        bundles=headline.bundles_collected,
+    )
     emit(
         f"sandwiches:         {headline.sandwich_count}",
         sandwiches=headline.sandwich_count,
@@ -1127,13 +1065,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="days between checkpoints when --archive is set (default 1)",
     )
     campaign.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for post-campaign analysis (archived "
-        "campaigns only; default: analyze serially)",
-    )
-    campaign.add_argument(
         "--stream",
         action="store_true",
         help="analyze while collecting: run detection over the live "
@@ -1159,11 +1090,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_log_options(chaos)
     chaos.set_defaults(func=cmd_chaos)
 
-    analyze = sub.add_parser("analyze", help="re-analyze a persisted store")
+    analyze = sub.add_parser("analyze", help="re-analyze an archive database")
     analyze.add_argument(
         "--store",
         required=True,
-        help="JSONL store directory or archive database (auto-detected)",
+        help="archive database (load a JSONL store directory into one "
+        "with 'archive import-jsonl')",
     )
     analyze.add_argument("--threshold", type=int, default=100_000)
     analyze.add_argument(
@@ -1175,36 +1107,35 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--incremental",
         action="store_true",
-        help="archive stores only: re-detect only rows newer than the "
-        "last analyzed watermark",
+        help="re-detect only rows newer than the last analyzed "
+        "watermark",
     )
     analyze.add_argument(
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for archive analysis (default: all cores "
-        "but one; 1 analyzes in-process)",
+        help="worker processes (default: all cores but one; 1 analyzes "
+        "in-process)",
     )
     analyze.add_argument(
         "--chunk-size",
         type=int,
         default=2_048,
-        help="bundles per analysis chunk when sharding an archive "
-        "(default 2048)",
+        help="bundles per analysis chunk (default 2048)",
     )
     analyze.add_argument(
         "--engine",
         choices=("object", "columnar"),
         default="object",
-        help="archive chunk analyzer: per-bundle objects (default) or "
+        help="chunk analyzer: per-bundle objects (default) or "
         "the vectorized columnar path (needs numpy; byte-identical "
         "reports either way)",
     )
     analyze.add_argument(
         "--profile",
         action="store_true",
-        help="archive stores only: print the per-stage wall-time "
-        "breakdown (load/intern/detect/quantify/merge) after analysis; "
+        help="print the per-stage wall-time breakdown "
+        "(load/intern/detect/quantify/merge) after analysis; "
         "incremental passes add a rebuild row for the report rebuild",
     )
     analyze.set_defaults(func=cmd_analyze)

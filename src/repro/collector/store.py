@@ -35,7 +35,6 @@ class BundleStore:
     def __init__(self, metrics: MetricsRegistry | None = None) -> None:
         self._bundles: dict[str, BundleRecord] = {}
         self._details: dict[str, TransactionRecord] = {}
-        self._tx_to_bundle: dict[str, str] = {}
         self._by_length: dict[int, list[BundleRecord]] = {}
         self._taps: list = []
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -69,11 +68,6 @@ class BundleStore:
         """
         self._taps.append(tap)
 
-    def detach_tap(self, tap) -> None:
-        """Unregister a previously attached tap (no-op when absent)."""
-        if tap in self._taps:
-            self._taps.remove(tap)
-
     # --- bundles ----------------------------------------------------------------
 
     def add_bundles(self, records: list[BundleRecord]) -> int:
@@ -84,8 +78,6 @@ class BundleStore:
             if record.bundle_id in self._bundles:
                 continue
             self._bundles[record.bundle_id] = record
-            for tx_id in record.transaction_ids:
-                self._tx_to_bundle[tx_id] = record.bundle_id
             self._by_length.setdefault(record.num_transactions, []).append(
                 record
             )
@@ -111,11 +103,6 @@ class BundleStore:
     def get_bundle(self, bundle_id: str) -> BundleRecord | None:
         """Look up one bundle by id."""
         return self._bundles.get(bundle_id)
-
-    def bundle_of_transaction(self, tx_id: str) -> BundleRecord | None:
-        """The bundle a transaction id was collected in, if any."""
-        bundle_id = self._tx_to_bundle.get(tx_id)
-        return self._bundles.get(bundle_id) if bundle_id else None
 
     def bundles_of_length(self, length: int) -> list[BundleRecord]:
         """All collected bundles with exactly ``length`` transactions."""

@@ -171,14 +171,6 @@ class BundleBlock:
         block._txids = [tuple(r.transaction_ids) for r in records]
         return block
 
-    def lengths_array(self) -> "_np.ndarray":
-        """Bundle lengths as an int64 column."""
-        return _np.array(self.lengths, dtype=_np.int64)
-
-    def tips_array(self) -> "_np.ndarray":
-        """Tip lamports as a numeric column."""
-        return num_array(self.tips)
-
 
 def load_bundle_block(
     query: ArchiveQuery, seq_lo: int, seq_hi: int
@@ -404,15 +396,6 @@ class CandidateBlock:
         self.needs_exact_math()
         return self
 
-    def signer_columns(self) -> tuple:
-        """Object arrays of the three member signers."""
-        if "signers" not in self._cache:
-            self._cache["signers"] = tuple(
-                obj_array([f[pos].signer for f in self.features])
-                for pos in range(3)
-            )
-        return self._cache["signers"]
-
     def signer_code_columns(self) -> tuple:
         """Int64 code columns of the member signers (one intern table).
 
@@ -435,15 +418,6 @@ class CandidateBlock:
                 for pos in range(3)
             )
         return self._cache["signer_codes"]
-
-    def mint_set_columns(self) -> tuple:
-        """Object arrays of the three members' traded mint sets."""
-        if "mint_sets" not in self._cache:
-            self._cache["mint_sets"] = tuple(
-                obj_array([f[pos].mints for f in self.features])
-                for pos in range(3)
-            )
-        return self._cache["mint_sets"]
 
     def mint_set_code_columns(self) -> tuple:
         """Interned mint-set columns: ``(codes, nonempty)`` triples.

@@ -20,6 +20,20 @@ class DetectionStats:
     bundles_skipped_incomplete: int = 0
     rejections_by_criterion: dict[str, int] = field(default_factory=dict)
 
+    def add(self, other: "DetectionStats") -> None:
+        """Add another pass's bookkeeping to this one, in place.
+
+        A criterion new to this tally is appended, so adding chunk tallies
+        in chunk order keeps the first-appearance order a serial
+        detector's dict has.
+        """
+        self.bundles_examined += other.bundles_examined
+        self.bundles_detected += other.bundles_detected
+        self.bundles_skipped_incomplete += other.bundles_skipped_incomplete
+        rejections = self.rejections_by_criterion
+        for criterion, count in other.rejections_by_criterion.items():
+            rejections[criterion] = rejections.get(criterion, 0) + count
+
 
 class SandwichDetector:
     """Detects Sandwiching MEV in length-three bundles (paper Section 3.2).

@@ -41,6 +41,36 @@ class AnalysisReport:
         return len(self.quantified)
 
 
+def assemble_report(
+    quantified: list[QuantifiedSandwich],
+    defensive: DefensiveReport,
+    stats: DetectionStats,
+    bundles_collected: int,
+    oracle: PriceOracle,
+    poll_overlap_fraction: float | None = None,
+) -> AnalysisReport:
+    """The campaign report over finished detection and classification.
+
+    The one report assembler: the in-memory pipeline, the chunked engine,
+    the incremental analyzer and the streaming builder each hand it their
+    quantified sandwiches (in ``landed_at`` order), defensive report and
+    detector tallies, and it derives the daily series and the headline.
+    """
+    return AnalysisReport(
+        quantified=quantified,
+        defensive=defensive,
+        daily=sandwiches_per_day(quantified, oracle),
+        headline=headline_stats(
+            quantified,
+            defensive,
+            bundles_collected=bundles_collected,
+            oracle=oracle,
+            poll_overlap_fraction=poll_overlap_fraction,
+        ),
+        detection_stats=stats,
+    )
+
+
 class AnalysisPipeline:
     """Detector + quantifier + defensive classifier + aggregation."""
 
@@ -103,22 +133,13 @@ class AnalysisPipeline:
         """Run the full analysis over a collected store."""
         with self.metrics.span("analysis.pipeline"):
             events = self.detector.detect_all(store)
-            quantified = self.quantifier.quantify_all(events)
-            defensive_report = self.classifier.classify(store)
-            daily = sandwiches_per_day(quantified, self.oracle)
-            headline = headline_stats(
-                quantified,
-                defensive_report,
+            report = assemble_report(
+                self.quantifier.quantify_all(events),
+                self.classifier.classify(store),
+                self.detector.stats,
                 bundles_collected=len(store),
                 oracle=self.oracle,
                 poll_overlap_fraction=poll_overlap_fraction,
-            )
-            report = AnalysisReport(
-                quantified=quantified,
-                defensive=defensive_report,
-                daily=daily,
-                headline=headline,
-                detection_stats=self.detector.stats,
             )
         self._record_metrics(self.detector.stats, report)
         # Archive-backed stores persist detections; duck-typed so this

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import (
@@ -45,6 +44,7 @@ from repro.explorer.wire import bundle_record_to_json, transaction_record_to_jso
 from repro.obs.export import render_prometheus
 from repro.serve.httpcommon import (
     PlainText as _PlainText,
+    ThreadedServer,
     close_connection,
     read_request,
     write_response,
@@ -207,7 +207,8 @@ class ExplorerHttpServer:
             }
         return 404, {"error": f"no route {path}"}
 
-class ThreadedExplorerServer:
+
+class ThreadedExplorerServer(ThreadedServer):
     """Runs an :class:`ExplorerHttpServer` on a daemon thread.
 
     Lets synchronous code (tests, examples, the blocking HTTP client) talk to
@@ -221,49 +222,6 @@ class ThreadedExplorerServer:
     def __init__(
         self, service: ExplorerService, host: str = "127.0.0.1", port: int = 0
     ) -> None:
-        self._inner = ExplorerHttpServer(service, host, port)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-
-    @property
-    def port(self) -> int:
-        """The bound port once the server has started."""
-        return self._inner.port
-
-    def start(self) -> None:
-        """Start the event loop thread and wait for the socket to bind."""
-        self._loop = asyncio.new_event_loop()
-
-        def run() -> None:
-            assert self._loop is not None
-            asyncio.set_event_loop(self._loop)
-            self._loop.run_until_complete(self._inner.start())
-            self._started.set()
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(
-            target=run, name="explorer-http", daemon=True
+        super().__init__(
+            ExplorerHttpServer(service, host, port), name="explorer-http"
         )
-        self._thread.start()
-        if not self._started.wait(timeout=10):
-            raise RuntimeError("explorer HTTP server failed to start")
-
-    def stop(self) -> None:
-        """Stop the server and join the thread."""
-        if self._loop is None or self._thread is None:
-            return
-        future = asyncio.run_coroutine_threadsafe(self._inner.stop(), self._loop)
-        future.result(timeout=10)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
-        self._loop.close()
-        self._loop = None
-        self._thread = None
-
-    def __enter__(self) -> "ThreadedExplorerServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -83,7 +83,7 @@ class BlockEngine:
         self._schedule = schedule
         self._clock = clock
         self._bundle_log: list[BundleOutcome] = []
-        self._bundle_index: dict[str, BundleOutcome] = {}
+        self._landed_by_id: dict[str, BundleOutcome] = {}
         self._tip_tracker = TipPercentileTracker()
         self.stats = EngineStats()
 
@@ -99,7 +99,7 @@ class BlockEngine:
 
     def get_landed_bundle(self, bundle_id: str) -> BundleOutcome | None:
         """Look up one landed bundle by id (None if never landed)."""
-        return self._bundle_index.get(bundle_id)
+        return self._landed_by_id.get(bundle_id)
 
     def current_slot(self) -> int:
         """The slot implied by the simulated clock (strictly increasing)."""
@@ -186,7 +186,7 @@ class BlockEngine:
                     submitted_at=submitted_at,
                 )
                 self._bundle_log.append(outcome)
-                self._bundle_index[outcome.bundle_id] = outcome
+                self._landed_by_id[outcome.bundle_id] = outcome
                 block_tx_ids.update(bundle.transaction_ids)
                 landed_tips.append(bundle.tip_lamports)
                 self.stats.bundles_landed += 1

@@ -2,7 +2,7 @@
 
 Detection, quantification, and defensive classification are embarrassingly
 parallel per bundle, so the engine splits an archived campaign into bounded
-``seq``-range chunks (:meth:`repro.archive.query.ArchiveQuery.chunk_bounds`),
+``seq``-range chunks (:meth:`repro.archive.query.ArchiveQuery.chunk_plan`),
 fans the chunks out to a ``multiprocessing`` pool whose workers re-open the
 archive read-only, and folds the per-chunk results back together with a
 deterministic, order-independent reducer — serial and parallel runs produce
@@ -18,7 +18,7 @@ imports :mod:`multiprocessing`, keeping tests and single-core hosts
 hermetic.
 """
 
-from repro.parallel.chunks import ChunkTask, DetectorSpec, plan_chunks
+from repro.parallel.chunks import ChunkTask, DetectorSpec
 from repro.parallel.engine import ParallelAnalysisEngine, default_jobs
 from repro.parallel.merge import (
     MergedAnalysis,
@@ -35,6 +35,5 @@ __all__ = [
     "ParallelAnalysisEngine",
     "default_jobs",
     "merge_outcomes",
-    "plan_chunks",
     "report_to_jsonable",
 ]

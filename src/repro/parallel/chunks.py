@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.archive.query import ArchiveChunk, ArchiveQuery, BundleFilter
+from repro.archive.query import ArchiveChunk
 from repro.constants import DEFENSIVE_TIP_THRESHOLD_LAMPORTS
 from repro.core.defensive import DefensiveBundlingClassifier
 from repro.core.detector import SandwichDetector, WindowedSandwichDetector
@@ -121,16 +121,3 @@ class ChunkTask:
                 f"got {self.engine!r}"
             )
 
-
-def plan_chunks(
-    query: ArchiveQuery,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    where: BundleFilter | None = None,
-    seq_min: int | None = None,
-) -> list[ArchiveChunk]:
-    """Materialize the chunk plan for an archive in one window-function
-    pass (:meth:`~repro.archive.query.ArchiveQuery.chunk_bounds`), rather
-    than the keyset walk of ``iter_chunks`` — same chunks, one query."""
-    return query.chunk_bounds(
-        chunk_size=chunk_size, where=where, seq_min=seq_min
-    )

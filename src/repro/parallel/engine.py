@@ -22,8 +22,7 @@ from typing import Callable, Iterable
 from repro.archive.database import ArchiveDatabase
 from repro.archive.query import ArchiveQuery
 from repro.archive.store import ArchiveBundleStore
-from repro.core.aggregate import headline_stats, sandwiches_per_day
-from repro.core.pipeline import AnalysisReport
+from repro.core.pipeline import AnalysisReport, assemble_report
 from repro.dex.oracle import PriceOracle
 from repro.errors import ConfigError
 from repro.obs.profile import StageProfile, StageTimer
@@ -33,7 +32,6 @@ from repro.parallel.chunks import (
     DEFAULT_CHUNK_SIZE,
     ChunkTask,
     DetectorSpec,
-    plan_chunks,
 )
 from repro.parallel.merge import MergedAnalysis, merge_outcomes
 from repro.parallel.worker import (
@@ -225,7 +223,7 @@ class ParallelAnalysisEngine:
         """
         with self.metrics.span("parallel.analyze"):
             self.stage_profile = StageProfile()
-            chunks = plan_chunks(self.query, chunk_size=self.chunk_size)
+            chunks = self.query.chunk_plan(self.chunk_size)
             tasks = self.tasks_for_chunks(chunks)
             outcomes = self.run_tasks(tasks)
             if progress is not None:
@@ -252,18 +250,11 @@ class ParallelAnalysisEngine:
         poll_overlap_fraction: float | None = None,
     ) -> AnalysisReport:
         """Campaign-level aggregation over merged chunk results."""
-        daily = sandwiches_per_day(merged.quantified, self.oracle)
-        headline = headline_stats(
+        return assemble_report(
             merged.quantified,
             merged.defensive_report,
+            merged.stats,
             bundles_collected=self.query.count_bundles(),
             oracle=self.oracle,
             poll_overlap_fraction=poll_overlap_fraction,
-        )
-        return AnalysisReport(
-            quantified=merged.quantified,
-            defensive=merged.defensive_report,
-            daily=daily,
-            headline=headline,
-            detection_stats=merged.stats,
         )

@@ -40,26 +40,6 @@ class MergedAnalysis:
     bundle_count: int = 0
 
 
-def merge_stats(outcomes: list[ChunkOutcome]) -> DetectionStats:
-    """Sum detector bookkeeping across chunk outcomes (in chunk order).
-
-    Rejection criteria keep their first-appearance order across the
-    ordered chunks — the same dict insertion order a serial detector
-    produces.
-    """
-    merged = DetectionStats()
-    for outcome in outcomes:
-        stats = outcome.stats
-        merged.bundles_examined += stats.bundles_examined
-        merged.bundles_detected += stats.bundles_detected
-        merged.bundles_skipped_incomplete += stats.bundles_skipped_incomplete
-        for criterion, count in stats.rejections_by_criterion.items():
-            merged.rejections_by_criterion[criterion] = (
-                merged.rejections_by_criterion.get(criterion, 0) + count
-            )
-    return merged
-
-
 def merge_outcomes(
     outcomes: list[ChunkOutcome], threshold_lamports: int
 ) -> MergedAnalysis:
@@ -87,10 +67,12 @@ def merge_outcomes(
     quantified: list[QuantifiedSandwich] = []
     report = DefensiveReport(threshold_lamports=threshold_lamports)
     by_day: dict[str, int] = {}
+    stats = DetectionStats()
     pending: list[str] = []
     bundles = 0
     for outcome in ordered:
         quantified.extend(outcome.quantified)
+        stats.add(outcome.stats)
         report.defensive_ids.extend(outcome.defensive)
         report.priority_ids.extend(outcome.priority)
         report.defensive_tips_lamports += outcome.defensive_tips_lamports
@@ -104,7 +86,7 @@ def merge_outcomes(
     return MergedAnalysis(
         quantified=quantified,
         defensive_report=report,
-        stats=merge_stats(ordered),
+        stats=stats,
         pending_detail_ids=pending,
         bundle_count=bundles,
     )

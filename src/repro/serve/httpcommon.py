@@ -5,13 +5,16 @@ one request per connection, explicit ``Content-Length``, ``Connection:
 close``. Request parsing and response writing live here so the two servers
 cannot drift — in particular, both answer ``HEAD`` with the exact headers
 (including ``Content-Length``) their ``GET`` would have sent, minus the
-body, which is what polite cache-validating clients rely on.
+body, which is what polite cache-validating clients rely on. Both also run
+on one :class:`ThreadedServer`, so they start, fail to bind and stop the
+same way.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 #: Request head larger than this is dropped without a response.
 MAX_HEADER_BYTES = 64 * 1024
@@ -145,3 +148,82 @@ async def write_response(
     ).encode("latin-1")
     writer.write(head if head_only else head + body)
     await writer.drain()
+
+
+class ThreadedServer:
+    """Runs an asyncio server on its own event loop in a daemon thread.
+
+    ``inner`` has a ``port`` and coroutine methods ``start()`` (bind and
+    serve) and ``stop()``. Synchronous code (tests, examples, the CLI)
+    runs it without managing a loop: :meth:`start` returns once the
+    server listens, or raises what ``inner.start()`` raised — an
+    ``OSError`` when the port is taken. Use as a context manager.
+    """
+
+    #: Seconds :meth:`start` and :meth:`stop` wait for the loop thread.
+    TIMEOUT = 10
+
+    def __init__(self, inner, name: str) -> None:
+        self._inner = inner
+        self._name = name
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._thread: threading.Thread | None = None
+        self._started = threading.Event()
+        self._start_error: BaseException | None = None
+
+    @property
+    def port(self) -> int:
+        """The bound port once the server has started."""
+        return self._inner.port
+
+    def _run(self) -> None:
+        assert self._loop is not None
+        asyncio.set_event_loop(self._loop)
+        try:
+            self._loop.run_until_complete(self._inner.start())
+        except BaseException as exc:  # noqa: BLE001 - reraised in start()
+            self._start_error = exc
+            self._started.set()
+            return
+        self._started.set()
+        self._loop.run_forever()
+
+    def start(self) -> None:
+        """Start the loop thread and wait for the socket to bind."""
+        self._started.clear()
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._run, name=self._name, daemon=True
+        )
+        self._thread.start()
+        if not self._started.wait(timeout=self.TIMEOUT):
+            raise RuntimeError(f"{self._name} server failed to start")
+        if self._start_error is not None:
+            error, self._start_error = self._start_error, None
+            self._thread.join(timeout=self.TIMEOUT)
+            self._loop.close()
+            self._loop = None
+            self._thread = None
+            raise error
+
+    def stop(self) -> None:
+        """Stop the server and join the thread."""
+        if self._loop is None or self._thread is None:
+            return
+        if self._thread.is_alive() and self._loop.is_running():
+            future = asyncio.run_coroutine_threadsafe(
+                self._inner.stop(), self._loop
+            )
+            future.result(timeout=self.TIMEOUT)
+            self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=self.TIMEOUT)
+        self._loop.close()
+        self._loop = None
+        self._thread = None
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()

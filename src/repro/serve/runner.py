@@ -12,6 +12,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Protocol
 
+from repro.errors import ConfigError
+
 
 class ForegroundServer(Protocol):
     """What the runner needs from a threaded server."""
@@ -36,12 +38,19 @@ def run_until_interrupt(
 ) -> None:
     """Start ``server``, announce its resolved port, block until Ctrl-C.
 
-    ``announce`` receives the port actually bound (meaningful when the
-    requested port was 0) and runs after the socket is listening — a
-    client that connects the moment the line prints will be served. The
-    server is stopped on the way out even if the announcement raises.
+    A start that fails with an ``OSError`` (the port is taken) raises
+    :class:`~repro.errors.ConfigError` instead. ``announce`` receives the
+    port actually bound (meaningful when the requested port was 0) and
+    runs after the socket is listening — a client that connects the
+    moment the line prints will be served. The server is stopped on the
+    way out even if the announcement raises.
     """
-    server.start()
+    try:
+        server.start()
+    except OSError as exc:
+        # A taken port (or a host that cannot be bound) is an operator
+        # mistake: one line and exit 2 through main(), no traceback.
+        raise ConfigError(f"cannot start the server: {exc}") from exc
     try:
         announce(server.port)
         while True:

@@ -14,10 +14,10 @@ drop SYNs before the loop ever saw them.
 from __future__ import annotations
 
 import asyncio
-import threading
 
-from repro.serve.app import ApiConfig, ArchiveApiApp
+from repro.serve.app import ArchiveApiApp
 from repro.serve.httpcommon import (
+    ThreadedServer,
     close_connection,
     read_request,
     write_response,
@@ -47,14 +47,21 @@ class ApiHttpServer:
         return self._port
 
     async def start(self) -> None:
-        """Open the archive on this loop's thread, then bind and serve."""
+        """Open the archive on this loop's thread, then bind and serve.
+
+        A failed bind closes the archive again before it raises.
+        """
         self._app.open()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self._host,
-            self._port,
-            backlog=LISTEN_BACKLOG,
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_connection,
+                self._host,
+                self._port,
+                backlog=LISTEN_BACKLOG,
+            )
+        except BaseException:
+            self._app.close()
+            raise
         sockets = self._server.sockets or []
         if sockets:
             self._port = sockets[0].getsockname()[1]
@@ -96,7 +103,7 @@ class ApiHttpServer:
             await close_connection(writer)
 
 
-class ThreadedApiServer:
+class ThreadedApiServer(ThreadedServer):
     """Runs an :class:`ApiHttpServer` on a daemon thread.
 
     The archive is opened *inside* the loop thread (SQLite connections are
@@ -108,67 +115,9 @@ class ThreadedApiServer:
     """
 
     def __init__(self, app: ArchiveApiApp) -> None:
-        self._inner = ApiHttpServer(app)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._start_error: BaseException | None = None
+        super().__init__(ApiHttpServer(app), name="archive-api-http")
 
     @property
     def app(self) -> ArchiveApiApp:
         """The dispatch core this server fronts."""
         return self._inner.app
-
-    @property
-    def port(self) -> int:
-        """The bound port once the server has started."""
-        return self._inner.port
-
-    def start(self) -> None:
-        """Start the event loop thread and wait for the socket to bind."""
-        self._loop = asyncio.new_event_loop()
-
-        def run() -> None:
-            assert self._loop is not None
-            asyncio.set_event_loop(self._loop)
-            try:
-                self._loop.run_until_complete(self._inner.start())
-            except BaseException as exc:  # noqa: BLE001 - reraised in start()
-                self._start_error = exc
-                self._started.set()
-                return
-            self._started.set()
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(
-            target=run, name="archive-api-http", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=10):
-            raise RuntimeError("archive API server failed to start")
-        if self._start_error is not None:
-            error = self._start_error
-            self._start_error = None
-            raise error
-
-    def stop(self) -> None:
-        """Stop the server and join the thread."""
-        if self._loop is None or self._thread is None:
-            return
-        if self._thread.is_alive() and self._loop.is_running():
-            future = asyncio.run_coroutine_threadsafe(
-                self._inner.stop(), self._loop
-            )
-            future.result(timeout=10)
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
-        self._loop.close()
-        self._loop = None
-        self._thread = None
-
-    def __enter__(self) -> "ThreadedApiServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

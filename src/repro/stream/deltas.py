@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.aggregate import headline_stats, sandwiches_per_day
 from repro.core.detector import DetectionStats
-from repro.core.pipeline import AnalysisReport
+from repro.core.pipeline import AnalysisReport, assemble_report
 from repro.core.quantify import QuantifiedSandwich
 from repro.dex.oracle import PriceOracle
 from repro.errors import ConformanceError
@@ -186,18 +185,11 @@ class IncrementalReportBuilder:
         merged = merge_outcomes(
             outcomes, threshold_lamports=self.spec.threshold_lamports
         )
-        daily = sandwiches_per_day(merged.quantified, self.oracle)
-        headline = headline_stats(
+        return assemble_report(
             merged.quantified,
             merged.defensive_report,
+            merged.stats,
             bundles_collected=merged.bundle_count,
             oracle=self.oracle,
             poll_overlap_fraction=poll_overlap_fraction,
-        )
-        return AnalysisReport(
-            quantified=merged.quantified,
-            defensive=merged.defensive_report,
-            daily=daily,
-            headline=headline,
-            detection_stats=merged.stats,
         )

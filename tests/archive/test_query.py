@@ -87,10 +87,6 @@ class TestBundleQueries:
         assert populated.bundle("b7").slot == 107
         assert populated.bundle("nope") is None
 
-    def test_bundle_of_transaction(self, populated):
-        assert populated.bundle_of_transaction("t3-1").bundle_id == "b3"
-        assert populated.bundle_of_transaction("ghost") is None
-
 
 class TestDetailQueries:
     def test_details_by_signer(self, populated):

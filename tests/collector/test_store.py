@@ -49,13 +49,6 @@ class TestIndexes:
         assert store.get_bundle("bundle-7") == record
         assert store.get_bundle("missing") is None
 
-    def test_bundle_of_transaction(self):
-        store = BundleStore()
-        record = bundle(7, length=3)
-        store.add_bundles([record])
-        assert store.bundle_of_transaction("tx-7-1") == record
-        assert store.bundle_of_transaction("nope") is None
-
     def test_bundles_of_length(self):
         store = BundleStore()
         store.add_bundles([bundle(1, 1), bundle(2, 3), bundle(3, 3)])
@@ -110,4 +103,4 @@ class TestPersistence:
         assert len(loaded) == 1
         assert loaded.get_bundle("bundle-1").tip_lamports == 777
         assert loaded.detail_count() == 1
-        assert loaded.bundle_of_transaction("tx-1-2") is not None
+        assert loaded.get_bundle("bundle-1").transaction_ids[2] == "tx-1-2"

@@ -72,8 +72,6 @@ class StoreMachine(RuleBasedStateMachine):
     @rule(record=inserted)
     def lookup_matches_model(self, record):
         assert self.store.get_bundle(record.bundle_id) == record
-        for tx_id in record.transaction_ids:
-            assert self.store.bundle_of_transaction(tx_id) == record
 
     @invariant()
     def counts_match_model(self):

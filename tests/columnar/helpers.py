@@ -167,7 +167,7 @@ def both_outcomes(
     database = ArchiveDatabase(path, read_only=True)
     spec = spec or DetectorSpec(usd_per_sol=150.0)
     if chunk is None and not bundle_ids:
-        chunks = list(ArchiveQuery(database).iter_chunks(chunk_size=10_000))
+        chunks = ArchiveQuery(database).chunk_plan(10_000)
         assert len(chunks) <= 1
         if not chunks:
             database.close()

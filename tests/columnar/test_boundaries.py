@@ -1,4 +1,4 @@
-"""Boundary regressions for ``iter_chunks`` projections and the engines.
+"""Boundary regressions for ``chunk_plan`` projections and the engines.
 
 Chunk planning partitions the archive by ``seq``; these tests pin the
 awkward partitions: consecutive sandwich bundles (front/back attack
@@ -61,7 +61,7 @@ def test_bundle_columns_respect_chunk_edges(tmp_path):
     path = build_archive(tmp_path / "edges.db", SPLIT)
     database = ArchiveDatabase(path, read_only=True)
     query = ArchiveQuery(database)
-    chunks = list(query.iter_chunks(chunk_size=2))
+    chunks = query.chunk_plan(2)
     assert [c.count for c in chunks] == [2, 2, 1]
     seen = []
     for chunk in chunks:

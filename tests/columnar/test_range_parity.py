@@ -58,7 +58,7 @@ def candidate_ids(block):
 
 class TestRangeFeatureParity:
     def test_range_loader_matches_id_loader_per_chunk(self, query):
-        for chunk in query.chunk_bounds(chunk_size=5):
+        for chunk in query.chunk_plan(5):
             block = load_bundle_block(query, chunk.seq_lo, chunk.seq_hi)
             member_ids, edge_ids = candidate_ids(block)
             by_range = load_tx_features_range(

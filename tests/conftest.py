@@ -6,6 +6,8 @@ mutate them. Cheap fixtures build fresh worlds per test.
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro.collector import MeasurementCampaign
@@ -34,6 +36,15 @@ def tiny_scenario(seed: int = 11) -> ScenarioConfig:
         spike_probability=0.0,
         market=MarketConfig(num_meme_tokens=6, num_token_token_pools=2),
     )
+
+
+@pytest.fixture
+def held_port():
+    """A local port another socket listens on, so binding it fails."""
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        yield holder.getsockname()[1]
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ connections, HTTP framing, JSON bodies, and status-code error mapping.
 
 import json
 import socket
+import time
 
 import pytest
 
@@ -226,3 +227,17 @@ class TestHeadRequests:
         assert b"404" in head.split(b"\r\n")[0]
         assert body == b""
         assert self._content_length(head) > 0
+
+
+class TestBusyPort:
+    def test_start_raises_the_bind_error_at_once(self, http_world, held_port):
+        world, _, _ = http_world
+        service = ExplorerService(
+            world.block_engine, world.ledger, world.clock
+        )
+        server = ThreadedExplorerServer(service, port=held_port)
+        started = time.monotonic()
+        with pytest.raises(OSError):
+            server.start()
+        assert time.monotonic() - started < 2
+        server.stop()  # a no-op after a failed start

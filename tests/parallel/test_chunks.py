@@ -1,11 +1,19 @@
-"""Chunk planning, projection scans, and task/spec validation."""
+"""Chunk planning and task/spec validation."""
 
 import pytest
 
+from repro.archive import ArchiveBundleStore, IncrementalAnalyzer
 from repro.archive.database import ArchiveDatabase
-from repro.archive.query import ArchiveQuery, BundleFilter
+from repro.archive.query import ArchiveChunk, ArchiveQuery
+from repro.conformance.oracle import ensure_reports_identical
+from repro.conformance.scenarios import (
+    SyntheticScenario,
+    generate_rows,
+    write_archive,
+)
 from repro.errors import ConfigError
-from repro.parallel.chunks import ChunkTask, DetectorSpec, plan_chunks
+from repro.parallel import ParallelAnalysisEngine
+from repro.parallel.chunks import ChunkTask, DetectorSpec
 from tests.parallel.helpers import build_archive
 
 
@@ -22,7 +30,7 @@ def archive(tmp_path):
 class TestIterChunks:
     def test_chunks_partition_the_archive(self, archive):
         query = ArchiveQuery(archive)
-        chunks = plan_chunks(query, chunk_size=7)
+        chunks = query.chunk_plan(7)
         assert [chunk.count for chunk in chunks] == [7, 7, 7, 4]
         assert [chunk.index for chunk in chunks] == [0, 1, 2, 3]
         # Contiguous, ordered seq ranges with no gaps or overlaps.
@@ -32,83 +40,75 @@ class TestIterChunks:
         assert chunks[-1].seq_hi == query.count_bundles()
 
     def test_single_chunk_when_size_exceeds_rows(self, archive):
-        chunks = plan_chunks(ArchiveQuery(archive), chunk_size=100)
-        assert len(chunks) == 1
-        assert chunks[0].count == 25
+        chunks = ArchiveQuery(archive).chunk_plan(100)
+        assert chunks == [ArchiveChunk(index=0, seq_lo=1, seq_hi=25, count=25)]
+
+    def test_tail_chunk_holds_the_remainder(self, archive):
+        query = ArchiveQuery(archive)
+        assert [chunk.count for chunk in query.chunk_plan(6)] == [6] * 4 + [1]
+        # An exact multiple ends on a full chunk, with no empty one.
+        assert [chunk.count for chunk in query.chunk_plan(5)] == [5] * 5
 
     def test_seq_min_skips_already_seen_rows(self, archive):
-        chunks = plan_chunks(ArchiveQuery(archive), chunk_size=10, seq_min=20)
+        chunks = ArchiveQuery(archive).chunk_plan(10, seq_min=20)
         assert sum(chunk.count for chunk in chunks) == 5
         assert chunks[0].seq_lo == 21
 
-    def test_where_filter_restricts_chunks(self, archive):
-        where = BundleFilter(tip_min=10_000 * 20)
-        chunks = plan_chunks(ArchiveQuery(archive), chunk_size=4, where=where)
-        assert sum(chunk.count for chunk in chunks) == 6
-
     def test_chunk_size_must_be_positive(self, archive):
         with pytest.raises(ConfigError):
-            plan_chunks(ArchiveQuery(archive), chunk_size=0)
+            ArchiveQuery(archive).chunk_plan(0)
 
     def test_empty_archive_plans_no_chunks(self, tmp_path):
         db = ArchiveDatabase(tmp_path / "empty.db")
-        assert plan_chunks(ArchiveQuery(db)) == []
+        assert ArchiveQuery(db).chunk_plan(5) == []
         db.close()
 
-
-class TestChunkBoundsParity:
-    """The window-function planner reproduces the keyset walk exactly."""
-
-    def _assert_same_plan(self, query, **kwargs):
-        assert query.chunk_bounds(**kwargs) == list(
-            query.iter_chunks(**kwargs)
+    def test_seq_gap_left_by_truncation(self, tmp_path):
+        """A resume truncates the bundles past its checkpoint and collects
+        them again under new ``seq`` values. The plan over the gapped
+        column still covers every bundle once, and an incremental pass
+        across the gap equals a full pass."""
+        rows = generate_rows(
+            SyntheticScenario(name="gap", seed=5, bundles=120)
         )
-
-    def test_plain_plan_matches_iter_chunks(self, archive):
-        self._assert_same_plan(ArchiveQuery(archive), chunk_size=7)
-
-    def test_filtered_plan_matches_iter_chunks(self, archive):
-        self._assert_same_plan(
-            ArchiveQuery(archive),
-            chunk_size=4,
-            where=BundleFilter(tip_min=10_000 * 20),
+        database = ArchiveDatabase(write_archive(rows[:90], tmp_path / "g.db"))
+        try:
+            store = ArchiveBundleStore(database)
+            store.truncate_after(60, database.max_seq("transactions"))
+            IncrementalAnalyzer(database, chunk_size=16).analyze()
+            store.add_bundles([bundle for bundle, _ in rows[60:]])
+            store.add_details(
+                [record for _, records in rows[90:] for record in records]
+            )
+            store.flush()
+            seqs = [
+                seq
+                for (seq,) in database.tuples(
+                    "SELECT seq FROM bundles ORDER BY seq", []
+                ).fetchall()
+            ]
+            assert seqs[59:61] == [60, 91]
+            chunks = ArchiveQuery(database).chunk_plan(16)
+            assert [chunk.count for chunk in chunks] == [16] * 7 + [8]
+            covered = [
+                [seq for seq in seqs if chunk.seq_lo <= seq <= chunk.seq_hi]
+                for chunk in chunks
+            ]
+            assert [len(part) for part in covered] == [
+                chunk.count for chunk in chunks
+            ]
+            assert [seq for part in covered for seq in part] == seqs
+            analyzer = IncrementalAnalyzer(database, chunk_size=16)
+            incremental = analyzer.analyze()
+            assert incremental.new_bundles == 60
+            full = ParallelAnalysisEngine(
+                database, jobs=1, chunk_size=16
+            ).analyze(persist=False)
+        finally:
+            database.close()
+        ensure_reports_identical(
+            full, incremental.report, "full", "incremental", mode="contract"
         )
-
-    def test_watermarked_plan_matches_iter_chunks(self, archive):
-        self._assert_same_plan(
-            ArchiveQuery(archive), chunk_size=10, seq_min=20
-        )
-
-    def test_uneven_tail_chunk_matches(self, archive):
-        # 25 rows / size 6 leaves a 1-row tail — the boundary the
-        # ROW_NUMBER grouping must get right.
-        self._assert_same_plan(ArchiveQuery(archive), chunk_size=6)
-
-    def test_empty_result_matches(self, tmp_path):
-        db = ArchiveDatabase(tmp_path / "empty.db")
-        self._assert_same_plan(ArchiveQuery(db), chunk_size=5)
-        db.close()
-
-    def test_invalid_chunk_size_rejected(self, archive):
-        with pytest.raises(ConfigError):
-            ArchiveQuery(archive).chunk_bounds(chunk_size=0)
-
-
-class TestBundleIndex:
-    def test_projection_skips_payload(self, archive):
-        keys = ArchiveQuery(archive).bundle_index()
-        assert len(keys) == 25
-        first = keys[0]
-        assert first.seq == 1
-        assert first.num_transactions == 1
-        assert not hasattr(first, "transaction_ids")
-
-    def test_index_respects_filters(self, archive):
-        keys = ArchiveQuery(archive).bundle_index(
-            where=BundleFilter(tip_min=10_000 * 20)
-        )
-        assert all(key.tip_lamports >= 200_000 for key in keys)
-        assert len(keys) == 6
 
 
 class TestDetectorSpec:
@@ -137,7 +137,7 @@ class TestDetectorSpec:
 class TestChunkTask:
     def test_needs_exactly_one_selector(self, archive):
         spec = DetectorSpec()
-        chunk = plan_chunks(ArchiveQuery(archive), chunk_size=100)[0]
+        (chunk,) = ArchiveQuery(archive).chunk_plan(100)
         with pytest.raises(ConfigError):
             ChunkTask(index=0, spec=spec).validate()
         with pytest.raises(ConfigError):

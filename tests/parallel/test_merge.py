@@ -3,7 +3,7 @@
 import random
 
 from repro.core.detector import DetectionStats
-from repro.parallel.merge import merge_outcomes, merge_stats
+from repro.parallel.merge import merge_outcomes
 from repro.parallel.worker import ChunkOutcome
 from tests.archive.conftest import make_sandwich
 
@@ -111,35 +111,52 @@ class TestMergeOutcomes:
         ]
 
 
+def _added(*tallies: DetectionStats) -> DetectionStats:
+    total = DetectionStats()
+    for tally in tallies:
+        total.add(tally)
+    return total
+
+
 class TestMergeStats:
+    """``DetectionStats.add``, which the reducer folds chunk tallies with."""
+
     def test_counts_sum_across_chunks(self):
-        stats = merge_stats([outcome(0, [1.0]), outcome(1, [2.0, 3.0])])
+        chunks = [
+            outcome(0, [1.0]),
+            outcome(
+                1,
+                [2.0, 3.0],
+                stats=DetectionStats(
+                    bundles_examined=2,
+                    bundles_detected=2,
+                    bundles_skipped_incomplete=4,
+                    rejections_by_criterion={"same_mint_set": 2},
+                ),
+            ),
+        ]
+        stats = _added(*(chunk.stats for chunk in chunks))
         assert stats.bundles_examined == 3
         assert stats.bundles_detected == 3
+        assert stats.bundles_skipped_incomplete == 4
         assert stats.rejections_by_criterion == {"same_mint_set": 3}
+        merged = merge_outcomes(chunks, threshold_lamports=100_000)
+        assert merged.stats == stats
 
     def test_rejection_order_is_first_appearance(self):
-        first = outcome(
-            0,
-            [],
-            stats=DetectionStats(
-                rejections_by_criterion={"alpha": 1, "beta": 2}
-            ),
+        first = DetectionStats(rejections_by_criterion={"alpha": 1, "beta": 2})
+        second = DetectionStats(
+            rejections_by_criterion={"gamma": 1, "alpha": 1}
         )
-        second = outcome(
-            1,
-            [],
-            stats=DetectionStats(
-                rejections_by_criterion={"gamma": 1, "alpha": 1}
-            ),
-        )
-        stats = merge_stats([first, second])
+        stats = _added(first, second)
         assert list(stats.rejections_by_criterion) == [
             "alpha",
             "beta",
             "gamma",
         ]
         assert stats.rejections_by_criterion["alpha"] == 2
+        # The addend is left as it was.
+        assert second.rejections_by_criterion == {"gamma": 1, "alpha": 1}
 
 
 class TestChunkSequenceGuard:

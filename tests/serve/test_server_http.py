@@ -9,6 +9,7 @@ semantics, and the metrics endpoint.
 
 import json
 import socket
+import time
 
 import pytest
 
@@ -325,3 +326,18 @@ class TestCacheInvalidation:
             assert status == 200
             assert headers["etag"] != etag
             assert json.loads(body)["financials"]["defensiveBundles"] == 6
+
+
+class TestBusyPort:
+    def test_start_raises_the_bind_error_at_once(
+        self, corpus_archive, held_port
+    ):
+        app = ArchiveApiApp(ApiConfig(db_path=corpus_archive, port=held_port))
+        server = ThreadedApiServer(app)
+        started = time.monotonic()
+        with pytest.raises(OSError):
+            server.start()
+        assert time.monotonic() - started < 2
+        # The failed start closed the archive it opened; stop is a no-op.
+        assert app.query is None
+        server.stop()

@@ -52,6 +52,8 @@ class TestCampaignAndAnalyze:
                 "17",
                 "--out",
                 str(out),
+                "--archive",
+                str(out / "archive.db"),
             ]
         )
         assert code == 0
@@ -69,7 +71,8 @@ class TestCampaignAndAnalyze:
         assert "Figure 1" in report and "Headline" in report
 
     def test_analyze_round_trip(self, campaign_dir, capsys):
-        assert main(["analyze", "--store", str(campaign_dir)]) == 0
+        archive = campaign_dir / "archive.db"
+        assert main(["analyze", "--store", str(archive)]) == 0
         out = capsys.readouterr().out
         assert "bundles:" in out
         assert "defensive bundles:" in out
@@ -80,7 +83,7 @@ class TestCampaignAndAnalyze:
                 [
                     "analyze",
                     "--store",
-                    str(campaign_dir),
+                    str(campaign_dir / "archive.db"),
                     "--threshold",
                     "10000",
                 ]

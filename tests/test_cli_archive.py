@@ -1,10 +1,16 @@
 """CLI coverage for the archive, query, and archive-aware analyze commands."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.conformance.scenarios import (
+    generate_rows,
+    selftest_scenario,
+    write_archive,
+)
 
 
 @pytest.fixture(scope="class")
@@ -49,6 +55,34 @@ class TestCampaignArchive:
         assert main(["campaign", "--resume"]) == 2
         assert "--archive" in capsys.readouterr().err
 
+    def test_campaign_has_no_jobs_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_archive_report_matches_plain_campaign(
+        self, archived_campaign, tmp_path
+    ):
+        """An archived campaign reports what a plain one with the same
+        seed reports; only its pipeline-health ``archive`` line is extra."""
+        out, _db = archived_campaign
+        plain = tmp_path / "plain"
+        argv = ["campaign", "--small", "--days", "2", "--seed", "17"]
+        assert main(argv + ["--out", str(plain)]) == 0
+
+        def lines(path):
+            return [
+                line
+                for line in (path / "report.txt").read_text().splitlines()
+                if line.split()[:1] != ["archive"]
+            ]
+
+        assert lines(out) == lines(plain)
+        archived = (out / "report.txt").read_text()
+        assert "detection" in archived
+        assert "\n  archive " in archived
+
     def test_archive_written_alongside_jsonl(self, archived_campaign, capsys):
         out, db = archived_campaign
         assert db.is_file()
@@ -61,15 +95,55 @@ class TestCampaignArchive:
 
 
 class TestAnalyzeAutoDetect:
-    def test_archive_and_jsonl_layouts_agree(self, archived_campaign, capsys):
+    def test_archive_and_jsonl_layouts_agree(
+        self, archived_campaign, tmp_path, capsys
+    ):
+        """The campaign's JSONL, imported into a fresh archive, analyzes
+        to the same output as the campaign's own archive."""
         out, db = archived_campaign
+        imported = tmp_path / "imported.db"
+        argv = ["archive", "import-jsonl", "--db", str(imported)]
+        assert main(argv + ["--store", str(out)]) == 0
         capsys.readouterr()
-        assert main(["analyze", "--store", str(db)]) == 0
+        assert main(["analyze", "--store", str(db), "--jobs", "1"]) == 0
         from_archive = capsys.readouterr().out
-        assert main(["analyze", "--store", str(out)]) == 0
+        assert main(["analyze", "--store", str(imported), "--jobs", "1"]) == 0
         from_jsonl = capsys.readouterr().out
         assert from_archive == from_jsonl
         assert "sandwiches" in from_archive
+
+    def test_jsonl_directory_is_refused_untouched(
+        self, archived_campaign, tmp_path, capsys
+    ):
+        out, _db = archived_campaign
+        store = tmp_path / "jsonl"
+        store.mkdir()
+        for name in ("bundles.jsonl", "transactions.jsonl"):
+            (store / name).write_bytes((out / name).read_bytes())
+
+        def snapshot():
+            return {path.name: path.read_bytes() for path in store.iterdir()}
+
+        before = snapshot()
+        capsys.readouterr()
+        assert main(["analyze", "--store", str(store)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "repro archive import-jsonl" in lines[0]
+        assert captured.out == ""
+        assert snapshot() == before
+
+    @pytest.mark.parametrize("extra", [[], ["--incremental"]])
+    def test_analyze_closes_the_archive(self, tmp_path, capsys, extra):
+        """SQLite removes the WAL file when an archive's last connection
+        closes, so none is left once analyze returns."""
+        rows = generate_rows(selftest_scenario(11, bundles=40))
+        path = write_archive(rows, tmp_path / "a.db")
+        argv = ["analyze", "--store", str(path), "--jobs", "1", *extra]
+        assert main(argv) == 0
+        assert "sandwiches" in capsys.readouterr().out
+        assert not Path(f"{path}-wal").exists()
 
     def test_incremental_pass_over_archive(self, archived_campaign, capsys):
         _out, db = archived_campaign
@@ -115,17 +189,11 @@ class TestAnalyzeAutoDetect:
         assert code == 0
         assert "incremental pass" in capsys.readouterr().out
 
-    def test_jobs_ignored_for_jsonl(self, archived_campaign, capsys):
-        out, _db = archived_campaign
-        capsys.readouterr()
-        assert main(["analyze", "--store", str(out), "--jobs", "4"]) == 0
-        assert "sandwiches" in capsys.readouterr().out
-
     def test_incremental_rejected_for_jsonl(self, archived_campaign, capsys):
         out, _db = archived_campaign
         capsys.readouterr()
         assert main(["analyze", "--store", str(out), "--incremental"]) == 2
-        assert "watermark" in capsys.readouterr().err
+        assert "repro archive import-jsonl" in capsys.readouterr().err
 
     def test_unrecognized_layout_names_both(self, tmp_path, capsys):
         capsys.readouterr()

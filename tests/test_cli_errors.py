@@ -2,13 +2,15 @@
 
 The contract under test: no raw traceback ever reaches the terminal for a
 predictable mistake — a missing or corrupt store, a bad flag value, an
-empty golden corpus. ``main()`` converts :class:`~repro.errors.ReproError`
+empty golden corpus, a taken port. ``main()`` converts :class:`~repro.errors.ReproError`
 into a one-line stderr diagnostic with exit code 2.
 """
 
 from __future__ import annotations
 
 import sqlite3
+import subprocess
+import sys
 
 import pytest
 
@@ -142,6 +144,41 @@ class TestAnalyzeErrors:
         assert '"threshold_lamports": 100000' in lines[0]
         assert '"threshold_lamports": 5000' in lines[0]
         assert dump() == before
+
+
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestBusyPort:
+    """A taken port is an operator mistake: exit 2 with one error line,
+    at once — not a thread traceback and a timeout."""
+
+    def test_api_on_a_held_port(self, archive, held_port):
+        result = _run_cli(
+            "api", "--db", str(archive), "--port", str(held_port)
+        )
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro api: error: cannot start the server")
+        assert result.stdout == ""
+
+    def test_serve_on_a_held_port(self, held_port):
+        result = _run_cli(
+            "serve", "--small", "--days", "1", "--port", str(held_port)
+        )
+        assert result.returncode == 2
+        # The simulation's progress line comes first, then the one error.
+        progress, error = result.stderr.splitlines()
+        assert progress.startswith("simulating")
+        assert error.startswith("repro serve: error: cannot start the server")
+        assert result.stdout == ""
 
 
 class TestSelftestErrors:
