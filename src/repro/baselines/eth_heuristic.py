@@ -67,10 +67,8 @@ class EthStyleDetector:
         for block in ledger.blocks():
             self.stats.blocks_scanned += 1
             trades: list[_IndexedTrade] = []
-            for position, executed in enumerate(block.transactions):
-                record = record_from_receipt(
-                    executed.receipt, block.unix_timestamp
-                )
+            for position, receipt in enumerate(block.transactions):
+                record = record_from_receipt(receipt, block.unix_timestamp)
                 for leg in extract_trades(record):
                     trades.append(
                         _IndexedTrade(

@@ -103,8 +103,8 @@ class LedgerOnlyDetector:
         for block in ledger.blocks():
             self.stats.blocks_scanned += 1
             records = [
-                record_from_receipt(executed.receipt, block.unix_timestamp)
-                for executed in block.transactions
+                record_from_receipt(receipt, block.unix_timestamp)
+                for receipt in block.transactions
             ]
             for start in range(len(records) - 2):
                 self.stats.windows_examined += 1

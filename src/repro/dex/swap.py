@@ -175,7 +175,3 @@ class DexProgram:
                 "rate": execution_rate(amount_in, amount_out),
             }
         )
-        bank.log(
-            f"dex: swap {amount_in} {mint_in.to_base58()[:6]} -> "
-            f"{amount_out} {mint_out.address.to_base58()[:6]} on {pool.pair_name}"
-        )

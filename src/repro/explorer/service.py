@@ -267,10 +267,9 @@ class ExplorerService:
             )
         records: list[TransactionRecord] = []
         for tx_id in transaction_ids:
-            executed = self._ledger.get_transaction(tx_id)
-            if executed is None:
+            receipt = self._ledger.get_transaction(tx_id)
+            if receipt is None:
                 continue
-            receipt = executed.receipt
             block = self._ledger.block_at_slot(receipt.slot)
             block_time = block.unix_timestamp if block else 0.0
             records.append(record_from_receipt(receipt, block_time))

@@ -103,8 +103,8 @@ class SolanaRpc:
         if block is None:
             return None
         return [
-            record_from_receipt(executed.receipt, block.unix_timestamp)
-            for executed in block.transactions
+            record_from_receipt(receipt, block.unix_timestamp)
+            for receipt in block.transactions
         ]
 
     def get_transaction(
@@ -114,12 +114,12 @@ class SolanaRpc:
         if not tx_id:
             raise BadRequestError("transaction id is empty")
         self._admit(client_id, self._config.transaction_cost_units)
-        executed = self._ledger.get_transaction(tx_id)
-        if executed is None:
+        receipt = self._ledger.get_transaction(tx_id)
+        if receipt is None:
             return None
-        block = self._ledger.block_at_slot(executed.receipt.slot)
+        block = self._ledger.block_at_slot(receipt.slot)
         block_time = block.unix_timestamp if block else 0.0
-        return record_from_receipt(executed.receipt, block_time)
+        return record_from_receipt(receipt, block_time)
 
     def block_slots(self, client_id: str = "anon") -> list[int]:
         """All produced slots (a cheap index call, costed like getSlot)."""

@@ -17,7 +17,7 @@ from repro.jito.bundle import Bundle
 from repro.jito.relayer import Relayer
 from repro.jito.tips import TipPercentileTracker
 from repro.solana.bank import Bank
-from repro.solana.blocks import Block, ExecutedTransaction
+from repro.solana.blocks import Block
 from repro.solana.leader_schedule import LeaderSchedule, Validator
 from repro.solana.ledger import Ledger
 from repro.utils.simtime import SimClock
@@ -139,7 +139,7 @@ class BlockEngine:
                 continue
             receipt = self._bank.execute_transaction(tx)
             if receipt.success:
-                block.transactions.append(ExecutedTransaction(tx, receipt))
+                block.transactions.append(receipt)
                 self.stats.native_landed += 1
             else:
                 self.stats.native_dropped += 1
@@ -152,8 +152,7 @@ class BlockEngine:
         if self._ledger.get_transaction(tx_id) is not None:
             return True
         return any(
-            executed.receipt.transaction_id == tx_id
-            for executed in block.transactions
+            receipt.transaction_id == tx_id for receipt in block.transactions
         )
 
     def _land_bundles(self, block: Block, timestamp: float) -> None:
@@ -175,8 +174,7 @@ class BlockEngine:
                 continue
             receipts = self._bank.execute_atomic(bundle.transactions)
             if receipts and all(r.success for r in receipts):
-                for tx, receipt in zip(bundle.transactions, receipts):
-                    block.transactions.append(ExecutedTransaction(tx, receipt))
+                block.transactions.extend(receipts)
                 outcome = BundleOutcome(
                     bundle_id=bundle.bundle_id,
                     slot=block.slot,

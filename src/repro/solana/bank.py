@@ -50,7 +50,6 @@ class TransactionReceipt:
     token_deltas: dict[str, dict[str, int]] = field(default_factory=dict)
     lamport_deltas: dict[str, int] = field(default_factory=dict)
     events: list[dict] = field(default_factory=list)
-    logs: list[str] = field(default_factory=list)
 
 
 class Bank:
@@ -77,7 +76,6 @@ class Bank:
         # it doubles as the rollback log and the delta baseline.
         self._journal: list[tuple] = []
         self._current_signers: frozenset[Pubkey] = frozenset()
-        self._current_logs: list[str] = []
         self._current_events: list[dict] = []
 
     # --- configuration ---------------------------------------------------
@@ -161,10 +159,6 @@ class Bank:
     def is_signer(self, pubkey: Pubkey) -> bool:
         """Whether ``pubkey`` signed the currently executing transaction."""
         return pubkey in self._current_signers
-
-    def log(self, message: str) -> None:
-        """Append to the current transaction's log."""
-        self._current_logs.append(message)
 
     def emit_event(self, event: dict) -> None:
         """Record a structured program event on the current receipt."""
@@ -342,7 +336,6 @@ class Bank:
         return receipts
 
     def _execute(self, tx: Transaction) -> TransactionReceipt:
-        self._current_logs = []
         self._current_events = []
         # Stands on the receipt only if the compute-budget payloads are
         # malformed, which fails the transaction before any fee is owed.
@@ -364,7 +357,6 @@ class Bank:
                 token_deltas=token_deltas,
                 lamport_deltas=lamport_deltas,
                 events=list(self._current_events),
-                logs=list(self._current_logs),
             )
 
         try:

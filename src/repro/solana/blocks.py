@@ -8,20 +8,15 @@ from dataclasses import dataclass, field
 from repro.constants import SLOT_DURATION_MS
 from repro.solana.bank import TransactionReceipt
 from repro.solana.keys import Pubkey
-from repro.solana.transaction import Transaction
-
-
-@dataclass
-class ExecutedTransaction:
-    """A transaction paired with its execution receipt, as stored on-chain."""
-
-    transaction: Transaction
-    receipt: TransactionReceipt
 
 
 @dataclass
 class Block:
-    """One produced slot: leader, timestamp, and the executed transactions.
+    """One produced slot: leader, timestamp, and the landed transactions.
+
+    A block records receipts only: every ledger reader needs a landed
+    transaction's receipt and the block's metadata, never its signed
+    message.
 
     Crucially — as the paper stresses — a block records *no trace of Jito
     bundling*: transactions that entered via a bundle are indistinguishable
@@ -33,7 +28,7 @@ class Block:
     leader: Pubkey
     parent_hash: str
     unix_timestamp: float
-    transactions: list[ExecutedTransaction] = field(default_factory=list)
+    transactions: list[TransactionReceipt] = field(default_factory=list)
 
     @property
     def blockhash(self) -> str:
@@ -42,8 +37,8 @@ class Block:
         digest.update(self.parent_hash.encode())
         digest.update(str(self.slot).encode())
         digest.update(self.leader.to_base58().encode())
-        for executed in self.transactions:
-            digest.update(executed.receipt.transaction_id.encode())
+        for receipt in self.transactions:
+            digest.update(receipt.transaction_id.encode())
         return digest.hexdigest()
 
     @property

@@ -5,7 +5,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import TransactionError
-from repro.solana.blocks import Block, ExecutedTransaction
+from repro.solana.bank import TransactionReceipt
+from repro.solana.blocks import Block
 
 GENESIS_HASH = "genesis"
 
@@ -39,18 +40,24 @@ class Ledger:
     def append(self, block: Block) -> None:
         """Append a block; slots must strictly increase.
 
+        The whole block is checked before any of it is indexed, so a refused
+        block leaves the ledger as it was.
+
         Raises:
-            TransactionError: on slot regression or duplicate transaction ids.
+            TransactionError: on slot regression or a transaction id that is
+                already on the ledger or repeats within the block.
         """
         if block.slot <= self.tip_slot:
             raise TransactionError(
                 f"block slot {block.slot} does not advance past {self.tip_slot}"
             )
-        for position, executed in enumerate(block.transactions):
-            tx_id = executed.receipt.transaction_id
-            if tx_id in self._tx_index:
+        index: dict[str, tuple[int, int]] = {}
+        for position, receipt in enumerate(block.transactions):
+            tx_id = receipt.transaction_id
+            if tx_id in self._tx_index or tx_id in index:
                 raise TransactionError(f"duplicate transaction id {tx_id[:12]}")
-            self._tx_index[tx_id] = (block.slot, position)
+            index[tx_id] = (block.slot, position)
+        self._tx_index.update(index)
         self._blocks.append(block)
         self._by_slot[block.slot] = block
 
@@ -62,8 +69,8 @@ class Ledger:
         """Iterate blocks in chain order."""
         return iter(self._blocks)
 
-    def get_transaction(self, tx_id: str) -> ExecutedTransaction | None:
-        """Look up an executed transaction by id."""
+    def get_transaction(self, tx_id: str) -> TransactionReceipt | None:
+        """The receipt of a landed transaction, by id."""
         location = self._tx_index.get(tx_id)
         if location is None:
             return None
@@ -73,8 +80,3 @@ class Ledger:
     def transaction_count(self) -> int:
         """Total transactions across all blocks."""
         return len(self._tx_index)
-
-    def executed_transactions(self) -> Iterator[ExecutedTransaction]:
-        """Iterate every executed transaction in chain order."""
-        for block in self._blocks:
-            yield from block.transactions

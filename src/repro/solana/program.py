@@ -35,9 +35,6 @@ class BankView(Protocol):
     def is_signer(self, pubkey: Pubkey) -> bool:
         """Whether ``pubkey`` signed the currently executing transaction."""
 
-    def log(self, message: str) -> None:
-        """Append a line to the transaction's execution log."""
-
     def emit_event(self, event: dict) -> None:
         """Record a structured event (swap, transfer) on the receipt."""
 

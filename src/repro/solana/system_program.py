@@ -78,7 +78,3 @@ def process(bank: BankView, instruction: Instruction) -> None:
             "lamports": lamports,
         }
     )
-    bank.log(
-        f"system: transfer {lamports} lamports "
-        f"{source.to_base58()[:8]} -> {dest.to_base58()[:8]}"
-    )

@@ -82,19 +82,11 @@ def process(bank: BankView, instruction: Instruction) -> None:
                 "amount": amount,
             }
         )
-        bank.log(
-            f"token: transfer {amount} of {payload['mint'][:8]} "
-            f"{first.to_base58()[:8]} -> {second.to_base58()[:8]}"
-        )
     elif op == "mint_to":
         if not bank.is_signer(first):
             raise ProgramError(
                 f"mint authority {first.to_base58()} did not sign"
             )
         bank.mint_tokens(second, mint, amount)
-        bank.log(
-            f"token: mint {amount} of {payload['mint'][:8]} "
-            f"to {second.to_base58()[:8]}"
-        )
     else:
         raise ProgramError(f"token program: unknown op {op!r}")

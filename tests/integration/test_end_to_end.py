@@ -139,8 +139,8 @@ class TestLedgerExplorerConsistency:
         for bundle in store.fully_detailed_bundles(3):
             for tx_id in bundle.transaction_ids:
                 detail = store.get_detail(tx_id)
-                executed = ledger.get_transaction(tx_id)
-                assert detail.signer == executed.receipt.fee_payer
-                assert detail.token_deltas == executed.receipt.token_deltas
+                receipt = ledger.get_transaction(tx_id)
+                assert detail.signer == receipt.fee_payer
+                assert detail.token_deltas == receipt.token_deltas
                 checked += 1
         assert checked > 0

@@ -1,7 +1,13 @@
 """Block engine tests: auction order, atomicity, bundle log, stats."""
 
+import gc
+import json
+import weakref
+
 import pytest
 
+from repro.explorer.service import record_from_receipt
+from repro.explorer.wire import transaction_record_to_json
 from repro.jito.bundle import Bundle
 from repro.jito.tips import build_tip_instruction
 from repro.solana.system_program import transfer
@@ -74,8 +80,8 @@ class TestBlockProduction:
         block = world.block_engine.produce_block()
         assert world.block_engine.stats.native_landed == 1
         assert any(
-            e.receipt.transaction_id == tx.transaction_id
-            for e in block.transactions
+            receipt.transaction_id == tx.transaction_id
+            for receipt in block.transactions
         )
 
     def test_failed_native_dropped(self, engine_world):
@@ -111,9 +117,43 @@ class TestBlockProduction:
         world.relayer.submit_bundle(bundle, world.clock.now())
         world.clock.advance(1.0)
         block = world.block_engine.produce_block()
-        for executed in block.transactions:
-            assert not hasattr(executed.receipt, "bundle_id")
-            assert "bundle" not in str(executed.receipt.logs).lower()
+        assert block.transactions
+        for receipt in block.transactions:
+            assert not hasattr(receipt, "bundle_id")
+            wire = json.dumps(
+                transaction_record_to_json(
+                    record_from_receipt(receipt, block.unix_timestamp)
+                )
+            )
+            assert "bundle" not in wire
+            assert bundle.bundle_id not in wire
+
+    @pytest.mark.parametrize("path", ["native", "bundle"])
+    def test_ledger_keeps_the_receipt_not_the_transaction(
+        self, engine_world, path
+    ):
+        world, payer = engine_world
+        if path == "bundle":
+            bundle = tipped_bundle(payer, 3_000)
+            tx = bundle.transactions[0]
+            world.relayer.submit_bundle(bundle, world.clock.now())
+            del bundle
+        else:
+            other = Keypair("engine-other")
+            tx = Transaction.build(
+                payer, [transfer(payer.pubkey, other.pubkey, 21)]
+            )
+            world.relayer.submit_transaction(tx, world.clock.now())
+        tx_id = tx.transaction_id
+        landed = weakref.ref(tx)
+        del tx
+        world.clock.advance(1.0)
+        world.block_engine.produce_block()
+        gc.collect()
+        assert landed() is None
+        receipt = world.ledger.get_transaction(tx_id)
+        assert receipt.transaction_id == tx_id
+        assert receipt.success
 
     def test_fees_paid_to_slot_leader(self, engine_world):
         world, payer = engine_world
