@@ -186,14 +186,21 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     """Run a campaign; write store + report + summary under --out."""
     if getattr(args, "scenario", None):
         if args.stream or args.resume or args.archive:
-            progress, _output = _build_logs(args)
-            progress.error(
-                "cli.campaign",
+            raise ConfigError(
                 "--scenario runs a self-contained pack campaign; it "
-                "cannot combine with --stream/--resume/--archive",
+                "cannot combine with --stream/--resume/--archive"
             )
-            return 2
         return _run_scenario_pack(args)
+    if args.stream and args.resume:
+        raise ConfigError(
+            "--stream cannot resume a checkpointed campaign; finish "
+            "the batch resume first or start a fresh streaming run"
+        )
+    if args.resume and not args.archive:
+        raise ConfigError(
+            "--resume requires --archive (the database holding the "
+            "campaign's checkpoints)"
+        )
     progress, output = _build_logs(args)
     scenario = _scenario_from_args(args)
     out = Path(args.out)
@@ -209,13 +216,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     checkpointed = None
     streaming = None
     if args.stream:
-        if args.resume:
-            progress.error(
-                "cli.campaign",
-                "--stream cannot resume a checkpointed campaign; finish "
-                "the batch resume first or start a fresh streaming run",
-            )
-            return 2
         from repro.stream import StreamingCampaign
 
         # One registry shared by collection, the archive writer, and the
@@ -263,12 +263,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 checkpoint_every_days=args.checkpoint_every,
             )
         result = checkpointed.run()
-    elif args.resume:
-        progress.error(
-            "cli.campaign", "--resume requires --archive (the database "
-            "holding the campaign's checkpoints)"
-        )
-        return 2
     else:
         result = MeasurementCampaign(scenario).run()
     if streaming is None:
@@ -403,7 +397,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         default_jobs,
     )
 
-    progress, output = _build_logs(args)
+    _progress, output = _build_logs(args)
     emit = lambda message, **fields: output.info(  # noqa: E731
         "cli.analyze", message, **fields
     )
@@ -411,22 +405,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not store_path.exists():
         # Guard before is_archive_path: opening a missing path as SQLite
         # would silently create an empty archive and "analyze" zero rows.
-        progress.error(
-            "cli.analyze",
+        raise ConfigError(
             f"store {store_path} does not exist (expected an archive "
-            "database)",
-            store=str(store_path),
+            "database)"
         )
-        return 2
     if not is_archive_path(store_path):
-        progress.error(
-            "cli.analyze",
+        raise ConfigError(
             f"{store_path} is not an archive database (a SQLite file such "
             "as archive.db); a JSONL store directory enters analysis "
-            "through 'repro archive import-jsonl --store DIR --db FILE'",
-            store=str(store_path),
+            "through 'repro archive import-jsonl --store DIR --db FILE'"
         )
-        return 2
     # Validated before the archive is opened: a writable open migrates it.
     if args.jobs is not None and args.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
@@ -526,13 +514,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
     )
     db_path = Path(args.db)
     if not db_path.exists() or not is_archive_path(db_path):
-        progress.error(
-            "cli.stream",
+        raise ConfigError(
             f"{db_path} is not an archive database (expected a SQLite "
-            "file such as archive.db)",
-            db=str(db_path),
+            "file such as archive.db)"
         )
-        return 2
     spec = DetectorSpec(
         kind="windowed" if args.windowed else "standard",
         threshold_lamports=args.threshold,
@@ -587,7 +572,7 @@ def cmd_archive(args: argparse.Namespace) -> int:
     """Archive maintenance: JSONL import/export, stats, vacuum."""
     from repro.archive import ArchiveBundleStore, ArchiveDatabase
 
-    progress, output = _build_logs(args)
+    _progress, output = _build_logs(args)
     emit = lambda message, **fields: output.info(  # noqa: E731
         "cli.archive", message, **fields
     )
@@ -614,12 +599,10 @@ def cmd_archive(args: argparse.Namespace) -> int:
     if args.archive_command == "import-jsonl":
         store_dir = Path(args.store)
         if not (store_dir / "bundles.jsonl").is_file():
-            progress.error(
-                "cli.archive",
+            raise ConfigError(
                 f"{store_dir} is not a JSONL store directory "
-                "(bundles.jsonl not found)",
+                "(bundles.jsonl not found)"
             )
-            return 2
         source = BundleStore.load(store_dir)
         with ArchiveBundleStore(args.db) as archive:
             archive.add_bundles(list(source.bundles()))
@@ -824,13 +807,10 @@ def cmd_api(args: argparse.Namespace) -> int:
     progress, output = _build_logs(args)
     db_path = Path(args.db)
     if not db_path.exists():
-        progress.error(
-            "cli.api",
+        raise ConfigError(
             f"archive {db_path} does not exist (build one with "
-            "'repro campaign --archive ...')",
-            db=str(db_path),
+            "'repro campaign --archive ...')"
         )
-        return 2
     metrics = MetricsRegistry()
     app = ArchiveApiApp(
         ApiConfig(
