@@ -1,9 +1,10 @@
 """Load harness for the archive-API serving tier.
 
-Boots one :class:`ThreadedApiServer` over an analyzed golden-corpus
-archive and drives ``BENCH_SERVE_CLIENTS`` concurrent clients (default
-1000 — CI's api-smoke job shrinks it) against a small URL mix, every
-client on its own socket with its own ``X-Client-Id``. Half the fleet
+Serves an analyzed golden-corpus archive on one
+:class:`~repro.serve.httpcommon.HttpServer` and drives
+``BENCH_SERVE_CLIENTS`` concurrent clients (default 1000 — CI's api-smoke
+job shrinks it) against a small URL mix, every client on its own socket
+with its own ``X-Client-Id``. Half the fleet
 revalidates with ``If-None-Match``, exercising the 304 path under load.
 
 Gates, recorded into ``benchmarks/output/BENCH_SERVE.json``:
@@ -36,7 +37,7 @@ from repro.conformance.scenarios import (
     write_archive,
 )
 from repro.parallel.engine import ParallelAnalysisEngine
-from repro.serve import ApiConfig, ArchiveApiApp, ThreadedApiServer
+from repro.serve import ApiConfig, ArchiveApiApp, HttpServer
 
 BENCH_SERVE_PATH = OUTPUT_DIR / "BENCH_SERVE.json"
 
@@ -60,7 +61,8 @@ URL_MIX = (
 
 @pytest.fixture(scope="module")
 def api_server(tmp_path_factory):
-    """An API over an analyzed corpus archive, rate limits out of the way."""
+    """``(server, app)``: an API over an analyzed corpus archive, rate
+    limits out of the way."""
     db_path = tmp_path_factory.mktemp("bench-serve") / "archive.db"
     rows = generate_rows(CORPUS_SCENARIOS[0])
     write_archive(rows, db_path)
@@ -77,8 +79,9 @@ def api_server(tmp_path_factory):
             cache_entries=64,
         )
     )
-    with ThreadedApiServer(app) as server:
-        yield server
+    with HttpServer() as server:
+        app.serve(server)
+        yield server, app
 
 
 async def _request(
@@ -173,9 +176,8 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
 
 
 def test_serving_tier_sustains_concurrent_fleet(api_server):
-    latencies, statuses, _etags, wall = asyncio.run(
-        _run_fleet(api_server.port)
-    )
+    server, app = api_server
+    latencies, statuses, _etags, wall = asyncio.run(_run_fleet(server.port))
     expected = CLIENTS * REQUESTS_PER_CLIENT
 
     # No drops: every request of every client came back with a response.
@@ -191,7 +193,7 @@ def test_serving_tier_sustains_concurrent_fleet(api_server):
         f"p99 {p99:.3f}s over budget {P99_BUDGET_SECONDS}s"
     )
 
-    hit_rate = api_server.app.cache.hit_rate()
+    hit_rate = app.cache.hit_rate()
     assert hit_rate >= MIN_CACHE_HIT_RATE, (
         f"cache hit rate {hit_rate:.3f} below {MIN_CACHE_HIT_RATE}"
     )

@@ -19,8 +19,9 @@ from repro.collector import (
 )
 from repro.collector.poller import PollerConfig
 from repro.core import AnalysisPipeline
-from repro.explorer.http_server import ThreadedExplorerServer
+from repro.explorer.http_server import explorer_handler
 from repro.explorer.service import ExplorerConfig, ExplorerService
+from repro.serve.httpcommon import HttpServer
 from repro.simulation import SimulationEngine, small_scenario
 
 
@@ -42,7 +43,8 @@ def main() -> None:
         # rate limiter accordingly.
         config=ExplorerConfig(requests_per_second=1000.0, burst_capacity=1000.0),
     )
-    with ThreadedExplorerServer(service) as server:
+    with HttpServer() as server:
+        server.start(explorer_handler(service))
         print(f"explorer listening on 127.0.0.1:{server.port}")
         client = HttpExplorerClient("127.0.0.1", server.port)
         assert client.health(), "explorer failed its health check"

@@ -117,6 +117,28 @@ def _save_metrics(
         )
 
 
+def _existing_archive(path: str | Path) -> Path:
+    """``path`` if it names an existing archive database, else refuse.
+
+    Checked before any open: opening a missing path as SQLite would
+    silently create an empty archive and report on zero rows.
+    """
+    from repro.archive.database import is_archive_path
+
+    path = Path(path)
+    if not path.exists():
+        reason = "it does not exist"
+    elif not is_archive_path(path):
+        reason = "expected a SQLite file such as archive.db"
+    else:
+        return path
+    raise ConfigError(
+        f"{path} is not an archive database ({reason}); build one with "
+        "'repro campaign --archive FILE', or load a JSONL store directory "
+        "with 'repro archive import-jsonl --store DIR --db FILE'"
+    )
+
+
 def _scenario_from_args(args: argparse.Namespace):
     # ``campaign`` leaves --seed at None so pack runs can distinguish "use
     # the pack's own base seed" from an explicit override; plain campaigns
@@ -390,7 +412,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     watermark.
     """
     from repro.archive import ArchiveDatabase, IncrementalAnalyzer
-    from repro.archive.database import is_archive_path
     from repro.parallel import (
         DetectorSpec,
         ParallelAnalysisEngine,
@@ -401,20 +422,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     emit = lambda message, **fields: output.info(  # noqa: E731
         "cli.analyze", message, **fields
     )
-    store_path = Path(args.store)
-    if not store_path.exists():
-        # Guard before is_archive_path: opening a missing path as SQLite
-        # would silently create an empty archive and "analyze" zero rows.
-        raise ConfigError(
-            f"store {store_path} does not exist (expected an archive "
-            "database)"
-        )
-    if not is_archive_path(store_path):
-        raise ConfigError(
-            f"{store_path} is not an archive database (a SQLite file such "
-            "as archive.db); a JSONL store directory enters analysis "
-            "through 'repro archive import-jsonl --store DIR --db FILE'"
-        )
+    store_path = _existing_archive(args.store)
     # Validated before the archive is opened: a writable open migrates it.
     if args.jobs is not None and args.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
@@ -503,7 +511,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
     ``--report-out`` makes checkable: it writes the canonical report JSON
     (the exact bytes the conformance oracle compares).
     """
-    from repro.archive.database import is_archive_path
     from repro.parallel import DetectorSpec
     from repro.parallel.merge import report_bytes
     from repro.stream import analyze_archive_stream
@@ -512,12 +519,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     emit = lambda message, **fields: output.info(  # noqa: E731
         "cli.stream", message, **fields
     )
-    db_path = Path(args.db)
-    if not db_path.exists() or not is_archive_path(db_path):
-        raise ConfigError(
-            f"{db_path} is not an archive database (expected a SQLite "
-            "file such as archive.db)"
-        )
+    db_path = _existing_archive(args.db)
     spec = DetectorSpec(
         kind="windowed" if args.windowed else "standard",
         threshold_lamports=args.threshold,
@@ -576,6 +578,8 @@ def cmd_archive(args: argparse.Namespace) -> int:
     emit = lambda message, **fields: output.info(  # noqa: E731
         "cli.archive", message, **fields
     )
+    if args.archive_command != "import-jsonl":
+        _existing_archive(args.db)
     if args.archive_command == "stats":
         with ArchiveDatabase(args.db) as db:
             info = {
@@ -655,7 +659,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     emit = lambda message, **fields: output.info(  # noqa: E731
         "cli.query", message, **fields
     )
-    with ArchiveDatabase(args.db) as db:
+    with ArchiveDatabase(_existing_archive(args.db)) as db:
         query = ArchiveQuery(db)
         if args.query_command == "bundles":
             where = BundleFilter(
@@ -753,19 +757,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
     Explorer a collector scrapes. Measurement *results* are served by
     ``repro api`` instead. The server exposes ``GET /metrics``, so the
     registry wired here is scrapeable for the lifetime of the process.
+
+    The rate limit and the port are checked before the simulation, so a
+    bad ``--rps`` or a taken port is refused at once. Once the world is
+    simulated the explorer's clock follows the wall clock, so a client's
+    rate budget refills while it waits.
     """
-    from repro.explorer.http_server import ThreadedExplorerServer
+    from repro.explorer.http_server import explorer_handler
     from repro.explorer.service import ExplorerConfig, ExplorerService
-    from repro.serve.runner import run_until_interrupt
+    from repro.serve.runner import bind_server, wait_for_interrupt
 
     progress, output = _build_logs(args)
     scenario = _scenario_from_args(args)
     metrics = MetricsRegistry()
-    progress.info(
-        "cli.serve", f"simulating {scenario.days} days...", days=scenario.days
-    )
-    world = SimulationEngine(scenario, metrics=metrics).run()
-    metrics.set_time_fn(world.clock.now)
+    engine = SimulationEngine(scenario, metrics=metrics)
+    world = engine.world
     service = ExplorerService(
         world.block_engine,
         world.ledger,
@@ -775,19 +781,33 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ),
         metrics=metrics,
     )
-    server = ThreadedExplorerServer(service, host=args.host, port=args.port)
+    with bind_server(args.host, args.port) as server:
+        progress.info(
+            "cli.serve",
+            f"simulating {scenario.days} days...",
+            days=scenario.days,
+        )
+        engine.run()
+        metrics.set_time_fn(world.clock.now)
+        dispatch = explorer_handler(service)
+        simulated_until, started = world.clock.now(), time.monotonic()
 
-    def announce(port: int) -> None:
+        def handle(*request):
+            world.clock.advance_to(
+                simulated_until + time.monotonic() - started
+            )
+            return dispatch(*request)
+
+        server.start(handle)
         output.info(
             "cli.serve",
             f"simulated explorer (data source) serving "
             f"{world.bundles_landed} bundles on "
-            f"http://{args.host}:{port} (Ctrl-C to stop)",
+            f"http://{args.host}:{server.port} (Ctrl-C to stop)",
             bundles=world.bundles_landed,
-            port=port,
+            port=server.port,
         )
-
-    run_until_interrupt(server, announce)
+        wait_for_interrupt()
     return 0
 
 
@@ -801,40 +821,33 @@ def cmd_api(args: argparse.Namespace) -> int:
     A collector or incremental analyzer may keep writing to the same
     archive; responses pick up new rows the moment the watermark moves.
     """
-    from repro.serve import ApiConfig, ArchiveApiApp, ThreadedApiServer
-    from repro.serve.runner import run_until_interrupt
+    from repro.serve import ApiConfig, ArchiveApiApp
+    from repro.serve.runner import bind_server, wait_for_interrupt
 
     progress, output = _build_logs(args)
-    db_path = Path(args.db)
-    if not db_path.exists():
-        raise ConfigError(
-            f"archive {db_path} does not exist (build one with "
-            "'repro campaign --archive ...')"
-        )
+    db_path = _existing_archive(args.db)
     metrics = MetricsRegistry()
-    app = ArchiveApiApp(
-        ApiConfig(
-            db_path=db_path,
-            host=args.host,
-            port=args.port,
-            requests_per_second=args.rps,
-            burst_capacity=args.burst if args.burst else max(args.rps * 4, 4),
-            cache_entries=args.cache_entries,
+    config = ApiConfig(
+        db_path=db_path,
+        host=args.host,
+        port=args.port,
+        requests_per_second=args.rps,
+        burst_capacity=(
+            args.burst if args.burst is not None else max(args.rps * 4, 4)
         ),
-        metrics=metrics,
+        cache_entries=args.cache_entries,
     )
-    server = ThreadedApiServer(app)
-
-    def announce(port: int) -> None:
+    app = ArchiveApiApp(config, metrics=metrics)
+    with bind_server(config.host, config.port) as server:
+        app.serve(server)
         output.info(
             "cli.api",
             f"archive api (results) serving {db_path} on "
-            f"http://{args.host}:{port} (Ctrl-C to stop)",
+            f"http://{args.host}:{server.port} (Ctrl-C to stop)",
             db=str(db_path),
-            port=port,
+            port=server.port,
         )
-
-    run_until_interrupt(server, announce)
+        wait_for_interrupt()
     _save_metrics(args, metrics, progress, "cli.api")
     return 0
 

@@ -50,7 +50,7 @@ _RECV_CHUNK = 65_536
 
 
 class HttpExplorerClient:
-    """Talks to :class:`~repro.explorer.http_server.ExplorerHttpServer`."""
+    """Talks to the explorer over HTTP (:mod:`repro.explorer.http_server`)."""
 
     def __init__(
         self,

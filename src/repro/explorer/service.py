@@ -27,7 +27,7 @@ from repro.jito.block_engine import BlockEngine
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.simulation.downtime import DowntimeSchedule
 from repro.solana.ledger import Ledger
-from repro.utils.ratelimit import TokenBucket
+from repro.utils.ratelimit import ClientRateLimiter
 from repro.utils.simtime import SECONDS_PER_DAY, SimClock
 
 
@@ -83,7 +83,11 @@ class ExplorerService:
         # private-submission-channel seam scenario packs exercise. None
         # means the historical fully-public feed.
         self._feed_filter = feed_filter
-        self._buckets: dict[str, TokenBucket] = {}
+        self._limiter = ClientRateLimiter(
+            rate=self._config.requests_per_second,
+            burst=self._config.burst_capacity,
+            time_fn=clock.now,
+        )
         self.requests_served = 0
         self.requests_rejected = 0
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -119,23 +123,16 @@ class ExplorerService:
             )
 
     def _check_rate(self, client_id: str, endpoint: str) -> None:
-        bucket = self._buckets.get(client_id)
-        if bucket is None:
-            bucket = TokenBucket(
-                rate=self._config.requests_per_second,
-                capacity=self._config.burst_capacity,
-                time_fn=self._clock.now,
-                on_reject=lambda tokens: self._tokens_rejected_metric.inc(),
-            )
-            self._buckets[client_id] = bucket
-        if not bucket.try_acquire():
+        admission = self._limiter.admit(client_id)
+        if not admission.allowed:
+            self._tokens_rejected_metric.inc()
             self.requests_rejected += 1
             self._rejected_metric.inc(
                 endpoint=endpoint, reason="rate_limited"
             )
             raise RateLimitedError(
                 f"client {client_id!r} exceeded rate limit",
-                retry_after=bucket.seconds_until_available(),
+                retry_after=admission.retry_after,
             )
 
     # --- checkpoint support ------------------------------------------------------
@@ -143,33 +140,14 @@ class ExplorerService:
     def state(self) -> dict:
         """JSON-safe snapshot of per-client rate budgets and tallies."""
         return {
-            "buckets": {
-                client_id: bucket.state()
-                for client_id, bucket in sorted(self._buckets.items())
-            },
+            "buckets": self._limiter.state(),
             "requests_served": self.requests_served,
             "requests_rejected": self.requests_rejected,
         }
 
     def restore_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`state`.
-
-        Buckets are materialized eagerly so a resumed client faces the
-        exact token budget the killed run had left, not a fresh burst.
-        """
-        for client_id, bucket_state in state["buckets"].items():
-            bucket = self._buckets.get(client_id)
-            if bucket is None:
-                bucket = TokenBucket(
-                    rate=self._config.requests_per_second,
-                    capacity=self._config.burst_capacity,
-                    time_fn=self._clock.now,
-                    on_reject=lambda tokens: (
-                        self._tokens_rejected_metric.inc()
-                    ),
-                )
-                self._buckets[client_id] = bucket
-            bucket.restore_state(bucket_state)
+        """Restore a snapshot produced by :meth:`state`."""
+        self._limiter.restore_state(state["buckets"])
         self.requests_served = int(state["requests_served"])
         self.requests_rejected = int(state["requests_rejected"])
 

@@ -18,7 +18,7 @@ from repro.errors import BadRequestError, RateLimitedError
 from repro.explorer.models import TransactionRecord
 from repro.explorer.service import record_from_receipt
 from repro.solana.ledger import Ledger
-from repro.utils.ratelimit import TokenBucket
+from repro.utils.ratelimit import ClientRateLimiter
 from repro.utils.simtime import SimClock
 
 
@@ -56,9 +56,12 @@ class SolanaRpc:
         config: RpcConfig | None = None,
     ) -> None:
         self._ledger = ledger
-        self._clock = clock
         self._config = config or RpcConfig()
-        self._buckets: dict[str, TokenBucket] = {}
+        self._limiter = ClientRateLimiter(
+            rate=self._config.requests_per_second,
+            burst=self._config.burst_capacity,
+            time_fn=clock.now,
+        )
         self._usage: dict[str, RpcUsage] = {}
 
     @property
@@ -71,15 +74,7 @@ class SolanaRpc:
         return self._usage.setdefault(client_id, RpcUsage())
 
     def _admit(self, client_id: str, cost_units: int) -> None:
-        bucket = self._buckets.get(client_id)
-        if bucket is None:
-            bucket = TokenBucket(
-                rate=self._config.requests_per_second,
-                capacity=self._config.burst_capacity,
-                time_fn=self._clock.now,
-            )
-            self._buckets[client_id] = bucket
-        if not bucket.try_acquire():
+        if not self._limiter.admit(client_id).allowed:
             raise RateLimitedError(f"RPC rate limit hit for {client_id!r}")
         usage = self.usage(client_id)
         usage.requests += 1

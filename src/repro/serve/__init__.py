@@ -16,25 +16,22 @@ The tier is layered the way production read APIs are:
 - :mod:`repro.serve.cache` — a watermark-keyed response cache with strong
   ETags (invalidated the moment the archive watermark advances, so
   incremental re-analysis is immediately visible);
-- :mod:`repro.serve.limits` — per-client token buckets reusing
-  :class:`repro.utils.ratelimit.TokenBucket`;
-- :mod:`repro.serve.app` / :mod:`repro.serve.server` — the dispatch core
-  and the asyncio HTTP front end (``repro api``).
+- :mod:`repro.serve.app` — the dispatch core, rate-limited per client by
+  :class:`repro.utils.ratelimit.ClientRateLimiter`;
+- :mod:`repro.serve.httpcommon` — the one HTTP server, which runs this
+  tier (``repro api``) and the explorer (``repro serve``).
 """
 
 from repro.serve.app import ApiConfig, ArchiveApiApp
 from repro.serve.cache import CacheEntry, ResponseCache
-from repro.serve.limits import ClientRateLimiter
+from repro.serve.httpcommon import HttpServer
 from repro.serve.repositories import PageParams
-from repro.serve.server import ApiHttpServer, ThreadedApiServer
 
 __all__ = [
     "ApiConfig",
-    "ApiHttpServer",
     "ArchiveApiApp",
     "CacheEntry",
-    "ClientRateLimiter",
+    "HttpServer",
     "PageParams",
     "ResponseCache",
-    "ThreadedApiServer",
 ]

@@ -3,8 +3,8 @@
 :class:`ArchiveApiApp` owns the whole request lifecycle — rate limiting,
 routing, the watermark-keyed cache, ETag validation, error mapping, and
 request metrics — as one synchronous ``handle()`` call, so every behavior
-is testable without binding a port. The asyncio front end
-(:mod:`repro.serve.server`) is a thin framing shell around it.
+is testable without binding a port. :meth:`ArchiveApiApp.serve` puts it
+on the shared :class:`repro.serve.httpcommon.HttpServer` (``repro api``).
 
 Request flow, in order:
 
@@ -38,8 +38,12 @@ from repro.errors import ConfigError
 from repro.obs.export import render_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.serve.cache import CacheEntry, ResponseCache, make_etag
-from repro.serve.httpcommon import JSON_CONTENT_TYPE, PlainText, RawBody
-from repro.serve.limits import ClientRateLimiter
+from repro.serve.httpcommon import (
+    JSON_CONTENT_TYPE,
+    HttpServer,
+    PlainText,
+    RawBody,
+)
 from repro.serve.repositories import (
     AggregateRepository,
     BundleRepository,
@@ -47,6 +51,7 @@ from repro.serve.repositories import (
     StatusRepository,
 )
 from repro.serve.routes import RouteMatch, Router
+from repro.utils.ratelimit import ClientRateLimiter
 
 #: API version segment; bump on breaking payload changes.
 API_VERSION = "v1"
@@ -54,7 +59,11 @@ API_VERSION = "v1"
 
 @dataclass(frozen=True)
 class ApiConfig:
-    """Tunables for one API instance."""
+    """Tunables for one API instance.
+
+    ``host`` and ``port`` are where ``repro api`` binds its
+    :class:`~repro.serve.httpcommon.HttpServer`.
+    """
 
     db_path: str | Path
     host: str = "127.0.0.1"
@@ -161,6 +170,22 @@ class ArchiveApiApp:
             self._db.close()
             self._db = None
             self.query = None
+
+    def serve(self, server: HttpServer) -> None:
+        """Start ``server`` on this app; return once it serves.
+
+        The archive opens on the server's thread (SQLite connections are
+        thread-bound) before the first request and closes there when the
+        server stops. A failed open raises here and leaves the server
+        stopped.
+        """
+        server.start(
+            lambda method, target, headers, _body, client_id: self.handle(
+                method, target, headers, client_id
+            ),
+            on_open=self.open,
+            on_close=self.close,
+        )
 
     # --- fixed handlers ----------------------------------------------------
 

@@ -1,25 +1,32 @@
-"""HTTP/1.1 plumbing shared by the explorer and archive-API servers.
+"""HTTP/1.1 serving shared by the explorer and the archive API.
 
-Both asyncio servers in this repository speak the same minimal dialect:
-one request per connection, explicit ``Content-Length``, ``Connection:
-close``. Request parsing and response writing live here so the two servers
-cannot drift — in particular, both answer ``HEAD`` with the exact headers
-(including ``Content-Length``) their ``GET`` would have sent, minus the
-body, which is what polite cache-validating clients rely on. Both also run
-on one :class:`ThreadedServer`, so they start, fail to bind and stop the
-same way.
+Both servers in this repository speak the same minimal dialect: one
+request per connection, explicit ``Content-Length``, ``Connection:
+close``. Request parsing, response writing and the server itself live
+here once, so the two cannot drift — in particular, both answer ``HEAD``
+with the exact headers (including ``Content-Length``) their ``GET`` would
+have sent, minus the body, which is what polite cache-validating clients
+rely on. :class:`HttpServer` runs either dispatch core: the explorer's
+routing (``repro serve``) or :class:`repro.serve.app.ArchiveApiApp`
+(``repro api``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
+from typing import Callable
 
 #: Request head larger than this is dropped without a response.
 MAX_HEADER_BYTES = 64 * 1024
 #: Bodies larger than this are dropped without a response.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+#: Listen backlog; sized for the bench harness's connection bursts (1,000+
+#: clients connecting at once would otherwise drop SYNs before the loop
+#: ever saw them).
+LISTEN_BACKLOG = 2_048
 
 STATUS_TEXT = {
     200: "OK",
@@ -34,6 +41,12 @@ STATUS_TEXT = {
 
 JSON_CONTENT_TYPE = "application/json"
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: ``handler(method, target, headers, body, client_id) -> (status,
+#: payload, headers)``: one request in, one response out.
+Handler = Callable[
+    [str, str, dict[str, str], bytes, str], tuple[int, object, dict[str, str]]
+]
 
 
 class PlainText:
@@ -150,80 +163,143 @@ async def write_response(
     await writer.drain()
 
 
-class ThreadedServer:
-    """Runs an asyncio server on its own event loop in a daemon thread.
+class HttpServer:
+    """The one HTTP server: an asyncio loop on a daemon thread.
 
-    ``inner`` has a ``port`` and coroutine methods ``start()`` (bind and
-    serve) and ``stop()``. Synchronous code (tests, examples, the CLI)
-    runs it without managing a loop: :meth:`start` returns once the
-    server listens, or raises what ``inner.start()`` raised — an
-    ``OSError`` when the port is taken. Use as a context manager.
+    It binds and listens when it is built — an ``OSError`` when the port
+    is taken, an ``OverflowError`` when it is out of range — and takes
+    its request handler in :meth:`start`, so a caller can claim the port
+    before slow set-up work and hand over the handler afterwards.
+    Connections that arrive in between wait in the listen backlog.
+
+    ``handler(method, target, headers, body, client_id)`` returns
+    ``(status, payload, headers)`` for :func:`write_response`; it runs on
+    the loop thread, one request at a time. The client id is the
+    ``X-Client-Id`` header, else the peer address. Use as a context
+    manager, which stops the server on the way out::
+
+        with HttpServer(port=0) as server:
+            server.start(handler)
+            url = f"http://127.0.0.1:{server.port}/healthz"
     """
 
     #: Seconds :meth:`start` and :meth:`stop` wait for the loop thread.
     TIMEOUT = 10
 
-    def __init__(self, inner, name: str) -> None:
-        self._inner = inner
-        self._name = name
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        # An empty host means every interface, as in asyncio. The address
+        # bound is (host, port) itself: a resolved one would carry a port
+        # past 65535 wrapped to 16 bits instead of refusing it.
+        family = socket.getaddrinfo(
+            host or None,
+            port,
+            type=socket.SOCK_STREAM,
+            flags=socket.AI_PASSIVE,
+        )[0][0]
+        self._socket = socket.create_server(
+            (host, port), family=family, backlog=LISTEN_BACKLOG
+        )
+        #: The bound port (resolved when the request was port 0).
+        self.port: int = self._socket.getsockname()[1]
+        self._handler: Handler | None = None
+        self._on_close: Callable[[], None] | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._start_error: BaseException | None = None
+        self._server: asyncio.AbstractServer | None = None
 
-    @property
-    def port(self) -> int:
-        """The bound port once the server has started."""
-        return self._inner.port
+    def start(
+        self,
+        handler: Handler,
+        on_open: Callable[[], None] | None = None,
+        on_close: Callable[[], None] | None = None,
+    ) -> None:
+        """Serve ``handler`` on the loop thread; return once it serves.
 
-    def _run(self) -> None:
-        assert self._loop is not None
-        asyncio.set_event_loop(self._loop)
-        try:
-            self._loop.run_until_complete(self._inner.start())
-        except BaseException as exc:  # noqa: BLE001 - reraised in start()
-            self._start_error = exc
-            self._started.set()
-            return
-        self._started.set()
-        self._loop.run_forever()
-
-    def start(self) -> None:
-        """Start the loop thread and wait for the socket to bind."""
-        self._started.clear()
+        ``on_open`` runs on the loop thread before the first request and
+        ``on_close`` there after the last, so thread-bound resources (a
+        SQLite connection) live on the thread that uses them. If
+        ``on_open`` raises, the server is stopped and the error re-raised.
+        """
+        self._handler = handler
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
-            target=self._run, name=self._name, daemon=True
+            target=self._loop.run_forever,
+            name=f"http:{self.port}",
+            daemon=True,
         )
         self._thread.start()
-        if not self._started.wait(timeout=self.TIMEOUT):
-            raise RuntimeError(f"{self._name} server failed to start")
-        if self._start_error is not None:
-            error, self._start_error = self._start_error, None
-            self._thread.join(timeout=self.TIMEOUT)
-            self._loop.close()
-            self._loop = None
-            self._thread = None
-            raise error
+        try:
+            self._run(self._serve(on_open, on_close))
+        except BaseException:
+            self.stop()
+            raise
 
     def stop(self) -> None:
-        """Stop the server and join the thread."""
-        if self._loop is None or self._thread is None:
-            return
-        if self._thread.is_alive() and self._loop.is_running():
-            future = asyncio.run_coroutine_threadsafe(
-                self._inner.stop(), self._loop
-            )
-            future.result(timeout=self.TIMEOUT)
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=self.TIMEOUT)
-        self._loop.close()
-        self._loop = None
-        self._thread = None
+        """Stop serving, run ``on_close`` and close the socket."""
+        if self._loop is not None and self._thread is not None:
+            try:
+                self._run(self._shutdown())
+            finally:
+                self._loop.call_soon_threadsafe(self._loop.stop)
+                self._thread.join(timeout=self.TIMEOUT)
+                self._loop.close()
+                self._loop = None
+                self._thread = None
+        self._socket.close()
 
-    def __enter__(self):
-        self.start()
+    def __enter__(self) -> HttpServer:
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+    def _run(self, coroutine) -> None:
+        assert self._loop is not None
+        asyncio.run_coroutine_threadsafe(coroutine, self._loop).result(
+            timeout=self.TIMEOUT
+        )
+
+    async def _serve(self, on_open, on_close) -> None:
+        if on_open is not None:
+            on_open()
+        self._on_close = on_close
+        self._server = await asyncio.start_server(
+            self._handle_connection, sock=self._socket, backlog=LISTEN_BACKLOG
+        )
+
+    async def _shutdown(self) -> None:
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+        if self._on_close is not None:
+            on_close, self._on_close = self._on_close, None
+            on_close()
+
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        head_only = False
+        try:
+            try:
+                request = await read_request(reader)
+                if request is None:
+                    return  # a framing error: drop the connection
+                method, target, headers, body = request
+                head_only = method == "HEAD"
+                peer = writer.get_extra_info("peername") or ("unknown",)
+                client_id = headers.get("x-client-id", str(peer[0]))
+                status, payload, extra = self._handler(
+                    method, target, headers, body, client_id
+                )
+            except Exception as exc:  # noqa: BLE001 - server must not crash
+                status, payload, extra = (
+                    500,
+                    {"error": f"internal error: {exc}"},
+                    {},
+                )
+            await write_response(
+                writer, status, payload, extra, head_only=head_only
+            )
+        finally:
+            await close_connection(writer)

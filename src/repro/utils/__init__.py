@@ -9,13 +9,14 @@ from repro.utils.distributions import (
     pareto_from_scale,
     weighted_choice,
 )
-from repro.utils.ratelimit import TokenBucket
+from repro.utils.ratelimit import ClientRateLimiter, TokenBucket
 from repro.utils.rng import DeterministicRNG
 from repro.utils.simtime import SimClock, iso_to_unix, unix_to_iso
 from repro.utils.stats import Cdf, Summary, percentile, summarize
 
 __all__ = [
     "Cdf",
+    "ClientRateLimiter",
     "DeterministicRNG",
     "ExponentialBackoff",
     "SimClock",

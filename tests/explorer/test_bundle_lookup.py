@@ -4,8 +4,9 @@ import pytest
 
 from repro.collector.http_client import HttpExplorerClient
 from repro.errors import BadRequestError
-from repro.explorer.http_server import ThreadedExplorerServer
+from repro.explorer.http_server import explorer_handler
 from repro.explorer.service import ExplorerConfig, ExplorerService
+from repro.serve.httpcommon import HttpServer
 from repro.simulation import SimulationEngine
 from tests.conftest import tiny_scenario
 
@@ -53,7 +54,8 @@ class TestHttpLookup:
     def test_round_trip_over_http(self, lookup_world):
         world, service = lookup_world
         outcome = world.block_engine.bundle_log[-1]
-        with ThreadedExplorerServer(service) as server:
+        with HttpServer() as server:
+            server.start(explorer_handler(service))
             client = HttpExplorerClient("127.0.0.1", server.port)
             record = client.bundle(outcome.bundle_id)
             assert record is not None
@@ -61,6 +63,7 @@ class TestHttpLookup:
 
     def test_missing_bundle_returns_none(self, lookup_world):
         _, service = lookup_world
-        with ThreadedExplorerServer(service) as server:
+        with HttpServer() as server:
+            server.start(explorer_handler(service))
             client = HttpExplorerClient("127.0.0.1", server.port)
             assert client.bundle("e" * 64) is None

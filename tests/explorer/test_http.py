@@ -17,8 +17,9 @@ from repro.errors import (
     ServiceUnavailableError,
     TransportError,
 )
-from repro.explorer.http_server import ThreadedExplorerServer
+from repro.explorer.http_server import explorer_handler
 from repro.explorer.service import ExplorerConfig, ExplorerService
+from repro.serve.httpcommon import HttpServer
 from repro.simulation import SimulationEngine
 from repro.simulation.downtime import DowntimeSchedule, DowntimeWindow
 from repro.utils.simtime import SECONDS_PER_DAY
@@ -35,7 +36,8 @@ def http_world():
         world.clock,
         config=ExplorerConfig(requests_per_second=1000.0, burst_capacity=1000.0),
     )
-    with ThreadedExplorerServer(service) as server:
+    with HttpServer() as server:
+        server.start(explorer_handler(service))
         client = HttpExplorerClient("127.0.0.1", server.port, timeout=5.0)
         yield world, server, client
 
@@ -103,7 +105,8 @@ class TestErrorMapping:
             world.clock,
             config=ExplorerConfig(requests_per_second=0.0001, burst_capacity=1.0),
         )
-        with ThreadedExplorerServer(service) as server:
+        with HttpServer() as server:
+            server.start(explorer_handler(service))
             client = HttpExplorerClient("127.0.0.1", server.port)
             client.recent_bundles(limit=1)
             with pytest.raises(RateLimitedError):
@@ -120,7 +123,8 @@ class TestErrorMapping:
                 [DowntimeWindow(elapsed_days - 0.1, elapsed_days + 1.0)]
             ),
         )
-        with ThreadedExplorerServer(service) as server:
+        with HttpServer() as server:
+            server.start(explorer_handler(service))
             client = HttpExplorerClient("127.0.0.1", server.port)
             with pytest.raises(ServiceUnavailableError):
                 client.recent_bundles(limit=1)
@@ -230,14 +234,30 @@ class TestHeadRequests:
 
 
 class TestBusyPort:
-    def test_start_raises_the_bind_error_at_once(self, http_world, held_port):
+    def test_start_raises_the_bind_error_at_once(self, held_port):
+        # The server binds when it is built, before any handler exists.
+        started = time.monotonic()
+        with pytest.raises(OSError):
+            HttpServer(port=held_port)
+        assert time.monotonic() - started < 2
+
+
+class TestBindBeforeStart:
+    def test_request_sent_before_start_is_answered_after_it(self, http_world):
+        """A bound server that has no handler yet queues connections in
+        its listen backlog; they are answered once it starts."""
         world, _, _ = http_world
         service = ExplorerService(
             world.block_engine, world.ledger, world.clock
         )
-        server = ThreadedExplorerServer(service, port=held_port)
-        started = time.monotonic()
-        with pytest.raises(OSError):
-            server.start()
-        assert time.monotonic() - started < 2
-        server.stop()  # a no-op after a failed start
+        with HttpServer() as server:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=5
+            ) as conn:
+                conn.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                server.start(explorer_handler(service))
+                response = b""
+                while chunk := conn.recv(65536):
+                    response += chunk
+        assert response.startswith(b"HTTP/1.1 200 OK")
+        assert response.endswith(b'{"status": "ok"}')

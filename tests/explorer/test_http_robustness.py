@@ -5,8 +5,9 @@ import socket
 import pytest
 
 from repro.collector.http_client import HttpExplorerClient
-from repro.explorer.http_server import ThreadedExplorerServer
+from repro.explorer.http_server import explorer_handler
 from repro.explorer.service import ExplorerConfig, ExplorerService
+from repro.serve.httpcommon import HttpServer
 from repro.simulation import SimulationEngine
 from tests.conftest import tiny_scenario
 
@@ -20,7 +21,8 @@ def robust_server():
         world.clock,
         config=ExplorerConfig(requests_per_second=1000.0, burst_capacity=1000.0),
     )
-    with ThreadedExplorerServer(service) as server:
+    with HttpServer() as server:
+        server.start(explorer_handler(service))
         yield server
 
 

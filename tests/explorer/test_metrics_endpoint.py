@@ -4,8 +4,9 @@ import urllib.request
 
 import pytest
 
-from repro.explorer.http_server import ThreadedExplorerServer
+from repro.explorer.http_server import explorer_handler
 from repro.explorer.service import ExplorerConfig, ExplorerService
+from repro.serve.httpcommon import HttpServer
 from repro.obs.registry import MetricsRegistry
 from repro.simulation import SimulationEngine
 from tests.conftest import tiny_scenario
@@ -24,7 +25,8 @@ def metrics_server():
         ),
         metrics=MetricsRegistry(time_fn=world.clock.now),
     )
-    with ThreadedExplorerServer(service) as server:
+    with HttpServer() as server:
+        server.start(explorer_handler(service))
         yield service, server
 
 

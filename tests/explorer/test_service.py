@@ -10,6 +10,7 @@ from repro.errors import (
 from repro.explorer.service import ExplorerConfig, ExplorerService
 from repro.simulation import SimulationEngine
 from repro.simulation.downtime import DowntimeSchedule, DowntimeWindow
+from repro.utils.ratelimit import DEFAULT_MAX_CLIENTS
 from repro.utils.simtime import SECONDS_PER_DAY
 from tests.conftest import tiny_scenario
 
@@ -139,6 +140,18 @@ class TestRateLimiting:
             service.recent_bundles(limit=5)
         world.clock.advance(2.0)
         service.recent_bundles(limit=5)
+
+    def test_client_buckets_are_capped(self, served_world):
+        """Clients name themselves (``X-Client-Id``), so the service
+        keeps at most ``DEFAULT_MAX_CLIENTS`` buckets however many ids
+        it sees."""
+        _, service = served_world
+        for index in range(DEFAULT_MAX_CLIENTS + 1):
+            service.bundle("e" * 64, client_id=f"client-{index}")
+        buckets = service.state()["buckets"]
+        assert len(buckets) == DEFAULT_MAX_CLIENTS
+        assert "client-0" not in buckets  # the least recently seen went
+        assert f"client-{DEFAULT_MAX_CLIENTS}" in buckets
 
 
 class TestInstability:

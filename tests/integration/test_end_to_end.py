@@ -17,8 +17,9 @@ from repro.collector import (
     TxDetailFetcher,
 )
 from repro.collector.poller import PollerConfig
-from repro.explorer.http_server import ThreadedExplorerServer
+from repro.explorer.http_server import explorer_handler
 from repro.explorer.service import ExplorerConfig, ExplorerService
+from repro.serve.httpcommon import HttpServer
 from repro.simulation import SimulationEngine
 from tests.conftest import tiny_scenario
 
@@ -87,7 +88,8 @@ class TestHttpCollectionPipeline:
                 requests_per_second=1000.0, burst_capacity=1000.0
             ),
         )
-        with ThreadedExplorerServer(service) as server:
+        with HttpServer() as server:
+            server.start(explorer_handler(service))
             client = HttpExplorerClient("127.0.0.1", server.port)
             store = BundleStore()
             poller = BundlePoller(

@@ -21,7 +21,7 @@ from repro.conformance.scenarios import (
 )
 from repro.parallel.chunks import DetectorSpec
 from repro.parallel.engine import ParallelAnalysisEngine
-from repro.serve import ApiConfig, ArchiveApiApp, ThreadedApiServer
+from repro.serve import ApiConfig, ArchiveApiApp, HttpServer
 from repro.serve.models import (
     DEFENSIVE_PLACES,
     EVENT_PLACES,
@@ -46,7 +46,8 @@ def report_and_server(corpus_archive):
             burst_capacity=10_000.0,
         )
     )
-    with ThreadedApiServer(app) as server:
+    with HttpServer() as server:
+        app.serve(server)
         yield report, server
 
 

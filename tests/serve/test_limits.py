@@ -1,9 +1,17 @@
-"""Per-client rate limiting: buckets, refills, eviction."""
+"""Per-client rate limiting: buckets, refills, eviction, checkpoints.
+
+The one limiter the archive API, the explorer and the RPC facade admit
+through (:class:`repro.utils.ratelimit.ClientRateLimiter`).
+"""
+
+import json
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.serve.limits import ClientRateLimiter
+from repro.utils.ratelimit import ClientRateLimiter
+
+NAN = float("nan")
 
 
 class FakeClock:
@@ -66,3 +74,39 @@ class TestEviction:
     def test_max_clients_validated(self):
         with pytest.raises(ConfigError):
             ClientRateLimiter(rate=1.0, burst=1.0, max_clients=0)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "rate, burst",
+        [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0), (1.0, NAN)],
+        ids=[
+            "rate-zero",
+            "rate-negative",
+            "burst-zero",
+            "burst-negative",
+            "burst-nan",
+        ],
+    )
+    def test_non_positive_limit_refused_when_built(self, rate, burst):
+        """Refused before any client arrives, not at its first request."""
+        with pytest.raises(ConfigError):
+            ClientRateLimiter(rate=rate, burst=burst, time_fn=FakeClock())
+
+
+class TestState:
+    def test_round_trip_keeps_each_budget(self):
+        clock = FakeClock()
+        limiter = ClientRateLimiter(rate=1.0, burst=2.0, time_fn=clock)
+        for client in ("b", "a", "b", "b"):
+            limiter.admit(client)
+        state = limiter.state()
+        assert list(state) == ["a", "b"]  # sorted by client id
+        assert json.loads(json.dumps(state)) == state
+
+        resumed = ClientRateLimiter(rate=1.0, burst=2.0, time_fn=clock)
+        resumed.restore_state(state)
+        assert resumed.state() == state
+        # "b" resumes drained, not with a fresh burst; "a" has one left.
+        assert not resumed.admit("b").allowed
+        assert resumed.admit("a").allowed

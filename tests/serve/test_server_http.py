@@ -21,9 +21,9 @@ from repro.conformance.scenarios import (
     generate_rows,
     write_archive,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, StoreError
 from repro.parallel import DetectorSpec, ParallelAnalysisEngine
-from repro.serve import ApiConfig, ArchiveApiApp, ThreadedApiServer
+from repro.serve import ApiConfig, ArchiveApiApp, HttpServer
 from tests.serve.conftest import http_json, http_request
 
 
@@ -37,7 +37,8 @@ def server(corpus_archive):
             burst_capacity=10_000.0,
         )
     )
-    with ThreadedApiServer(app) as srv:
+    with HttpServer() as srv:
+        app.serve(srv)
         yield srv
 
 
@@ -197,7 +198,8 @@ class TestRateLimit:
                 burst_capacity=1.0,
             )
         )
-        with ThreadedApiServer(app) as srv:
+        with HttpServer() as srv:
+            app.serve(srv)
             first = http_request(
                 srv.port, "/v1/status", headers={"X-Client-Id": "greedy"}
             )
@@ -236,7 +238,8 @@ class TestCacheInvalidation:
         write_archive(rows, db_path)
 
         app = ArchiveApiApp(ApiConfig(db_path=db_path))
-        with ThreadedApiServer(app) as srv:
+        with HttpServer() as srv:
+            app.serve(srv)
             status1, headers1, body1 = http_request(srv.port, "/v1/status")
             assert status1 == 200
             assert json.loads(body1)["status"]["sandwiches"] == 0
@@ -302,7 +305,8 @@ class TestCacheInvalidation:
         first = analyzer(100_000)
         first.analyze()  # stamps the watermark row for the no-op below
         app = ArchiveApiApp(ApiConfig(db_path=db_path))
-        with ThreadedApiServer(app) as srv:
+        with HttpServer() as srv:
+            app.serve(srv)
             status, headers, body = financials(srv.port)
             assert status == 200
             assert json.loads(body)["financials"]["defensiveBundles"] == 122
@@ -329,15 +333,18 @@ class TestCacheInvalidation:
 
 
 class TestBusyPort:
-    def test_start_raises_the_bind_error_at_once(
-        self, corpus_archive, held_port
-    ):
-        app = ArchiveApiApp(ApiConfig(db_path=corpus_archive, port=held_port))
-        server = ThreadedApiServer(app)
+    def test_start_raises_the_bind_error_at_once(self, held_port):
+        # The server binds when it is built, before the archive is opened.
         started = time.monotonic()
         with pytest.raises(OSError):
-            server.start()
+            HttpServer(port=held_port)
         assert time.monotonic() - started < 2
-        # The failed start closed the archive it opened; stop is a no-op.
+
+    def test_failed_open_leaves_nothing_open(self, tmp_path):
+        app = ArchiveApiApp(ApiConfig(db_path=tmp_path / "missing.db"))
+        server = HttpServer()
+        with pytest.raises(StoreError):
+            app.serve(server)
         assert app.query is None
-        server.stop()
+        # The failed start also released the port.
+        HttpServer(port=server.port).stop()

@@ -95,8 +95,9 @@ class TestCampaignAndAnalyze:
 
 class TestScrapeAgainstLiveServer:
     def test_scrape_round_trip(self, tmp_path, capsys):
-        from repro.explorer.http_server import ThreadedExplorerServer
+        from repro.explorer.http_server import explorer_handler
         from repro.explorer.service import ExplorerConfig, ExplorerService
+        from repro.serve.httpcommon import HttpServer
         from repro.simulation import SimulationEngine
         from tests.conftest import tiny_scenario
 
@@ -110,7 +111,8 @@ class TestScrapeAgainstLiveServer:
             ),
         )
         out = tmp_path / "scraped"
-        with ThreadedExplorerServer(service) as server:
+        with HttpServer() as server:
+            server.start(explorer_handler(service))
             code = main(
                 [
                     "scrape",

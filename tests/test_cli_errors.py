@@ -169,6 +169,15 @@ REFUSALS = {
         "--store", "{tmp}/dir", "--db", "{tmp}/a.db",
     ],
     "api-missing-db": ["api", "--db", "{tmp}/missing.db", "--port", "0"],
+    "archive-stats-missing-db": ["archive", "stats", "--db", "{tmp}/m.db"],
+    "archive-vacuum-missing-db": ["archive", "vacuum", "--db", "{tmp}/m.db"],
+    "archive-export-missing-db": [
+        "archive", "export-jsonl", "--db", "{tmp}/m.db", "--out", "{tmp}/out",
+    ],
+    "query-missing-db": ["query", "sandwiches", "--db", "{tmp}/m.db"],
+    "serve-port-out-of-range": [
+        "serve", "--small", "--days", "1", "--port", "70000",
+    ],
 }
 
 
@@ -217,10 +226,46 @@ class TestBusyPort:
             "serve", "--small", "--days", "1", "--port", str(held_port)
         )
         assert result.returncode == 2
-        # The simulation's progress line comes first, then the one error.
-        progress, error = result.stderr.splitlines()
-        assert progress.startswith("simulating")
-        assert error.startswith("repro serve: error: cannot start the server")
+        # The port is bound before the simulation: one line, no progress.
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "repro serve: error: cannot start the server"
+        )
+        assert "simulating" not in result.stderr
+        assert result.stdout == ""
+
+
+class TestNonPositiveLimits:
+    """A rate limit that could admit nothing is refused before serving,
+    not answered with a 500 at each client's first request. Run as
+    subprocesses with a timeout: a server that accepted the limit would
+    otherwise serve forever."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--rps", "0"], ["--burst", "-1"], ["--burst", "0"]],
+        ids=["rps-zero", "burst-negative", "burst-zero"],
+    )
+    def test_api_refuses(self, archive, flags):
+        result = _run_cli(
+            "api", "--db", str(archive), "--port", "0", *flags
+        )
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro api: error: ")
+        assert result.stdout == ""
+
+    def test_serve_refuses_before_simulating(self):
+        result = _run_cli(
+            "serve", "--small", "--days", "1", "--port", "0", "--rps", "0"
+        )
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro serve: error: ")
+        assert "simulating" not in result.stderr
         assert result.stdout == ""
 
 

@@ -6,8 +6,10 @@ import subprocess
 import sys
 import time
 
+import pytest
 
 from repro.collector.http_client import HttpExplorerClient
+from repro.errors import RateLimitedError
 
 
 def test_serve_boots_and_answers():
@@ -24,6 +26,8 @@ def test_serve_boots_and_answers():
             "33",
             "--port",
             "0",
+            "--rps",
+            "2",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
@@ -45,6 +49,16 @@ def test_serve_boots_and_answers():
         assert client.health()
         records = client.recent_bundles(limit=5)
         assert records
+
+        # Use up the burst (10 at --rps 2; a few more refill meanwhile).
+        with pytest.raises(RateLimitedError) as rejected:
+            for _ in range(100):
+                client.recent_bundles(limit=1)
+        retry_after = rejected.value.retry_after
+        assert retry_after is not None and 0 < retry_after <= 0.5
+        # The budget refills in wall-clock time once the world is served.
+        time.sleep(retry_after + 0.25)
+        assert client.recent_bundles(limit=1)
     finally:
         process.send_signal(signal.SIGINT)
         try:

@@ -112,19 +112,6 @@ class TestTokenBucketEdgeCases:
         assert bucket.admitted == 2
         assert bucket.rejected == 2
 
-    def test_on_reject_fires_with_token_count(self, clock):
-        rejections = []
-        bucket = TokenBucket(
-            rate=1.0,
-            capacity=1.0,
-            time_fn=clock,
-            on_reject=rejections.append,
-        )
-        assert bucket.try_acquire()
-        assert rejections == []
-        assert not bucket.try_acquire(0.75)
-        assert rejections == [0.75]
-
     def test_fractional_refill_accumulates(self, clock):
         # Sub-token refills accumulate across many small steps.
         bucket = TokenBucket(rate=1.0, capacity=1.0, time_fn=clock)
