@@ -30,7 +30,6 @@ the reported totals equal to what one monolithic pass would have counted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
@@ -44,6 +43,7 @@ from repro.dex.oracle import PriceOracle
 from repro.errors import ConfigError
 from repro.obs.profile import StageProfile, StageTimer
 from repro.obs.registry import MetricsRegistry
+from repro.utils.serialization import decode_json, encode_json_sorted
 
 if TYPE_CHECKING:  # deferred: repro.parallel imports repro.archive
     from repro.parallel.chunks import DetectorSpec
@@ -83,7 +83,7 @@ class _Delta:
 def _describe(stamp: dict | None) -> str:
     if stamp is None:
         return "none (state written before specs were stamped)"
-    return json.dumps(stamp, sort_keys=True)
+    return encode_json_sorted(stamp)
 
 
 class IncrementalAnalyzer:
@@ -153,7 +153,7 @@ class IncrementalAnalyzer:
             "last_bundle_seq": row["last_bundle_seq"],
             "last_detail_seq": row["last_detail_seq"],
             "updated_sim_time": row["updated_sim_time"],
-            "state": json.loads(row["state"]),
+            "state": decode_json(row["state"]),
         }
 
     def _save_state(
@@ -173,7 +173,7 @@ class IncrementalAnalyzer:
                 last_bundle_seq,
                 last_detail_seq,
                 sim_time,
-                json.dumps(state, sort_keys=True),
+                encode_json_sorted(state),
             ),
         )
         conn.commit()

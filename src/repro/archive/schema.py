@@ -17,13 +17,16 @@ under a newer one.
 
 from __future__ import annotations
 
-import json
-
 from repro.core.events import SandwichEvent
 from repro.core.quantify import QuantifiedSandwich
 from repro.core.trades import TradeLeg
 from repro.errors import StoreError
 from repro.explorer.models import BundleRecord, TransactionRecord
+from repro.utils.serialization import (
+    decode_json,
+    encode_json,
+    encode_json_sorted,
+)
 from repro.utils.simtime import unix_to_date
 
 #: Current schema version (``PRAGMA user_version`` of an up-to-date file).
@@ -259,7 +262,7 @@ def parse_transaction_ids(raw: str) -> tuple[str, ...]:
     ``"``, no ``\\`` and no control character means the same to JSON as
     its slice, so that case skips the decoder. ``str.isprintable`` is the
     control-character test: it also refuses some printable-but-unusual
-    characters, which then simply take the exact ``json`` path. Anything
+    characters, which then simply take the exact decoder. Anything
     that is not JSON text holding an array of strings raises
     :class:`StoreError`.
     """
@@ -272,7 +275,7 @@ def parse_transaction_ids(raw: str) -> tuple[str, ...]:
                 and inner.isprintable()
             ):
                 return (inner,)
-        ids = json.loads(raw)
+        ids = decode_json(raw)
         if type(ids) is not list:
             raise TypeError(f"not an array: {type(ids).__name__}")
         # str.join type-checks every element in C: the cheapest exact
@@ -318,11 +321,11 @@ def detail_from_columns(
             "slot": slot,
             "block_time": block_time,
             "signer": signer,
-            "signers": tuple(json.loads(signers)),
+            "signers": tuple(decode_json(signers)),
             "fee_lamports": fee_lamports,
-            "token_deltas": json.loads(token_deltas),
-            "lamport_deltas": json.loads(lamport_deltas),
-            "events": tuple(json.loads(events)),
+            "token_deltas": decode_json(token_deltas),
+            "lamport_deltas": decode_json(lamport_deltas),
+            "events": tuple(decode_json(events)),
         }
     except (TypeError, ValueError) as exc:
         raise StoreError(f"malformed transactions row: {exc}") from exc
@@ -367,7 +370,7 @@ def sandwich_from_columns(
     :func:`sandwich_with_bundle`.
     """
     try:
-        payload = json.loads(legs)
+        payload = decode_json(legs)
         frontrun = _leg_from_json(payload["frontrun"])
         victim_trade = _leg_from_json(payload["victim_trade"])
         backrun = _leg_from_json(payload["backrun"])
@@ -414,7 +417,7 @@ def bundle_to_row(record: BundleRecord) -> tuple:
         unix_to_date(record.landed_at),
         record.tip_lamports,
         record.num_transactions,
-        json.dumps(list(record.transaction_ids)),
+        encode_json(record.transaction_ids),
     )
 
 
@@ -425,11 +428,11 @@ def detail_to_row(record: TransactionRecord) -> tuple:
         record.slot,
         record.block_time,
         record.signer,
-        json.dumps(list(record.signers)),
+        encode_json(record.signers),
         record.fee_lamports,
-        json.dumps(record.token_deltas, sort_keys=True),
-        json.dumps(record.lamport_deltas, sort_keys=True),
-        json.dumps(list(record.events)),
+        encode_json_sorted(record.token_deltas),
+        encode_json_sorted(record.lamport_deltas),
+        encode_json(record.events),
     )
 
 
@@ -447,13 +450,12 @@ def _leg_to_json(leg: TradeLeg) -> dict:
 def sandwich_to_row(item: QuantifiedSandwich) -> tuple:
     """Flatten a quantified sandwich into the ``sandwiches`` insert tuple."""
     event = item.event
-    legs = json.dumps(
+    legs = encode_json_sorted(
         {
             "frontrun": _leg_to_json(event.frontrun),
             "victim_trade": _leg_to_json(event.victim_trade),
             "backrun": _leg_to_json(event.backrun),
-        },
-        sort_keys=True,
+        }
     )
     return (
         event.bundle_id,

@@ -10,7 +10,6 @@ pending rows are committed in one transaction whenever the buffer reaches
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from repro.core.quantify import QuantifiedSandwich
 from repro.errors import ConfigError, StoreError
 from repro.explorer.models import BundleRecord, TransactionRecord
 from repro.obs.registry import MetricsRegistry
+from repro.utils.serialization import decode_json, encode_json_sorted
 
 _INSERT_BUNDLE = (
     "INSERT OR IGNORE INTO bundles "
@@ -292,7 +292,7 @@ class ArchiveBundleStore(BundleStore):
         cursor = conn.execute(
             "INSERT INTO checkpoints "
             "(created_sim_time, completed_days, payload) VALUES (?,?,?)",
-            (sim_time, completed_days, json.dumps(payload, sort_keys=True)),
+            (sim_time, completed_days, encode_json_sorted(payload)),
         )
         conn.commit()
         self._checkpoint_metric.inc()
@@ -317,7 +317,7 @@ class ArchiveBundleStore(BundleStore):
             "SELECT payload FROM checkpoints "
             "ORDER BY checkpoint_id DESC LIMIT 1"
         ).fetchone()
-        return json.loads(row["payload"]) if row else None
+        return decode_json(row["payload"]) if row else None
 
     def truncate_after(self, bundle_seq: int, detail_seq: int) -> int:
         """Delete rows written after a checkpoint's high-water marks.

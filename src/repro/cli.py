@@ -140,13 +140,22 @@ def _existing_archive(path: str | Path) -> Path:
 
 
 def _scenario_from_args(args: argparse.Namespace):
+    """The ``--small``/``--days``/``--seed`` scenario, validated, so a bad
+    value is refused before anything runs or prints."""
     # ``campaign`` leaves --seed at None so pack runs can distinguish "use
     # the pack's own base seed" from an explicit override; plain campaigns
     # keep the historical 2025 default.
     seed = args.seed if args.seed is not None else 2025
     if args.small:
-        return small_scenario(seed=seed, days=args.days or 5)
-    return paper_scenario(seed=seed, days=args.days or 120)
+        scenario = small_scenario(
+            seed=seed, days=5 if args.days is None else args.days
+        )
+    else:
+        scenario = paper_scenario(
+            seed=seed, days=120 if args.days is None else args.days
+        )
+    scenario.validate()
+    return scenario
 
 
 def _export_figure_csvs(result, report, out: Path) -> None:

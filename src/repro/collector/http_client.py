@@ -26,7 +26,6 @@ Hardening (the four-month campaign's survival kit):
 
 from __future__ import annotations
 
-import json
 import socket
 import time
 from typing import Callable
@@ -45,6 +44,7 @@ from repro.explorer.wire import (
 )
 from repro.utils.backoff import ExponentialBackoff
 from repro.utils.rng import DeterministicRNG
+from repro.utils.serialization import decode_json, encode_json
 
 _RECV_CHUNK = 65_536
 
@@ -172,8 +172,8 @@ class HttpExplorerClient:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         try:
-            payload = json.loads(body.decode("utf-8") or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            payload = decode_json(body.decode("utf-8") or "{}")
+        except ValueError as exc:  # UnicodeDecodeError is one too
             raise TransportError(f"non-JSON response body: {exc}") from exc
 
         if status == 200:
@@ -207,7 +207,7 @@ class HttpExplorerClient:
 
     def transactions(self, transaction_ids: list[str]) -> list[TransactionRecord]:
         """POST a bulk transaction-detail query."""
-        body = json.dumps({"ids": list(transaction_ids)}).encode("utf-8")
+        body = encode_json({"ids": list(transaction_ids)}).encode("utf-8")
         payload = self._request("POST", "/api/v1/transactions", body)
         records = payload.get("transactions")
         if not isinstance(records, list):

@@ -10,23 +10,25 @@ them.
 
 Per-transaction features (:class:`TxFeatures`) are extracted from each
 candidate member's raw ``events`` and ``token_deltas`` text: swap legs,
-traded mint sets, the tip-only flag, and long-form token deltas. Python's
-``json`` parses the text exactly as the object path's record loader does,
-so identities and arbitrary-size integer amounts reach the criteria
-unchanged.
+traded mint sets, the tip-only flag, and long-form token deltas. The
+archive's JSON codec parses the text exactly as the object path's record
+loader does, so identities and arbitrary-size integer amounts reach the
+criteria unchanged, and a text it refuses raises the same
+:class:`~repro.errors.StoreError`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.archive.query import ArchiveQuery
 from repro.archive.schema import new_bundle, parse_transaction_ids
 from repro.core.defensive import DefensiveReport
+from repro.errors import StoreError
 from repro.explorer.models import BundleRecord
 from repro.jito.tips import is_tip_account
+from repro.utils.serialization import decode_json
 from repro.utils.simtime import count_dates
 
 try:  # numpy is optional; blocks degrade to pure-python containers
@@ -262,7 +264,16 @@ def _features_from_json(
 
     ``deltas_json`` is None for members whose deltas detection never
     reads; their ``deltas`` stay empty.
+
+    Raises:
+        StoreError: when either text is not JSON, as the object engine's
+            :func:`~repro.archive.schema.detail_from_columns` does.
     """
+    try:
+        raw_events = decode_json(events_json)
+        raw_deltas = None if deltas_json is None else decode_json(deltas_json)
+    except (TypeError, ValueError) as exc:
+        raise StoreError(f"malformed transactions row: {exc}") from exc
     events = [
         (
             event.get("type"),
@@ -274,14 +285,14 @@ def _features_from_json(
             event.get("amount_out"),
             event.get("dest"),
         )
-        for event in json.loads(events_json)
+        for event in raw_events
     ]
     deltas = (
         ()
-        if deltas_json is None
+        if raw_deltas is None
         else [
             (owner, mint, value)
-            for owner, mint_map in json.loads(deltas_json).items()
+            for owner, mint_map in raw_deltas.items()
             for mint, value in mint_map.items()
         ]
     )

@@ -34,7 +34,6 @@ and ``repro serve`` exercise the full network path::
 
 from __future__ import annotations
 
-import json
 from functools import partial
 from urllib.parse import parse_qs, urlsplit
 
@@ -48,6 +47,7 @@ from repro.explorer.service import ExplorerService
 from repro.explorer.wire import bundle_record_to_json, transaction_record_to_json
 from repro.obs.export import render_prometheus
 from repro.serve.httpcommon import Handler, PlainText as _PlainText
+from repro.utils.serialization import decode_json
 
 
 def _status_for_error(error: ExplorerError) -> int:
@@ -142,14 +142,9 @@ def _route(
         if method != "POST":
             return 405, {"error": "use POST"}
         try:
-            payload = json.loads(body.decode("utf-8") or "{}")
+            payload = decode_json(body.decode("utf-8") or "{}")
             ids = [str(i) for i in payload["ids"]]
-        except (
-            json.JSONDecodeError,
-            KeyError,
-            TypeError,
-            UnicodeDecodeError,
-        ) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise BadRequestError(f"malformed body: {exc}") from exc
         records = service.transactions(ids, client_id=client_id)
         return 200, {

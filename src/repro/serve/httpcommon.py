@@ -14,10 +14,11 @@ routing (``repro serve``) or :class:`repro.serve.app.ArchiveApiApp`
 from __future__ import annotations
 
 import asyncio
-import json
 import socket
 import threading
 from typing import Callable
+
+from repro.utils.serialization import encode_json
 
 #: Request head larger than this is dropped without a response.
 MAX_HEADER_BYTES = 64 * 1024
@@ -81,7 +82,7 @@ def encode_payload(payload) -> tuple[bytes, str]:
         return payload.text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE
     if payload is None:
         return b"", JSON_CONTENT_TYPE
-    return json.dumps(payload).encode("utf-8"), JSON_CONTENT_TYPE
+    return encode_json(payload).encode("utf-8"), JSON_CONTENT_TYPE
 
 
 async def read_request(

@@ -9,11 +9,11 @@ payload fails its transaction instead of escaping the bank.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.errors import ProgramError
 from repro.solana.keys import Pubkey
+from repro.utils.serialization import decode_json, encode_json_sorted
 
 # Well-known program addresses (deterministic, simulation-local).
 SYSTEM_PROGRAM_ID = Pubkey.from_seed("program:system")
@@ -23,19 +23,13 @@ DEX_PROGRAM_ID = Pubkey.from_seed("program:dex-amm")
 MEMO_PROGRAM_ID = Pubkey.from_seed("program:memo")
 
 
-#: ``json.dumps(payload, sort_keys=True)`` without building an encoder per
-#: call. JSONEncoder keeps no state between ``encode`` calls, so one shared
-#: instance produces the same text.
-_PAYLOAD_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
 def encode_payload(payload: dict) -> bytes:
     """Instruction data for ``payload``: sorted-key JSON in UTF-8.
 
     Byte-identical to ``json.dumps(payload, sort_keys=True).encode()``;
     signatures and transaction ids hash these bytes.
     """
-    return _PAYLOAD_ENCODER.encode(payload).encode()
+    return encode_json_sorted(payload).encode()
 
 
 @dataclass(frozen=True)
@@ -75,10 +69,8 @@ class Instruction:
             ProgramError: if the data is not UTF-8 JSON or not an object.
         """
         try:
-            payload = json.loads(self.data.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            # UnicodeDecodeError and JSONDecodeError are ValueErrors, as is
-            # an integer literal past the interpreter's digit limit.
+            payload = decode_json(self.data.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError is one too
             raise ProgramError(f"malformed payload: {exc}") from exc
         if not isinstance(payload, dict):
             raise ProgramError(

@@ -41,6 +41,10 @@ from tests.archive.test_roundtrip_property import (
     transaction_records,
 )
 
+#: JSON nested past the interpreter's recursion limit: ``json.loads``
+#: raises RecursionError, not a ValueError, for it.
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+
 #: Any text SQLite can store (surrogates cannot be UTF-8 encoded).
 any_text = st.text(st.characters(blacklist_categories=("Cs",)))
 
@@ -293,13 +297,18 @@ class TestMalformedColumnsRaiseStoreError:
         item = sandwich_from_columns(*self.SANDWICH, self.LEGS)
         assert item.event.backrun.amount_out == 2
 
-    @pytest.mark.parametrize("raw", [None, 3, '{"t1": 1}', '["t1",'])
+    @pytest.mark.parametrize(
+        "raw",
+        [None, 3, '{"t1": 1}', '["t1",', pytest.param(DEEP_ARRAY, id="deep")],
+    )
     def test_bundle(self, raw):
         with pytest.raises(StoreError, match="transaction_ids"):
             bundle_from_columns(*self.BUNDLE[:4], raw)
 
     @pytest.mark.parametrize("position", [4, 6, 7, 8])
-    @pytest.mark.parametrize("raw", [None, 3, "{"])
+    @pytest.mark.parametrize(
+        "raw", [None, 3, "{", pytest.param(DEEP_ARRAY, id="deep")]
+    )
     def test_detail(self, position, raw):
         columns = list(self.DETAIL)
         columns[position] = raw
@@ -312,6 +321,7 @@ class TestMalformedColumnsRaiseStoreError:
             None,  # not text
             4,
             "{",  # not JSON
+            pytest.param(DEEP_ARRAY, id="deep"),
             "[]",  # wrong shape
             json.dumps({"frontrun": LEG, "victim_trade": LEG}),  # missing leg
             json.dumps(
@@ -336,3 +346,21 @@ class TestMalformedColumnsRaiseStoreError:
     def test_sandwich(self, legs):
         with pytest.raises(StoreError, match="malformed sandwiches row"):
             sandwich_from_columns(*self.SANDWICH, legs)
+
+    @pytest.mark.parametrize(
+        "events, deltas",
+        [
+            ("{", "{}"),
+            ("[]", "{"),
+            (DEEP_ARRAY, "{}"),
+            ("[]", DEEP_ARRAY),
+        ],
+        ids=["events", "deltas", "deep-events", "deep-deltas"],
+    )
+    def test_columnar_features(self, events, deltas):
+        """The columnar engine's parse of the same detail text raises
+        the object engine's error."""
+        from repro.columnar.blocks import _features_from_json
+
+        with pytest.raises(StoreError, match="malformed transactions row"):
+            _features_from_json("signer", events, deltas)

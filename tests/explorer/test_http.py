@@ -144,13 +144,14 @@ class TestRawProtocol:
 
     def test_malformed_body_is_400(self, http_world):
         _, server, _ = http_world
-        body = b"this is not json"
-        request = (
-            b"POST /api/v1/transactions HTTP/1.1\r\n"
-            b"Host: x\r\nContent-Length: %d\r\n\r\n" % len(body)
-        ) + body
-        response = self._raw_request(server.port, request)
-        assert b"400" in response.split(b"\r\n")[0]
+        # Not JSON, and JSON nested past the interpreter's recursion limit.
+        for body in (b"this is not json", b"[" * 100_000 + b"]" * 100_000):
+            request = (
+                b"POST /api/v1/transactions HTTP/1.1\r\n"
+                b"Host: x\r\nContent-Length: %d\r\n\r\n" % len(body)
+            ) + body
+            response = self._raw_request(server.port, request)
+            assert b"400" in response.split(b"\r\n")[0]
 
     def test_response_is_valid_json(self, http_world):
         _, server, _ = http_world

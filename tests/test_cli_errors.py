@@ -76,21 +76,48 @@ class TestAnalyzeErrors:
         assert main(["analyze", "--store", str(archive), "--jobs", "1"]) == 0
         assert "sandwiches:" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine", ["object", "columnar"])
+    @pytest.mark.parametrize(
+        "engine, column",
+        [
+            pytest.param(
+                engine,
+                column,
+                id=engine
+                if column == "transaction_ids"
+                else f"{engine}-{column}",
+            )
+            for engine in ("object", "columnar")
+            for column in ("transaction_ids", "events", "token_deltas")
+        ],
+    )
     def test_hostile_transaction_id_is_refused_by_both_engines(
-        self, archive, engine, capsys
+        self, archive, engine, column, capsys
     ):
-        """A raw control character in a stored id is not JSON: both
-        engines refuse the archive instead of one of them accepting it."""
+        """Stored text that is not JSON is refused by both engines,
+        instead of one of them accepting it or crashing: a raw control
+        character in a single's id, and ``not json`` in the events or the
+        token deltas of a length-three bundle's first member (the only
+        members whose deltas the columnar engine reads are the edges)."""
         if engine == "columnar":
             pytest.importorskip("numpy")
+        if column == "transaction_ids":
+            update = (
+                "UPDATE bundles SET transaction_ids = ? WHERE seq = "
+                "(SELECT MIN(seq) FROM bundles WHERE num_transactions = 1)"
+            )
+            value = '["a\nb"]'
+        else:
+            update = (
+                f"UPDATE transactions SET {column} = ? WHERE transaction_id "
+                "= (SELECT m.transaction_id FROM bundle_transactions m "
+                "JOIN bundles b ON b.bundle_id = m.bundle_id "
+                "WHERE b.num_transactions = 3 AND m.position = 0 "
+                "ORDER BY b.seq LIMIT 1)"
+            )
+            value = "not json"
         conn = sqlite3.connect(archive)
         try:
-            changed = conn.execute(
-                "UPDATE bundles SET transaction_ids = ? WHERE seq = "
-                "(SELECT MIN(seq) FROM bundles WHERE num_transactions = 1)",
-                ('["a\nb"]',),
-            ).rowcount
+            changed = conn.execute(update, (value,)).rowcount
             conn.commit()
         finally:
             conn.close()
@@ -110,6 +137,8 @@ class TestAnalyzeErrors:
         lines = _stderr_lines(capsys)
         assert len(lines) == 1
         assert "malformed" in lines[0]
+        if column != "transaction_ids":
+            assert "malformed transactions row" in lines[0]
 
     def test_incremental_pass_with_another_threshold_is_refused(
         self, tmp_path, capsys
@@ -178,6 +207,10 @@ REFUSALS = {
     "serve-port-out-of-range": [
         "serve", "--small", "--days", "1", "--port", "70000",
     ],
+    "campaign-zero-days": ["campaign", "--small", "--days", "0"],
+    "campaign-negative-days": ["campaign", "--small", "--days", "-1"],
+    "chaos-negative-days": ["chaos", "--small", "--days", "-1"],
+    "serve-zero-days": ["serve", "--small", "--days", "0", "--port", "0"],
 }
 
 

@@ -66,9 +66,12 @@ class TestJsonlRoundTrip:
 
     def test_invalid_json_raises_with_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"a":1}\nnot-json\n')
-        with pytest.raises(StoreError, match=":2"):
-            list(read_jsonl(path))
+        # Not JSON; an integer past the interpreter's digit limit; an
+        # array nested past its recursion limit.
+        for line in ("not-json", "1" * 5_000, "[" * 100_000 + "]" * 100_000):
+            path.write_text('{"a":1}\n' + line + "\n")
+            with pytest.raises(StoreError, match=":2"):
+                list(read_jsonl(path))
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "dir" / "r.jsonl"
