@@ -37,6 +37,7 @@ import pytest
 from benchmarks.conftest import record_perf
 from repro.archive.store import ArchiveBundleStore
 from repro.conformance.oracle import ensure_reports_identical
+from repro.core.detector import DetectorSpec
 from repro.core.pipeline import AnalysisPipeline
 from repro.core.quantify import LossQuantifier
 from repro.dex.oracle import PriceOracle
@@ -251,10 +252,9 @@ def test_end_to_end_throughput_and_speedup(big_archive):
 
 def test_detect_and_quantify_throughput(big_archive):
     store = ArchiveBundleStore.resume(big_archive)
-    pipeline = AnalysisPipeline()
 
     started = time.perf_counter()
-    events = pipeline.detector.detect_all(store)
+    events = DetectorSpec().build_detector().detect_all(store)
     record_perf(
         "detect_all", len(store), time.perf_counter() - started, jobs=1
     )
@@ -329,7 +329,7 @@ def _single_chunk_task(path, engine):
     """A one-chunk task covering the whole archive, plus its connection."""
     from repro.archive.database import ArchiveDatabase
     from repro.archive.query import ArchiveQuery
-    from repro.parallel.chunks import ChunkTask, DetectorSpec
+    from repro.parallel.chunks import ChunkTask
 
     database = ArchiveDatabase(path, read_only=True)
     (chunk,) = ArchiveQuery(database).chunk_plan(10**9)

@@ -31,11 +31,12 @@ from repro.collector import MeasurementCampaign
 from repro.core import (
     AnalysisPipeline,
     DefensiveBundlingClassifier,
+    DetectorSpec,
     LossQuantifier,
     SandwichDetector,
 )
 from repro.obs import NULL_REGISTRY, EventLog, MetricsRegistry
-from repro.parallel import DetectorSpec, ParallelAnalysisEngine
+from repro.parallel import ParallelAnalysisEngine
 from repro.simulation import (
     ScenarioConfig,
     SimulationEngine,

@@ -27,17 +27,14 @@ import hashlib
 from pathlib import Path
 
 from repro.archive.database import ArchiveDatabase
-from repro.archive.store import ArchiveBundleStore, FlushPolicy
+from repro.archive.store import ArchiveBundleStore
 from repro.collector.campaign import CampaignResult, MeasurementCampaign
 from repro.collector.detail_fetcher import DetailFetcherConfig
-from repro.collector.poller import PollerConfig
 from repro.errors import ConfigError, StoreError
-from repro.explorer.service import ExplorerConfig
 from repro.faults.plan import FaultPlan
 from repro.obs.export import restore_snapshot_into
 from repro.obs.registry import MetricsRegistry
 from repro.simulation.config import ScenarioConfig
-from repro.simulation.downtime import DowntimeSchedule
 from repro.utils.serialization import dumps
 
 #: Bump when the checkpoint payload layout changes; resume refuses
@@ -75,28 +72,18 @@ class CheckpointedCampaign:
         scenario: ScenarioConfig,
         archive: ArchiveDatabase | str | Path,
         checkpoint_every_days: int = 1,
-        downtime: DowntimeSchedule | None = None,
-        flush_policy: FlushPolicy | None = None,
-        poller_config: PollerConfig | None = None,
         fetcher_config: DetailFetcherConfig | None = None,
-        explorer_config: ExplorerConfig | None = None,
-        metrics: MetricsRegistry | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         if checkpoint_every_days < 1:
             raise ConfigError("checkpoint_every_days must be >= 1")
         self.scenario = scenario
         self.checkpoint_every_days = checkpoint_every_days
-        registry = metrics if metrics is not None else MetricsRegistry()
-        self.store = ArchiveBundleStore(
-            archive, flush_policy=flush_policy, metrics=registry
-        )
+        registry = MetricsRegistry()
+        self.store = ArchiveBundleStore(archive, metrics=registry)
         self.campaign = MeasurementCampaign(
             scenario,
-            downtime,
-            poller_config=poller_config,
             fetcher_config=fetcher_config,
-            explorer_config=explorer_config,
             metrics=registry,
             store=self.store,
             fault_plan=fault_plan,
@@ -177,19 +164,14 @@ class CheckpointedCampaign:
         scenario: ScenarioConfig,
         archive: ArchiveDatabase | str | Path,
         checkpoint_every_days: int = 1,
-        downtime: DowntimeSchedule | None = None,
-        flush_policy: FlushPolicy | None = None,
-        poller_config: PollerConfig | None = None,
         fetcher_config: DetailFetcherConfig | None = None,
-        explorer_config: ExplorerConfig | None = None,
-        metrics: MetricsRegistry | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> "CheckpointedCampaign":
         """Rebuild a killed campaign from an archive's latest checkpoint.
 
-        The caller must supply the same scenario (and downtime schedule, if
-        one was injected) as the original run; the checkpoint's scenario
-        fingerprint enforces this.
+        The caller must supply the same scenario (and fault plan, if one
+        was injected) as the original run; the checkpoint's scenario and
+        plan fingerprints enforce this.
 
         Raises:
             StoreError: if the archive holds no checkpoint, the campaign
@@ -201,12 +183,7 @@ class CheckpointedCampaign:
             scenario,
             archive,
             checkpoint_every_days=checkpoint_every_days,
-            downtime=downtime,
-            flush_policy=flush_policy,
-            poller_config=poller_config,
             fetcher_config=fetcher_config,
-            explorer_config=explorer_config,
-            metrics=metrics,
             fault_plan=fault_plan,
         )
         payload = self.store.latest_checkpoint()

@@ -5,7 +5,7 @@ millions of already-judged bundles. :class:`IncrementalAnalyzer` keeps one
 watermark in the archive's ``analysis_state`` table, the row keyed
 ``analysis``: the highest bundle ``seq`` already examined, the ids of
 detection candidates still awaiting transaction details, and the canonical
-:class:`~repro.parallel.chunks.DetectorSpec` the stored analysis rows were
+:class:`~repro.core.detector.DetectorSpec` the stored analysis rows were
 made with. Each pass:
 
 1. refuses with :class:`~repro.errors.ConfigError` when its spec differs
@@ -31,22 +31,17 @@ the reported totals equal to what one monolithic pass would have counted.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
 
 from repro.archive.database import ArchiveDatabase
 from repro.archive.store import ArchiveBundleStore
 from repro.core.defensive import DefensiveReport
-from repro.core.detector import DetectionStats
+from repro.core.detector import DetectionStats, DetectorSpec
 from repro.core.pipeline import AnalysisReport, assemble_report
 from repro.core.quantify import QuantifiedSandwich
-from repro.dex.oracle import PriceOracle
 from repro.errors import ConfigError
 from repro.obs.profile import StageProfile, StageTimer
 from repro.obs.registry import MetricsRegistry
 from repro.utils.serialization import decode_json, encode_json_sorted
-
-if TYPE_CHECKING:  # deferred: repro.parallel imports repro.archive
-    from repro.parallel.chunks import DetectorSpec
 
 #: The ``analysis_state`` key of the archive's one watermark row.
 STATE_KEY = "analysis"
@@ -89,8 +84,8 @@ def _describe(stamp: dict | None) -> str:
 class IncrementalAnalyzer:
     """Watermarked analysis over an archive database, under one spec.
 
-    ``spec`` (default :class:`~repro.parallel.chunks.DetectorSpec`) is the
-    only description of the detector stack; ``jobs``, ``chunk_size`` and
+    ``spec`` (default :class:`~repro.core.detector.DetectorSpec`) is the
+    only description of the analysis stack; ``jobs``, ``chunk_size`` and
     ``engine`` configure the chunked engine and leave the stored rows
     byte-identical, so they are free to change between passes.
     """
@@ -98,7 +93,6 @@ class IncrementalAnalyzer:
     def __init__(
         self,
         database: ArchiveDatabase,
-        oracle: PriceOracle | None = None,
         metrics: MetricsRegistry | None = None,
         jobs: int = 1,
         chunk_size: int = 2_048,
@@ -117,11 +111,10 @@ class IncrementalAnalyzer:
             jobs=jobs,
             chunk_size=chunk_size,
             spec=spec,
-            oracle=oracle,
             metrics=self.metrics,
             engine=engine,
         )
-        #: The oracle-pinned spec every pass runs and is stamped with.
+        #: The spec every pass runs and is stamped with.
         self.spec = self._engine.spec
         self.query = self._engine.query
         self._runs_metric = self.metrics.counter(

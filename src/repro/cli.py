@@ -421,11 +421,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     watermark.
     """
     from repro.archive import ArchiveDatabase, IncrementalAnalyzer
-    from repro.parallel import (
-        DetectorSpec,
-        ParallelAnalysisEngine,
-        default_jobs,
-    )
+    from repro.core import DetectorSpec
+    from repro.parallel import ParallelAnalysisEngine, default_jobs
 
     _progress, output = _build_logs(args)
     emit = lambda message, **fields: output.info(  # noqa: E731
@@ -520,7 +517,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     ``--report-out`` makes checkable: it writes the canonical report JSON
     (the exact bytes the conformance oracle compares).
     """
-    from repro.parallel import DetectorSpec
+    from repro.core import DetectorSpec
     from repro.parallel.merge import report_bytes
     from repro.stream import analyze_archive_stream
 

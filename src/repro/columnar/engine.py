@@ -43,10 +43,9 @@ from repro.columnar.blocks import (
 )
 from repro.columnar.criteria import evaluate_block
 from repro.columnar.quantify import quantify_block
-from repro.core.detector import DetectionStats
-from repro.dex.oracle import PriceOracle
+from repro.core.detector import DetectionStats, DetectorSpec
 from repro.errors import ConfigError
-from repro.parallel.chunks import ChunkTask, DetectorSpec
+from repro.parallel.chunks import ChunkTask
 from repro.parallel.worker import ChunkOutcome, classification_fields
 
 
@@ -160,13 +159,8 @@ def compute_chunk_columnar(
     detect_seconds = time.perf_counter() - detect_started
 
     quantify_started = time.perf_counter()
-    oracle = (
-        PriceOracle(spec.usd_per_sol)
-        if spec.usd_per_sol is not None
-        else PriceOracle()
-    )
     quantified = quantify_block(
-        candidates, event_order, usd_per_sol=oracle.usd_per_sol
+        candidates, event_order, usd_per_sol=spec.usd_per_sol
     )
 
     classification = block.classify_singles(spec.threshold_lamports)

@@ -2,7 +2,8 @@
 
 - :mod:`repro.core.trades` — trade extraction from transaction records
 - :mod:`repro.core.criteria` — the five detection criteria (Section 3.2)
-- :mod:`repro.core.detector` — :class:`SandwichDetector`
+- :mod:`repro.core.detector` — :class:`SandwichDetector` and the
+  :class:`DetectorSpec` every analysis path builds its stack from
 - :mod:`repro.core.quantify` — victim-loss / attacker-gain quantification
 - :mod:`repro.core.defensive` — defensive-bundling classification (3.3)
 - :mod:`repro.core.aggregate` — daily series and headline statistics
@@ -18,6 +19,7 @@ from repro.core.criteria import (
 from repro.core.defensive import DefensiveBundlingClassifier, DefensiveReport
 from repro.core.detector import (
     DetectionStats,
+    DetectorSpec,
     SandwichDetector,
     WindowedSandwichDetector,
 )
@@ -35,6 +37,7 @@ __all__ = [
     "DefensiveBundlingClassifier",
     "DefensiveReport",
     "DetectionStats",
+    "DetectorSpec",
     "LossQuantifier",
     "QuantifiedSandwich",
     "SandwichDetector",

@@ -5,9 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.collector.store import BundleStore
+from repro.constants import DEFENSIVE_TIP_THRESHOLD_LAMPORTS, SOL_USD_RATE
 from repro.core.criteria import BundleView, evaluate_criteria
+from repro.core.defensive import DefensiveBundlingClassifier
 from repro.core.events import SandwichEvent
-from repro.errors import DetectionError
+from repro.dex.oracle import PriceOracle
+from repro.errors import ConfigError, DetectionError
 from repro.explorer.models import BundleRecord
 
 
@@ -193,3 +196,73 @@ class WindowedSandwichDetector(SandwichDetector):
                 events.append(event)
         events.sort(key=lambda e: e.landed_at)
         return events
+
+
+@dataclass(frozen=True)
+class DetectorSpec:
+    """A declarative, picklable recipe for the whole analysis stack.
+
+    Every analysis path (the serial pipeline, the chunked engines, the
+    incremental analyzer and the stream) builds its detector, classifier
+    and oracle from it; worker processes cannot receive live detector
+    objects, so the chunked engine ships the spec instead.
+
+    ``kind`` selects the detector class (``"standard"`` scans length-three
+    bundles, ``"windowed"`` slides a window over ``lengths``);
+    ``usd_per_sol`` is the one SOL/USD rate every report figure is
+    priced at.
+    """
+
+    kind: str = "standard"
+    lengths: tuple[int, ...] = (3, 4, 5)
+    skip_criteria: frozenset[str] = frozenset()
+    threshold_lamports: int = DEFENSIVE_TIP_THRESHOLD_LAMPORTS
+    usd_per_sol: float = SOL_USD_RATE
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigError` on nonsensical settings."""
+        if self.kind not in {"standard", "windowed"}:
+            raise ConfigError(
+                f"detector kind must be standard or windowed, "
+                f"got {self.kind!r}"
+            )
+
+    def canonical(self) -> dict:
+        """The JSON-ready settings that decide the analysis rows.
+
+        An archive's incremental watermark is stamped with this form.
+        Engine, jobs and chunk size are not settings of the spec: they
+        leave the rows byte-identical.
+        """
+        return {
+            "kind": self.kind,
+            "lengths": list(self.lengths),
+            "skip_criteria": sorted(self.skip_criteria),
+            "threshold_lamports": self.threshold_lamports,
+            "usd_per_sol": self.usd_per_sol,
+        }
+
+    @property
+    def detail_lengths(self) -> tuple[int, ...]:
+        """Bundle lengths whose details a chunk loader must resolve."""
+        if self.kind == "windowed":
+            return tuple(sorted(set(self.lengths)))
+        return (3,)
+
+    def build_detector(self) -> SandwichDetector:
+        """A fresh detector configured per this spec."""
+        if self.kind == "windowed":
+            return WindowedSandwichDetector(
+                lengths=self.lengths, skip_criteria=self.skip_criteria
+            )
+        return SandwichDetector(skip_criteria=self.skip_criteria)
+
+    def build_classifier(self) -> DefensiveBundlingClassifier:
+        """A fresh defensive classifier per this spec."""
+        return DefensiveBundlingClassifier(
+            threshold_lamports=self.threshold_lamports
+        )
+
+    def build_oracle(self) -> PriceOracle:
+        """The price oracle at this spec's SOL/USD rate."""
+        return PriceOracle(self.usd_per_sol)

@@ -18,8 +18,8 @@ from repro.core.aggregate import (
     headline_stats,
     sandwiches_per_day,
 )
-from repro.core.defensive import DefensiveBundlingClassifier, DefensiveReport
-from repro.core.detector import DetectionStats, SandwichDetector
+from repro.core.defensive import DefensiveReport
+from repro.core.detector import DetectionStats, DetectorSpec
 from repro.core.quantify import LossQuantifier, QuantifiedSandwich
 from repro.dex.oracle import PriceOracle
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
@@ -71,59 +71,62 @@ def assemble_report(
     )
 
 
+def publish_detection_metrics(
+    metrics: MetricsRegistry, report: AnalysisReport
+) -> None:
+    """Count one report's detection tallies into ``metrics``.
+
+    The campaign report's "Pipeline health" section reads these
+    ``detector_*``/``defensive_*`` counters; the serial pipeline and the
+    streaming campaign both publish them from their finished report, so
+    the section reads the same for either path.
+    """
+    stats = report.detection_stats
+    metrics.counter(
+        "detector_bundles_examined_total",
+        "Bundles evaluated against the five criteria.",
+    ).inc(stats.bundles_examined)
+    metrics.counter(
+        "detector_sandwiches_total", "Bundles confirmed as sandwiches."
+    ).inc(len(report.quantified))
+    rejections = metrics.counter(
+        "detector_rejections_total",
+        "Bundles rejected during detection, by failing criterion.",
+    )
+    for criterion, count in sorted(stats.rejections_by_criterion.items()):
+        if count:
+            rejections.inc(count, criterion=criterion)
+    defensive = metrics.counter(
+        "defensive_bundles_total",
+        "Length-one bundles classified, defensive vs priority.",
+    )
+    defensive.inc(
+        len(report.defensive.defensive_ids), classification="defensive"
+    )
+    defensive.inc(
+        len(report.defensive.priority_ids), classification="priority"
+    )
+
+
 class AnalysisPipeline:
-    """Detector + quantifier + defensive classifier + aggregation."""
+    """Detector + quantifier + defensive classifier + aggregation.
+
+    The differential oracle's serial reference: it detects, quantifies
+    and classifies a whole store itself, with a fresh detector and
+    classifier built from ``spec`` for every :meth:`analyze_store`, so
+    each report owns its tallies.
+    """
 
     def __init__(
         self,
-        oracle: PriceOracle | None = None,
-        detector: SandwichDetector | None = None,
-        classifier: DefensiveBundlingClassifier | None = None,
+        spec: DetectorSpec | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        self.oracle = oracle or PriceOracle()
-        self.detector = detector or SandwichDetector()
+        self.spec = spec or DetectorSpec()
+        self.spec.validate()
+        self.oracle = self.spec.build_oracle()
         self.quantifier = LossQuantifier(self.oracle)
-        self.classifier = classifier or DefensiveBundlingClassifier()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._recorded_examined = 0
-        self._recorded_rejections: dict[str, int] = {}
-
-    def _record_metrics(
-        self, stats: DetectionStats, report: AnalysisReport
-    ) -> None:
-        """Publish one analysis pass's tallies into the registry.
-
-        Detector stats accumulate across passes, so counters record the
-        per-pass deltas — repeated analyses never double count.
-        """
-        self.metrics.counter(
-            "detector_bundles_examined_total",
-            "Bundles evaluated against the five criteria.",
-        ).inc(stats.bundles_examined - self._recorded_examined)
-        self._recorded_examined = stats.bundles_examined
-        self.metrics.counter(
-            "detector_sandwiches_total", "Bundles confirmed as sandwiches."
-        ).inc(len(report.quantified))
-        rejections = self.metrics.counter(
-            "detector_rejections_total",
-            "Bundles rejected during detection, by failing criterion.",
-        )
-        for criterion, count in sorted(stats.rejections_by_criterion.items()):
-            delta = count - self._recorded_rejections.get(criterion, 0)
-            if delta:
-                rejections.inc(delta, criterion=criterion)
-            self._recorded_rejections[criterion] = count
-        defensive = self.metrics.counter(
-            "defensive_bundles_total",
-            "Length-one bundles classified, defensive vs priority.",
-        )
-        defensive.inc(
-            len(report.defensive.defensive_ids), classification="defensive"
-        )
-        defensive.inc(
-            len(report.defensive.priority_ids), classification="priority"
-        )
 
     def analyze_store(
         self,
@@ -132,16 +135,17 @@ class AnalysisPipeline:
     ) -> AnalysisReport:
         """Run the full analysis over a collected store."""
         with self.metrics.span("analysis.pipeline"):
-            events = self.detector.detect_all(store)
+            detector = self.spec.build_detector()
+            events = detector.detect_all(store)
             report = assemble_report(
                 self.quantifier.quantify_all(events),
-                self.classifier.classify(store),
-                self.detector.stats,
+                self.spec.build_classifier().classify(store),
+                detector.stats,
                 bundles_collected=len(store),
                 oracle=self.oracle,
                 poll_overlap_fraction=poll_overlap_fraction,
             )
-        self._record_metrics(self.detector.stats, report)
+        publish_detection_metrics(self.metrics, report)
         # Archive-backed stores persist detections; duck-typed so this
         # module never imports repro.archive (which imports repro.core).
         recorder = getattr(store, "record_analysis", None)

@@ -5,9 +5,8 @@ All renderers consume the JSON snapshot layout produced by
 ``--metrics-out`` renders identically to a live registry.
 
 The campaign report's "Pipeline health" section is built here too. It
-includes only sim-time-deterministic series (and never the engine's
-wall-clock throughput gauges), preserving the invariant that analysis
-reports are byte-identical across replays of the same seed.
+includes only sim-time-deterministic series, preserving the invariant
+that analysis reports are byte-identical across replays of the same seed.
 """
 
 from __future__ import annotations
@@ -25,13 +24,6 @@ from repro.obs.registry import (
     _HistogramState,
     _label_key,
 )
-
-#: Metric names whose values come from the wall clock; report renderers
-#: must never include these (snapshot files still carry them).
-WALL_CLOCK_METRICS = frozenset(
-    {"sim_wall_seconds", "sim_blocks_per_wall_second"}
-)
-
 
 def save_snapshot(source: MetricsRegistry | dict, path: str | Path) -> dict:
     """Write a snapshot (from a registry or an existing dict) as JSON.
@@ -248,9 +240,8 @@ def _gauge_value(snapshot: dict, name: str) -> float | None:
 def render_pipeline_health(snapshot: dict) -> str:
     """The campaign report's "Pipeline health" section.
 
-    Only deterministic, sim-time-driven series appear here (see
-    :data:`WALL_CLOCK_METRICS` for the exclusion), so the rendered report
-    stays byte-identical across replays of the same seed.
+    Only deterministic, sim-time-driven series appear here, so the
+    rendered report stays byte-identical across replays of the same seed.
     """
     if not snapshot.get("metrics"):
         return "Pipeline health — observability disabled"

@@ -8,7 +8,8 @@ archive read-only, and folds the per-chunk results back together with a
 deterministic, order-independent reducer — serial and parallel runs produce
 byte-identical reports.
 
-- :mod:`repro.parallel.chunks` — picklable task/spec datatypes
+- :mod:`repro.parallel.chunks` — picklable chunk tasks, each carrying
+  the :class:`~repro.core.detector.DetectorSpec` (re-exported here)
 - :mod:`repro.parallel.worker` — per-chunk load and compute stages
 - :mod:`repro.parallel.merge` — the deterministic reducer
 - :mod:`repro.parallel.engine` — :class:`ParallelAnalysisEngine`
@@ -18,7 +19,8 @@ imports :mod:`multiprocessing`, keeping tests and single-core hosts
 hermetic.
 """
 
-from repro.parallel.chunks import ChunkTask, DetectorSpec
+from repro.core.detector import DetectorSpec
+from repro.parallel.chunks import ChunkTask
 from repro.parallel.engine import ParallelAnalysisEngine, default_jobs
 from repro.parallel.merge import (
     MergedAnalysis,

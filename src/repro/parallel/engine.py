@@ -15,24 +15,18 @@ pool is actually wanted.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.archive.database import ArchiveDatabase
 from repro.archive.query import ArchiveQuery
 from repro.archive.store import ArchiveBundleStore
+from repro.core.detector import DetectorSpec
 from repro.core.pipeline import AnalysisReport, assemble_report
-from repro.dex.oracle import PriceOracle
 from repro.errors import ConfigError
 from repro.obs.profile import StageProfile, StageTimer
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.parallel.chunks import (
-    CHUNK_ENGINES,
-    DEFAULT_CHUNK_SIZE,
-    ChunkTask,
-    DetectorSpec,
-)
+from repro.parallel.chunks import CHUNK_ENGINES, DEFAULT_CHUNK_SIZE, ChunkTask
 from repro.parallel.merge import MergedAnalysis, merge_outcomes
 from repro.parallel.worker import (
     ChunkOutcome,
@@ -63,7 +57,6 @@ class ParallelAnalysisEngine:
         jobs: int | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         spec: DetectorSpec | None = None,
-        oracle: PriceOracle | None = None,
         metrics: MetricsRegistry | None = None,
         engine: str = "object",
     ) -> None:
@@ -78,7 +71,6 @@ class ParallelAnalysisEngine:
         if chunk_size < 1:
             raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size
-        self.oracle = oracle or PriceOracle()
         spec = spec or DetectorSpec()
         spec.validate()
         if engine not in CHUNK_ENGINES:
@@ -92,13 +84,10 @@ class ParallelAnalysisEngine:
 
             require_columnar_spec(spec)
         self.engine = engine
-        # Workers rebuild the oracle from the spec; pin the rate so pool
-        # and in-process quantification price events identically.
-        self.spec = (
-            spec
-            if spec.usd_per_sol is not None
-            else replace(spec, usd_per_sol=self.oracle.usd_per_sol)
-        )
+        self.spec = spec
+        # Workers build the same oracle from the spec, so every figure of
+        # the report is priced at the one rate.
+        self.oracle = spec.build_oracle()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.query = ArchiveQuery(self.database, metrics=self.metrics)
         self._chunk_seconds = self.metrics.histogram(
@@ -212,7 +201,6 @@ class ParallelAnalysisEngine:
         self,
         persist: bool = True,
         poll_overlap_fraction: float | None = None,
-        progress: Callable[[int, int], None] | None = None,
     ) -> AnalysisReport:
         """Analyze the whole archive and assemble the campaign report.
 
@@ -226,8 +214,6 @@ class ParallelAnalysisEngine:
             chunks = self.query.chunk_plan(self.chunk_size)
             tasks = self.tasks_for_chunks(chunks)
             outcomes = self.run_tasks(tasks)
-            if progress is not None:
-                progress(len(outcomes), len(tasks))
             with StageTimer(
                 self.stage_profile, "merge", histogram=self._stage_seconds
             ):

@@ -24,7 +24,6 @@ from repro.collector.store import BundleStore
 from repro.core.defensive import DefensiveReport
 from repro.core.detector import DetectionStats
 from repro.core.quantify import LossQuantifier, QuantifiedSandwich
-from repro.dex.oracle import PriceOracle
 from repro.parallel.chunks import ChunkTask
 
 #: The pool worker's read-only archive handle, opened by :func:`init_worker`.
@@ -35,28 +34,31 @@ _WORKER_DB: ArchiveDatabase | None = None
 class ChunkOutcome:
     """Everything one chunk's analysis produced, ready to merge.
 
-    All fields are picklable; per-chunk lists are already in the chunk's
-    deterministic (collection-order) form, so the reducer only needs to
-    concatenate outcomes by ``index`` and re-sort globally.
+    The one record of judged work: the chunk workers, the incremental
+    analyzer and the stream (one outcome per judged candidate) all emit
+    it. All fields are picklable; per-chunk lists are already in the
+    chunk's deterministic (collection-order) form, so the reducer only
+    needs to concatenate outcomes by ``index`` and re-sort globally.
     The classification travels as ids plus the two sums its report
     keeps: the defensive tip total and ``(date, count)`` pairs.
-    ``stage_seconds`` carries the chunk's wall-time split as
-    ``(stage, seconds)`` pairs — purely observational, never merged into
-    the report itself.
+    ``elapsed_seconds``, ``worker`` and ``stage_seconds`` are purely
+    observational, never merged into the report itself; a stream
+    candidate leaves them, the bundle count and the classification at
+    their empty defaults.
     """
 
     index: int
-    bundle_count: int
     quantified: tuple[QuantifiedSandwich, ...]
-    defensive: tuple[str, ...]
-    priority: tuple[str, ...]
     stats: DetectionStats
     pending_detail_ids: tuple[str, ...]
-    elapsed_seconds: float
-    worker: str
-    stage_seconds: tuple[tuple[str, float], ...] = ()
+    bundle_count: int = 0
+    defensive: tuple[str, ...] = ()
+    priority: tuple[str, ...] = ()
     defensive_tips_lamports: int = 0
     defensive_by_day: tuple[tuple[str, int], ...] = ()
+    elapsed_seconds: float = 0.0
+    worker: str = ""
+    stage_seconds: tuple[tuple[str, float], ...] = ()
 
 
 def classification_fields(report: DefensiveReport) -> dict:
@@ -183,12 +185,7 @@ def _compute_object_chunk(
     detect_seconds = time.perf_counter() - detect_started
 
     quantify_started = time.perf_counter()
-    oracle = (
-        PriceOracle(spec.usd_per_sol)
-        if spec.usd_per_sol is not None
-        else PriceOracle()
-    )
-    quantified = LossQuantifier(oracle).quantify_all(events)
+    quantified = LossQuantifier(spec.build_oracle()).quantify_all(events)
     classification = spec.build_classifier().classify(mini)
     # Pending ids are reported in the chunk's collection order, so the
     # incremental analyzer's merged pending list is order-identical to a

@@ -27,7 +27,7 @@ from repro.analysis.recall import (
 )
 from repro.conformance.oracle import comparable_payload
 from repro.conformance.scenarios import build_store
-from repro.core.detector import WindowedSandwichDetector
+from repro.core.detector import DetectorSpec
 from repro.core.pipeline import AnalysisPipeline, AnalysisReport
 from repro.errors import ConformanceError
 from repro.scenarios.generate import PackCampaign, build_pack_campaign
@@ -203,12 +203,9 @@ def evaluate_pack(pack: ScenarioPack) -> PackEvaluation:
         truth_detected=truth_detected,
         observed_detected=observed_detected,
     )
-    windowed_truth = AnalysisPipeline(
-        detector=WindowedSandwichDetector()
-    ).analyze_store(truth_store)
-    windowed_observed = AnalysisPipeline(
-        detector=WindowedSandwichDetector()
-    ).analyze_store(observed_store)
+    windowed = AnalysisPipeline(DetectorSpec(kind="windowed"))
+    windowed_truth = windowed.analyze_store(truth_store)
+    windowed_observed = windowed.analyze_store(observed_store)
     windowed_bias = bias_from_counts(
         pack.name,
         campaign.attack_bundle_lists,

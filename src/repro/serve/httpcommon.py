@@ -188,6 +188,11 @@ class HttpServer:
     TIMEOUT = 10
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        # Refused before a socket exists: ``bind`` would raise
+        # OverflowError, which ``socket.create_server`` does not clean up
+        # after (it closes its socket on OSError only).
+        if not 0 <= port <= 65535:
+            raise OverflowError(f"port must be 0-65535, got {port}")
         # An empty host means every interface, as in asyncio. The address
         # bound is (host, port) itself: a resolved one would carry a port
         # past 65535 wrapped to 16 bits instead of refusing it.

@@ -10,6 +10,7 @@ commands cannot drift.
 
 from __future__ import annotations
 
+import signal
 import time
 
 from repro.errors import ConfigError
@@ -30,9 +31,15 @@ def bind_server(host: str, port: int) -> HttpServer:
 
 
 def wait_for_interrupt() -> None:
-    """Block until Ctrl-C; a started server answers on its own thread."""
+    """Block until Ctrl-C; a started server answers on its own thread.
+
+    Every later SIGINT is ignored, so the shutdown that follows (bounded
+    by :attr:`HttpServer.TIMEOUT`) runs to the end. A doubled Ctrl-C would
+    otherwise cut it short: ``timeout`` sends SIGINT to the command and
+    again to its process group.
+    """
     try:
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
-        pass
+        signal.signal(signal.SIGINT, signal.SIG_IGN)

@@ -7,7 +7,6 @@ trend and letting the block engine land what they submit.
 
 from __future__ import annotations
 
-import time
 
 from repro.agents.base import AgentContext, GroundTruth
 from repro.agents.population import Population
@@ -112,7 +111,6 @@ class SimulationEngine:
             downtime=downtime,
         )
         self._block_callbacks: list = []
-        self._wall_started: float | None = None
         self._market_maker = Keypair("market-maker")
         bank.fund(self._market_maker, 10**12)
         self._tip_distributor = (
@@ -198,8 +196,6 @@ class SimulationEngine:
         exhausting the generator performs the same end-of-day bookkeeping
         as :meth:`run_day`, which is a plain consuming wrapper around it.
         """
-        if self._wall_started is None:
-            self._wall_started = time.perf_counter()
         config = self.config
         world = self.world
         day_rng = self.rng.child(f"day:{day}")
@@ -275,33 +271,13 @@ class SimulationEngine:
             self.run_day(day)
 
     def finish(self) -> SimulationWorld:
-        """Land queued bundles, record throughput, return the world.
-
-        Wall-clock throughput lands in the ``sim_wall_seconds`` and
-        ``sim_blocks_per_wall_second`` gauges. Those are the one deliberate
-        exception to the sim-time rule — they exist to measure the
-        *machine*, are nondeterministic by nature, and are excluded from
-        report rendering (see :data:`repro.obs.export.WALL_CLOCK_METRICS`).
-        """
+        """Land queued bundles and return the world."""
         # Land anything still queued (bundles deferred past the last block).
         self.clock.advance(1.0)
         block = self.world.block_engine.produce_block()
         self._blocks_metric.inc()
         for callback in self._block_callbacks:
             callback(self.world, block)
-        wall_elapsed = (
-            time.perf_counter() - self._wall_started
-            if self._wall_started is not None
-            else 0.0
-        )
-        blocks = self.world.block_engine.stats.blocks_produced
-        self.metrics.gauge(
-            "sim_wall_seconds", "Wall-clock duration of the engine run."
-        ).set(wall_elapsed)
-        self.metrics.gauge(
-            "sim_blocks_per_wall_second",
-            "Engine throughput: blocks produced per wall-clock second.",
-        ).set(blocks / wall_elapsed if wall_elapsed > 0 else 0.0)
         return self.world
 
     def run(self) -> SimulationWorld:

@@ -9,11 +9,7 @@ pipeline over the same data (see ``docs/STREAMING.md``).
 """
 
 from repro.stream.campaign import CollectorTap, StreamingCampaign
-from repro.stream.deltas import (
-    IncrementalReportBuilder,
-    ReportDelta,
-    VerdictRecord,
-)
+from repro.stream.deltas import IncrementalReportBuilder, ReportDelta
 from repro.stream.detector import StreamingDetector
 from repro.stream.events import StreamBatch
 from repro.stream.pipeline import (
@@ -29,7 +25,6 @@ __all__ = [
     "StreamBatch",
     "StreamingCampaign",
     "StreamingDetector",
-    "VerdictRecord",
     "analyze_archive_stream",
     "archive_batches",
     "fold_batches",

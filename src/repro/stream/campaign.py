@@ -19,18 +19,12 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.collector.campaign import CampaignResult, MeasurementCampaign
-from repro.collector.detail_fetcher import DetailFetcherConfig
-from repro.collector.poller import PollerConfig
 from repro.collector.store import BundleStore
-from repro.core.pipeline import AnalysisReport
-from repro.dex.oracle import PriceOracle
+from repro.core.pipeline import AnalysisReport, publish_detection_metrics
 from repro.explorer.models import BundleRecord, TransactionRecord
-from repro.explorer.service import ExplorerConfig
 from repro.faults.plan import FaultPlan
 from repro.obs.registry import MetricsRegistry
-from repro.parallel.chunks import DetectorSpec
 from repro.simulation.config import ScenarioConfig
-from repro.simulation.downtime import DowntimeSchedule
 from repro.stream.deltas import IncrementalReportBuilder
 from repro.stream.detector import StreamingDetector
 from repro.stream.events import StreamBatch
@@ -71,39 +65,27 @@ class CollectorTap:
 
 
 class StreamingCampaign:
-    """A measurement campaign whose analysis runs while it collects."""
+    """A measurement campaign whose analysis runs while it collects.
+
+    It analyzes under the default
+    :class:`~repro.core.detector.DetectorSpec`, as the batch campaign's
+    :class:`~repro.core.pipeline.AnalysisPipeline` does.
+    """
 
     def __init__(
         self,
         scenario: ScenarioConfig,
-        downtime: DowntimeSchedule | None = None,
-        poller_config: PollerConfig | None = None,
-        fetcher_config: DetailFetcherConfig | None = None,
-        explorer_config: ExplorerConfig | None = None,
         metrics: MetricsRegistry | None = None,
         store: BundleStore | None = None,
         fault_plan: FaultPlan | None = None,
-        spec: DetectorSpec | None = None,
-        oracle: PriceOracle | None = None,
         on_delta: DeltaObserver | None = None,
     ) -> None:
         self.campaign = MeasurementCampaign(
-            scenario,
-            downtime=downtime,
-            poller_config=poller_config,
-            fetcher_config=fetcher_config,
-            explorer_config=explorer_config,
-            metrics=metrics,
-            store=store,
-            fault_plan=fault_plan,
+            scenario, metrics=metrics, store=store, fault_plan=fault_plan
         )
         self.on_delta = on_delta
-        self.detector = StreamingDetector(
-            spec=spec, oracle=oracle, metrics=self.campaign.metrics
-        )
-        self.builder = IncrementalReportBuilder(
-            spec=self.detector.spec, oracle=self.detector.oracle
-        )
+        self.detector = StreamingDetector(metrics=self.campaign.metrics)
+        self.builder = IncrementalReportBuilder(spec=self.detector.spec)
         self.tap = CollectorTap()
         # Attached after construction (and after any resume-time load), so
         # only records collected by *this* run flow through the stream.
@@ -130,44 +112,6 @@ class StreamingCampaign:
         if batch is not None:
             yield batch
 
-    def _publish_detection_metrics(self, report: AnalysisReport) -> None:
-        """Mirror the batch pipeline's detection counters for the report.
-
-        The campaign report's "Pipeline health" section reads the same
-        ``detector_*``/``defensive_*`` counter names the batch
-        :class:`~repro.core.pipeline.AnalysisPipeline` publishes; the
-        merged report carries identical tallies, so publishing from it
-        keeps the rendered section truthful for streamed runs.
-        """
-        metrics = self.campaign.metrics
-        stats = report.detection_stats
-        metrics.counter(
-            "detector_bundles_examined_total",
-            "Bundles evaluated against the five criteria.",
-        ).inc(stats.bundles_examined)
-        metrics.counter(
-            "detector_sandwiches_total", "Bundles confirmed as sandwiches."
-        ).inc(len(report.quantified))
-        rejections = metrics.counter(
-            "detector_rejections_total",
-            "Bundles rejected during detection, by failing criterion.",
-        )
-        for criterion, count in sorted(
-            stats.rejections_by_criterion.items()
-        ):
-            if count:
-                rejections.inc(count, criterion=criterion)
-        defensive = metrics.counter(
-            "defensive_bundles_total",
-            "Length-one bundles classified, defensive vs priority.",
-        )
-        defensive.inc(
-            len(report.defensive.defensive_ids), classification="defensive"
-        )
-        defensive.inc(
-            len(report.defensive.priority_ids), classification="priority"
-        )
-
     def run(self) -> tuple[CampaignResult, AnalysisReport]:
         """Collect and analyze in one pass; return the campaign and report."""
         fold_batches(
@@ -177,7 +121,7 @@ class StreamingCampaign:
         report = self.builder.build(
             poll_overlap_fraction=self.result.coverage.overlap_fraction()
         )
-        self._publish_detection_metrics(report)
+        publish_detection_metrics(self.campaign.metrics, report)
         # Mirror the batch pipeline's duck-typed persistence so an
         # archive-backed streaming campaign leaves the same analysis
         # tables behind.

@@ -6,62 +6,42 @@ ever grow. :class:`IncrementalReportBuilder` folds the deltas as they
 arrive, so the moment the final delta lands the full report is one
 (cheap) merge away — there is no end-of-campaign detection pass at all.
 
-Byte-identity with the batch path is inherited, not re-proven: every
-judged candidate becomes a single-candidate
-:class:`~repro.parallel.worker.ChunkOutcome` in candidate (collection)
-order, and the builder hands them to the parallel tier's
-:func:`~repro.parallel.merge.merge_outcomes` — the same deterministic
-reducer that already guarantees sharded analysis is byte-identical to
-serial. A trailing outcome carries the defensive classification and the
-campaign bundle count.
+Byte-identity with the batch path is inherited, not re-proven: the
+detector judges every candidate into a single-candidate
+:class:`~repro.parallel.worker.ChunkOutcome` indexed in candidate
+(collection) order, and the builder hands them unchanged to the parallel
+tier's :func:`~repro.parallel.merge.merge_outcomes` — the same
+deterministic reducer that already guarantees sharded analysis is
+byte-identical to serial. A trailing outcome carries the defensive
+classification and the campaign bundle count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.detector import DetectionStats
+from repro.core.detector import DetectionStats, DetectorSpec
 from repro.core.pipeline import AnalysisReport, assemble_report
-from repro.core.quantify import QuantifiedSandwich
-from repro.dex.oracle import PriceOracle
 from repro.errors import ConformanceError
-from repro.parallel.chunks import DetectorSpec
 from repro.parallel.merge import merge_outcomes
 from repro.parallel.worker import ChunkOutcome
-
-
-@dataclass(frozen=True)
-class VerdictRecord:
-    """One candidate bundle's final judgement.
-
-    ``stats`` is the candidate's exact contribution to the batch
-    detector's bookkeeping (captured from a fresh detector, so windowed
-    multi-window examinations and skipped-incomplete counts match a
-    monolithic pass to the digit); ``quantified`` holds the priced event
-    when the candidate was a sandwich; ``pending`` marks candidates whose
-    details never arrived.
-    """
-
-    index: int
-    bundle_id: str
-    stats: DetectionStats
-    quantified: tuple[QuantifiedSandwich, ...] = ()
-    pending: bool = False
 
 
 @dataclass(frozen=True)
 class ReportDelta:
     """One ingest step's newly judged work plus cumulative progress.
 
-    The newly classified length-one bundles travel as ids, with the
-    defensive tip total and ``(date, count)`` pairs they add. The
-    cumulative counters are monotone by construction — each delta's
-    values are >= its predecessor's — so any consumer (a progress line,
-    a live dashboard) can render the latest delta alone without
-    replaying history.
+    ``verdicts`` holds one single-candidate outcome per newly judged
+    candidate: its stats, its priced sandwich if it was one, and its
+    bundle id as pending when its details never arrived. The newly
+    classified length-one bundles travel as ids, with the defensive tip
+    total and ``(date, count)`` pairs they add. The cumulative counters
+    are monotone by construction — each delta's values are >= its
+    predecessor's — so any consumer (a progress line, a live dashboard)
+    can render the latest delta alone without replaying history.
     """
 
-    verdicts: tuple[VerdictRecord, ...] = ()
+    verdicts: tuple[ChunkOutcome, ...] = ()
     new_defensive: tuple[str, ...] = ()
     new_priority: tuple[str, ...] = ()
     new_defensive_tips_lamports: int = 0
@@ -82,20 +62,10 @@ class IncrementalReportBuilder:
     streaming detector.
     """
 
-    def __init__(
-        self,
-        spec: DetectorSpec | None = None,
-        oracle: PriceOracle | None = None,
-    ) -> None:
+    def __init__(self, spec: DetectorSpec | None = None) -> None:
         self.spec = spec or DetectorSpec()
-        if oracle is None:
-            oracle = (
-                PriceOracle(self.spec.usd_per_sol)
-                if self.spec.usd_per_sol is not None
-                else PriceOracle()
-            )
-        self.oracle = oracle
-        self._verdicts: dict[int, VerdictRecord] = {}
+        self.oracle = self.spec.build_oracle()
+        self._verdicts: dict[int, ChunkOutcome] = {}
         self._defensive: list[str] = []
         self._priority: list[str] = []
         self._defensive_tips = 0
@@ -111,9 +81,8 @@ class IncrementalReportBuilder:
         for verdict in delta.verdicts:
             if verdict.index in self._verdicts:
                 raise ConformanceError(
-                    f"candidate {verdict.index} judged twice "
-                    f"(bundle {verdict.bundle_id}); the stream would "
-                    "double-count its stats"
+                    f"candidate {verdict.index} judged twice; the stream "
+                    "would double-count its stats"
                 )
             self._verdicts[verdict.index] = verdict
         self._defensive.extend(delta.new_defensive)
@@ -149,35 +118,16 @@ class IncrementalReportBuilder:
         arrival order, and ``merge_outcomes`` restores the serial sort
         and stats-accumulation order.
         """
-        outcomes = [
-            ChunkOutcome(
-                index=verdict.index,
-                bundle_count=0,
-                quantified=verdict.quantified,
-                defensive=(),
-                priority=(),
-                stats=verdict.stats,
-                pending_detail_ids=(
-                    (verdict.bundle_id,) if verdict.pending else ()
-                ),
-                elapsed_seconds=0.0,
-                worker="stream",
-            )
-            for verdict in sorted(
-                self._verdicts.values(), key=lambda v: v.index
-            )
-        ]
+        outcomes = list(self._verdicts.values())
         outcomes.append(
             ChunkOutcome(
                 index=len(outcomes),
-                bundle_count=self.bundles_seen,
                 quantified=(),
-                defensive=tuple(self._defensive),
-                priority=tuple(self._priority),
                 stats=DetectionStats(),
                 pending_detail_ids=(),
-                elapsed_seconds=0.0,
-                worker="stream",
+                bundle_count=self.bundles_seen,
+                defensive=tuple(self._defensive),
+                priority=tuple(self._priority),
                 defensive_tips_lamports=self._defensive_tips,
                 defensive_by_day=tuple(self._defensive_by_day.items()),
             )

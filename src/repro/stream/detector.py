@@ -8,8 +8,9 @@ that makes streaming byte-identical to batch analysis:
   monotonically increasing index — candidate order is store insertion
   order, the exact order ``detect_all`` iterates;
 - a candidate is judged exactly once, by a **fresh detector** built from
-  the shared :class:`~repro.parallel.chunks.DetectorSpec`, the moment its
-  transaction details are complete (or at finalize if they never are) —
+  the shared :class:`~repro.core.detector.DetectorSpec`, the moment its
+  transaction details are complete (or at finalize if they never are),
+  into a single-candidate :class:`~repro.parallel.worker.ChunkOutcome` —
   the fresh detector's stats are precisely the candidate's contribution
   to a monolithic pass's bookkeeping;
 - length-one bundles are classified on arrival, in arrival order — the
@@ -25,12 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.defensive import DefensiveReport
+from repro.core.detector import DetectorSpec
 from repro.core.quantify import LossQuantifier, QuantifiedSandwich
-from repro.dex.oracle import PriceOracle
 from repro.explorer.models import BundleRecord, TransactionRecord
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.parallel.chunks import DetectorSpec
-from repro.stream.deltas import ReportDelta, VerdictRecord
+from repro.parallel.worker import ChunkOutcome
+from repro.stream.deltas import ReportDelta
 from repro.stream.events import StreamBatch
 
 
@@ -55,20 +56,13 @@ class StreamingDetector:
     def __init__(
         self,
         spec: DetectorSpec | None = None,
-        oracle: PriceOracle | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.spec = spec or DetectorSpec()
         self.spec.validate()
-        if oracle is None:
-            oracle = (
-                PriceOracle(self.spec.usd_per_sol)
-                if self.spec.usd_per_sol is not None
-                else PriceOracle()
-            )
-        self.oracle = oracle
+        self.oracle = self.spec.build_oracle()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._quantifier = LossQuantifier(oracle)
+        self._quantifier = LossQuantifier(self.oracle)
         self._classifier = self.spec.build_classifier()
         self._wanted = set(self.spec.detail_lengths)
         self._details: dict[str, TransactionRecord] = {}
@@ -140,7 +134,7 @@ class StreamingDetector:
             self._tx_to_candidate[tx_id] = index
         return candidate
 
-    def _judge(self, candidate: _Candidate, pending: bool) -> VerdictRecord:
+    def _judge(self, candidate: _Candidate, pending: bool) -> ChunkOutcome:
         """Run the batch detection stack over one candidate, once.
 
         A fresh per-candidate detector captures exactly the stats a
@@ -166,12 +160,13 @@ class StreamingDetector:
         for tx_id in candidate.bundle.transaction_ids:
             if self._tx_to_candidate.get(tx_id) == candidate.index:
                 del self._tx_to_candidate[tx_id]
-        return VerdictRecord(
+        return ChunkOutcome(
             index=candidate.index,
-            bundle_id=candidate.bundle.bundle_id,
-            stats=detector.stats,
             quantified=quantified,
-            pending=pending,
+            stats=detector.stats,
+            pending_detail_ids=(
+                (candidate.bundle.bundle_id,) if pending else ()
+            ),
         )
 
     def finalize(self) -> ReportDelta:
@@ -182,7 +177,7 @@ class StreamingDetector:
         this the stream's cumulative verdict set covers every candidate
         index exactly once.
         """
-        verdicts: list[VerdictRecord] = []
+        verdicts: list[ChunkOutcome] = []
         for index in sorted(self._candidates):
             candidate = self._candidates[index]
             verdicts.append(
@@ -193,7 +188,7 @@ class StreamingDetector:
 
     def _delta(
         self,
-        verdicts: list[VerdictRecord],
+        verdicts: list[ChunkOutcome],
         classified: DefensiveReport,
         final: bool = False,
     ) -> ReportDelta:

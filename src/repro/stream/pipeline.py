@@ -26,11 +26,10 @@ from repro.archive.schema import (
     bundle_from_columns,
     detail_from_columns,
 )
+from repro.core.detector import DetectorSpec
 from repro.core.pipeline import AnalysisReport
-from repro.dex.oracle import PriceOracle
 from repro.errors import ConfigError
 from repro.obs.registry import MetricsRegistry
-from repro.parallel.chunks import DetectorSpec
 from repro.stream.deltas import IncrementalReportBuilder, ReportDelta
 from repro.stream.detector import StreamingDetector
 from repro.stream.events import StreamBatch
@@ -100,7 +99,6 @@ def archive_batches(
 def analyze_archive_stream(
     database: ArchiveDatabase | str | Path,
     spec: DetectorSpec | None = None,
-    oracle: PriceOracle | None = None,
     batch_bundles: int = 256,
     metrics: MetricsRegistry | None = None,
     on_delta: DeltaObserver | None = None,
@@ -109,9 +107,8 @@ def analyze_archive_stream(
 
     Produces a report byte-identical (per
     :func:`repro.parallel.merge.report_bytes`) to
-    ``AnalysisPipeline().analyze_store(ArchiveBundleStore.resume(db))``
-    with the equivalent detector configuration, without materialising an
-    in-memory store.
+    ``AnalysisPipeline(spec).analyze_store(ArchiveBundleStore.resume(db))``,
+    without materialising an in-memory store.
 
     Raises:
         ConfigError: ``batch_bundles`` is below 1 (checked before the
@@ -125,12 +122,8 @@ def analyze_archive_stream(
     if owns_database:
         database = ArchiveDatabase(database, read_only=True)
     try:
-        detector = StreamingDetector(
-            spec=spec, oracle=oracle, metrics=metrics
-        )
-        builder = IncrementalReportBuilder(
-            spec=detector.spec, oracle=detector.oracle
-        )
+        detector = StreamingDetector(spec=spec, metrics=metrics)
+        builder = IncrementalReportBuilder(spec=detector.spec)
         fold_batches(
             archive_batches(database, batch_bundles),
             detector,

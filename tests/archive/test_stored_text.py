@@ -6,8 +6,9 @@ archive stores. Other readers do see it: the columnar engine walks
 ``token_deltas`` in storage order, and archives written by one build are
 read by the next. Each digest below covers one JSON column, its rows
 ordered by key, and was recorded before the archive's JSON encoding moved
-to :mod:`repro.utils.serialization`'s codec. A digest may only move with a
-schema version bump.
+to :mod:`repro.utils.serialization`'s codec; the finished-marker
+checkpoint's, once its metrics snapshot held no wall-clock value. A digest
+may only move with a schema version bump.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from repro.parallel import ParallelAnalysisEngine
 from repro.simulation import small_scenario
 
 #: Column → (the query reading its rows in key order, sha256 over the
-#: values, each UTF-8 encoded and followed by a newline). The campaign's
-#: finished-marker checkpoint is left out: its metrics snapshot carries
-#: the simulation's wall-clock gauges (``sim_wall_seconds``).
+#: values, each UTF-8 encoded and followed by a newline).
 PINNED = {
     "bundles.transaction_ids": (
         "SELECT transaction_ids FROM bundles ORDER BY bundle_id",
@@ -67,6 +66,11 @@ PINNED = {
         "SELECT payload FROM checkpoints WHERE payload NOT LIKE "
         "'%\"finished\": true%' ORDER BY checkpoint_id",
         "c93f6874e626e1b88931f0fc5f77770f02f2e04ba4d7da156ba42622c7a6b572",
+    ),
+    "checkpoints.payload.finished": (
+        "SELECT payload FROM checkpoints WHERE payload LIKE "
+        "'%\"finished\": true%' ORDER BY checkpoint_id",
+        "c62d147b54ed83c7599e220c72a196087a4a9f2308394ee165dc6fa4cbe89b89",
     ),
 }
 

@@ -1,11 +1,19 @@
 """End-to-end pipeline tests over the session campaign."""
 
+import copy
+
 import pytest
 
 from repro.agents.base import Label
+from repro.conformance.scenarios import (
+    CORPUS_SCENARIOS,
+    build_store,
+    generate_rows,
+)
 from repro.core import AnalysisPipeline
 from repro.core.aggregate import sandwiches_per_day
 from repro.dex.oracle import PriceOracle
+from repro.parallel.merge import report_bytes
 
 
 class TestAnalysisReport:
@@ -51,6 +59,19 @@ class TestAnalysisReport:
         assert small_report.headline.defensive_bundles == len(
             small_report.defensive.defensive_ids
         )
+
+
+class TestReuse:
+    def test_each_pass_reports_what_a_fresh_pipeline_does(self):
+        store = build_store(generate_rows(CORPUS_SCENARIOS[0]))
+        fresh = report_bytes(AnalysisPipeline().analyze_store(store))
+        pipeline = AnalysisPipeline()
+        first = pipeline.analyze_store(store)
+        first_stats = copy.deepcopy(first.detection_stats)
+        second = pipeline.analyze_store(store)
+        assert report_bytes(second) == fresh
+        assert report_bytes(first) == fresh
+        assert first.detection_stats == first_stats
 
 
 class TestGroundTruthAgreement:

@@ -5,7 +5,6 @@ import pytest
 from repro.archive.database import ArchiveDatabase
 from repro.archive.incremental import IncrementalAnalyzer
 from repro.archive.store import ArchiveBundleStore
-from repro.core.detector import WindowedSandwichDetector
 from repro.core.pipeline import AnalysisPipeline
 from repro.errors import ConfigError
 from repro.obs.registry import MetricsRegistry
@@ -27,6 +26,12 @@ DESCRIPTORS = (
 )
 
 
+#: The default spec, and one at another SOL/USD rate: the rate prices
+#: every figure of the report, the daily SOL series and the defensive
+#: spend included.
+SPECS = (DetectorSpec(), DetectorSpec(usd_per_sol=150.0))
+
+
 @pytest.fixture
 def archive(tmp_path):
     path = tmp_path / "archive.db"
@@ -34,47 +39,48 @@ def archive(tmp_path):
     return path
 
 
-def serial_report(path, detector=None):
+def serial_report(path, spec=None):
     store = ArchiveBundleStore.resume(path)
-    pipeline = AnalysisPipeline(detector=detector)
-    report = pipeline.analyze_store(store)
+    report = AnalysisPipeline(spec).analyze_store(store)
     store.database.close()
     return report
 
 
+def engine_bytes(path, spec, **options) -> bytes:
+    engine = ParallelAnalysisEngine(path, spec=spec, **options)
+    report = engine.analyze(persist=False)
+    engine.database.close()
+    return report_bytes(report)
+
+
 class TestFullAnalysisParity:
     def test_in_process_jobs_one_matches_serial_pipeline(self, archive):
-        serial = serial_report(archive)
-        engine = ParallelAnalysisEngine(archive, jobs=1, chunk_size=5)
-        assert report_bytes(engine.analyze(persist=False)) == report_bytes(
-            serial
-        )
-        engine.database.close()
+        for spec in SPECS:
+            serial = report_bytes(serial_report(archive, spec))
+            for engine in ("object", "columnar"):
+                assert serial == engine_bytes(
+                    archive, spec, jobs=1, chunk_size=5, engine=engine
+                )
 
     def test_pool_jobs_match_serial_pipeline(self, archive):
-        serial = serial_report(archive)
-        for jobs, chunk_size in ((2, 5), (4, 3)):
-            engine = ParallelAnalysisEngine(
-                archive, jobs=jobs, chunk_size=chunk_size
-            )
-            parallel = engine.analyze(persist=False)
-            assert report_bytes(parallel) == report_bytes(serial)
-            engine.database.close()
+        for spec in SPECS:
+            serial = report_bytes(serial_report(archive, spec))
+            for jobs, chunk_size in ((2, 5), (4, 3)):
+                assert serial == engine_bytes(
+                    archive, spec, jobs=jobs, chunk_size=chunk_size
+                )
 
     def test_columnar_pool_batches_match_serial_pipeline(self, archive):
         # chunk_size 5 over ~42 bundles gives more tasks than workers, so
         # each pool worker runs a round-robin batch of several tasks.
-        serial = serial_report(archive)
-        engine = ParallelAnalysisEngine(
-            archive, jobs=2, chunk_size=5, engine="columnar"
-        )
-        assert report_bytes(engine.analyze(persist=False)) == report_bytes(
-            serial
-        )
-        engine.database.close()
+        for spec in SPECS:
+            serial = report_bytes(serial_report(archive, spec))
+            assert serial == engine_bytes(
+                archive, spec, jobs=2, chunk_size=5, engine="columnar"
+            )
 
     def test_windowed_spec_matches_windowed_pipeline(self, archive):
-        serial = serial_report(archive, detector=WindowedSandwichDetector())
+        serial = serial_report(archive, DetectorSpec(kind="windowed"))
         engine = ParallelAnalysisEngine(
             archive,
             jobs=2,

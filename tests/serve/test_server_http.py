@@ -8,7 +8,10 @@ semantics, and the metrics endpoint.
 """
 
 import json
+import os
+import signal
 import socket
+import threading
 import time
 
 import pytest
@@ -24,6 +27,7 @@ from repro.conformance.scenarios import (
 from repro.errors import ConfigError, StoreError
 from repro.parallel import DetectorSpec, ParallelAnalysisEngine
 from repro.serve import ApiConfig, ArchiveApiApp, HttpServer
+from repro.serve.runner import bind_server, wait_for_interrupt
 from tests.serve.conftest import http_json, http_request
 
 
@@ -348,3 +352,29 @@ class TestBusyPort:
         assert app.query is None
         # The failed start also released the port.
         HttpServer(port=server.port).stop()
+
+    def test_out_of_range_port_creates_no_socket(self, monkeypatch):
+        created = []
+        real_create_server = socket.create_server
+
+        def create_server(*args, **kwargs):
+            created.append(args)
+            return real_create_server(*args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_server", create_server)
+        with pytest.raises(ConfigError, match="port must be 0-65535"):
+            bind_server("127.0.0.1", 70000)
+        assert created == []
+
+
+class TestInterrupt:
+    def test_a_second_interrupt_cannot_cut_the_shutdown_short(self):
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        timer = threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT))
+        try:
+            timer.start()
+            wait_for_interrupt()
+            assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        finally:
+            timer.cancel()
+            signal.signal(signal.SIGINT, previous)

@@ -30,9 +30,7 @@ ROWS = generate_rows(selftest_scenario(313, bundles=80))
 
 def _fold(batches):
     detector = StreamingDetector()
-    builder = IncrementalReportBuilder(
-        spec=detector.spec, oracle=detector.oracle
-    )
+    builder = IncrementalReportBuilder(spec=detector.spec)
     fold_batches(batches, detector, builder)
     return builder.build()
 

@@ -1,9 +1,9 @@
 """The hard contract: streaming output is byte-identical to batch output.
 
 Attach-mode streaming over every golden-corpus scenario — standard and
-windowed detector stacks, tiny and odd batch sizes — must yield
-the exact ``report_bytes`` the serial pipeline produces over the same
-archive.
+windowed detector stacks, at the default and at another SOL/USD rate,
+tiny and odd batch sizes — must yield the exact ``report_bytes`` the
+serial pipeline produces over the same archive under the same spec.
 """
 
 import pytest
@@ -15,17 +15,19 @@ from repro.conformance.scenarios import (
     selftest_scenario,
     write_archive,
 )
-from repro.core.detector import WindowedSandwichDetector
 from repro.core.pipeline import AnalysisPipeline
 from repro.parallel.chunks import DetectorSpec
 from repro.parallel.merge import report_bytes
 from repro.stream import analyze_archive_stream
 
 
-def _serial_bytes(path, windowed=False):
+#: The default SOL/USD rate, and another one.
+RATES = (DetectorSpec().usd_per_sol, 150.0)
+
+
+def _serial_bytes(path, spec=None):
     store = ArchiveBundleStore.resume(path)
-    detector = WindowedSandwichDetector() if windowed else None
-    report = AnalysisPipeline(detector=detector).analyze_store(store)
+    report = AnalysisPipeline(spec).analyze_store(store)
     store.database.close()
     return report_bytes(report)
 
@@ -36,9 +38,10 @@ def _serial_bytes(path, windowed=False):
 def test_stream_matches_serial_over_corpus(scenario, tmp_path):
     path = tmp_path / "corpus.db"
     write_archive(generate_rows(scenario), path)
-    expected = _serial_bytes(path)
-    streamed = analyze_archive_stream(path, batch_bundles=33)
-    assert report_bytes(streamed) == expected
+    for rate in RATES:
+        spec = DetectorSpec(usd_per_sol=rate)
+        streamed = analyze_archive_stream(path, spec=spec, batch_bundles=33)
+        assert report_bytes(streamed) == _serial_bytes(path, spec)
 
 
 @pytest.mark.parametrize(
@@ -47,13 +50,10 @@ def test_stream_matches_serial_over_corpus(scenario, tmp_path):
 def test_stream_matches_serial_windowed(scenario, tmp_path):
     path = tmp_path / "corpus.db"
     write_archive(generate_rows(scenario), path)
-    expected = _serial_bytes(path, windowed=True)
-    streamed = analyze_archive_stream(
-        path,
-        spec=DetectorSpec(kind="windowed"),
-        batch_bundles=11,
-    )
-    assert report_bytes(streamed) == expected
+    for rate in RATES:
+        spec = DetectorSpec(kind="windowed", usd_per_sol=rate)
+        streamed = analyze_archive_stream(path, spec=spec, batch_bundles=11)
+        assert report_bytes(streamed) == _serial_bytes(path, spec)
 
 
 @pytest.mark.parametrize("batch", [1, 7, 512])
