@@ -48,6 +48,16 @@ SANDWICH_ORDER_COLUMNS = frozenset(
 )
 
 
+def _where(clauses: Sequence[str]) -> str:
+    """`` WHERE`` and the conjunction of ``clauses``, or "" for none.
+
+    An empty filter compiles to no WHERE clause at all, not ``WHERE 1=1``:
+    SQLite counts a table's rows through an index without stepping them
+    only when the query has no WHERE clause.
+    """
+    return " WHERE " + " AND ".join(clauses) if clauses else ""
+
+
 @dataclass(frozen=True)
 class BundleFilter:
     """Conjunctive filters over the ``bundles`` table (None = no bound)."""
@@ -61,7 +71,7 @@ class BundleFilter:
     date_to: str | None = None
 
     def compile(self) -> tuple[str, list]:
-        """The WHERE clause (without the keyword) and its parameters."""
+        """The WHERE clause and its parameters (see :func:`_where`)."""
         clauses: list[str] = []
         params: list = []
         for column, op, value in (
@@ -76,7 +86,7 @@ class BundleFilter:
             if value is not None:
                 clauses.append(f"{column} {op} ?")
                 params.append(value)
-        return (" AND ".join(clauses) or "1=1", params)
+        return _where(clauses), params
 
 
 @dataclass(frozen=True)
@@ -92,7 +102,7 @@ class SandwichFilter:
     priced_only: bool = False
 
     def compile(self) -> tuple[str, list]:
-        """The WHERE clause (without the keyword) and its parameters."""
+        """The WHERE clause and its parameters (see :func:`_where`)."""
         clauses: list[str] = []
         params: list = []
         for column, op, value in (
@@ -108,7 +118,7 @@ class SandwichFilter:
                 params.append(value)
         if self.priced_only:
             clauses.append("victim_loss_usd IS NOT NULL")
-        return (" AND ".join(clauses) or "1=1", params)
+        return _where(clauses), params
 
 
 @dataclass(frozen=True)
@@ -259,7 +269,7 @@ class ArchiveQuery:
         clause, params = where.compile()
         page, page_params = _page_clause(limit, offset)
         sql = (
-            f"SELECT {_BUNDLES} FROM bundles WHERE {clause}"
+            f"SELECT {_BUNDLES} FROM bundles{clause}"
             + _order_clause(order_by, descending, BUNDLE_ORDER_COLUMNS)
             + page
         )
@@ -317,7 +327,7 @@ class ArchiveQuery:
         clause, params = where.compile()
         rows = self._timed(
             "count_bundles",
-            f"SELECT COUNT(*) AS n FROM bundles WHERE {clause}",
+            f"SELECT COUNT(*) AS n FROM bundles{clause}",
             params,
         )
         return rows[0]["n"]
@@ -341,11 +351,11 @@ class ArchiveQuery:
         offset: int = 0,
     ) -> list[TransactionRecord]:
         """Transaction details, optionally restricted to one signer."""
-        clause = "signer = ?" if signer is not None else "1=1"
+        clause = _where(["signer = ?"] if signer is not None else [])
         params: list = [signer] if signer is not None else []
         page, page_params = _page_clause(limit, offset)
         sql = (
-            f"SELECT {_DETAILS} FROM transactions WHERE {clause} ORDER BY seq"
+            f"SELECT {_DETAILS} FROM transactions{clause} ORDER BY seq"
             + page
         )
         rows = self._timed("details", sql, params + page_params, tuples=True)
@@ -514,7 +524,7 @@ class ArchiveQuery:
         clause, params = where.compile()
         page, page_params = _page_clause(limit, offset)
         sql = (
-            f"SELECT {_SANDWICHES} FROM sandwiches WHERE {clause}"
+            f"SELECT {_SANDWICHES} FROM sandwiches{clause}"
             + _order_clause(order_by, descending, SANDWICH_ORDER_COLUMNS)
             + page
         )
@@ -542,7 +552,7 @@ class ArchiveQuery:
         clause, params = where.compile()
         rows = self._timed(
             "count_sandwiches",
-            f"SELECT COUNT(*) AS n FROM sandwiches WHERE {clause}",
+            f"SELECT COUNT(*) AS n FROM sandwiches{clause}",
             params,
         )
         return rows[0]["n"]
@@ -600,14 +610,14 @@ class ArchiveQuery:
         """Bundle counts per tip bucket (bucket floor, in lamports)."""
         if bucket_lamports < 1:
             raise ConfigError("tip bucket width must be >= 1 lamport")
-        clause = "1=1" if length is None else "num_transactions = ?"
+        clause = _where([] if length is None else ["num_transactions = ?"])
         params: list = [bucket_lamports, bucket_lamports]
         if length is not None:
             params.append(length)
         rows = self._timed(
             "tip_histogram",
             f"SELECT (tip_lamports / ?) * ? AS bucket, COUNT(*) AS n "
-            f"FROM bundles WHERE {clause} GROUP BY bucket ORDER BY bucket",
+            f"FROM bundles{clause} GROUP BY bucket ORDER BY bucket",
             params,
         )
         return {row["bucket"]: row["n"] for row in rows}

@@ -303,6 +303,44 @@ def bundle_from_columns(
     )
 
 
+def decode_events(text: str) -> list[dict]:
+    """Decode an ``events`` column: a JSON array of objects.
+
+    Both analysis engines decode the column through this, so they refuse
+    the same texts. Only the containers are checked; the fields inside
+    each event are not.
+
+    Raises:
+        ValueError: when ``text`` is not JSON.
+        TypeError: when it is not text, or not an array of objects.
+    """
+    events = decode_json(text)
+    if type(events) is not list:
+        raise TypeError("events is not an array of objects")
+    # A plain loop: a generator under any() costs about three times as
+    # much on the object engine's load path.
+    for event in events:
+        if type(event) is not dict:
+            raise TypeError("events is not an array of objects")
+    return events
+
+
+def decode_token_deltas(text: str) -> dict[str, dict]:
+    """Decode a ``token_deltas`` column: an object of objects.
+
+    Raises:
+        ValueError: when ``text`` is not JSON.
+        TypeError: when it is not text, or not an object of objects.
+    """
+    deltas = decode_json(text)
+    if type(deltas) is not dict:
+        raise TypeError("token_deltas is not an object of objects")
+    for per_mint in deltas.values():
+        if type(per_mint) is not dict:
+            raise TypeError("token_deltas is not an object of objects")
+    return deltas
+
+
 def detail_from_columns(
     transaction_id: str,
     slot: int,
@@ -314,18 +352,31 @@ def detail_from_columns(
     lamport_deltas: str,
     events: str,
 ) -> TransactionRecord:
-    """Decode one :data:`DETAIL_COLUMNS` row into a transaction record."""
+    """Decode one :data:`DETAIL_COLUMNS` row into a transaction record.
+
+    Raises:
+        StoreError: when a JSON column is not JSON or not its container
+            shape (see :func:`decode_events`).
+    """
     try:
+        signer_list = decode_json(signers)
+        if type(signer_list) is not list:
+            raise TypeError("signers is not an array")
+        # str.join type-checks every element in C.
+        "".join(signer_list)
+        lamports = decode_json(lamport_deltas)
+        if type(lamports) is not dict:
+            raise TypeError("lamport_deltas is not an object")
         fields = {
             "transaction_id": transaction_id,
             "slot": slot,
             "block_time": block_time,
             "signer": signer,
-            "signers": tuple(decode_json(signers)),
+            "signers": tuple(signer_list),
             "fee_lamports": fee_lamports,
-            "token_deltas": decode_json(token_deltas),
-            "lamport_deltas": decode_json(lamport_deltas),
-            "events": tuple(decode_json(events)),
+            "token_deltas": decode_token_deltas(token_deltas),
+            "lamport_deltas": lamports,
+            "events": tuple(decode_events(events)),
         }
     except (TypeError, ValueError) as exc:
         raise StoreError(f"malformed transactions row: {exc}") from exc

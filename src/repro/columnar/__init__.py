@@ -8,8 +8,9 @@ quantification over *columns*:
 - :mod:`repro.columnar.blocks` — typed column blocks loaded from SQLite
   projections (:meth:`repro.archive.query.ArchiveQuery.bundle_columns`
   and friends);
-- :mod:`repro.columnar.criteria` — the five paper criteria evaluated as
-  vectorized masks over a whole candidate block at once;
+- :mod:`repro.columnar.criteria` — paper criteria 2-5 evaluated as
+  vectorized masks over a whole candidate block at once (criterion 1 is
+  decided on the members' signers as the candidates are split);
 - :mod:`repro.columnar.quantify` — victim-loss / attacker-gain lamport
   math on arrays, bit-identical to the scalar quantifier;
 - :mod:`repro.columnar.engine` — the load and compute stages that

@@ -8,13 +8,17 @@ codec's :func:`~repro.archive.schema.parse_transaction_ids`; classifying
 the length-one singles, most of a mixed archive, builds no record from
 them.
 
-Per-transaction features (:class:`TxFeatures`) are extracted from each
-candidate member's raw ``events`` and ``token_deltas`` text: swap legs,
-traded mint sets, the tip-only flag, and long-form token deltas. The
-archive's JSON codec parses the text exactly as the object path's record
-loader does, so identities and arbitrary-size integer amounts reach the
-criteria unchanged, and a text it refuses raises the same
-:class:`~repro.errors.StoreError`.
+The loaders decode each candidate member's raw ``events`` and
+``token_deltas`` text through the archive codec's
+:func:`~repro.archive.schema.decode_events` and
+:func:`~repro.archive.schema.decode_token_deltas`, exactly as the object
+path's record loader does, so identities and arbitrary-size integer
+amounts reach the criteria unchanged, and a text the codec refuses raises
+the same :class:`~repro.errors.StoreError` whichever candidate holds it.
+:func:`split_candidates` then decides criterion 1 on the members' signer
+strings and builds per-transaction features (:class:`TxFeatures`: swap
+legs, traded mint sets, the tip-only flag, long-form token deltas) only
+for the candidates that pass it.
 """
 
 from __future__ import annotations
@@ -23,12 +27,16 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.archive.query import ArchiveQuery
-from repro.archive.schema import new_bundle, parse_transaction_ids
+from repro.archive.schema import (
+    decode_events,
+    decode_token_deltas,
+    new_bundle,
+    parse_transaction_ids,
+)
 from repro.core.defensive import DefensiveReport
 from repro.errors import StoreError
 from repro.explorer.models import BundleRecord
 from repro.jito.tips import is_tip_account
-from repro.utils.serialization import decode_json
 from repro.utils.simtime import count_dates
 
 try:  # numpy is optional; blocks degrade to pure-python containers
@@ -198,7 +206,7 @@ def load_bundle_block_for_ids(
 
 @dataclass
 class TxFeatures:
-    """Everything detection needs from one transaction, pre-extracted.
+    """Everything criteria 2-5 and quantification need from one transaction.
 
     ``legs`` are ``(owner, pool, mint_in, mint_out, amount_in, amount_out)``
     tuples in event order with the object path's coercions applied
@@ -213,28 +221,35 @@ class TxFeatures:
     deltas: tuple[tuple, ...]
 
 
-def _features_from_parts(
-    signer: str, events: Sequence, delta_rows: Sequence[tuple]
-) -> TxFeatures:
-    """Assemble one transaction's features from decomposed event tuples.
+#: One member's decoded detail: ``(signer, events, token_deltas)``, with
+#: ``token_deltas`` None where detection never reads it.
+TxPayload = tuple[str, list, "dict | None"]
 
-    ``events`` rows are ``(type, owner, pool, mint_in, mint_out,
-    amount_in, amount_out, dest)`` in event order.
+
+def tx_features(
+    signer: str, events: Sequence[dict], deltas: dict | None
+) -> TxFeatures:
+    """Build one transaction's features from its decoded detail.
+
+    ``events`` is the decoded ``events`` array and ``deltas`` the decoded
+    ``token_deltas`` object, or None for a member whose deltas detection
+    never reads; its ``deltas`` stay empty.
     """
     legs = []
     mints: set[str] = set()
     has_swap = has_token_transfer = has_transfer = False
     all_tip = True
-    for etype, owner, pool, mint_in, mint_out, a_in, a_out, dest in events:
+    for event in events:
+        etype = event.get("type")
         if etype == "swap":
             has_swap = True
             leg = (
-                str(owner),
-                str(pool),
-                str(mint_in),
-                str(mint_out),
-                int(a_in),
-                int(a_out),
+                str(event.get("owner")),
+                str(event.get("pool")),
+                str(event.get("mint_in")),
+                str(event.get("mint_out")),
+                int(event.get("amount_in")),
+                int(event.get("amount_out")),
             )
             legs.append(leg)
             mints.add(leg[2])
@@ -243,6 +258,7 @@ def _features_from_parts(
             has_token_transfer = True
         elif etype == "transfer":
             has_transfer = True
+            dest = event.get("dest")
             if not is_tip_account(str(dest if dest is not None else "")):
                 all_tip = False
     tip_only = (
@@ -253,66 +269,52 @@ def _features_from_parts(
         legs=tuple(legs),
         mints=frozenset(mints),
         tip_only=tip_only,
-        deltas=tuple(delta_rows),
+        deltas=()
+        if deltas is None
+        else tuple(
+            (owner, mint, value)
+            for owner, mint_map in deltas.items()
+            for mint, value in mint_map.items()
+        ),
     )
 
 
-def _features_from_json(
+def _decode_payload(
     signer: str, events_json: str, deltas_json: str | None
-) -> TxFeatures:
-    """One transaction's features from its raw ``events`` / deltas text.
-
-    ``deltas_json`` is None for members whose deltas detection never
-    reads; their ``deltas`` stay empty.
+) -> TxPayload:
+    """Decode one member's raw ``events`` / deltas text.
 
     Raises:
-        StoreError: when either text is not JSON, as the object engine's
+        StoreError: when either text is not JSON or not its container
+            shape, as the object engine's
             :func:`~repro.archive.schema.detail_from_columns` does.
     """
     try:
-        raw_events = decode_json(events_json)
-        raw_deltas = None if deltas_json is None else decode_json(deltas_json)
+        return (
+            signer,
+            decode_events(events_json),
+            None if deltas_json is None else decode_token_deltas(deltas_json),
+        )
     except (TypeError, ValueError) as exc:
         raise StoreError(f"malformed transactions row: {exc}") from exc
-    events = [
-        (
-            event.get("type"),
-            event.get("owner"),
-            event.get("pool"),
-            event.get("mint_in"),
-            event.get("mint_out"),
-            event.get("amount_in"),
-            event.get("amount_out"),
-            event.get("dest"),
-        )
-        for event in raw_events
-    ]
-    deltas = (
-        ()
-        if raw_deltas is None
-        else [
-            (owner, mint, value)
-            for owner, mint_map in raw_deltas.items()
-            for mint, value in mint_map.items()
-        ]
-    )
-    return _features_from_parts(signer, events, deltas)
 
 
 def load_tx_features(
     query: ArchiveQuery,
     tx_ids: Sequence[str],
     delta_ids: Sequence[str],
-) -> dict[str, TxFeatures]:
-    """Extract features for ``tx_ids`` from their archived detail text.
+) -> dict[str, TxPayload]:
+    """Decode the archived detail text of ``tx_ids``.
 
+    Returns each member's :data:`TxPayload`; :func:`split_candidates`
+    builds :class:`TxFeatures` for the candidates that pass criterion 1.
     ``delta_ids`` names the subset whose token deltas matter (the
-    attacker-side edge transactions); the others skip the deltas parse.
+    attacker-side edge transactions); the others skip the deltas decode.
     Ids without an archived detail are absent from the result.
     """
     delta_wanted = set(delta_ids)
     return {
-        tx: _features_from_json(
+        tx: _decode_payload(
             signer, events, deltas if tx in delta_wanted else None
         )
         for tx, signer, events, deltas in query.detail_payloads(
@@ -323,17 +325,17 @@ def load_tx_features(
 
 def load_tx_features_range(
     query: ArchiveQuery, seq_lo: int, seq_hi: int
-) -> dict[str, TxFeatures]:
-    """Extract candidate features for a whole ``seq`` range, coalesced.
+) -> dict[str, TxPayload]:
+    """Decode every candidate member's detail in a ``seq`` range, coalesced.
 
     The range-join form of :func:`load_tx_features`: one constant-SQL
     round-trip covers every length-three bundle in the chunk, with no
     Python-side id collection and no ``IN``-list construction. Members
     whose details were never fetched are simply absent from the result —
-    the same "missing feature" signal the id path produces.
+    the same "missing detail" signal the id path produces.
     """
     return {
-        tx: _features_from_json(signer, events, deltas)
+        tx: _decode_payload(signer, events, deltas)
         for tx, signer, events, deltas in query.candidate_payloads(
             seq_lo, seq_hi
         )
@@ -347,13 +349,12 @@ class InternPool:
     Codes are only ever compared for equality *within* one block's
     columns, so sharing the tables across chunks is sound — equal values
     still get equal codes, unequal values unequal codes — and saves
-    re-interning the same signers, mints, and mint sets for every chunk
-    of a long scan. One pool per analysis run (per worker process under
-    ``--jobs``) is the intended scope; the codes never appear in any
-    output, so pool reuse cannot affect byte identity.
+    re-interning the same mints and mint sets for every chunk of a long
+    scan. One pool per analysis run (per worker process under ``--jobs``)
+    is the intended scope; the codes never appear in any output, so pool
+    reuse cannot affect byte identity.
     """
 
-    signers: dict = field(default_factory=dict)
     mint_sets: dict = field(default_factory=dict)
     leg_mints: dict = field(default_factory=dict)
 
@@ -364,13 +365,14 @@ class CandidateBlock:
 
     ``indexes`` point back into the source :class:`BundleBlock`;
     ``features`` holds each candidate's three member :class:`TxFeatures`
-    in bundle order. Everything else is a derived column, built once and
-    cached — criteria and quantification share the same arrays, and the
-    hot comparisons run on interned int64 *code* columns (equal strings
-    or mint sets get equal codes) rather than object-dtype elementwise
-    Python calls. ``intern`` optionally shares the interning tables
-    across blocks (see :class:`InternPool`); without one, each block
-    interns from scratch.
+    in bundle order. :func:`split_candidates` admits only candidates
+    that pass criterion 1, unless the spec skips it. Everything else is
+    a derived column, built once and cached — criteria and quantification
+    share the same arrays, and the hot comparisons run on interned int64
+    *code* columns (equal mints or mint sets get equal codes) rather than
+    object-dtype elementwise Python calls. ``intern`` optionally shares
+    the interning tables across blocks (see :class:`InternPool`); without
+    one, each block interns from scratch.
     """
 
     block: BundleBlock
@@ -398,7 +400,6 @@ class CandidateBlock:
         """
         for position in range(3):
             self.leg_columns(position)
-        self.signer_code_columns()
         self.mint_set_code_columns()
         self.leg_code_columns()
         self.tip_only_tail_column()
@@ -406,29 +407,6 @@ class CandidateBlock:
         self.landed_column()
         self.needs_exact_math()
         return self
-
-    def signer_code_columns(self) -> tuple:
-        """Int64 code columns of the member signers (one intern table).
-
-        Interning assigns equal strings equal codes, so ``==``/``!=``
-        over codes decide exactly what they decide over the strings —
-        at int64 vector speed.
-        """
-        if "signer_codes" not in self._cache:
-            codes: dict[str, int] = (
-                self.intern.signers if self.intern is not None else {}
-            )
-            self._cache["signer_codes"] = tuple(
-                _np.array(
-                    [
-                        codes.setdefault(f[pos].signer, len(codes))
-                        for f in self.features
-                    ],
-                    dtype=_np.int64,
-                )
-                for pos in range(3)
-            )
-        return self._cache["signer_codes"]
 
     def mint_set_code_columns(self) -> tuple:
         """Interned mint-set columns: ``(codes, nonempty)`` triples.
@@ -593,34 +571,66 @@ class CandidateBlock:
         return False
 
 
+@dataclass
+class CandidateSplit:
+    """A chunk's length-three candidates, partitioned before any trade.
+
+    ``candidates`` holds the complete candidates that pass criterion 1
+    (all of them when the spec skips it); ``signer_rejections`` counts
+    the complete ones that fail it, and ``pending`` lists the bundle ids
+    of the incomplete ones, in block (collection) order.
+    """
+
+    candidates: CandidateBlock
+    signer_rejections: int
+    pending: tuple[str, ...]
+
+
 def split_candidates(
     block: BundleBlock,
-    features: dict[str, TxFeatures],
+    payloads: dict[str, TxPayload],
     candidate_indexes: Sequence[int],
+    skip: frozenset[str] = frozenset(),
     intern: InternPool | None = None,
-) -> tuple[CandidateBlock, int, tuple[str, ...]]:
-    """Partition candidates into a complete block plus pending bookkeeping.
+) -> CandidateSplit:
+    """Partition candidates and decide criterion 1 on the signers alone.
 
-    Returns ``(candidates, skipped_incomplete, pending_bundle_ids)`` with
-    pending ids in block (collection) order, matching the object worker's
-    accounting exactly: a candidate with any undetailed member counts
-    skipped once and appears once in the pending list. ``intern``
-    optionally threads a cross-chunk :class:`InternPool` into the block.
+    Matches the object worker's accounting exactly: a candidate with any
+    undetailed member is pending, counted once and listed once. A complete
+    candidate whose members' signers fail criterion 1 (tx 1 and tx 3
+    share a signer A, tx 2 is signed by B != A) is counted and dropped,
+    so its :class:`TxFeatures` are never built. With
+    ``same_attacker_distinct_victim`` in ``skip``, every complete
+    candidate enters the block. ``intern`` optionally threads a
+    cross-chunk :class:`InternPool` into the block.
     """
+    test_signers = "same_attacker_distinct_victim" not in skip
+    transaction_ids = block.transaction_ids
     complete: list[int] = []
     triples: list[tuple] = []
     pending: list[str] = []
+    rejected = 0
     for index in candidate_indexes:
-        members = block.transaction_ids(index)
-        if all(tx in features for tx in members):
-            complete.append(index)
-            triples.append(tuple(features[tx] for tx in members))
-        else:
+        try:
+            details = [payloads[tx] for tx in transaction_ids(index)]
+        except KeyError:
             pending.append(block.bundle_ids[index])
-    return (
-        CandidateBlock(
+            continue
+        # Criterion 1 exactly as repro.core.criteria decides it, inline:
+        # this loop runs once per candidate, most of which fail here.
+        if test_signers and (
+            len(details) != 3
+            or details[0][0] != details[2][0]
+            or details[1][0] == details[0][0]
+        ):
+            rejected += 1
+            continue
+        complete.append(index)
+        triples.append(tuple(tx_features(*detail) for detail in details))
+    return CandidateSplit(
+        candidates=CandidateBlock(
             block=block, indexes=complete, features=triples, intern=intern
         ),
-        len(pending),
-        tuple(pending),
+        signer_rejections=rejected,
+        pending=tuple(pending),
     )

@@ -1,14 +1,18 @@
-"""Vectorized evaluation of the five paper criteria over candidate blocks.
+"""Vectorized evaluation of paper criteria 2-5 over candidate blocks.
 
-Each criterion becomes a boolean mask over the whole block; the object
-path's short-circuit semantics are recovered by attributing every failing
-candidate to its *first* failing criterion (``argmax`` over the stacked
-failure masks), so per-criterion rejection tallies match a serial
+Criterion 1 reads the members' signers and nothing else, so
+:func:`~repro.columnar.blocks.split_candidates` decides it on the signer
+strings before any candidate's features are built; a block holds only the
+candidates that pass it (all of them when the spec skips it). Each of the
+other four criteria becomes a boolean mask over the whole block; the
+object path's short-circuit semantics are recovered by attributing every
+failing candidate to its *first* failing criterion (``argmax`` over the
+stacked failure masks), so per-criterion rejection tallies match a serial
 :class:`~repro.core.detector.SandwichDetector` exactly. Identity checks
-(signers, mint sets, the attacked pair) compare interned int64 *code*
-columns — equal values share a code by construction, so the masks are
-pure primitive-dtype vector ops rather than object-array elementwise
-Python calls.
+(mint sets, the attacked pair) compare interned int64 *code* columns —
+equal values share a code by construction, so the masks are pure
+primitive-dtype vector ops rather than object-array elementwise Python
+calls.
 
 Bit-exactness of criterion 3 (rate comparison) needs care: Python's
 ``int / int`` is correctly rounded from the exact integers, while numpy
@@ -32,8 +36,9 @@ try:
 except ImportError:  # pragma: no cover - exercised via columnar_available
     _np = None
 
-#: Criterion names in the paper's order (the mask stacking order).
-CRITERION_NAMES = tuple(name for name, _ in CRITERIA)
+#: Names of the criteria a block evaluates, in the paper's order (the mask
+#: stacking order): every criterion but the first.
+CRITERION_NAMES = tuple(name for name, _ in CRITERIA[1:])
 
 
 @dataclass
@@ -64,8 +69,10 @@ def _guarded_divide(numerator, denominator, valid):
 def evaluate_block(
     cand: CandidateBlock, skip: frozenset[str] = frozenset()
 ) -> BlockVerdicts:
-    """Apply the five criteria to a complete-candidate block at once.
+    """Apply criteria 2-5 to a complete-candidate block at once.
 
+    Every candidate in ``cand`` has passed criterion 1 already, or the
+    spec skips it (see :func:`~repro.columnar.blocks.split_candidates`).
     ``skip`` names criteria to bypass (the ablation knob) — skipped
     criteria contribute an all-pass mask, exactly like the object path's
     compiled skip set. Candidates passing all criteria but missing a first
@@ -77,7 +84,6 @@ def evaluate_block(
         return BlockVerdicts(examined=0)
 
     exact = cand.needs_exact_math()
-    s0, s1, s2 = cand.signer_code_columns()
     mint_codes, mint_nonempty = cand.mint_set_code_columns()
     leg_codes = cand.leg_code_columns()
     p0, _, _, f_in, f_out = cand.leg_columns(0)
@@ -89,12 +95,6 @@ def evaluate_block(
 
     ones = _np.ones(count, dtype=bool)
     masks = []
-
-    # 1. same attacker, distinct victim
-    if "same_attacker_distinct_victim" in skip:
-        masks.append(ones)
-    else:
-        masks.append((s0 == s2) & (s1 != s0))
 
     # 2. same non-empty mint set across all three transactions
     if "same_mint_set" in skip:

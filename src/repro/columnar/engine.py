@@ -34,7 +34,7 @@ from repro.columnar import require_columnar
 from repro.columnar.blocks import (
     BundleBlock,
     InternPool,
-    TxFeatures,
+    TxPayload,
     load_bundle_block,
     load_bundle_block_for_ids,
     load_tx_features,
@@ -71,7 +71,7 @@ class ColumnarChunkPayload:
 
     block: BundleBlock
     candidate_indexes: list[int]
-    features: dict[str, TxFeatures]
+    payloads: dict[str, TxPayload]
     load_seconds: float = 0.0
 
 
@@ -84,9 +84,10 @@ def load_chunk_columnar(
     candidate join keyed by the chunk's seq bounds, reusing the
     connection's prepared statement across chunks — while explicit
     worklists (the incremental analyzer's pending re-checks) keep the
-    id-batched path. Both produce the same features mapping: members
-    without archived details are simply absent, surfacing as pending
-    downstream exactly as in the object worker.
+    id-batched path. Both decode every candidate member's detail text,
+    whatever criterion 1 later decides, and produce the same payload
+    mapping: members without archived details are simply absent,
+    surfacing as pending downstream exactly as in the object worker.
     """
     task.validate()
     require_columnar_spec(task.spec)
@@ -111,15 +112,15 @@ def load_chunk_columnar(
             member_ids.extend(members)
             edge_ids.append(members[0])
             edge_ids.append(members[2])
-        features = load_tx_features(query, member_ids, edge_ids)
+        payloads = load_tx_features(query, member_ids, edge_ids)
     else:
-        features = load_tx_features_range(
+        payloads = load_tx_features_range(
             query, task.chunk.seq_lo, task.chunk.seq_hi
         )
     return ColumnarChunkPayload(
         block=block,
         candidate_indexes=candidate_indexes,
-        features=features,
+        payloads=payloads,
         load_seconds=time.perf_counter() - started,
     )
 
@@ -134,17 +135,25 @@ def compute_chunk_columnar(
     The sequence mirrors the object worker exactly — candidates in
     collection order, detected events stable-sorted by ``landed_at``,
     length-one bundles classified in collection order, pending ids in
-    collection order — so the merged report is byte-identical. ``intern``
-    optionally shares code tables across chunks (identity-safe: codes
-    never reach the report).
+    collection order — so the merged report is byte-identical. Criterion 1
+    is decided on the signers while the candidates are split, so only the
+    candidates that pass it get features and columns; its tally leads
+    ``rejections_by_criterion`` as it did when the block evaluated it.
+    ``intern`` optionally shares code tables across chunks (identity-safe:
+    codes never reach the report).
     """
     spec = task.spec
     block = payload.block
 
     intern_started = time.perf_counter()
-    candidates, skipped, pending = split_candidates(
-        block, payload.features, payload.candidate_indexes, intern=intern
+    split = split_candidates(
+        block,
+        payload.payloads,
+        payload.candidate_indexes,
+        skip=spec.skip_criteria,
+        intern=intern,
     )
+    candidates = split.candidates
     # Column materialization (interning included) belongs to the intern
     # phase; evaluation below touches cached primitive arrays only.
     candidates.prepare()
@@ -152,6 +161,10 @@ def compute_chunk_columnar(
 
     detect_started = time.perf_counter()
     verdicts = evaluate_block(candidates, skip=spec.skip_criteria)
+    rejections: dict[str, int] = {}
+    if split.signer_rejections:
+        rejections["same_attacker_distinct_victim"] = split.signer_rejections
+    rejections.update(verdicts.rejections)
     landed = candidates.landed_column()
     event_order = sorted(
         verdicts.detected_indexes, key=lambda index: landed[index]
@@ -167,17 +180,17 @@ def compute_chunk_columnar(
     quantify_seconds = time.perf_counter() - quantify_started
 
     stats = DetectionStats(
-        bundles_examined=verdicts.examined,
+        bundles_examined=verdicts.examined + split.signer_rejections,
         bundles_detected=len(verdicts.detected_indexes),
-        bundles_skipped_incomplete=skipped,
-        rejections_by_criterion=verdicts.rejections,
+        bundles_skipped_incomplete=len(split.pending),
+        rejections_by_criterion=rejections,
     )
     return ChunkOutcome(
         index=task.index,
         bundle_count=len(block),
         quantified=tuple(quantified),
         stats=stats,
-        pending_detail_ids=pending,
+        pending_detail_ids=split.pending,
         elapsed_seconds=(
             payload.load_seconds
             + intern_seconds

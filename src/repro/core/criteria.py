@@ -8,7 +8,7 @@ at a time to measure each one's contribution to precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.trades import (
     TradeLeg,
@@ -23,11 +23,15 @@ from repro.explorer.models import BundleRecord, TransactionRecord
 
 @dataclass(frozen=True)
 class BundleView:
-    """A candidate bundle with details and pre-extracted trades."""
+    """A candidate bundle with its members' detail records.
+
+    Trades are parsed on first use, once per record (see
+    :func:`~repro.core.trades._memoized_trades`): criterion 1 reads the
+    signers alone, so a view that fails it parses no trade.
+    """
 
     bundle: BundleRecord
     records: tuple[TransactionRecord, ...]
-    trades: tuple[tuple[TradeLeg, ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.records) != len(self.bundle.transaction_ids):
@@ -36,11 +40,11 @@ class BundleView:
                 f"{len(self.bundle.transaction_ids)} transactions but "
                 f"{len(self.records)} detail records"
             )
-        object.__setattr__(
-            self,
-            "trades",
-            tuple(_memoized_trades(record) for record in self.records),
-        )
+
+    @property
+    def trades(self) -> tuple[tuple[TradeLeg, ...], ...]:
+        """Every member's swap legs, in bundle order."""
+        return tuple(_memoized_trades(record) for record in self.records)
 
     @classmethod
     def build(
@@ -64,7 +68,7 @@ class BundleView:
 
     def first_trade(self, index: int) -> TradeLeg | None:
         """The first swap leg of transaction ``index`` (None if no swap)."""
-        legs = self.trades[index]
+        legs = _memoized_trades(self.records[index])
         return legs[0] if legs else None
 
 

@@ -305,9 +305,31 @@ class TestMalformedColumnsRaiseStoreError:
         with pytest.raises(StoreError, match="transaction_ids"):
             bundle_from_columns(*self.BUNDLE[:4], raw)
 
-    @pytest.mark.parametrize("position", [4, 6, 7, 8])
     @pytest.mark.parametrize(
-        "raw", [None, 3, "{", pytest.param(DEEP_ARRAY, id="deep")]
+        "raw, position",
+        [
+            pytest.param(raw, position, id=f"{name}-{position}")
+            for position in (4, 6, 7, 8)
+            for name, raw in (
+                ("None", None),
+                ("3", 3),
+                ("{", "{"),
+                ("deep", DEEP_ARRAY),
+            )
+        ]
+        + [
+            # JSON of the wrong container shape for its column.
+            pytest.param(raw, position, id=f"{name}-{position}")
+            for position, name, raw in (
+                (4, "object", '{"a": 1}'),  # signers: array of strings
+                (4, "int-array", "[1]"),
+                (6, "array", "[1, 2]"),  # token_deltas: object of objects
+                (6, "flat-object", '{"a": 1}'),
+                (7, "array", "[1]"),  # lamport_deltas: an object
+                (8, "object", '{"a": 1}'),  # events: array of objects
+                (8, "int-array", "[1]"),
+            )
+        ],
     )
     def test_detail(self, position, raw):
         columns = list(self.DETAIL)
@@ -354,13 +376,26 @@ class TestMalformedColumnsRaiseStoreError:
             ("[]", "{"),
             (DEEP_ARRAY, "{}"),
             ("[]", DEEP_ARRAY),
+            ('{"a": 1}', "{}"),
+            ("[1]", "{}"),
+            ("[]", "[1, 2]"),
+            ("[]", '{"a": 1}'),
         ],
-        ids=["events", "deltas", "deep-events", "deep-deltas"],
+        ids=[
+            "events",
+            "deltas",
+            "deep-events",
+            "deep-deltas",
+            "object-events",
+            "int-array-events",
+            "array-deltas",
+            "flat-object-deltas",
+        ],
     )
     def test_columnar_features(self, events, deltas):
-        """The columnar engine's parse of the same detail text raises
+        """The columnar engine's decode of the same detail text raises
         the object engine's error."""
-        from repro.columnar.blocks import _features_from_json
+        from repro.columnar.blocks import _decode_payload
 
         with pytest.raises(StoreError, match="malformed transactions row"):
-            _features_from_json("signer", events, deltas)
+            _decode_payload("signer", events, deltas)

@@ -159,6 +159,45 @@ class TestAggregations:
         assert summary["priority"]["bundles"] == 1
 
 
+def traced_sql(db, query: ArchiveQuery, call) -> list[str]:
+    """The SQL texts SQLite runs on ``db`` while ``call(query)`` does."""
+    statements: list[str] = []
+    connection = db.connection
+    connection.set_trace_callback(statements.append)
+    try:
+        call(query)
+    finally:
+        connection.set_trace_callback(None)
+    return statements
+
+
+class TestEmptyFilters:
+    """An empty filter matches every row and compiles to no WHERE clause,
+    so SQLite can count through an index without stepping rows."""
+
+    def test_empty_filters_match_every_row(self, populated):
+        assert populated.count_bundles(BundleFilter()) == 10
+        assert len(populated.bundles(BundleFilter())) == 10
+        assert populated.count_sandwiches(SandwichFilter()) == 3
+        assert len(populated.sandwiches(SandwichFilter())) == 3
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda q: q.count_bundles(), id="count_bundles"),
+            pytest.param(lambda q: q.count_sandwiches(), id="count_sandwiches"),
+            pytest.param(lambda q: q.bundles(limit=2), id="bundles"),
+            pytest.param(lambda q: q.details(), id="details"),
+            pytest.param(lambda q: q.tip_histogram(), id="tip_histogram"),
+        ],
+    )
+    def test_unfiltered_queries_have_no_where_clause(
+        self, db, populated, call
+    ):
+        (statement,) = traced_sql(db, populated, call)
+        assert "WHERE" not in statement.upper()
+
+
 class TestLatencyMetric:
     def test_queries_record_latency(self, db):
         registry = MetricsRegistry()

@@ -2,8 +2,8 @@
 
 The read-path optimizations must be invisible above their seams:
 :func:`load_tx_features_range` (one constant-SQL join per chunk) must
-produce exactly the features the id-batched :func:`load_tx_features`
-produces, :meth:`BundleBlock.classify_singles` must classify exactly as
+decode exactly the payloads the id-batched :func:`load_tx_features`
+decodes, :meth:`BundleBlock.classify_singles` must classify exactly as
 the classifier does over the block's records, and the shared
 :class:`InternPool` must not change any block output. The record
 constructor itself is pinned against the frozen dataclass in
@@ -104,24 +104,26 @@ class TestInternPoolParity:
         indexes = [
             i for i, length in enumerate(block.lengths) if length == 3
         ]
-        features = load_tx_features_range(query, 1, total)
-        candidates, skipped, pending = split_candidates(
-            block, features, indexes, intern=intern
+        payloads = load_tx_features_range(query, 1, total)
+        split = split_candidates(block, payloads, indexes, intern=intern)
+        return (
+            split.candidates.prepare(),
+            split.signer_rejections,
+            split.pending,
         )
-        return candidates.prepare(), skipped, pending
 
     def test_shared_pool_does_not_change_verdicts(self, query):
         from repro.columnar.criteria import evaluate_block
 
         pool = InternPool()
-        fresh, skipped, pending = self._candidates(query)
+        fresh, rejected, pending = self._candidates(query)
         # Evaluate twice against the same pool: the second pass reuses
         # codes interned by the first, the cross-chunk scenario.
-        pooled_one, skipped_one, pending_one = self._candidates(
+        pooled_one, rejected_one, pending_one = self._candidates(
             query, intern=pool
         )
         pooled_two, _, _ = self._candidates(query, intern=pool)
-        assert (skipped_one, pending_one) == (skipped, pending)
+        assert (rejected_one, pending_one) == (rejected, pending)
         baseline = evaluate_block(fresh)
         for pooled in (pooled_one, pooled_two):
             verdicts = evaluate_block(pooled)
@@ -129,5 +131,5 @@ class TestInternPoolParity:
             assert verdicts.rejections == baseline.rejections
             assert verdicts.examined == baseline.examined
         # The pool actually accumulated interned entries.
-        assert pool.signers
         assert pool.mint_sets
+        assert pool.leg_mints

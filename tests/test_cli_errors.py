@@ -77,27 +77,33 @@ class TestAnalyzeErrors:
         assert "sandwiches:" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "engine, column",
+        "engine, column, value",
         [
-            pytest.param(
-                engine,
-                column,
-                id=engine
-                if column == "transaction_ids"
-                else f"{engine}-{column}",
-            )
+            pytest.param(engine, "transaction_ids", '["a\nb"]', id=engine)
             for engine in ("object", "columnar")
-            for column in ("transaction_ids", "events", "token_deltas")
+        ]
+        + [
+            pytest.param(engine, column, value, id=f"{engine}-{name}")
+            for engine in ("object", "columnar")
+            for name, column, value in (
+                ("events", "events", "not json"),
+                ("token_deltas", "token_deltas", "not json"),
+                # JSON of the wrong container shape for its column.
+                ("events-object", "events", '{"a": 1}'),
+                ("events-int-array", "events", "[1]"),
+                ("token_deltas-array", "token_deltas", "[1, 2]"),
+            )
         ],
     )
     def test_hostile_transaction_id_is_refused_by_both_engines(
-        self, archive, engine, column, capsys
+        self, archive, engine, column, value, capsys
     ):
-        """Stored text that is not JSON is refused by both engines,
-        instead of one of them accepting it or crashing: a raw control
-        character in a single's id, and ``not json`` in the events or the
-        token deltas of a length-three bundle's first member (the only
-        members whose deltas the columnar engine reads are the edges)."""
+        """Stored text that is not JSON, or not its column's container
+        shape, is refused by both engines, instead of one of them
+        accepting it or crashing: a raw control character in a single's
+        id, and hostile events or token deltas of a length-three bundle's
+        first member (the only members whose deltas the columnar engine
+        reads are the edges)."""
         if engine == "columnar":
             pytest.importorskip("numpy")
         if column == "transaction_ids":
@@ -105,7 +111,6 @@ class TestAnalyzeErrors:
                 "UPDATE bundles SET transaction_ids = ? WHERE seq = "
                 "(SELECT MIN(seq) FROM bundles WHERE num_transactions = 1)"
             )
-            value = '["a\nb"]'
         else:
             update = (
                 f"UPDATE transactions SET {column} = ? WHERE transaction_id "
@@ -114,7 +119,6 @@ class TestAnalyzeErrors:
                 "WHERE b.num_transactions = 3 AND m.position = 0 "
                 "ORDER BY b.seq LIMIT 1)"
             )
-            value = "not json"
         conn = sqlite3.connect(archive)
         try:
             changed = conn.execute(update, (value,)).rowcount
