@@ -7,6 +7,7 @@ its last reference, nor keep its bundle and records alive.
 import gc
 import weakref
 
+from repro.core.detector import SandwichDetector
 from repro.core.trades import extract_trades, traded_mints
 from repro.utils.base58 import b58decode, b58encode
 from tests.core.helpers import MEME, SOL, canonical_sandwich_view, swap_record
@@ -46,6 +47,16 @@ class TestTradeMemoization:
         record = swap_record("A", SOL, MEME)
         assert traded_mints(record) == frozenset({SOL, MEME})
         assert traded_mints(record) is traded_mints(record)
+
+    def test_view_failing_criterion_one_parses_no_trades(self):
+        # The victim signs as the attacker: criterion 1 fails on signers.
+        view = canonical_sandwich_view(attacker="A", victim="A")
+        detector = SandwichDetector()
+        assert detector.detect_view(view) is None
+        assert detector.stats.rejections_by_criterion == {
+            "same_attacker_distinct_victim": 1
+        }
+        assert not any("_trades" in r.__dict__ for r in view.records)
 
 
 class TestViewsAreNotRetained:
