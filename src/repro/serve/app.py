@@ -238,7 +238,7 @@ class ArchiveApiApp:
 
         ``headers`` must carry lower-cased names (the shared request parser
         guarantees this). The payload is ready for
-        :func:`repro.serve.httpcommon.write_response`.
+        :func:`repro.serve.httpcommon.render_response`.
         """
         if self.query is None:
             raise ConfigError("ArchiveApiApp.handle() before open()")
