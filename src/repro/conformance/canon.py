@@ -21,9 +21,10 @@ are built from.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from typing import Any
+
+from repro.utils.serialization import encode_json_canonical
 
 #: Significant digits kept in canonical floats. IEEE doubles hold ~15.9;
 #: trimming to 12 absorbs last-bit noise while preserving every digit the
@@ -59,6 +60,10 @@ def fmt_fixed(value: float, places: int) -> str:
     return rendered
 
 
+#: Exact types the canonical form keeps as they are.
+_LEAVES = frozenset((str, int, bool, type(None)))
+
+
 def canon_jsonable(obj: Any) -> Any:
     """Recursively canonicalize a JSON-able tree.
 
@@ -66,7 +71,28 @@ def canon_jsonable(obj: Any) -> Any:
     strings (JSON will anyway, but doing it here keeps the canonical form
     explicit); tuples become lists. Everything else must already be
     JSON-safe — this helper deliberately does not guess at dataclasses.
+
+    Exact built-in types take the first branches, which test no subclass;
+    a subclass takes the ``isinstance`` branches after them, to the same
+    result.
     """
+    kind = type(obj)
+    if kind is dict:
+        return {
+            key if type(key) is str else str(key): (
+                value if type(value) in _LEAVES else canon_jsonable(value)
+            )
+            for key, value in obj.items()
+        }
+    if kind is list or kind is tuple:
+        return [
+            item if type(item) in _LEAVES else canon_jsonable(item)
+            for item in obj
+        ]
+    if kind is float:
+        return canon_float(obj)
+    if kind in _LEAVES:
+        return obj
     if isinstance(obj, float):
         return canon_float(obj)
     if isinstance(obj, dict):
@@ -77,13 +103,12 @@ def canon_jsonable(obj: Any) -> Any:
 
 
 def canonical_json_bytes(obj: Any) -> bytes:
-    """The canonical serialized form: sorted keys, compact separators."""
-    return json.dumps(
-        canon_jsonable(obj),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    ).encode("utf-8")
+    """The canonical serialized form: sorted keys, compact separators.
+
+    Raises:
+        ValueError: for a NaN or infinite float.
+    """
+    return encode_json_canonical(canon_jsonable(obj)).encode("utf-8")
 
 
 def digest(obj: Any) -> str:

@@ -6,11 +6,12 @@ how the paper's scraper archived its pulls.
 
 Every per-record and per-request JSON value (archive columns, instruction
 payloads, checkpoints, HTTP bodies) goes through :func:`encode_json`,
-:func:`encode_json_sorted` and :func:`decode_json`. They write and read
-exactly what ``json.dumps`` and ``json.loads`` do, without the set-up those
-pay on every call: ``json.dumps`` builds a ``JSONEncoder`` and then a C
-encoder per call, and ``json.loads`` runs two whitespace scans and a BOM
-check around the one C scan that does the work.
+:func:`encode_json_sorted`, :func:`encode_json_canonical` and
+:func:`decode_json`. They write and read exactly what ``json.dumps`` and
+``json.loads`` do, without the set-up those pay on every call:
+``json.dumps`` builds a ``JSONEncoder`` and then a C encoder per call, and
+``json.loads`` runs two whitespace scans and a BOM check around the one C
+scan that does the work.
 """
 
 from __future__ import annotations
@@ -29,36 +30,46 @@ T = TypeVar("T")
 # --- the JSON codec ----------------------------------------------------------
 #
 # The encoders are built once, on json's own C accelerator, with the
-# arguments ``JSONEncoder.iterencode`` passes it for ``json.dumps``'s
-# defaults, save ``markers``: None, which is what ``check_circular=False``
-# means. The encoders then keep no per-call state, so one instance serves
-# every thread. Stored values are trees, so dropping the cycle check
-# changes no output; a cycle raises RecursionError instead of ValueError.
-# An interpreter without ``_json`` has no C encoder, and there json's own
-# pure-Python encoder, which ``json.dumps`` takes too, does the work.
-if c_make_encoder is not None:
-    _ENCODE, _ENCODE_SORTED = (
-        c_make_encoder(
-            None,  # markers: no cycle check
-            JSONEncoder().default,  # the same TypeError for unserializables
-            encode_basestring_ascii,
-            None,  # indent
-            ": ",
-            ", ",
-            sort_keys,
-            False,  # skipkeys
-            True,  # allow_nan
-        )
-        for sort_keys in (False, True)
+# arguments ``JSONEncoder.iterencode`` passes it for the ``json.dumps``
+# arguments each one stands for, save ``markers``: None, which is what
+# ``check_circular=False`` means. The encoders then keep no per-call state,
+# so one instance serves every thread. Stored values are trees, so dropping
+# the cycle check changes no output; a cycle raises RecursionError instead
+# of ValueError. An interpreter without ``_json`` has no C encoder, and
+# there json's own pure-Python encoder, which ``json.dumps`` takes too,
+# does the work.
+
+
+def _make_encoder(
+    sort_keys: bool, separators: tuple[str, str], allow_nan: bool
+) -> Callable[[Any, int], Iterable[str]]:
+    item_separator, key_separator = separators
+    if c_make_encoder is None:  # pragma: no cover - tested in a subprocess
+        # The C encoder's second argument is the starting indent level;
+        # ``iterencode``'s is ``_one_shot``, which changes no output when
+        # there is no C encoder to take.
+        return JSONEncoder(
+            check_circular=False,
+            sort_keys=sort_keys,
+            separators=separators,
+            allow_nan=allow_nan,
+        ).iterencode
+    return c_make_encoder(
+        None,  # markers: no cycle check
+        JSONEncoder().default,  # the same TypeError for unserializables
+        encode_basestring_ascii,
+        None,  # indent
+        key_separator,
+        item_separator,
+        sort_keys,
+        False,  # skipkeys
+        allow_nan,
     )
-else:  # pragma: no cover - CPython ships _json; tested in a subprocess
-    # The C encoder's second argument is the starting indent level;
-    # ``iterencode``'s is ``_one_shot``, which changes no output when
-    # there is no C encoder to take.
-    _ENCODE, _ENCODE_SORTED = (
-        JSONEncoder(check_circular=False, sort_keys=sort_keys).iterencode
-        for sort_keys in (False, True)
-    )
+
+
+_ENCODE = _make_encoder(False, (", ", ": "), True)
+_ENCODE_SORTED = _make_encoder(True, (", ", ": "), True)
+_ENCODE_CANONICAL = _make_encoder(True, (",", ":"), False)
 
 _DECODER = JSONDecoder()
 
@@ -81,6 +92,18 @@ def encode_json_sorted(value: Any) -> str:
             of types that do not sort against each other.
     """
     return "".join(_ENCODE_SORTED(value, 0))
+
+
+def encode_json_canonical(value: Any) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"),
+    allow_nan=False, check_circular=False)``, byte for byte: the compact
+    form canonical bytes are made of.
+
+    Raises:
+        TypeError: as :func:`encode_json_sorted` does.
+        ValueError: for a NaN or infinite float.
+    """
+    return "".join(_ENCODE_CANONICAL(value, 0))
 
 
 def decode_json(text: str | bytes | bytearray) -> Any:

@@ -1,12 +1,14 @@
 """The JSON codec against :mod:`json`, its reference.
 
-``encode_json`` and ``encode_json_sorted`` must write exactly what
-``json.dumps`` writes, and ``decode_json`` return exactly what
-``json.loads`` returns, on every input either accepts; where ``json``
-refuses, the codec raises the same ``JSONDecodeError`` or, for the
-refusals ``json`` reports otherwise, a ``ValueError``. The pure-Python
-fallback, taken on an interpreter without ``_json``, runs in a subprocess
-that hides the accelerator before ``json`` is imported.
+``encode_json``, ``encode_json_sorted`` and ``encode_json_canonical`` must
+write exactly what ``json.dumps`` writes, and ``decode_json`` return
+exactly what ``json.loads`` returns, on every input either accepts; where
+``json`` refuses, the codec raises the same ``JSONDecodeError`` or, for the
+refusals ``json`` reports otherwise, a ``ValueError``. Canonical bytes
+(``repro.conformance.canon``) must match the ``isinstance`` walk and
+``json.dumps`` they are defined by. The pure-Python fallback, taken on an
+interpreter without ``_json``, runs in a subprocess that hides the
+accelerator before ``json`` is imported.
 """
 
 import json
@@ -20,9 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.conformance.canon import canon_float, canonical_json_bytes
 from repro.utils.serialization import (
     decode_json,
     encode_json,
+    encode_json_canonical,
     encode_json_sorted,
 )
 
@@ -100,6 +104,111 @@ class TestEncoders:
         assert encode_json(value) == json.dumps(value)
         with pytest.raises(TypeError, match="not supported"):
             encode_json_sorted(value)
+        with pytest.raises(TypeError, match="not supported"):
+            encode_json_canonical(value)
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(values)
+    def test_canonical_encoder_is_compact_sorted_json_dumps(self, value):
+        """NaN and infinities raise the same ValueError."""
+        assert outcome(encode_json_canonical, value) == outcome(
+            lambda v: json.dumps(
+                v,
+                sort_keys=True,
+                separators=(",", ":"),
+                allow_nan=False,
+                check_circular=False,
+            ),
+            value,
+        )
+
+
+class FloatSub(float):
+    def __repr__(self) -> str:
+        return "not a JSON number"
+
+
+class IntSub(int):
+    pass
+
+
+class StrSub(str):
+    pass
+
+
+#: Trees canonical bytes are made from: subclasses of the JSON types,
+#: tuples, and keys of every type ``str()`` turns into a string.
+canonical_values = st.recursive(
+    st.one_of(
+        scalars,
+        st.floats(allow_nan=True, allow_infinity=True).map(FloatSub),
+        st.integers().map(IntSub),
+        texts.map(StrSub),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+        st.dictionaries(texts.map(StrSub), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def reference_canonical_bytes(value):
+    """Canonical bytes as defined: an ``isinstance`` walk, then
+    ``json.dumps``."""
+
+    def walk(obj):
+        if isinstance(obj, float):
+            return canon_float(obj)
+        if isinstance(obj, dict):
+            return {str(key): walk(item) for key, item in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [walk(item) for item in obj]
+        return obj
+
+    return json.dumps(
+        walk(value), sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
+
+
+class TestCanonicalBytes:
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(canonical_values)
+    def test_canonical_bytes_match_the_reference(self, value):
+        assert outcome(canonical_json_bytes, value) == outcome(
+            reference_canonical_bytes, value
+        )
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"x": float("nan")},
+            [float("inf")],
+            (FloatSub("-inf"),),
+            {1: {2.5: [FloatSub("nan")]}},
+        ],
+        ids=["nan", "inf", "float-subclass-inf", "nested-nan"],
+    )
+    def test_non_finite_floats_refuse(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            canonical_json_bytes(value)
+
+    def test_keys_tuples_and_subclasses(self):
+        value = {
+            10: (FloatSub(0.1), -0.0),
+            9: [IntSub(3), True, None],
+            None: StrSub("s"),
+            2.5: {False: 1.0 / 3},
+        }
+        assert canonical_json_bytes(value) == (
+            b'{"10":[0.1,0.0],"2.5":{"False":0.333333333333},'
+            b'"9":[3,true,null],"None":"s"}'
+        )
+        assert canonical_json_bytes(value) == reference_canonical_bytes(
+            value
+        )
 
 
 class TestDecoder:
@@ -197,9 +306,22 @@ values = [
     {},
     [{"k": float("inf")}],
 ]
+def canonical(encode, value):
+    try:
+        return encode(value)
+    except ValueError as exc:
+        return str(exc)
+
+
 for value in values:
     assert codec.encode_json(value) == json.dumps(value)
     assert codec.encode_json_sorted(value) == json.dumps(value, sort_keys=True)
+    assert canonical(codec.encode_json_canonical, value) == canonical(
+        lambda v: json.dumps(
+            v, sort_keys=True, separators=(",", ":"), allow_nan=False
+        ),
+        value,
+    )
     text = json.dumps(value)
     assert repr(codec.decode_json(text)) == repr(json.loads(text))
     padded = " " + text + "\\n"
