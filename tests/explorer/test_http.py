@@ -1,4 +1,4 @@
-"""End-to-end HTTP tests: asyncio server + blocking socket client.
+"""End-to-end HTTP tests: selector-loop server + blocking socket client.
 
 These exercise the full network path the paper's scraper used: real TCP
 connections, HTTP framing, JSON bodies, and status-code error mapping.
