@@ -256,6 +256,29 @@ class ArchiveQuery:
 
     # --- bundles -----------------------------------------------------------
 
+    def bundle_rows(
+        self,
+        where: BundleFilter | None = None,
+        order_by: str = "seq",
+        descending: bool = False,
+        limit: int | None = None,
+        offset: int = 0,
+    ) -> list[tuple]:
+        """Filtered, ordered, paginated :data:`BUNDLE_COLUMNS` rows, undecoded.
+
+        The API renders a bundle page straight from these; every other
+        reader takes :meth:`bundles`, which decodes them.
+        """
+        where = where or BundleFilter()
+        clause, params = where.compile()
+        page, page_params = _page_clause(limit, offset)
+        sql = (
+            f"SELECT {_BUNDLES} FROM bundles{clause}"
+            + _order_clause(order_by, descending, BUNDLE_ORDER_COLUMNS)
+            + page
+        )
+        return self._timed("bundles", sql, params + page_params, tuples=True)
+
     def bundles(
         self,
         where: BundleFilter | None = None,
@@ -265,16 +288,12 @@ class ArchiveQuery:
         offset: int = 0,
     ) -> list[BundleRecord]:
         """Filtered, ordered, paginated bundle records."""
-        where = where or BundleFilter()
-        clause, params = where.compile()
-        page, page_params = _page_clause(limit, offset)
-        sql = (
-            f"SELECT {_BUNDLES} FROM bundles{clause}"
-            + _order_clause(order_by, descending, BUNDLE_ORDER_COLUMNS)
-            + page
+        return list(
+            starmap(
+                bundle_from_columns,
+                self.bundle_rows(where, order_by, descending, limit, offset),
+            )
         )
-        rows = self._timed("bundles", sql, params + page_params, tuples=True)
-        return list(starmap(bundle_from_columns, rows))
 
     def bundle_range(self, seq_lo: int, seq_hi: int) -> list[BundleRecord]:
         """Bundle records with ``seq_lo <= seq <= seq_hi``, in ``seq`` order.
@@ -687,6 +706,19 @@ class ArchiveQuery:
             [min_length],
         )
         return rows[0]["n"]
+
+    def data_version(self) -> int:
+        """SQLite's ``PRAGMA data_version`` on this connection.
+
+        The number moves whenever another connection commits to the file,
+        and only then: this connection's own commits leave it alone. A
+        reader that writes nothing can therefore keep a :meth:`watermark`
+        until this moves; a writable handle cannot.
+        """
+        ((version,),) = self._timed(
+            "data_version", "PRAGMA data_version", [], tuples=True
+        )
+        return version
 
     def watermark(self) -> ArchiveWatermark:
         """The archive's current read-side version (three MAX, one COUNT,

@@ -2,10 +2,12 @@
 
 Each repository wraps :class:`repro.archive.query.ArchiveQuery` with the
 pagination, filtering, and shaping one family of endpoints needs. Routes
-never touch SQL or raw rows; repositories never touch HTTP. Query-string
-validation is strict — an unknown parameter or a malformed value raises
-:class:`ValueError`, which the app maps to a 400 so typos fail loudly
-instead of silently returning the unfiltered collection.
+never touch SQL or raw rows; repositories never touch HTTP. Most return a
+JSON-able dict; the bundle endpoints return their canonical body already
+rendered from the archive rows (a :class:`~repro.serve.httpcommon.RawBody`).
+Query-string validation is strict — an unknown parameter or a malformed
+value raises :class:`ValueError`, which the app maps to a 400 so typos
+fail loudly instead of silently returning the unfiltered collection.
 
 The financial summary deliberately reuses the incremental analyzer's
 archive-row path (``sandwiches(order_by="landed_at")`` +
@@ -22,13 +24,15 @@ from repro.archive.query import ArchiveQuery, BundleFilter, SandwichFilter
 from repro.core.aggregate import headline_stats
 from repro.constants import DEFENSIVE_TIP_THRESHOLD_LAMPORTS
 from repro.dex.oracle import PriceOracle
+from repro.serve.httpcommon import JSON_CONTENT_TYPE, RawBody
 from repro.serve.models import (
     FinancialSummary,
     PageMeta,
     StatusModel,
-    bundle_to_json,
     detection_to_json,
     page_payload,
+    render_bundle,
+    render_bundle_page,
 )
 
 #: Default page size when the client sends no ``limit``.
@@ -114,7 +118,7 @@ class BundleRepository:
     def __init__(self, query: ArchiveQuery) -> None:
         self._query = query
 
-    def page(self, params: dict[str, str]) -> dict:
+    def page(self, params: dict[str, str]) -> RawBody:
         """One page of bundles matching the query-string filters."""
         _reject_unknown(params, self.PARAM_KEYS)
         page = PageParams.from_params(params)
@@ -128,7 +132,7 @@ class BundleRepository:
             date_from=params.get("date_from"),
             date_to=params.get("date_to"),
         )
-        records = self._query.bundles(
+        rows = self._query.bundle_rows(
             where=where,
             order_by=order_by,
             descending=descending,
@@ -136,20 +140,32 @@ class BundleRepository:
             offset=page.offset,
         )
         total = self._query.count_bundles(where)
-        return page_payload(
-            [bundle_to_json(record) for record in records],
+        body = render_bundle_page(
+            rows,
             PageMeta(
                 limit=page.limit,
                 offset=page.offset,
-                returned=len(records),
+                returned=len(rows),
                 total=total,
             ),
         )
+        return RawBody(body, JSON_CONTENT_TYPE)
 
-    def detail(self, bundle_id: str) -> dict | None:
+    def detail(self, bundle_id: str) -> RawBody | None:
         """One bundle by id, or None for a 404."""
         record = self._query.bundle(bundle_id)
-        return None if record is None else {"bundle": bundle_to_json(record)}
+        if record is None:
+            return None
+        bundle = render_bundle(
+            record.bundle_id,
+            record.slot,
+            record.landed_at,
+            record.tip_lamports,
+            record.transaction_ids,
+        )
+        return RawBody(
+            ('{"bundle":' + bundle + "}").encode("utf-8"), JSON_CONTENT_TYPE
+        )
 
 
 class DetectionRepository:

@@ -1,5 +1,7 @@
 """Repositories: validation, pagination, filtering, and shaping."""
 
+import json
+
 import pytest
 
 from repro.archive.database import ArchiveDatabase
@@ -68,9 +70,14 @@ class TestPageParams:
             PageParams.from_params({"limit": "ten"})
 
 
+def _decoded(body) -> dict:
+    """The JSON a bundle endpoint's pre-rendered body holds."""
+    return json.loads(body.content)
+
+
 class TestBundleRepository:
     def test_page_envelope_and_total(self, query):
-        payload = BundleRepository(query).page({"limit": "4"})
+        payload = _decoded(BundleRepository(query).page({"limit": "4"}))
         assert len(payload["items"]) == 4
         assert payload["page"] == {
             "limit": 4,
@@ -81,14 +88,14 @@ class TestBundleRepository:
 
     def test_offset_walks_forward(self, query):
         repo = BundleRepository(query)
-        first = repo.page({"limit": "4"})["items"]
-        second = repo.page({"limit": "4", "offset": "4"})["items"]
+        first = _decoded(repo.page({"limit": "4"}))["items"]
+        second = _decoded(repo.page({"limit": "4", "offset": "4"}))["items"]
         assert first[-1]["bundleId"] != second[0]["bundleId"]
         ids = [b["bundleId"] for b in first + second]
         assert ids == [f"b{i}" for i in range(8)]
 
     def test_length_filter(self, query):
-        payload = BundleRepository(query).page({"length": "3"})
+        payload = _decoded(BundleRepository(query).page({"length": "3"}))
         assert payload["page"]["total"] == 4
         assert all(b["numTransactions"] == 3 for b in payload["items"])
 
@@ -101,15 +108,18 @@ class TestBundleRepository:
             BundleRepository(query).page({"order_by": "bundle_id"})
 
     def test_descending_order(self, query):
-        payload = BundleRepository(query).page(
-            {"order_by": "tip_lamports", "descending": "true", "limit": "2"}
+        payload = _decoded(
+            BundleRepository(query).page(
+                {"order_by": "tip_lamports", "descending": "true",
+                 "limit": "2"}
+            )
         )
         tips = [b["tipLamports"] for b in payload["items"]]
         assert tips == sorted(tips, reverse=True)
 
     def test_detail_found_and_missing(self, query):
         repo = BundleRepository(query)
-        assert repo.detail("b3")["bundle"]["bundleId"] == "b3"
+        assert _decoded(repo.detail("b3"))["bundle"]["bundleId"] == "b3"
         assert repo.detail("nope") is None
 
 
