@@ -9,7 +9,8 @@ campaign archive and exposed to many concurrent HTTP clients.
 The tier is layered the way production read APIs are:
 
 - :mod:`repro.serve.models` — dataclass response models with canonical
-  (:func:`repro.conformance.canon.fmt_fixed`) money rendering;
+  (:func:`repro.conformance.canon.fmt_fixed`) money rendering, and the
+  bundle renderer that writes canonical bytes straight from archive rows;
 - :mod:`repro.serve.repositories` — typed repositories wrapping
   :class:`repro.archive.query.ArchiveQuery` with pagination and filtering;
 - :mod:`repro.serve.routes` — the versioned ``/v1/`` route table;
