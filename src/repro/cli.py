@@ -215,6 +215,10 @@ def _run_scenario_pack(args: argparse.Namespace) -> int:
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     """Run a campaign; write store + report + summary under --out."""
+    if args.checkpoint_every < 1:
+        raise ConfigError(
+            f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
+        )
     if getattr(args, "scenario", None):
         if args.stream or args.resume or args.archive:
             raise ConfigError(

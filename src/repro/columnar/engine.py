@@ -25,7 +25,6 @@ asking for one raises :class:`~repro.errors.ConfigError` up front.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -191,13 +190,6 @@ def compute_chunk_columnar(
         quantified=tuple(quantified),
         stats=stats,
         pending_detail_ids=split.pending,
-        elapsed_seconds=(
-            payload.load_seconds
-            + intern_seconds
-            + detect_seconds
-            + quantify_seconds
-        ),
-        worker=f"pid-{os.getpid()}",
         stage_seconds=(
             ("load", payload.load_seconds),
             ("intern", intern_seconds),

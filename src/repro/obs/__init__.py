@@ -20,9 +20,9 @@ advances) and every value that feeds a report derives from the injected
 sim-time clock — so instrumented and uninstrumented replays of the same
 seed produce byte-identical analysis output. The wall-clock profile is
 the one reader of the real clock, and it never feeds a deterministic
-output: its seconds go to the ``--profile`` table, the
-``analyze_stage_seconds`` histogram and benchmark records, never into
-``report.txt``, a golden fixture or a sim-time metric.
+output: its seconds go to the ``--profile`` table and benchmark
+records, never into ``report.txt``, a golden fixture or a sim-time
+metric.
 """
 
 from repro.obs.events import (

@@ -6,9 +6,8 @@ code interning; zero on the object path), ``detect`` (mask evaluation /
 detector scan), ``quantify`` (lamport math and classification), and
 ``merge`` (the parent's reduce plus report build). Workers stamp the
 first four onto :class:`~repro.parallel.worker.ChunkOutcome.stage_seconds`;
-the engine accumulates them into a :class:`StageProfile`, times ``merge``
-itself via :class:`StageTimer`, and feeds every sample through the
-``analyze_stage_seconds`` histogram in :mod:`repro.obs`.
+the engine accumulates them into a :class:`StageProfile` and times
+``merge`` itself via :class:`StageTimer`.
 
 The profile answers one question — *where does the wall time go?* — so
 ``repro analyze --profile`` can print the stage-breakdown table and the
@@ -93,17 +92,11 @@ class StageProfile:
 
 
 class StageTimer:
-    """``with StageTimer(profile, "merge"):`` — time a block into a stage.
+    """``with StageTimer(profile, "merge"):`` — time a block into a stage."""
 
-    Also observes the sample through an optional histogram with a
-    ``stage`` label, so engine-side stages land in the same
-    ``analyze_stage_seconds`` series as worker-side ones.
-    """
-
-    def __init__(self, profile: StageProfile, stage: str, histogram=None):
+    def __init__(self, profile: StageProfile, stage: str):
         self._profile = profile
         self._stage = stage
-        self._histogram = histogram
         self._started = 0.0
 
     def __enter__(self) -> "StageTimer":
@@ -111,7 +104,4 @@ class StageTimer:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        elapsed = time.perf_counter() - self._started
-        self._profile.add(self._stage, elapsed)
-        if self._histogram is not None:
-            self._histogram.observe(elapsed, stage=self._stage)
+        self._profile.add(self._stage, time.perf_counter() - self._started)

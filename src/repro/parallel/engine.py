@@ -35,10 +35,6 @@ from repro.parallel.worker import (
     run_chunk_batch,
 )
 
-#: Histogram buckets for per-chunk wall-clock (seconds).
-_CHUNK_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0)
-
-
 def default_jobs() -> int:
     """The engine's default worker count: all cores but one, at least 1."""
     return max(1, (os.cpu_count() or 1) - 1)
@@ -90,49 +86,16 @@ class ParallelAnalysisEngine:
         self.oracle = spec.build_oracle()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.query = ArchiveQuery(self.database, metrics=self.metrics)
-        self._chunk_seconds = self.metrics.histogram(
-            "parallel_chunk_seconds",
-            "Wall-clock seconds per analyzed chunk, by worker.",
-            buckets=_CHUNK_BUCKETS,
-        )
-        self._chunks_metric = self.metrics.counter(
-            "parallel_chunks_total", "Chunks analyzed by the engine."
-        )
-        self._pending_gauge = self.metrics.gauge(
-            "parallel_chunks_pending",
-            "Chunks submitted to the engine but not yet reduced.",
-        )
-        self._jobs_gauge = self.metrics.gauge(
-            "parallel_jobs", "Worker processes the engine fans out to."
-        )
-        self._stage_seconds = self.metrics.histogram(
-            "analyze_stage_seconds",
-            "Wall-clock seconds per pipeline stage "
-            "(load/intern/detect/quantify/merge), by stage.",
-            buckets=_CHUNK_BUCKETS,
-        )
         #: Accumulated stage breakdown of the most recent run — reset by
         #: :meth:`analyze`, folded into by every observed outcome.
         self.stage_profile = StageProfile()
 
     # --- task execution ----------------------------------------------------
 
-    def _observe(self, outcome: ChunkOutcome, remaining: int) -> None:
-        self._chunks_metric.inc()
-        self._pending_gauge.set(remaining)
-        self._chunk_seconds.observe(
-            outcome.elapsed_seconds, worker=outcome.worker
-        )
-        self.stage_profile.add_outcome(outcome)
-        for stage, elapsed in outcome.stage_seconds:
-            self._stage_seconds.observe(elapsed, stage=stage)
-
     def _run_in_process(self, tasks: list[ChunkTask]) -> list[ChunkOutcome]:
         outcomes: list[ChunkOutcome] = []
-        for position, outcome in enumerate(
-            iter_batch_outcomes(self.database, tasks)
-        ):
-            self._observe(outcome, remaining=len(tasks) - position - 1)
+        for outcome in iter_batch_outcomes(self.database, tasks):
+            self.stage_profile.add_outcome(outcome)
             outcomes.append(outcome)
         return outcomes
 
@@ -156,9 +119,7 @@ class ParallelAnalysisEngine:
                 run_chunk_batch, batches
             ):
                 for outcome in batch_outcomes:
-                    self._observe(
-                        outcome, remaining=len(tasks) - len(outcomes) - 1
-                    )
+                    self.stage_profile.add_outcome(outcome)
                     outcomes.append(outcome)
         finally:
             pool.close()
@@ -173,8 +134,6 @@ class ParallelAnalysisEngine:
         order by ``outcome.index`` (— :func:`merge_outcomes` does).
         """
         tasks = list(tasks)
-        self._jobs_gauge.set(self.jobs)
-        self._pending_gauge.set(len(tasks))
         if not tasks:
             return []
         if self.jobs == 1 or len(tasks) == 1:
@@ -214,9 +173,7 @@ class ParallelAnalysisEngine:
             chunks = self.query.chunk_plan(self.chunk_size)
             tasks = self.tasks_for_chunks(chunks)
             outcomes = self.run_tasks(tasks)
-            with StageTimer(
-                self.stage_profile, "merge", histogram=self._stage_seconds
-            ):
+            with StageTimer(self.stage_profile, "merge"):
                 merged = merge_outcomes(
                     outcomes,
                     threshold_lamports=self.spec.threshold_lamports,

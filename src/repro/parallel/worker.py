@@ -13,7 +13,6 @@ of the tasks, on the read-only connection its pool initializer opened.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -41,10 +40,9 @@ class ChunkOutcome:
     needs to concatenate outcomes by ``index`` and re-sort globally.
     The classification travels as ids plus the two sums its report
     keeps: the defensive tip total and ``(date, count)`` pairs.
-    ``elapsed_seconds``, ``worker`` and ``stage_seconds`` are purely
-    observational, never merged into the report itself; a stream
-    candidate leaves them, the bundle count and the classification at
-    their empty defaults.
+    ``stage_seconds`` is purely observational, never merged into the
+    report itself; a stream candidate leaves it, the bundle count and
+    the classification at their empty defaults.
     """
 
     index: int
@@ -56,8 +54,6 @@ class ChunkOutcome:
     priority: tuple[str, ...] = ()
     defensive_tips_lamports: int = 0
     defensive_by_day: tuple[tuple[str, int], ...] = ()
-    elapsed_seconds: float = 0.0
-    worker: str = ""
     stage_seconds: tuple[tuple[str, float], ...] = ()
 
 
@@ -204,10 +200,6 @@ def _compute_object_chunk(
         quantified=tuple(quantified),
         stats=detector.stats,
         pending_detail_ids=pending,
-        elapsed_seconds=(
-            payload.load_seconds + detect_seconds + quantify_seconds
-        ),
-        worker=f"pid-{os.getpid()}",
         stage_seconds=(
             ("load", payload.load_seconds),
             ("detect", detect_seconds),

@@ -8,16 +8,17 @@ campaign archive and exposed to many concurrent HTTP clients.
 
 The tier is layered the way production read APIs are:
 
-- :mod:`repro.serve.models` — dataclass response models with canonical
-  (:func:`repro.conformance.canon.fmt_fixed`) money rendering, and the
-  bundle renderer that writes canonical bytes straight from archive rows;
+- :mod:`repro.serve.models` — one function per wire object, with
+  canonical (:func:`repro.conformance.canon.fmt_fixed`) money rendering,
+  and the bundle renderer that writes canonical bytes straight from
+  archive rows;
 - :mod:`repro.serve.repositories` — typed repositories wrapping
   :class:`repro.archive.query.ArchiveQuery` with pagination and filtering;
-- :mod:`repro.serve.routes` — the versioned ``/v1/`` route table;
 - :mod:`repro.serve.cache` — a watermark-keyed response cache with strong
   ETags (invalidated the moment the archive watermark advances, so
   incremental re-analysis is immediately visible);
-- :mod:`repro.serve.app` — the dispatch core, rate-limited per client by
+- :mod:`repro.serve.app` — the dispatch core over one fixed ``/v1/``
+  route table, rate-limited per client by
   :class:`repro.utils.ratelimit.ClientRateLimiter`;
 - :mod:`repro.serve.httpcommon` — the one HTTP server, which runs this
   tier (``repro api``) and the explorer (``repro serve``).

@@ -8,8 +8,8 @@ on the shared :class:`repro.serve.httpcommon.HttpServer` (``repro api``).
 
 Request flow, in order:
 
-1. resolve the route (404 unknown path, 405 wrong method; ``HEAD`` routes
-   as ``GET``),
+1. look the path up in :data:`ROUTES`, the one fixed route table (404
+   unknown path, 405 any method but ``GET``; ``HEAD`` routes as ``GET``),
 2. admit through the per-client token bucket unless the route is exempt
    (``/healthz``, ``/metrics`` must answer while saturated),
 3. take the archive watermark and look up the response cache — a hit
@@ -53,7 +53,6 @@ from repro.serve.repositories import (
     DetectionRepository,
     StatusRepository,
 )
-from repro.serve.routes import RouteMatch, Router
 from repro.utils.ratelimit import ClientRateLimiter
 
 #: API version segment; bump on breaking payload changes.
@@ -112,63 +111,24 @@ class ArchiveApiApp:
         self.query: ArchiveQuery | None = None
         # (data_version, watermark token) as last read; see _token().
         self._watermark: tuple[int, str] | None = None
-        self._router = Router()
 
     # --- lifecycle ---------------------------------------------------------
 
     def open(self) -> None:
-        """Open the archive read-only and build the route table.
+        """Open the archive read-only and the repositories over it.
 
         Must be called on the thread that will serve requests: SQLite
         connections are thread-bound, and the read-only open also verifies
-        the schema version before the first request can arrive.
+        the schema version before the first request can arrive. An app
+        that :meth:`close` closed opens again.
         """
         self._db = ArchiveDatabase(self.config.db_path, read_only=True)
         self.query = ArchiveQuery(self._db, metrics=self.metrics)
         self._watermark = None
-        bundles = BundleRepository(self.query)
-        detections = DetectionRepository(self.query)
-        aggregates = AggregateRepository(self.query)
-        status = StatusRepository(self.query)
-
-        def no_query(fn: Callable[[], dict]) -> Callable:
-            def handler(path_params: dict, query: dict) -> dict:
-                if query:
-                    raise ValueError(
-                        "this endpoint takes no query parameters"
-                    )
-                return fn()
-
-            return handler
-
-        add = self._router.add
-        add("GET", "/healthz", self._handle_healthz, "healthz",
-            cacheable=False, exempt=True)
-        add("GET", "/metrics", self._handle_metrics, "metrics",
-            cacheable=False, exempt=True)
-        add("GET", "/", self._handle_index, "index", cacheable=False)
-        add("GET", f"/{API_VERSION}/status",
-            no_query(status.status), "status")
-        add("GET", f"/{API_VERSION}/bundles",
-            lambda pp, q: bundles.page(q), "bundles")
-        add("GET", f"/{API_VERSION}/bundles/{{bundle_id}}",
-            self._detail(bundles.detail), "bundle")
-        add("GET", f"/{API_VERSION}/detections",
-            lambda pp, q: detections.page(q), "detections")
-        add("GET", f"/{API_VERSION}/detections/{{bundle_id}}",
-            self._detail(detections.detail), "detection")
-        add("GET", f"/{API_VERSION}/financials",
-            no_query(aggregates.financials), "financials")
-        add("GET", f"/{API_VERSION}/aggregates/daily",
-            no_query(aggregates.daily), "aggregates.daily")
-        add("GET", f"/{API_VERSION}/aggregates/lengths",
-            no_query(aggregates.lengths), "aggregates.lengths")
-        add("GET", f"/{API_VERSION}/aggregates/tips",
-            lambda pp, q: aggregates.tips(q), "aggregates.tips")
-        add("GET", f"/{API_VERSION}/aggregates/attackers",
-            lambda pp, q: aggregates.attackers(q), "aggregates.attackers")
-        add("GET", f"/{API_VERSION}/aggregates/defensive",
-            no_query(aggregates.defensive), "aggregates.defensive")
+        self._bundles = BundleRepository(self.query)
+        self._detections = DetectionRepository(self.query)
+        self._aggregates = AggregateRepository(self.query)
+        self._status = StatusRepository(self.query)
 
     def close(self) -> None:
         """Close the archive connection (same thread as :meth:`open`)."""
@@ -193,32 +153,6 @@ class ArchiveApiApp:
             on_open=self.open,
             on_close=self.close,
         )
-
-    # --- fixed handlers ----------------------------------------------------
-
-    @staticmethod
-    def _detail(fn: Callable[[str], object]) -> Callable:
-        def handler(path_params: dict, query: dict) -> object:
-            if query:
-                raise ValueError("this endpoint takes no query parameters")
-            return fn(path_params["bundle_id"])
-
-        return handler
-
-    def _handle_healthz(self, path_params: dict, query: dict) -> dict:
-        return {"status": "ok"}
-
-    def _handle_metrics(self, path_params: dict, query: dict) -> PlainText:
-        return PlainText(render_prometheus(self.metrics.snapshot()))
-
-    def _handle_index(self, path_params: dict, query: dict) -> dict:
-        return {
-            "service": "repro archive api",
-            "version": API_VERSION,
-            "routes": sorted(
-                route.pattern for route in self._router.routes()
-            ),
-        }
 
     # --- dispatch ----------------------------------------------------------
 
@@ -254,13 +188,19 @@ class ArchiveApiApp:
         status = 500
         try:
             parts = urlsplit(target)
-            resolved = self._router.resolve(method, parts.path)
-            if not isinstance(resolved, RouteMatch):
-                status, message = resolved
-                return status, {"error": message}, {}
-            route = resolved.route
-            route_name = route.name
-            if not route.exempt:
+            segments = tuple(filter(None, parts.path.split("/")))
+            route, captured = _FIXED.get(segments), ()
+            if route is None and segments:
+                route, captured = _CAPTURING.get(segments[:-1]), segments[-1:]
+            if route is None:
+                status = 404
+                return 404, {"error": f"no route {parts.path}"}, {}
+            if method not in ("GET", "HEAD"):
+                # A HEAD runs as its GET; the server drops the body.
+                status = 405
+                return 405, {"error": "use GET"}, {}
+            route_name, _, cached, exempt, _ = route
+            if not exempt:
                 admission = self.limiter.admit(client_id)
                 if not admission.allowed:
                     self._reject_metric.inc()
@@ -276,13 +216,13 @@ class ArchiveApiApp:
                     )
             try:
                 query_params = self._query_params(parts.query)
-                if route.cacheable:
+                if cached:
                     status, payload, extra = self._cached(
-                        resolved, query_params, headers
+                        route, captured, query_params, headers
                     )
                 else:
                     self._cache_metric.inc(outcome="bypass")
-                    result = route.handler(resolved.params, query_params)
+                    result = self._call(route, captured, query_params)
                     status, payload, extra = 200, result, {}
             except (ValueError, ConfigError) as exc:
                 # Request validation. A stored value the archive cannot
@@ -299,6 +239,18 @@ class ArchiveApiApp:
                 time.perf_counter() - started, route=route_name
             )
 
+    def _call(
+        self, route: tuple, captured: tuple, query_params: dict[str, str]
+    ) -> object:
+        """``route``'s handler on the captured id and, if the route takes
+        them, the query parameters: the table's one query rule."""
+        _, handler, _, _, takes_query = route
+        if takes_query:
+            return handler(self, *captured, query_params)
+        if query_params:
+            raise ValueError("this endpoint takes no query parameters")
+        return handler(self, *captured)
+
     def _token(self) -> str:
         """The archive's watermark token, reread only after a commit.
 
@@ -314,11 +266,12 @@ class ArchiveApiApp:
 
     def _cached(
         self,
-        match: RouteMatch,
+        route: tuple,
+        captured: tuple,
         query_params: dict[str, str],
         headers: dict[str, str],
     ) -> tuple[int, object, dict[str, str]]:
-        """Serve a cacheable route: watermark, cache, ETag, 304.
+        """Serve a cached route: watermark, cache, ETag, 304.
 
         A handler's :class:`RawBody` is already its canonical body and is
         cached as it is; any other result is rendered canonically here. A
@@ -327,16 +280,11 @@ class ArchiveApiApp:
         is not.
         """
         token = self._token()
-        key = match.route.method + " " + match.route.pattern + "|" + "|".join(
-            f"{k}={v}"
-            for k, v in sorted(
-                list(query_params.items()) + list(match.params.items())
-            )
-        )
+        key = (route[0], captured, tuple(sorted(query_params.items())))
         entry = self.cache.get(token, key)
         if entry is None:
             self._cache_metric.inc(outcome="miss")
-            result = match.route.handler(match.params, query_params)
+            result = self._call(route, captured, query_params)
             if result is None:
                 # Absence is watermark-dependent too, but a 404 is cheap
                 # to recompute and caching it would complicate the
@@ -367,3 +315,90 @@ class ArchiveApiApp:
         if headers.get("if-none-match") == entry.etag:
             return 304, None, extra
         return 200, RawBody(entry.body, entry.content_type), extra
+
+
+#: The whole API, built once: pattern -> (route name, handler, cached,
+#: exempt from rate limiting, takes query parameters). Every route
+#: answers ``GET``, and ``HEAD`` as ``GET``; its name labels the
+#: ``serve_*`` metrics. A handler gets the app, then the ``{bundle_id}``
+#: its pattern captures, then the query parameters if the route takes
+#: them. The three uncached routes take a query and ignore it.
+ROUTES: dict[str, tuple[str, Callable[..., object], bool, bool, bool]] = {
+    "/": ("index", lambda app, query: INDEX, False, False, True),
+    "/healthz": (
+        "healthz", lambda app, query: {"status": "ok"}, False, True, True
+    ),
+    "/metrics": (
+        "metrics",
+        lambda app, query: PlainText(
+            render_prometheus(app.metrics.snapshot())
+        ),
+        False, True, True,
+    ),
+    f"/{API_VERSION}/status": (
+        "status", lambda app: app._status.status(), True, False, False
+    ),
+    f"/{API_VERSION}/bundles": (
+        "bundles", lambda app, query: app._bundles.page(query),
+        True, False, True,
+    ),
+    f"/{API_VERSION}/bundles/{{bundle_id}}": (
+        "bundle", lambda app, bundle_id: app._bundles.detail(bundle_id),
+        True, False, False,
+    ),
+    f"/{API_VERSION}/detections": (
+        "detections", lambda app, query: app._detections.page(query),
+        True, False, True,
+    ),
+    f"/{API_VERSION}/detections/{{bundle_id}}": (
+        "detection",
+        lambda app, bundle_id: app._detections.detail(bundle_id),
+        True, False, False,
+    ),
+    f"/{API_VERSION}/financials": (
+        "financials", lambda app: app._aggregates.financials(),
+        True, False, False,
+    ),
+    f"/{API_VERSION}/aggregates/daily": (
+        "aggregates.daily", lambda app: app._aggregates.daily(),
+        True, False, False,
+    ),
+    f"/{API_VERSION}/aggregates/lengths": (
+        "aggregates.lengths", lambda app: app._aggregates.lengths(),
+        True, False, False,
+    ),
+    f"/{API_VERSION}/aggregates/tips": (
+        "aggregates.tips", lambda app, query: app._aggregates.tips(query),
+        True, False, True,
+    ),
+    f"/{API_VERSION}/aggregates/attackers": (
+        "aggregates.attackers",
+        lambda app, query: app._aggregates.attackers(query),
+        True, False, True,
+    ),
+    f"/{API_VERSION}/aggregates/defensive": (
+        "aggregates.defensive", lambda app: app._aggregates.defensive(),
+        True, False, False,
+    ),
+}
+
+#: The ``/`` body: the API's name, version and sorted route patterns.
+INDEX = {
+    "service": "repro archive api",
+    "version": API_VERSION,
+    "routes": sorted(ROUTES),
+}
+
+#: :data:`ROUTES` by path segments, empty segments dropped (so trailing
+#: and doubled slashes match); a ``{bundle_id}`` route by the segments
+#: before its capture.
+_FIXED = {
+    tuple(filter(None, pattern.split("/"))): route
+    for pattern, route in ROUTES.items()
+    if not pattern.endswith("}")
+}
+_CAPTURING = {
+    tuple(filter(None, pattern.split("/")))[:-1]: route
+    for pattern, route in ROUTES.items()
+    if pattern.endswith("}")
+}

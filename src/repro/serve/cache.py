@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Hashable
 
 from repro.errors import ConfigError
 
@@ -61,7 +62,7 @@ class ResponseCache:
             raise ConfigError(f"cache capacity must be >= 1, got {capacity}")
         self._capacity = capacity
         self._token: str | None = None
-        self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
+        self._entries: OrderedDict[Hashable, CacheEntry] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -81,7 +82,7 @@ class ResponseCache:
             self._entries.clear()
             self._token = token
 
-    def get(self, token: str, key: str) -> CacheEntry | None:
+    def get(self, token: str, key: Hashable) -> CacheEntry | None:
         """The entry for ``key`` under watermark ``token``, if still valid."""
         self._roll_generation(token)
         entry = self._entries.get(key)
@@ -92,7 +93,7 @@ class ResponseCache:
         self.hits += 1
         return entry
 
-    def put(self, token: str, key: str, entry: CacheEntry) -> None:
+    def put(self, token: str, key: Hashable, entry: CacheEntry) -> None:
         """Store an entry built under watermark ``token``."""
         self._roll_generation(token)
         self._entries[key] = entry

@@ -1,10 +1,11 @@
 """Response models for the archive API.
 
-Dataclasses, not a schema framework: each model knows how to render itself
-as a JSON-able dict with **canonical** money strings. USD amounts go
-through :func:`repro.conformance.canon.fmt_fixed` — the same helper the
-batch report's CSV exports use — so an API payload and a ``repro analyze``
-run over the same archive render the same figures byte-for-byte (the
+Functions, not a schema framework: each one renders one wire object as a
+JSON-able dict with **canonical** money strings. Every amount goes through
+:func:`money`, which checks it and then formats it with
+:func:`repro.conformance.canon.fmt_fixed` — the same helper the batch
+report's CSV exports use — so an API payload and a ``repro analyze`` run
+over the same archive render the same figures byte-for-byte (the
 differential test pins this).
 
 Precision follows the repository's existing canon: per-event amounts at 6
@@ -40,8 +41,18 @@ FRACTION_PLACES = 6
 
 
 def money(value: float | None, places: int) -> str | None:
-    """Canonical money rendering; ``None`` stays ``None`` (unpriced)."""
-    return None if value is None else fmt_fixed(value, places)
+    """Canonical money rendering; ``None`` stays ``None`` (unpriced).
+
+    Every amount and fraction string the API writes comes from here. Any
+    value but a finite ``int`` or ``float`` raises :class:`StoreError`:
+    a stored amount the API cannot render is the archive's fault, which
+    the server answers with a 500.
+    """
+    if value is None:
+        return None
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise StoreError(f"stored value {value!r} cannot be served as money")
+    return fmt_fixed(value, places)
 
 
 @dataclass(frozen=True)
@@ -160,100 +171,57 @@ def detection_to_json(item: QuantifiedSandwich) -> dict[str, Any]:
     }
 
 
-@dataclass(frozen=True)
-class FinancialSummary:
-    """The campaign's headline financial figures, canonically rendered.
+def financials_to_json(headline: HeadlineStats) -> dict[str, Any]:
+    """The ``/v1/financials`` wire object (camelCase keys).
 
     Built from the same :class:`~repro.core.aggregate.HeadlineStats` the
     batch pipeline computes, over the same archive-row ordering the
     incremental analyzer uses — so the strings here match a ``repro
     analyze`` run byte-for-byte.
     """
-
-    sandwich_count: int
-    non_sol_sandwiches: int
-    non_sol_fraction: str
-    victim_loss_usd: str
-    attacker_gain_usd: str
-    median_victim_loss_usd: str | None
-    bundles_collected: int
-    sandwich_bundle_fraction: str
-    defensive_bundles: int
-    defensive_fraction_of_length_one: str
-    defensive_spend_usd: str
-    average_defensive_tip_usd: str
-
-    @classmethod
-    def from_headline(cls, headline: HeadlineStats) -> "FinancialSummary":
-        return cls(
-            sandwich_count=headline.sandwich_count,
-            non_sol_sandwiches=headline.non_sol_sandwiches,
-            non_sol_fraction=fmt_fixed(
-                headline.non_sol_fraction(), FRACTION_PLACES
-            ),
-            victim_loss_usd=fmt_fixed(
-                headline.victim_loss_usd, TOTAL_PLACES
-            ),
-            attacker_gain_usd=fmt_fixed(
-                headline.attacker_gain_usd, TOTAL_PLACES
-            ),
-            median_victim_loss_usd=money(
-                headline.median_victim_loss_usd, TOTAL_PLACES
-            ),
-            bundles_collected=headline.bundles_collected,
-            sandwich_bundle_fraction=fmt_fixed(
-                headline.sandwich_bundle_fraction, FRACTION_PLACES
-            ),
-            defensive_bundles=headline.defensive_bundles,
-            defensive_fraction_of_length_one=fmt_fixed(
-                headline.defensive_fraction_of_length_one, FRACTION_PLACES
-            ),
-            defensive_spend_usd=fmt_fixed(
-                headline.defensive_spend_usd, DEFENSIVE_PLACES
-            ),
-            average_defensive_tip_usd=fmt_fixed(
-                headline.average_defensive_tip_usd, DEFENSIVE_PLACES
-            ),
-        )
-
-    def to_json(self) -> dict[str, Any]:
-        """The ``/v1/financials`` wire object (camelCase keys)."""
-        return {
-            "sandwichCount": self.sandwich_count,
-            "nonSolSandwiches": self.non_sol_sandwiches,
-            "nonSolFraction": self.non_sol_fraction,
-            "victimLossUsd": self.victim_loss_usd,
-            "attackerGainUsd": self.attacker_gain_usd,
-            "medianVictimLossUsd": self.median_victim_loss_usd,
-            "bundlesCollected": self.bundles_collected,
-            "sandwichBundleFraction": self.sandwich_bundle_fraction,
-            "defensiveBundles": self.defensive_bundles,
-            "defensiveFractionOfLengthOne": (
-                self.defensive_fraction_of_length_one
-            ),
-            "defensiveSpendUsd": self.defensive_spend_usd,
-            "averageDefensiveTipUsd": self.average_defensive_tip_usd,
-        }
+    return {
+        "sandwichCount": headline.sandwich_count,
+        "nonSolSandwiches": headline.non_sol_sandwiches,
+        "nonSolFraction": money(
+            headline.non_sol_fraction(), FRACTION_PLACES
+        ),
+        "victimLossUsd": money(headline.victim_loss_usd, TOTAL_PLACES),
+        "attackerGainUsd": money(headline.attacker_gain_usd, TOTAL_PLACES),
+        "medianVictimLossUsd": money(
+            headline.median_victim_loss_usd, TOTAL_PLACES
+        ),
+        "bundlesCollected": headline.bundles_collected,
+        "sandwichBundleFraction": money(
+            headline.sandwich_bundle_fraction, FRACTION_PLACES
+        ),
+        "defensiveBundles": headline.defensive_bundles,
+        "defensiveFractionOfLengthOne": money(
+            headline.defensive_fraction_of_length_one, FRACTION_PLACES
+        ),
+        "defensiveSpendUsd": money(
+            headline.defensive_spend_usd, DEFENSIVE_PLACES
+        ),
+        "averageDefensiveTipUsd": money(
+            headline.average_defensive_tip_usd, DEFENSIVE_PLACES
+        ),
+    }
 
 
-@dataclass(frozen=True)
-class StatusModel:
-    """Collection-integrity status: what the archive holds right now."""
-
-    bundles: int
-    transactions: int
-    sandwiches: int
-    defensive: int
-    pending_details: int
-    watermark: str
-
-    def to_json(self) -> dict[str, Any]:
-        """The ``/v1/status`` wire object."""
-        return {
-            "bundles": self.bundles,
-            "transactions": self.transactions,
-            "sandwiches": self.sandwiches,
-            "defensive": self.defensive,
-            "pendingDetails": self.pending_details,
-            "watermark": self.watermark,
-        }
+def status_to_json(
+    *,
+    bundles: int,
+    transactions: int,
+    sandwiches: int,
+    defensive: int,
+    pending_details: int,
+    watermark: str,
+) -> dict[str, Any]:
+    """The ``/v1/status`` wire object: what the archive holds right now."""
+    return {
+        "bundles": bundles,
+        "transactions": transactions,
+        "sandwiches": sandwiches,
+        "defensive": defensive,
+        "pendingDetails": pending_details,
+        "watermark": watermark,
+    }

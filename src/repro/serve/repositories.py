@@ -26,13 +26,13 @@ from repro.constants import DEFENSIVE_TIP_THRESHOLD_LAMPORTS
 from repro.dex.oracle import PriceOracle
 from repro.serve.httpcommon import JSON_CONTENT_TYPE, RawBody
 from repro.serve.models import (
-    FinancialSummary,
     PageMeta,
-    StatusModel,
     detection_to_json,
+    financials_to_json,
     page_payload,
     render_bundle,
     render_bundle_page,
+    status_to_json,
 )
 
 #: Default page size when the client sends no ``limit``.
@@ -253,7 +253,7 @@ class AggregateRepository:
             bundles_collected=self._query.count_bundles(),
             oracle=self._oracle,
         )
-        return {"financials": FinancialSummary.from_headline(headline).to_json()}
+        return {"financials": financials_to_json(headline)}
 
     def daily(self) -> dict:
         """Per-day attack counts and USD sums (the Figure 2 series)."""
@@ -310,12 +310,13 @@ class StatusRepository:
         """
         watermark = self._query.watermark()
         classes = self._query.defensive_summary()
-        model = StatusModel(
-            bundles=self._query.count_bundles(),
-            transactions=self._query.count_transactions(),
-            sandwiches=self._query.count_sandwiches(),
-            defensive=classes.get("defensive", {}).get("bundles", 0),
-            pending_details=self._query.pending_detail_count(),
-            watermark=watermark.token,
-        )
-        return {"status": model.to_json()}
+        return {
+            "status": status_to_json(
+                bundles=self._query.count_bundles(),
+                transactions=self._query.count_transactions(),
+                sandwiches=self._query.count_sandwiches(),
+                defensive=classes.get("defensive", {}).get("bundles", 0),
+                pending_details=self._query.pending_detail_count(),
+                watermark=watermark.token,
+            )
+        }

@@ -104,19 +104,20 @@ class TestPipelineHealth:
         assert "overlap_ratio=0.9500" in text
 
     def test_excludes_wall_clock_gauges(self):
-        """The wall-clock series the program writes (chunk, stage and
-        archive-query latencies) leave the section's text unchanged."""
+        """The wall-clock series the program writes (archive-query, API
+        request and conformance-check latencies) leave the section's text
+        unchanged."""
 
         def registry_with(wall_clock: bool) -> MetricsRegistry:
             registry = MetricsRegistry()
             registry.counter("collector_polls_total").inc(1, status="ok")
             registry.counter("detector_bundles_examined_total").inc(7)
             if wall_clock:
-                registry.histogram("parallel_chunk_seconds").observe(
-                    12.34, worker="pid-1"
+                registry.histogram("serve_request_seconds").observe(
+                    12.34, route="status"
                 )
-                registry.histogram("analyze_stage_seconds").observe(
-                    56.78, stage="load"
+                registry.histogram("conformance_check_seconds").observe(
+                    56.78, family="golden"
                 )
                 registry.histogram("archive_query_seconds").observe(
                     99.9, query="count_bundles"

@@ -2,17 +2,15 @@
 
 Pins the stage taxonomy (:data:`~repro.obs.profile.STAGES`), the
 :class:`StageProfile` arithmetic the ``--profile`` table and
-BENCH_PERF.json records are built from, the ``analyze_stage_seconds``
-histogram wiring, and the engine-level invariants: every run profiles
-load/detect/quantify/merge, the columnar path adds intern, and the
-object path leaves intern at zero.
+BENCH_PERF.json records are built from, and the engine-level
+invariants: every run profiles load/detect/quantify/merge, the columnar
+path adds intern, and the object path leaves intern at zero.
 """
 
 import re
 
 import pytest
 
-from repro.obs.registry import MetricsRegistry
 from repro.parallel import ParallelAnalysisEngine
 from repro.obs.profile import STAGES, StageProfile, StageTimer
 from tests.parallel.test_engine import DESCRIPTORS
@@ -80,17 +78,6 @@ class TestStageProfile:
 
 
 class TestStageTimer:
-    def test_timer_accumulates_into_profile_and_histogram(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram(
-            "analyze_stage_seconds", "test", buckets=(0.1, 1.0)
-        )
-        profile = StageProfile()
-        with StageTimer(profile, "merge", histogram=histogram):
-            pass
-        assert profile.seconds["merge"] > 0.0
-        assert histogram.count(stage="merge") == 1
-
     def test_timer_without_histogram(self):
         profile = StageProfile()
         with StageTimer(profile, "load"):
@@ -100,32 +87,24 @@ class TestStageTimer:
 
 class TestEngineProfile:
     def _analyze(self, archive, engine_kind):
-        registry = MetricsRegistry()
         engine = ParallelAnalysisEngine(
-            archive,
-            jobs=1,
-            chunk_size=5,
-            engine=engine_kind,
-            metrics=registry,
+            archive, jobs=1, chunk_size=5, engine=engine_kind
         )
         engine.analyze(persist=False)
         profile = engine.stage_profile
         engine.database.close()
-        return profile, registry
+        return profile
 
     def test_object_run_profiles_load_detect_quantify_merge(self, archive):
-        profile, registry = self._analyze(archive, "object")
+        profile = self._analyze(archive, "object")
         assert profile.chunks > 0
         for stage in ("load", "detect", "quantify", "merge"):
             assert profile.seconds[stage] > 0.0
         # The object path has no interning stage.
         assert profile.seconds["intern"] == 0.0
-        histogram = registry.histogram("analyze_stage_seconds")
-        assert histogram.count(stage="load") == profile.chunks
-        assert histogram.count(stage="merge") == 1
 
     def test_columnar_run_adds_the_intern_stage(self, archive):
-        profile, _registry = self._analyze(archive, "columnar")
+        profile = self._analyze(archive, "columnar")
         for stage in STAGES:
             assert profile.seconds[stage] > 0.0
 

@@ -7,7 +7,6 @@ from repro.archive.incremental import IncrementalAnalyzer
 from repro.archive.store import ArchiveBundleStore
 from repro.core.pipeline import AnalysisPipeline
 from repro.errors import ConfigError
-from repro.obs.registry import MetricsRegistry
 from repro.parallel import DetectorSpec, ParallelAnalysisEngine, default_jobs
 from repro.parallel.merge import report_bytes
 from tests.parallel.helpers import build_archive, descriptor_rows, write_rows
@@ -107,19 +106,6 @@ class TestPersistence:
         counts = engine.database.table_counts()
         assert counts["sandwiches"] == report.sandwich_count
         assert counts["defensive"] == report.defensive.length_one_total
-        engine.database.close()
-
-
-class TestInstrumentation:
-    def test_chunk_metrics_recorded(self, archive):
-        registry = MetricsRegistry()
-        engine = ParallelAnalysisEngine(
-            archive, jobs=1, chunk_size=10, metrics=registry
-        )
-        engine.analyze(persist=False)
-        assert registry.counter("parallel_chunks_total").value() == 5
-        assert registry.gauge("parallel_jobs").value() == 1
-        assert registry.gauge("parallel_chunks_pending").value() == 0
         engine.database.close()
 
 

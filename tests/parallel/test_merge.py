@@ -25,8 +25,6 @@ def outcome(index: int, landed: list[float], **overrides) -> ChunkOutcome:
             rejections_by_criterion={"same_mint_set": index + 1},
         ),
         "pending_detail_ids": (f"pending-{index}",),
-        "elapsed_seconds": 0.01,
-        "worker": "pid-test",
     }
     fields.update(overrides)
     return ChunkOutcome(**fields)

@@ -13,14 +13,14 @@ from repro.core.aggregate import HeadlineStats
 from repro.errors import StoreError
 from repro.explorer.wire import bundle_record_to_json
 from repro.serve.models import (
-    FinancialSummary,
     PageMeta,
-    StatusModel,
     detection_to_json,
+    financials_to_json,
     money,
     page_payload,
     render_bundle,
     render_bundle_page,
+    status_to_json,
 )
 from tests.archive.conftest import make_sandwich
 
@@ -35,6 +35,16 @@ class TestMoney:
     def test_negative_zero_normalized(self):
         assert money(-0.0, 6) == "0.000000"
         assert money(-1e-12, 6) == "0.000000"
+
+    def test_integer_renders(self):
+        assert money(3, 2) == "3.00"
+
+    @pytest.mark.parametrize(
+        "value", ["abc", b"1", float("inf"), -float("inf"), float("nan")]
+    )
+    def test_unservable_value_is_a_store_error(self, value):
+        with pytest.raises(StoreError, match="cannot be served as money"):
+            money(value, 6)
 
 
 class TestPageEnvelope:
@@ -237,35 +247,35 @@ class TestFinancialSummary:
         )
 
     def test_totals_at_two_places(self):
-        summary = FinancialSummary.from_headline(self._headline())
-        assert summary.victim_loss_usd == "123.46"
-        assert summary.attacker_gain_usd == "100.00"
+        payload = financials_to_json(self._headline())
+        assert payload["victimLossUsd"] == "123.46"
+        assert payload["attackerGainUsd"] == "100.00"
 
     def test_defensive_spend_at_four_places(self):
-        summary = FinancialSummary.from_headline(self._headline())
-        assert summary.defensive_spend_usd == "1.2346"
+        payload = financials_to_json(self._headline())
+        assert payload["defensiveSpendUsd"] == "1.2346"
 
     def test_median_none_survives(self):
-        payload = FinancialSummary.from_headline(self._headline()).to_json()
+        payload = financials_to_json(self._headline())
         assert payload["medianVictimLossUsd"] is None
         assert payload["sandwichCount"] == 4
 
     def test_fractions_at_six_places(self):
-        summary = FinancialSummary.from_headline(self._headline())
-        assert summary.non_sol_fraction == "0.250000"
-        assert summary.sandwich_bundle_fraction == "0.040000"
+        payload = financials_to_json(self._headline())
+        assert payload["nonSolFraction"] == "0.250000"
+        assert payload["sandwichBundleFraction"] == "0.040000"
 
 
 class TestStatusModel:
     def test_to_json_keys(self):
-        payload = StatusModel(
+        payload = status_to_json(
             bundles=1,
             transactions=2,
             sandwiches=3,
             defensive=4,
             pending_details=5,
             watermark="b1.t2.s3.d4",
-        ).to_json()
+        )
         assert payload == {
             "bundles": 1,
             "transactions": 2,

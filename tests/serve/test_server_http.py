@@ -396,10 +396,11 @@ class TestWatermarkReads:
 
 @pytest.fixture(scope="module")
 def planted(corpus_archive, tmp_path_factory):
-    """A copy of the corpus archive with three hostile rows, served beside
-    the clean original: an infinite ``landed_at`` in the first bundle and
-    in the first detection, and a malformed ``transaction_ids`` text in
-    the hundredth bundle.
+    """A copy of the corpus archive with hostile rows, served beside the
+    clean original: an infinite ``landed_at`` in the first bundle and in
+    the first detection, a malformed ``transaction_ids`` text in the
+    hundredth bundle, a text ``victim_loss_quote`` in the eleventh
+    detection and an infinite ``victim_loss_usd`` in the twelfth.
 
     Yields the server port and the ids that the targets below name.
     """
@@ -420,9 +421,17 @@ def planted(corpus_archive, tmp_path_factory):
             "malformed": bundle_id("bundles", 100),
             "detection": bundle_id("sandwiches", 1),
             "next_detection": bundle_id("sandwiches", 2),
+            "quote_detection": bundle_id("sandwiches", 11),
+            "usd_detection": bundle_id("sandwiches", 12),
         }
         copy.execute("UPDATE bundles SET landed_at = 9e999 WHERE seq = 1")
         copy.execute("UPDATE sandwiches SET landed_at = 9e999 WHERE seq = 1")
+        copy.execute(
+            "UPDATE sandwiches SET victim_loss_quote = 'abc' WHERE seq = 11"
+        )
+        copy.execute(
+            "UPDATE sandwiches SET victim_loss_usd = 9e999 WHERE seq = 12"
+        )
         copy.execute(
             "UPDATE bundles SET transaction_ids = '[1, 2]' WHERE seq = 100"
         )
@@ -461,9 +470,22 @@ class TestUnservableStoredValue:
              b"malformed transaction_ids"),
             ("/v1/bundles/{malformed}", "/v1/bundles/{next_bundle}",
              b"malformed transaction_ids"),
+            ("/v1/detections?limit=5&offset=10",
+             "/v1/detections?limit=5&offset=5",
+             b"'abc' cannot be served as money"),
+            ("/v1/detections/{quote_detection}",
+             "/v1/detections/{next_detection}",
+             b"'abc' cannot be served as money"),
+            ("/v1/detections/{usd_detection}",
+             "/v1/detections/{next_detection}",
+             b"inf cannot be served as money"),
+            ("/v1/financials", "/v1/status",
+             b"inf cannot be served as money"),
         ],
         ids=["bundles", "bundle", "detections", "detection",
-             "bundles-malformed-ids", "bundle-malformed-ids"],
+             "bundles-malformed-ids", "bundle-malformed-ids",
+             "detections-text-quote", "detection-text-quote",
+             "detection-infinite-usd", "financials-infinite-usd"],
     )
     def test_answers_500_and_keeps_serving(
         self, planted, server, planted_target, away_target, message

@@ -212,6 +212,14 @@ REFUSALS = {
         "serve", "--small", "--days", "1", "--port", "70000",
     ],
     "campaign-zero-days": ["campaign", "--small", "--days", "0"],
+    "campaign-checkpoint-every-zero": [
+        "campaign", "--small", "--days", "1", "--checkpoint-every", "0",
+        "--out", "{tmp}/out",
+    ],
+    "campaign-checkpoint-every-zero-with-archive": [
+        "campaign", "--small", "--days", "1", "--checkpoint-every", "0",
+        "--archive", "{tmp}/a.db", "--out", "{tmp}/out",
+    ],
     "campaign-negative-days": ["campaign", "--small", "--days", "-1"],
     "chaos-negative-days": ["chaos", "--small", "--days", "-1"],
     "serve-zero-days": ["serve", "--small", "--days", "0", "--port", "0"],
