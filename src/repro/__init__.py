@@ -15,8 +15,9 @@ The package is layered bottom-up:
   table/figure of the evaluation;
 - :mod:`repro.parallel` — the sharded multiprocess analysis engine,
   byte-identical to the serial pipeline at any job count;
-- :mod:`repro.obs` — metrics, span tracing, and structured event telemetry
-  across the whole pipeline (deterministic under the sim clock).
+- :mod:`repro.obs` — metrics, structured events, and the analysis stage
+  profile across the whole pipeline (metrics deterministic under the sim
+  clock).
 
 Quickstart::
 

@@ -7,7 +7,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.constants import LAMPORTS_PER_SOL
 from repro.errors import ConfigError, DexError
 from repro.dex.market import Market
 from repro.dex.oracle import PriceOracle
@@ -181,13 +180,6 @@ class WalletPool:
     def ensure_tokens(self, wallet: Keypair, mint: Pubkey, amount: int) -> None:
         """Credit the full token amount an upcoming submission needs."""
         self._bank.fund_tokens(wallet.pubkey, mint, amount)
-
-    def ensure_trading_balance(
-        self, wallet: Keypair, sol_tokens: int, fee_lamports: int = LAMPORTS_PER_SOL
-    ) -> None:
-        """Fund a wallet with wrapped SOL for trading plus lamports for fees."""
-        self.ensure_lamports(wallet, fee_lamports)
-        self.ensure_tokens(wallet, SOL_MINT.address, sol_tokens)
 
 
 def build_random_swap_instruction(

@@ -27,11 +27,6 @@ class AttackerProfile:
     tips_lamports: int
     victims: int
 
-    @property
-    def gain_per_attack_usd(self) -> float:
-        """Mean priced gain per attack."""
-        return self.gains_usd / self.attacks if self.attacks else 0.0
-
 
 @dataclass(frozen=True)
 class VictimProfile:

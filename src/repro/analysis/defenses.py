@@ -27,13 +27,6 @@ class DefenseOutcome:
     attacker_profit_quote: int
     victim_received: int
 
-    @property
-    def loss_per_unit(self) -> float:
-        """Loss normalized by what the victim received."""
-        if self.victim_received <= 0:
-            return 0.0
-        return self.victim_loss_quote / self.victim_received
-
 
 @dataclass
 class _PoolState:

@@ -275,58 +275,57 @@ class IncrementalAnalyzer:
                 different spec, or written before specs were stamped.
         """
         self.stage_profile = StageProfile(seconds={})
-        with self.metrics.span("analysis.incremental"):
-            state = self.load_state()
-            self._require_same_spec(state)
-            if self._is_no_op(state):
-                # Zero new bundles and nothing carried over: rebuild the
-                # report from what the archive already holds, write
-                # nothing (no analysis rows, no watermark bump).
-                report = self._build_report(
-                    DetectionStats(**state["state"].get("stats", {}))
-                )
-                self.metrics.counter(
-                    "archive_incremental_noop_total",
-                    "Incremental passes that found nothing new.",
-                ).inc()
-                self._runs_metric.inc()
-                return IncrementalResult(
-                    report=report,
-                    new_bundles=0,
-                    new_sandwiches=0,
-                    new_classified=0,
-                    pending_detail_bundles=len(
-                        state["state"].get("pending_ids", [])
-                    ),
-                    no_op=True,
-                )
-            delta = self._delta(state)
-            classified = delta.defensive.length_one_total
-            if not state["exists"]:
-                # No watermark: this pass covers the whole archive, so it
-                # replaces any rows a full pass left under another spec.
-                self._writer.record_analysis(delta)
-            else:
-                if delta.quantified:
-                    self._writer.record_sandwiches(delta.quantified)
-                if classified:
-                    self._writer.record_defensive(delta.defensive)
-
-            totals = self._totals(state, delta.stats)
-            carried = len(delta.pending_ids)
-            self._save_state(
-                delta.high_seq,
-                self.database.max_seq("transactions"),
-                sim_time,
-                {
-                    "pending_ids": delta.pending_ids,
-                    "stats": asdict(totals),
-                    "carried_skipped": carried,
-                    "spec": self.spec.canonical(),
-                },
+        state = self.load_state()
+        self._require_same_spec(state)
+        if self._is_no_op(state):
+            # Zero new bundles and nothing carried over: rebuild the
+            # report from what the archive already holds, write
+            # nothing (no analysis rows, no watermark bump).
+            report = self._build_report(
+                DetectionStats(**state["state"].get("stats", {}))
             )
+            self.metrics.counter(
+                "archive_incremental_noop_total",
+                "Incremental passes that found nothing new.",
+            ).inc()
+            self._runs_metric.inc()
+            return IncrementalResult(
+                report=report,
+                new_bundles=0,
+                new_sandwiches=0,
+                new_classified=0,
+                pending_detail_bundles=len(
+                    state["state"].get("pending_ids", [])
+                ),
+                no_op=True,
+            )
+        delta = self._delta(state)
+        classified = delta.defensive.length_one_total
+        if not state["exists"]:
+            # No watermark: this pass covers the whole archive, so it
+            # replaces any rows a full pass left under another spec.
+            self._writer.record_analysis(delta)
+        else:
+            if delta.quantified:
+                self._writer.record_sandwiches(delta.quantified)
+            if classified:
+                self._writer.record_defensive(delta.defensive)
 
-            report = self._build_report(totals)
+        totals = self._totals(state, delta.stats)
+        carried = len(delta.pending_ids)
+        self._save_state(
+            delta.high_seq,
+            self.database.max_seq("transactions"),
+            sim_time,
+            {
+                "pending_ids": delta.pending_ids,
+                "stats": asdict(totals),
+                "carried_skipped": carried,
+                "spec": self.spec.canonical(),
+            },
+        )
+
+        report = self._build_report(totals)
         self._runs_metric.inc()
         return IncrementalResult(
             report=report,

@@ -165,24 +165,23 @@ class ArchiveBundleStore(BundleStore):
         if count == 0:
             return 0
         conn = self.database.connection
-        with self.metrics.span("archive.flush"):
-            conn.executemany(
-                _INSERT_BUNDLE,
-                [bundle_to_row(r) for r in self._pending_bundles],
-            )
-            conn.executemany(
-                _INSERT_MEMBER,
-                [
-                    (tx_id, record.bundle_id, position)
-                    for record in self._pending_bundles
-                    for position, tx_id in enumerate(record.transaction_ids)
-                ],
-            )
-            conn.executemany(
-                _INSERT_DETAIL,
-                [detail_to_row(r) for r in self._pending_details],
-            )
-            conn.commit()
+        conn.executemany(
+            _INSERT_BUNDLE,
+            [bundle_to_row(r) for r in self._pending_bundles],
+        )
+        conn.executemany(
+            _INSERT_MEMBER,
+            [
+                (tx_id, record.bundle_id, position)
+                for record in self._pending_bundles
+                for position, tx_id in enumerate(record.transaction_ids)
+            ],
+        )
+        conn.executemany(
+            _INSERT_DETAIL,
+            [detail_to_row(r) for r in self._pending_details],
+        )
+        conn.commit()
         self._rows_metric.inc(len(self._pending_bundles), table="bundles")
         self._rows_metric.inc(
             len(self._pending_details), table="transactions"

@@ -204,38 +204,36 @@ class TxDetailFetcher:
         last_error: str | None = None
         retry_after_hint: float | None = None
         delay_spent = 0.0
-        with self.metrics.span("detail.fetch") as fetch_span:
-            while not backoff.exhausted():
-                retrying = backoff.attempts_made > 0
-                delay = backoff.next_delay()  # budget; sim time doesn't sleep
-                if retrying:
-                    if retry_after_hint is not None:
-                        delay = max(delay, retry_after_hint)
-                    budget = self.config.retry_budget_seconds
-                    if budget is not None and delay_spent + delay > budget:
-                        last_error = (
-                            f"retry budget of {budget}s exhausted: "
-                            f"{last_error}"
-                        )
-                        break
-                    delay_spent += delay
-                    self._retries_metric.inc()
-                try:
-                    records = self._client.transactions(batch)
-                except (
-                    RateLimitedError,
-                    ServiceUnavailableError,
-                    TransportError,
-                ) as exc:
-                    last_error = str(exc)
-                    retry_after_hint = getattr(exc, "retry_after", None)
-                    continue
-                stored = self._store.add_details(records)
-                self.batches_fetched += 1
-                self._batches_metric.inc(outcome="ok")
-                self._stored_metric.inc(stored)
-                return FetchResult(requested=len(batch), stored=stored)
-            fetch_span.fail("failed")
+        while not backoff.exhausted():
+            retrying = backoff.attempts_made > 0
+            delay = backoff.next_delay()  # budget; sim time doesn't sleep
+            if retrying:
+                if retry_after_hint is not None:
+                    delay = max(delay, retry_after_hint)
+                budget = self.config.retry_budget_seconds
+                if budget is not None and delay_spent + delay > budget:
+                    last_error = (
+                        f"retry budget of {budget}s exhausted: "
+                        f"{last_error}"
+                    )
+                    break
+                delay_spent += delay
+                self._retries_metric.inc()
+            try:
+                records = self._client.transactions(batch)
+            except (
+                RateLimitedError,
+                ServiceUnavailableError,
+                TransportError,
+            ) as exc:
+                last_error = str(exc)
+                retry_after_hint = getattr(exc, "retry_after", None)
+                continue
+            stored = self._store.add_details(records)
+            self.batches_fetched += 1
+            self._batches_metric.inc(outcome="ok")
+            self._stored_metric.inc(stored)
+            return FetchResult(requested=len(batch), stored=stored)
         self.batches_failed += 1
         self._batches_metric.inc(outcome="failed")
         return FetchResult(requested=len(batch), failed=True, error=last_error)

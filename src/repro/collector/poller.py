@@ -180,60 +180,58 @@ class BundlePoller:
         last_error: str | None = None
         retry_after_hint: float | None = None
         delay_spent = 0.0
-        with self.metrics.span("poll.fetch") as poll_span:
-            while not backoff.exhausted():
-                retrying = backoff.attempts_made > 0
-                delay = backoff.next_delay()  # budget; sim time does not sleep
-                if retrying:
-                    # Honor the server's Retry-After hint: back off at least
-                    # that long rather than hammering a limiter that already
-                    # said when capacity returns.
-                    if retry_after_hint is not None:
-                        delay = max(delay, retry_after_hint)
-                    budget = self.config.retry_budget_seconds
-                    if budget is not None and delay_spent + delay > budget:
-                        last_error = (
-                            f"retry budget of {budget}s exhausted: "
-                            f"{last_error}"
-                        )
-                        break
-                    delay_spent += delay
-                    self._retries_metric.inc()
-                    # The first draw is the initial attempt's budget, not a
-                    # retry delay; only actual retries belong in the series.
-                    self._backoff_metric.observe(delay)
-                try:
-                    records = self._client.recent_bundles(
-                        self.config.window_limit
+        while not backoff.exhausted():
+            retrying = backoff.attempts_made > 0
+            delay = backoff.next_delay()  # budget; sim time does not sleep
+            if retrying:
+                # Honor the server's Retry-After hint: back off at least
+                # that long rather than hammering a limiter that already
+                # said when capacity returns.
+                if retry_after_hint is not None:
+                    delay = max(delay, retry_after_hint)
+                budget = self.config.retry_budget_seconds
+                if budget is not None and delay_spent + delay > budget:
+                    last_error = (
+                        f"retry budget of {budget}s exhausted: "
+                        f"{last_error}"
                     )
-                except BadRequestError:
-                    raise  # a programming error, not a transient condition
-                except (
-                    RateLimitedError,
-                    ServiceUnavailableError,
-                    TransportError,
-                ) as exc:
-                    last_error = str(exc)
-                    retry_after_hint = getattr(exc, "retry_after", None)
-                    self._errors_metric.inc(kind=_error_kind(exc))
-                    continue
-                new_bundles = self._store.add_bundles(records)
-                overlapped = self._coverage.observe_success(
-                    poll_time=now,
-                    returned_ids=[record.bundle_id for record in records],
-                    new_bundles=new_bundles,
+                    break
+                delay_spent += delay
+                self._retries_metric.inc()
+                # The first draw is the initial attempt's budget, not a
+                # retry delay; only actual retries belong in the series.
+                self._backoff_metric.observe(delay)
+            try:
+                records = self._client.recent_bundles(
+                    self.config.window_limit
                 )
-                self._polls_metric.inc(status="ok")
-                self._returned_metric.inc(len(records))
-                self._new_metric.inc(new_bundles)
-                self._overlap_metric.set(self._coverage.overlap_fraction())
-                return PollResult(
-                    status=PollStatus.OK,
-                    returned=len(records),
-                    new_bundles=new_bundles,
-                    overlapped=overlapped,
-                )
-            poll_span.fail("exhausted")
+            except BadRequestError:
+                raise  # a programming error, not a transient condition
+            except (
+                RateLimitedError,
+                ServiceUnavailableError,
+                TransportError,
+            ) as exc:
+                last_error = str(exc)
+                retry_after_hint = getattr(exc, "retry_after", None)
+                self._errors_metric.inc(kind=_error_kind(exc))
+                continue
+            new_bundles = self._store.add_bundles(records)
+            overlapped = self._coverage.observe_success(
+                poll_time=now,
+                returned_ids=[record.bundle_id for record in records],
+                new_bundles=new_bundles,
+            )
+            self._polls_metric.inc(status="ok")
+            self._returned_metric.inc(len(records))
+            self._new_metric.inc(new_bundles)
+            self._overlap_metric.set(self._coverage.overlap_fraction())
+            return PollResult(
+                status=PollStatus.OK,
+                returned=len(records),
+                new_bundles=new_bundles,
+                overlapped=overlapped,
+            )
         self._coverage.observe_failure(now)
         self._polls_metric.inc(status="failed")
         self._overlap_metric.set(self._coverage.overlap_fraction())

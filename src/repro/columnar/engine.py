@@ -16,7 +16,8 @@ The analysis is split at the I/O boundary into
 picklable-free in-memory :class:`ColumnarChunkPayload`) and
 :func:`compute_chunk_columnar` (pure in-memory mask evaluation). The
 split is the stage-profiling seam: load time is measured around the
-former, intern/detect/quantify around the latter's phases.
+former (by :func:`~repro.parallel.worker.iter_batch_outcomes`),
+intern/detect/quantify around the latter's phases.
 
 Only the standard length-three detector is supported; the windowed
 detector's overlapping-window scan has no columnar formulation yet and
@@ -71,7 +72,6 @@ class ColumnarChunkPayload:
     block: BundleBlock
     candidate_indexes: list[int]
     payloads: dict[str, TxPayload]
-    load_seconds: float = 0.0
 
 
 def load_chunk_columnar(
@@ -90,7 +90,6 @@ def load_chunk_columnar(
     """
     task.validate()
     require_columnar_spec(task.spec)
-    started = time.perf_counter()
     if task.bundle_ids:
         block = load_bundle_block_for_ids(query, task.bundle_ids)
     else:
@@ -120,7 +119,6 @@ def load_chunk_columnar(
         block=block,
         candidate_indexes=candidate_indexes,
         payloads=payloads,
-        load_seconds=time.perf_counter() - started,
     )
 
 
@@ -191,7 +189,6 @@ def compute_chunk_columnar(
         stats=stats,
         pending_detail_ids=split.pending,
         stage_seconds=(
-            ("load", payload.load_seconds),
             ("intern", intern_seconds),
             ("detect", detect_seconds),
             ("quantify", quantify_seconds),

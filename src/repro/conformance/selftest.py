@@ -343,62 +343,61 @@ def run_selftest(
         else Path(tempfile.mkdtemp(prefix="repro-selftest-"))
     )
     try:
-        with metrics.span("conformance.selftest", level=level):
-            runner.run("golden", "corpus", _golden_check(corpus))
-            for seed in seeds:
-                scenario = selftest_scenario(seed, bundles=bundles)
-                runner.run(
-                    "differential",
-                    f"seed-{seed}",
-                    _differential_check(
-                        scenario, scratch_root / "differential", jobs
-                    ),
-                )
-                runner.run(
-                    "metamorphic", f"seed-{seed}", _metamorphic_check(scenario)
-                )
-            from repro.scenarios.packs import CORPUS_PACKS
-
-            for pack in CORPUS_PACKS:
-                runner.run(
-                    "pack",
-                    pack.name,
-                    _pack_differential_check(
-                        pack, scratch_root / "packs", jobs
-                    ),
-                )
-            sensitivity = selftest_scenario(seeds[0], bundles=60)
+        runner.run("golden", "corpus", _golden_check(corpus))
+        for seed in seeds:
+            scenario = selftest_scenario(seed, bundles=bundles)
             runner.run(
-                "oracle",
-                "sensitivity",
-                _oracle_sensitivity_check(
-                    sensitivity, scratch_root / "sensitivity"
+                "differential",
+                f"seed-{seed}",
+                _differential_check(
+                    scenario, scratch_root / "differential", jobs
                 ),
             )
-            if level == "full":
-                for seed in seeds:
-                    stress = SyntheticScenario(
-                        name=f"full-stress-{seed}",
-                        seed=seed,
-                        bundles=bundles,
-                        attacker_density=0.25,
-                        tie_every=2,
-                        pending_fraction=0.3,
-                        tip_regime="high",
-                        description="full-level stress scenario",
-                    )
-                    runner.run(
-                        "differential",
-                        f"stress-seed-{seed}",
-                        _differential_check(
-                            stress, scratch_root / "stress", jobs
-                        ),
-                    )
-                runner.run(
-                    "stream",
-                    f"chaos-equivalence-seed-{seeds[0]}",
-                    _stream_equivalence_check(seeds[0]),
+            runner.run(
+                "metamorphic", f"seed-{seed}", _metamorphic_check(scenario)
+            )
+        from repro.scenarios.packs import CORPUS_PACKS
+
+        for pack in CORPUS_PACKS:
+            runner.run(
+                "pack",
+                pack.name,
+                _pack_differential_check(
+                    pack, scratch_root / "packs", jobs
+                ),
+            )
+        sensitivity = selftest_scenario(seeds[0], bundles=60)
+        runner.run(
+            "oracle",
+            "sensitivity",
+            _oracle_sensitivity_check(
+                sensitivity, scratch_root / "sensitivity"
+            ),
+        )
+        if level == "full":
+            for seed in seeds:
+                stress = SyntheticScenario(
+                    name=f"full-stress-{seed}",
+                    seed=seed,
+                    bundles=bundles,
+                    attacker_density=0.25,
+                    tie_every=2,
+                    pending_fraction=0.3,
+                    tip_regime="high",
+                    description="full-level stress scenario",
                 )
+                runner.run(
+                    "differential",
+                    f"stress-seed-{seed}",
+                    _differential_check(
+                        stress, scratch_root / "stress", jobs
+                    ),
+                )
+            runner.run(
+                "stream",
+                f"chaos-equivalence-seed-{seeds[0]}",
+                _stream_equivalence_check(seeds[0]),
+            )
     finally:
         if workdir is None:
             cleanup_workdir(scratch_root)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.constants import LAMPORTS_PER_SOL
 from repro.core.defensive import DefensiveReport
 from repro.core.quantify import QuantifiedSandwich
 from repro.dex.oracle import PriceOracle
@@ -107,16 +106,3 @@ def headline_stats(
         poll_overlap_fraction=poll_overlap_fraction,
         losses_usd=[loss for loss in losses if loss > 0],
     )
-
-
-def total_loss_sol(quantified: list[QuantifiedSandwich], oracle: PriceOracle) -> float:
-    """Total victim losses in SOL across priced sandwiches."""
-    return (
-        sum(q.victim_loss_usd for q in quantified if q.victim_loss_usd is not None)
-        / oracle.usd_per_sol
-    )
-
-
-def lamports_to_sol(lamports: float) -> float:
-    """Convenience conversion used across analyses."""
-    return lamports / LAMPORTS_PER_SOL

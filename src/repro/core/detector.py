@@ -48,11 +48,6 @@ class SandwichDetector:
         self._skip = frozenset(skip_criteria)
         self.stats = DetectionStats()
 
-    @property
-    def skipped_criteria(self) -> frozenset[str]:
-        """Criteria this detector bypasses."""
-        return self._skip
-
     def detect_view(self, view: BundleView) -> SandwichEvent | None:
         """Evaluate one bundle view; returns the event if all criteria pass."""
         self.stats.bundles_examined += 1

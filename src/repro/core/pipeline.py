@@ -134,17 +134,16 @@ class AnalysisPipeline:
         poll_overlap_fraction: float | None = None,
     ) -> AnalysisReport:
         """Run the full analysis over a collected store."""
-        with self.metrics.span("analysis.pipeline"):
-            detector = self.spec.build_detector()
-            events = detector.detect_all(store)
-            report = assemble_report(
-                self.quantifier.quantify_all(events),
-                self.spec.build_classifier().classify(store),
-                detector.stats,
-                bundles_collected=len(store),
-                oracle=self.oracle,
-                poll_overlap_fraction=poll_overlap_fraction,
-            )
+        detector = self.spec.build_detector()
+        events = detector.detect_all(store)
+        report = assemble_report(
+            self.quantifier.quantify_all(events),
+            self.spec.build_classifier().classify(store),
+            detector.stats,
+            bundles_collected=len(store),
+            oracle=self.oracle,
+            poll_overlap_fraction=poll_overlap_fraction,
+        )
         publish_detection_metrics(self.metrics, report)
         # Archive-backed stores persist detections; duck-typed so this
         # module never imports repro.archive (which imports repro.core).

@@ -33,10 +33,6 @@ class PriceOracle:
         """Convert lamports to USD."""
         return lamports / LAMPORTS_PER_SOL * self._usd_per_sol
 
-    def lamports_to_sol(self, lamports: int | float) -> float:
-        """Convert lamports to SOL."""
-        return lamports / LAMPORTS_PER_SOL
-
     def usd_to_lamports(self, usd: float) -> int:
         """Convert USD to lamports (rounded to the nearest lamport)."""
         return int(round(usd / self._usd_per_sol * LAMPORTS_PER_SOL))

@@ -75,10 +75,6 @@ class EmptyBundleError(BundleError):
     """A bundle must contain at least one transaction."""
 
 
-class BundleExecutionError(BundleError):
-    """A transaction inside a bundle failed, so the whole bundle was dropped."""
-
-
 class DuplicateTransactionError(BundleError):
     """The same transaction appeared twice within one bundle."""
 

@@ -12,9 +12,10 @@ on:
   the identical remaining schedule.
 
 Injected faults are never silent: each one lands in the replayable fault
-log, increments ``faults_injected_total{kind,endpoint}``, and (when an
-event log is attached) emits a WARNING event with ``injected=True`` so
-operators can tell injected failures from organic ones.
+log (seq, sim time, endpoint, kind and fields; ``repro chaos`` writes it
+to ``fault_log.jsonl`` and checkpoints carry it) and increments
+``faults_injected_total{kind,endpoint}``, so operators can tell injected
+failures from organic ones.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.errors import (
 )
 from repro.faults.model import ERROR_KINDS, FaultKind, FaultSpec, InjectedFault
 from repro.faults.plan import FaultPlan
-from repro.obs.events import EventLog
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.utils.rng import DeterministicRNG
 from repro.utils.simtime import SECONDS_PER_DAY, SimClock
@@ -82,12 +82,10 @@ class FaultInjector:
         rng: DeterministicRNG,
         clock: SimClock,
         metrics: MetricsRegistry | None = None,
-        events: EventLog | None = None,
     ) -> None:
         self.plan = plan
         self._rng = rng
         self._clock = clock
-        self._events = events
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._injected_metric = self.metrics.counter(
             "faults_injected_total",
@@ -115,16 +113,6 @@ class FaultInjector:
         )
         self.log.append(fault)
         self._injected_metric.inc(kind=kind.value, endpoint=endpoint)
-        if self._events is not None:
-            self._events.warning(
-                "faults",
-                f"injected {kind.value} on {endpoint}",
-                injected=True,
-                kind=kind.value,
-                endpoint=endpoint,
-                seq=fault.seq,
-                **fields,
-            )
         return fault
 
     def intercept(self, endpoint: str) -> FaultDecision | None:

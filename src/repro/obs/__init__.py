@@ -7,7 +7,6 @@ scraper was doing. This package gives the reproduction the same eyes:
 - :mod:`repro.obs.registry` — counters, gauges, fixed-bucket histograms,
   and the :class:`MetricsRegistry` that holds them (plus the inert
   :data:`NULL_REGISTRY` for disabled mode);
-- :mod:`repro.obs.spans` — ``with registry.span("poll.fetch"):`` timing;
 - :mod:`repro.obs.events` — structured event logging with console, JSONL,
   and in-memory sinks;
 - :mod:`repro.obs.export` — Prometheus text, JSON snapshots, summary
@@ -18,11 +17,11 @@ scraper was doing. This package gives the reproduction the same eyes:
 Determinism contract: recording is passive (no RNG draws, no clock
 advances) and every value that feeds a report derives from the injected
 sim-time clock — so instrumented and uninstrumented replays of the same
-seed produce byte-identical analysis output. The wall-clock profile is
-the one reader of the real clock, and it never feeds a deterministic
-output: its seconds go to the ``--profile`` table and benchmark
-records, never into ``report.txt``, a golden fixture or a sim-time
-metric.
+seed produce byte-identical analysis output. The stage profile is the
+package's one timing system. It reads the wall clock, so it never feeds
+a deterministic output: its seconds go to the ``--profile`` table and
+benchmark records, never into ``report.txt``, a golden fixture or a
+sim-time metric.
 """
 
 from repro.obs.events import (
@@ -49,7 +48,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     NullRegistry,
 )
-from repro.obs.spans import SpanHandle, span_context
 
 __all__ = [
     "ConsoleSink",
@@ -65,11 +63,9 @@ __all__ = [
     "NULL_REGISTRY",
     "NullRegistry",
     "Severity",
-    "SpanHandle",
     "load_snapshot",
     "render_pipeline_health",
     "render_prometheus",
     "render_summary",
     "save_snapshot",
-    "span_context",
 ]

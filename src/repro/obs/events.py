@@ -8,9 +8,9 @@ message, and structured fields — fanned out to pluggable sinks:
 - :class:`JsonlSink` appends one JSON object per event for machines;
 - :class:`MemorySink` buffers events for tests and in-process inspection.
 
-Timestamps come from an injectable clock (the sim clock in campaigns), and
-are attached to the record, never interpolated into the message — so the
-console rendering carries no nondeterministic text.
+Every event reaches every sink. A record carries no timestamp, so the
+console rendering and the JSONL records of a seeded run carry no
+nondeterministic text beyond what the fields themselves hold.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterable
+from typing import IO, Iterable
 
 
 class Severity(enum.IntEnum):
-    """Event severity, ordered so sinks can threshold numerically."""
+    """Event severity; a JSONL record names it."""
 
     DEBUG = 10
     INFO = 20
@@ -40,7 +40,6 @@ class Event:
     component: str
     message: str
     fields: dict = field(default_factory=dict)
-    time: float | None = None
 
     def to_json(self) -> dict:
         """JSON-serializable form (severity as its name)."""
@@ -51,26 +50,17 @@ class Event:
         }
         if self.fields:
             record["fields"] = self.fields
-        if self.time is not None:
-            record["time"] = self.time
         return record
 
 
 class ConsoleSink:
     """Plain-text sink: writes just the message, like the prints it replaced."""
 
-    def __init__(
-        self,
-        stream: IO[str] | None = None,
-        min_severity: Severity = Severity.DEBUG,
-    ) -> None:
+    def __init__(self, stream: IO[str] | None = None) -> None:
         self._stream = stream
-        self.min_severity = min_severity
 
     def write(self, event: Event) -> None:
         """Print the event's message to the configured stream."""
-        if event.severity < self.min_severity:
-            return
         stream = self._stream if self._stream is not None else sys.stderr
         print(event.message, file=stream)
 
@@ -120,23 +110,12 @@ class EventLog:
     telemetry).
     """
 
-    def __init__(
-        self,
-        sinks: Iterable = (),
-        time_fn: Callable[[], float] | None = None,
-        min_severity: Severity = Severity.DEBUG,
-    ) -> None:
+    def __init__(self, sinks: Iterable = ()) -> None:
         self._sinks: list = list(sinks)
-        self._time_fn = time_fn
-        self.min_severity = min_severity
 
     def add_sink(self, sink) -> None:
         """Attach another sink."""
         self._sinks.append(sink)
-
-    def set_time_fn(self, time_fn: Callable[[], float]) -> None:
-        """Bind the clock events are stamped with (e.g. a SimClock)."""
-        self._time_fn = time_fn
 
     def emit(
         self,
@@ -145,30 +124,20 @@ class EventLog:
         message: str,
         **fields,
     ) -> Event:
-        """Build, stamp, and fan out one event; returns the record."""
+        """Build one event and hand it to every sink; returns the record."""
         event = Event(
             severity=severity,
             component=component,
             message=message,
             fields=fields,
-            time=self._time_fn() if self._time_fn is not None else None,
         )
-        if severity >= self.min_severity:
-            for sink in self._sinks:
-                sink.write(event)
+        for sink in self._sinks:
+            sink.write(event)
         return event
-
-    def debug(self, component: str, message: str, **fields) -> Event:
-        """Emit at DEBUG."""
-        return self.emit(Severity.DEBUG, component, message, **fields)
 
     def info(self, component: str, message: str, **fields) -> Event:
         """Emit at INFO."""
         return self.emit(Severity.INFO, component, message, **fields)
-
-    def warning(self, component: str, message: str, **fields) -> Event:
-        """Emit at WARNING."""
-        return self.emit(Severity.WARNING, component, message, **fields)
 
     def error(self, component: str, message: str, **fields) -> Event:
         """Emit at ERROR."""

@@ -6,8 +6,9 @@ Two properties matter for a measurement reproduction:
 - **Determinism** — metric *values* that feed reports are derived from the
   injectable sim-time clock (see :mod:`repro.utils.simtime`), never the
   ambient wall clock, so replays of the same seed produce identical
-  numbers. Wall-clock throughput gauges exist (the engine records them)
-  but are excluded from report rendering by construction.
+  numbers. The wall-clock series that exist (archive query, API request
+  and selftest check latencies) are excluded from report rendering by
+  construction.
 - **Passivity** — recording a metric never draws randomness, advances the
   clock, or raises on the hot path, so instrumented and uninstrumented
   runs produce byte-identical analysis output.
@@ -24,8 +25,8 @@ from typing import Callable, Iterator
 
 from repro.errors import ConfigError
 
-#: Default histogram buckets, in seconds: spans from sub-millisecond local
-#: work up to the five-minute backoff cap.
+#: Default histogram buckets, in seconds: from sub-millisecond local work
+#: up to the five-minute backoff cap.
 DEFAULT_BUCKETS: tuple[float, ...] = (
     0.001,
     0.005,
@@ -239,10 +240,11 @@ class Histogram(Metric):
 class MetricsRegistry:
     """Creates and holds metric families; renders deterministic snapshots.
 
-    ``time_fn`` is the clock spans and the snapshot timestamp read. Wire
-    the campaign's :class:`~repro.utils.simtime.SimClock` here (the
-    measurement campaign does this automatically) so every recorded time
-    is simulated, reproducible time.
+    ``time_fn`` is the clock the snapshot's ``captured_at`` reads (the
+    report's ``checkpoint_age_s`` is measured from it). Wire the
+    campaign's :class:`~repro.utils.simtime.SimClock` here (the
+    measurement campaign does this automatically) so that timestamp is
+    simulated, reproducible time.
     """
 
     def __init__(self, time_fn: Callable[[], float] | None = None) -> None:
@@ -300,12 +302,6 @@ class MetricsRegistry:
     def get(self, name: str) -> Metric | None:
         """Look up a registered family by name."""
         return self._metrics.get(name)
-
-    def span(self, name: str, **labels: str):
-        """Open a timed span; see :func:`repro.obs.spans.span_context`."""
-        from repro.obs.spans import span_context
-
-        return span_context(self, name, **labels)
 
     def snapshot(self) -> dict:
         """A JSON-serializable, deterministically ordered snapshot.
@@ -368,21 +364,6 @@ class _NullHistogram:
         return 0.0
 
 
-class _NullSpan:
-    """No-op context manager returned by :meth:`NullRegistry.span`."""
-
-    outcome = "ok"
-
-    def fail(self, outcome: str = "error") -> None:
-        """Discard the outcome override."""
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-
 class NullRegistry(MetricsRegistry):
     """A registry that records nothing — the disabled-observability mode.
 
@@ -393,7 +374,6 @@ class NullRegistry(MetricsRegistry):
     _COUNTER = _NullCounter()
     _GAUGE = _NullGauge()
     _HISTOGRAM = _NullHistogram()
-    _SPAN = _NullSpan()
 
     def __init__(self) -> None:
         super().__init__()
@@ -422,10 +402,6 @@ class NullRegistry(MetricsRegistry):
     ) -> Histogram:
         """The shared inert histogram."""
         return self._HISTOGRAM  # type: ignore[return-value]
-
-    def span(self, name: str, **labels: str):
-        """The shared inert span context."""
-        return self._SPAN
 
     def snapshot(self) -> dict:
         """An empty snapshot (schema header, no metric families)."""

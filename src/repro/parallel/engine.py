@@ -168,23 +168,22 @@ class ParallelAnalysisEngine:
         :meth:`ArchiveBundleStore.record_analysis`, the serial pipeline's
         hook.
         """
-        with self.metrics.span("parallel.analyze"):
-            self.stage_profile = StageProfile()
-            chunks = self.query.chunk_plan(self.chunk_size)
-            tasks = self.tasks_for_chunks(chunks)
-            outcomes = self.run_tasks(tasks)
-            with StageTimer(self.stage_profile, "merge"):
-                merged = merge_outcomes(
-                    outcomes,
-                    threshold_lamports=self.spec.threshold_lamports,
-                )
-                report = self.build_report(
-                    merged, poll_overlap_fraction=poll_overlap_fraction
-                )
-            if persist:
-                ArchiveBundleStore(
-                    self.database, metrics=self.metrics
-                ).record_analysis(report)
+        self.stage_profile = StageProfile()
+        chunks = self.query.chunk_plan(self.chunk_size)
+        tasks = self.tasks_for_chunks(chunks)
+        outcomes = self.run_tasks(tasks)
+        with StageTimer(self.stage_profile, "merge"):
+            merged = merge_outcomes(
+                outcomes,
+                threshold_lamports=self.spec.threshold_lamports,
+            )
+            report = self.build_report(
+                merged, poll_overlap_fraction=poll_overlap_fraction
+            )
+        if persist:
+            ArchiveBundleStore(
+                self.database, metrics=self.metrics
+            ).record_analysis(report)
         return report
 
     def build_report(

@@ -5,16 +5,17 @@ Every chunk's work is split at the I/O boundary into a *load* stage
 (:func:`compute_task`, pure in-memory detection); the task's ``engine``
 picks the object or the columnar implementation of each. Every caller runs
 chunks through :func:`iter_batch_outcomes`, which loads and then computes
-each chunk in turn on one connection, on the calling thread. The
-``jobs=1`` engine calls it on its own connection; under ``--jobs`` each
-pool worker runs :func:`run_chunk_batch` once, over its round-robin share
-of the tasks, on the read-only connection its pool initializer opened.
+each chunk in turn on one connection, on the calling thread, and times
+the load itself. The ``jobs=1`` engine calls it on its own connection;
+under ``--jobs`` each pool worker runs :func:`run_chunk_batch` once, over
+its round-robin share of the tasks, on the read-only connection its pool
+initializer opened.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from repro.archive.database import ArchiveDatabase
@@ -67,14 +68,6 @@ def classification_fields(report: DefensiveReport) -> dict:
     }
 
 
-@dataclass
-class ObjectChunkPayload:
-    """The object path's loaded working set, ready for pure compute."""
-
-    mini: BundleStore
-    load_seconds: float = 0.0
-
-
 def init_worker(archive_path: str) -> None:
     """Pool initializer: open the archive read-only, once per process."""
     global _WORKER_DB
@@ -90,7 +83,8 @@ def run_chunk_batch(tasks: tuple[ChunkTask, ...]) -> list[ChunkOutcome]:
 def load_task(database: ArchiveDatabase, task: ChunkTask):
     """Run one task's *load* stage (every SQLite round-trip it needs).
 
-    The returned payload is engine-specific but always self-contained:
+    The returned payload is engine-specific but always self-contained (the
+    object engine's is the chunk's mini :class:`BundleStore`):
     :func:`compute_task` never touches the database, so the stage profile
     can time the two stages apart.
     """
@@ -99,11 +93,7 @@ def load_task(database: ArchiveDatabase, task: ChunkTask):
 
         return load_chunk_columnar(ArchiveQuery(database), task)
     task.validate()
-    started = time.perf_counter()
-    mini = _load_mini_store(database, task)
-    return ObjectChunkPayload(
-        mini=mini, load_seconds=time.perf_counter() - started
-    )
+    return _load_mini_store(database, task)
 
 
 def compute_task(task: ChunkTask, payload, intern=None) -> ChunkOutcome:
@@ -120,8 +110,9 @@ def iter_batch_outcomes(
 ) -> Iterator[ChunkOutcome]:
     """Load then compute each of ``tasks`` on ``database``, in order.
 
-    Columnar tasks share one :class:`~repro.columnar.blocks.InternPool`
-    across the batch.
+    The load is timed here, and its ``("load", seconds)`` leads each
+    outcome's ``stage_seconds``. Columnar tasks share one
+    :class:`~repro.columnar.blocks.InternPool` across the batch.
     """
     intern = None
     if any(task.engine == "columnar" for task in tasks):
@@ -129,7 +120,17 @@ def iter_batch_outcomes(
 
         intern = InternPool()
     for task in tasks:
-        yield compute_task(task, load_task(database, task), intern=intern)
+        started = time.perf_counter()
+        payload = load_task(database, task)
+        load_seconds = time.perf_counter() - started
+        outcome = compute_task(task, payload, intern=intern)
+        # Free the chunk's working set before the caller resumes: held
+        # across the yield, it would still be alive during the next load.
+        del payload
+        yield replace(
+            outcome,
+            stage_seconds=(("load", load_seconds), *outcome.stage_seconds),
+        )
 
 
 def _load_mini_store(database: ArchiveDatabase, task: ChunkTask) -> BundleStore:
@@ -162,9 +163,7 @@ def _load_mini_store(database: ArchiveDatabase, task: ChunkTask) -> BundleStore:
     return mini
 
 
-def _compute_object_chunk(
-    task: ChunkTask, payload: ObjectChunkPayload
-) -> ChunkOutcome:
+def _compute_object_chunk(task: ChunkTask, mini: BundleStore) -> ChunkOutcome:
     """Detector, quantifier, classifier over a loaded object working set.
 
     This is deliberately the same sequence the serial pipeline runs — in
@@ -172,7 +171,6 @@ def _compute_object_chunk(
     the merged result follows from each chunk being analyzed in
     collection order and the reducer preserving chunk order.
     """
-    mini = payload.mini
     spec = task.spec
 
     detect_started = time.perf_counter()
@@ -201,7 +199,6 @@ def _compute_object_chunk(
         stats=detector.stats,
         pending_detail_ids=pending,
         stage_seconds=(
-            ("load", payload.load_seconds),
             ("detect", detect_seconds),
             ("quantify", quantify_seconds),
         ),

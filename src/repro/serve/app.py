@@ -188,13 +188,20 @@ class ArchiveApiApp:
         status = 500
         try:
             parts = urlsplit(target)
-            segments = tuple(filter(None, parts.path.split("/")))
+            # An origin-form target is all path up to its query or
+            # fragment; urlsplit would read a leading "//" as a host.
+            path = (
+                target.split("?", 1)[0].split("#", 1)[0]
+                if target.startswith("/")
+                else parts.path
+            )
+            segments = tuple(filter(None, path.split("/")))
             route, captured = _FIXED.get(segments), ()
             if route is None and segments:
                 route, captured = _CAPTURING.get(segments[:-1]), segments[-1:]
             if route is None:
                 status = 404
-                return 404, {"error": f"no route {parts.path}"}, {}
+                return 404, {"error": f"no route {path}"}, {}
             if method not in ("GET", "HEAD"):
                 # A HEAD runs as its GET; the server drops the body.
                 status = 405
@@ -277,14 +284,23 @@ class ArchiveApiApp:
         cached as it is; any other result is rendered canonically here. A
         stored value JSON cannot carry raises :class:`StoreError`, which
         the server answers with a 500: the request was fine, the archive
-        is not.
+        is not. A miss is counted once the handler has run, unless it
+        refused the request: a 400 is neither a hit nor a miss.
         """
         token = self._token()
         key = (route[0], captured, tuple(sorted(query_params.items())))
         entry = self.cache.get(token, key)
         if entry is None:
-            self._cache_metric.inc(outcome="miss")
-            result = self._call(route, captured, query_params)
+            refused = False
+            try:
+                result = self._call(route, captured, query_params)
+            except (ValueError, ConfigError):
+                refused = True
+                raise
+            finally:
+                if not refused:
+                    self.cache.count_miss()
+                    self._cache_metric.inc(outcome="miss")
             if result is None:
                 # Absence is watermark-dependent too, but a 404 is cheap
                 # to recompute and caching it would complicate the

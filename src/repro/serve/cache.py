@@ -83,15 +83,22 @@ class ResponseCache:
             self._token = token
 
     def get(self, token: str, key: Hashable) -> CacheEntry | None:
-        """The entry for ``key`` under watermark ``token``, if still valid."""
+        """The entry for ``key`` under watermark ``token``, if still valid.
+
+        A hit is counted here. A miss is counted by :meth:`count_miss`,
+        once the caller has answered the request it could not serve.
+        """
         self._roll_generation(token)
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
         return entry
+
+    def count_miss(self) -> None:
+        """Count one lookup that found no entry and was then answered."""
+        self.misses += 1
 
     def put(self, token: str, key: Hashable, entry: CacheEntry) -> None:
         """Store an entry built under watermark ``token``."""

@@ -141,10 +141,6 @@ class Bank:
         key = (owner, mint)
         self._token_balances[key] = self._token_balances.get(key, 0) + amount
 
-    def account_exists(self, pubkey: Pubkey) -> bool:
-        """Whether the bank knows this account."""
-        return pubkey in self._accounts
-
     # --- BankView interface (used by program processors) ----------------------
 
     def lamport_balance(self, pubkey: Pubkey) -> int:

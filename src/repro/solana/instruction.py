@@ -58,10 +58,6 @@ class Instruction:
         """All accounts this instruction requires signatures from."""
         return [meta.pubkey for meta in self.accounts if meta.is_signer]
 
-    def writable_keys(self) -> list[Pubkey]:
-        """All accounts this instruction may mutate."""
-        return [meta.pubkey for meta in self.accounts if meta.is_writable]
-
     def payload(self) -> dict:
         """Decode ``data`` as a UTF-8 JSON object (decoded afresh per call).
 

@@ -8,7 +8,11 @@ read by the next. Each digest below covers one JSON column, its rows
 ordered by key, and was recorded before the archive's JSON encoding moved
 to :mod:`repro.utils.serialization`'s codec; the finished-marker
 checkpoint's, once its metrics snapshot held no wall-clock value. A digest
-may only move with a schema version bump.
+may only move with a schema version bump. The two checkpoint digests were
+recorded again once, when the campaign's metrics snapshot lost the
+``span_duration_seconds`` and ``span_total`` families, which never held a
+nonzero duration: each payload then equalled its predecessor re-encoded
+with those two families dropped.
 """
 
 from __future__ import annotations
@@ -65,12 +69,12 @@ PINNED = {
     "checkpoints.payload": (
         "SELECT payload FROM checkpoints WHERE payload NOT LIKE "
         "'%\"finished\": true%' ORDER BY checkpoint_id",
-        "c93f6874e626e1b88931f0fc5f77770f02f2e04ba4d7da156ba42622c7a6b572",
+        "5920c876710798cf01e828cb6f7f108b21e59d9a398f5953a8fc9cd2b1021c32",
     ),
     "checkpoints.payload.finished": (
         "SELECT payload FROM checkpoints WHERE payload LIKE "
         "'%\"finished\": true%' ORDER BY checkpoint_id",
-        "c62d147b54ed83c7599e220c72a196087a4a9f2308394ee165dc6fa4cbe89b89",
+        "32090f9047c19555f69765033c8d69569dcbef51df0a84ef806c8fe6d8b7f777",
     ),
 }
 

@@ -2,7 +2,6 @@
 
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.faults.model import OutageWindow
-from repro.obs.events import EventLog, MemorySink
 from repro.obs.registry import MetricsRegistry
 from repro.utils.rng import DeterministicRNG
 from repro.utils.simtime import SECONDS_PER_DAY, SimClock
@@ -122,19 +121,6 @@ class TestObservability:
         assert series["value"] == 7
         intercepted = snapshot["metrics"]["faults_intercepted_requests_total"]
         assert intercepted["series"][0]["value"] == 7
-
-    def test_events_are_marked_injected(self):
-        sink = MemorySink()
-        events = EventLog(sinks=[sink])
-        plan = FaultPlan(
-            name="always", specs=(FaultSpec(FaultKind.RATE_LIMIT, 1.0),)
-        )
-        injector = make_injector(plan, events=events)
-        injector.intercept("transactions")
-        (event,) = sink.events
-        assert event.fields["injected"] is True
-        assert event.fields["kind"] == "rate_limit"
-        assert event.fields["endpoint"] == "transactions"
 
     def test_counts_by_kind_sorted(self):
         injector = make_injector(FLAKY)

@@ -1,4 +1,4 @@
-"""Structured event log tests: sinks, severities, timestamps."""
+"""Structured event log tests: records, sinks, severities."""
 
 import io
 import json
@@ -10,7 +10,6 @@ from repro.obs.events import (
     MemorySink,
     Severity,
 )
-from repro.utils.simtime import SimClock
 
 
 class TestEventLog:
@@ -20,29 +19,13 @@ class TestEventLog:
         assert event.severity is Severity.INFO
         assert event.component == "collector"
         assert event.fields == {"returned": 12}
-        assert event.time is None
-
-    def test_sim_clock_timestamps(self):
-        clock = SimClock()
-        clock.advance(30.0)
-        log = EventLog(time_fn=clock.now)
-        event = log.info("c", "m")
-        assert event.time == clock.now()
 
     def test_fan_out_to_all_sinks(self):
         first, second = MemorySink(), MemorySink()
         log = EventLog(sinks=[first, second])
-        log.warning("c", "watch out")
+        log.info("c", "watch out")
         assert first.messages() == ["watch out"]
         assert second.messages() == ["watch out"]
-
-    def test_min_severity_filters_delivery(self):
-        sink = MemorySink()
-        log = EventLog(sinks=[sink], min_severity=Severity.WARNING)
-        log.debug("c", "too quiet")
-        log.info("c", "still too quiet")
-        log.error("c", "loud")
-        assert sink.messages() == ["loud"]
 
 
 class TestConsoleSink:
@@ -54,19 +37,12 @@ class TestConsoleSink:
         # no component, no timestamp.
         assert stream.getvalue() == "running 5-day campaign...\n"
 
-    def test_threshold(self):
-        stream = io.StringIO()
-        sink = ConsoleSink(stream=stream, min_severity=Severity.ERROR)
-        log = EventLog(sinks=[sink])
-        log.info("c", "hidden")
-        assert stream.getvalue() == ""
-
 
 class TestJsonlSink:
     def test_appends_json_records(self, tmp_path):
         path = tmp_path / "logs" / "events.jsonl"
         sink = JsonlSink(path)
-        log = EventLog(sinks=[sink], time_fn=lambda: 9.0)
+        log = EventLog(sinks=[sink])
         log.info("collector", "poll ok", returned=3)
         log.error("collector", "poll failed")
         sink.close()
@@ -78,7 +54,6 @@ class TestJsonlSink:
             "component": "collector",
             "message": "poll ok",
             "fields": {"returned": 3},
-            "time": 9.0,
         }
         assert json.loads(lines[1])["severity"] == "ERROR"
 

@@ -14,7 +14,6 @@ from repro.errors import RateLimitedError
 from repro.explorer.service import ExplorerConfig, ExplorerService
 from repro.obs.export import render_pipeline_health
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.obs.spans import SPAN_DURATION_METRIC
 from repro.simulation import SimulationEngine
 from tests.conftest import tiny_scenario
 
@@ -96,15 +95,6 @@ class TestCampaignSeries:
         assert counter_total(
             small_campaign, "defensive_bundles_total"
         ) > 0
-
-    def test_spans_recorded(self, small_campaign):
-        snapshot = small_campaign.metrics.snapshot()
-        family = snapshot["metrics"][SPAN_DURATION_METRIC]
-        spans = {
-            entry["labels"]["span"] for entry in family["series"]
-        }
-        assert "poll.fetch" in spans
-        assert "detail.fetch" in spans
 
     def test_health_section_in_rendered_report(
         self, small_campaign, small_report

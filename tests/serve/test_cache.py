@@ -31,6 +31,9 @@ class TestLookup:
     def test_miss_then_hit(self):
         cache = ResponseCache()
         assert cache.get("w1", "k") is None
+        # The caller counts the miss once it has answered the request.
+        assert cache.misses == 0
+        cache.count_miss()
         cache.put("w1", "k", entry())
         assert cache.get("w1", "k") is not None
         assert (cache.hits, cache.misses) == (1, 1)
@@ -84,6 +87,7 @@ class TestHitRate:
     def test_counts_ratio(self):
         cache = ResponseCache()
         cache.get("w", "k")
+        cache.count_miss()
         cache.put("w", "k", entry())
         cache.get("w", "k")
         cache.get("w", "k")

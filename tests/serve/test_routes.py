@@ -133,6 +133,17 @@ class TestErrors:
         ("GET", "/v1//bundles/{bundle}/", 200, "bundle"),
         ("HEAD", "/v1/detections//{detection}//", 200, "detection"),
         ("GET", "", 200, "index"),
+        # An origin-form target is its path up to "?" or "#", so a
+        # leading "//" is empty segments, not a network location.
+        ("GET", "//healthz", 200, "healthz"),
+        ("GET", "//metrics", 200, "metrics"),
+        ("GET", "//v1/status", 200, "status"),
+        ("GET", "//v1//status", 200, "status"),
+        ("GET", "//x/v1/status", 404, "unmatched"),
+        ("GET", "//v1/status?x=1", 400, "status"),
+        ("GET", "/v1/status#frag", 200, "status"),
+        # An absolute-form target routes by its URL's path.
+        ("GET", "http://h/v1/status", 200, "status"),
         # A captured id that names no row is the route's own 404.
         ("GET", "/v1/bundles/{{bundle_id}}", 404, "bundle"),
         ("GET", "/v1/detections/{bundle}", 404, "detection"),
@@ -173,6 +184,25 @@ def test_reopened_app_answers(corpus_archive):
     app.open()
     try:
         assert routed(app, "GET", "/v1/status")[:2] == (200, "status")
+    finally:
+        app.close()
+
+
+def test_refused_request_is_neither_a_cache_hit_nor_a_miss(corpus_archive):
+    app = ArchiveApiApp(ApiConfig(db_path=corpus_archive))
+    app.open()
+    try:
+        for target in (
+            "/v1/status?x=1", "/v1/bundles?nope=1", "/v1/financials?x=1"
+        ):
+            assert app.handle("GET", target, {}, "refused")[0] == 400
+        events = app.metrics.get("serve_cache_events_total")
+        assert (app.cache.hits, app.cache.misses) == (0, 0)
+        assert list(events.series()) == []
+        # A missing id is still answered, so it counts its one miss.
+        assert app.handle("GET", "/v1/bundles/nope", {}, "refused")[0] == 404
+        assert (app.cache.hits, app.cache.misses) == (0, 1)
+        assert list(events.series()) == [((("outcome", "miss"),), 1.0)]
     finally:
         app.close()
 
