@@ -809,15 +809,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return dispatch(*request)
 
         server.start(handle)
-        output.info(
-            "cli.serve",
-            f"simulated explorer (data source) serving "
-            f"{world.bundles_landed} bundles on "
-            f"http://{args.host}:{server.port} (Ctrl-C to stop)",
-            bundles=world.bundles_landed,
-            port=server.port,
+        wait_for_interrupt(
+            lambda: output.info(
+                "cli.serve",
+                f"simulated explorer (data source) serving "
+                f"{world.bundles_landed} bundles on "
+                f"http://{args.host}:{server.port} (Ctrl-C to stop)",
+                bundles=world.bundles_landed,
+                port=server.port,
+            )
         )
-        wait_for_interrupt()
     return 0
 
 
@@ -850,14 +851,15 @@ def cmd_api(args: argparse.Namespace) -> int:
     app = ArchiveApiApp(config, metrics=metrics)
     with bind_server(config.host, config.port) as server:
         app.serve(server)
-        output.info(
-            "cli.api",
-            f"archive api (results) serving {db_path} on "
-            f"http://{args.host}:{server.port} (Ctrl-C to stop)",
-            db=str(db_path),
-            port=server.port,
+        wait_for_interrupt(
+            lambda: output.info(
+                "cli.api",
+                f"archive api (results) serving {db_path} on "
+                f"http://{args.host}:{server.port} (Ctrl-C to stop)",
+                db=str(db_path),
+                port=server.port,
+            )
         )
-        wait_for_interrupt()
     _save_metrics(args, metrics, progress, "cli.api")
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import signal
 import time
+from typing import Callable
 
 from repro.errors import ConfigError
 from repro.serve.httpcommon import HttpServer
@@ -30,8 +31,14 @@ def bind_server(host: str, port: int) -> HttpServer:
         raise ConfigError(f"cannot start the server: {exc}") from exc
 
 
-def wait_for_interrupt() -> None:
-    """Block until Ctrl-C; a started server answers on its own thread.
+def wait_for_interrupt(announce: Callable[[], object] = lambda: None) -> None:
+    """Run ``announce``, then block until Ctrl-C; a started server answers
+    on its own thread.
+
+    ``announce`` prints the line a user or a script waits for before it
+    sends Ctrl-C, so it runs inside the wait: a SIGINT sent the moment
+    that line is read may land before ``print`` has returned, and it
+    stops the command as cleanly as a later one.
 
     Every later SIGINT is ignored, so the shutdown that follows (bounded
     by :attr:`HttpServer.TIMEOUT`) runs to the end. A doubled Ctrl-C would
@@ -39,6 +46,7 @@ def wait_for_interrupt() -> None:
     again to its process group.
     """
     try:
+        announce()
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:

@@ -549,3 +549,13 @@ class TestInterrupt:
         finally:
             timer.cancel()
             signal.signal(signal.SIGINT, previous)
+
+    def test_an_interrupt_while_announcing_stops_cleanly(self):
+        # A client that reads the announcement and sends Ctrl-C at once
+        # can land the signal before the announcing print has returned.
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            wait_for_interrupt(lambda: os.kill(os.getpid(), signal.SIGINT))
+            assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        finally:
+            signal.signal(signal.SIGINT, previous)
