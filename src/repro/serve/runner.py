@@ -31,7 +31,7 @@ def bind_server(host: str, port: int) -> HttpServer:
         raise ConfigError(f"cannot start the server: {exc}") from exc
 
 
-def wait_for_interrupt(announce: Callable[[], object] = lambda: None) -> None:
+def wait_for_interrupt(announce: Callable[[], object]) -> None:
     """Run ``announce``, then block until Ctrl-C; a started server answers
     on its own thread.
 

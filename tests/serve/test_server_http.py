@@ -544,7 +544,7 @@ class TestInterrupt:
         timer = threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT))
         try:
             timer.start()
-            wait_for_interrupt()
+            wait_for_interrupt(lambda: None)
             assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
         finally:
             timer.cancel()
