@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.agents.base import Label
 from repro.archive.checkpoint import scenario_fingerprint
+from repro.collector.campaign import MeasurementCampaign
 from repro.conformance.canon import digest
 from repro.conformance.golden import (
     check_fixture,
@@ -18,6 +21,8 @@ from repro.conformance.golden import (
 from repro.conformance.simulation import (
     SIMULATION_CORPUS,
     SimulationRecipe,
+    store_digest,
+    truth_digest,
 )
 from repro.errors import ConfigError, StoreError
 from repro.simulation import paper_scenario, small_scenario
@@ -27,6 +32,15 @@ pytestmark = pytest.mark.golden
 #: One day of the small preset: a full campaign in a fraction of a second.
 ONE_DAY = SimulationRecipe(
     "simulation-one-day", "small_scenario", {"seed": 7, "days": 1}
+)
+
+#: The digests of :func:`test_contested_run_reproduces`'s campaign: 348
+#: collected bundles, 19 of them rival bids.
+CONTESTED_STORE_SHA256 = (
+    "14690b3b3a936d13b6b81ec55cac8508d5b1e347030850040c64aed4818e199b"
+)
+CONTESTED_TRUTH_SHA256 = (
+    "1b45de6a9f61681e9de4ce88c2c844fbcb82824a68aa371d8b5cf703ca6eb1a2"
 )
 
 
@@ -114,3 +128,34 @@ def test_unknown_fixture_kind_is_a_store_error(blessed, tmp_path):
 
     with pytest.raises(StoreError, match="unknown kind"):
         check_fixture(_edited(blessed, tmp_path, edit))
+
+
+def test_contested_run_reproduces():
+    """Pin the rival-bid path, which no corpus fixture reaches.
+
+    Every preset leaves ``contested_probability`` at 0.0, so the corpus
+    never builds a rival sandwich. With it at 1.0 every attack draws a
+    rival bid for the same victim, and the collected bundles, their details
+    and the ground truth are pinned byte for byte.
+    """
+    scenario = small_scenario(seed=7, days=2)
+    population = scenario.population
+    contested = dataclasses.replace(
+        scenario,
+        population=dataclasses.replace(
+            population,
+            sandwich=dataclasses.replace(
+                population.sandwich, contested_probability=1.0
+            ),
+        ),
+    )
+    result = MeasurementCampaign(contested).run()
+    truth = result.world.ground_truth
+    rivals = [
+        bundle_id
+        for bundle_id in truth.bundle_ids_with_label(Label.SANDWICH)
+        if "rival_of" in truth.get(bundle_id).metadata
+    ]
+    assert (len(result.store), len(rivals)) == (348, 19)
+    assert store_digest(result.store) == CONTESTED_STORE_SHA256
+    assert truth_digest(truth) == CONTESTED_TRUTH_SHA256
