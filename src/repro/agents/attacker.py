@@ -31,7 +31,7 @@ from repro.errors import (
 )
 from repro.jito.tips import build_tip_instruction
 from repro.solana.instruction import DEX_PROGRAM_ID
-from repro.solana.keys import Pubkey
+from repro.solana.keys import Keypair, Pubkey
 from repro.solana.tokens import SOL_MINT
 from repro.solana.transaction import Transaction
 from repro.utils.rng import DeterministicRNG
@@ -233,6 +233,34 @@ class SandwichAttacker(Behavior):
         )
         return max(int(profit_lamport_equiv * fraction), MIN_JITO_TIP_LAMPORTS)
 
+    def _send_sandwich(
+        self,
+        wallet: Keypair,
+        tip: int,
+        claimed: Transaction,
+        pool: PoolSpec,
+        mint_in: Pubkey,
+        plan: FrontrunPlan,
+        sell_amount: int,
+    ) -> str:
+        """Fund ``wallet``, put ``claimed`` between its front-run buy and
+        tipped back-run sell, and submit the bundle; returns its id."""
+        self.wallets.ensure_lamports(wallet, tip + 1_000_000)
+        self.wallets.ensure_tokens(wallet, mint_in, plan.frontrun_in)
+        owner, mint_out = wallet.pubkey, pool.other_mint(mint_in).address
+        buy = swap_instruction(owner, pool, mint_in, plan.frontrun_in, min_amount_out=0)
+        sell = swap_instruction(owner, pool, mint_out, sell_amount, min_amount_out=0)
+        tip_ix = build_tip_instruction(
+            owner, tip, account_index=self.rng.randint(0, 7)
+        )
+        return self.ctx.searcher.send_bundle(
+            [
+                Transaction.build(wallet, [buy]),
+                claimed,
+                Transaction.build(wallet, [sell, tip_ix]),
+            ]
+        )
+
     def _value_in_lamports(self, pool: PoolSpec, mint: Pubkey, amount: int) -> int:
         """Value an amount of ``mint`` in lamports, via pool spot rates.
 
@@ -342,34 +370,13 @@ class SandwichAttacker(Behavior):
             # have; the bundle fails on-chain and is dropped risk-free.
             sell_amount = plan.frontrun_out * 3
 
-        self.wallets.ensure_lamports(wallet, tip + 1_000_000)
-        self.wallets.ensure_tokens(wallet, mint_in, plan.frontrun_in)
         if sold_extra:
             self.wallets.ensure_tokens(
                 wallet, mint_out.address, sell_amount - plan.frontrun_out
             )
-
-        frontrun_tx = Transaction.build(
-            wallet,
-            [
-                swap_instruction(
-                    wallet.pubkey, pool, mint_in, plan.frontrun_in, min_amount_out=0
-                )
-            ],
+        bundle_id = self._send_sandwich(
+            wallet, tip, claimed, pool, mint_in, plan, sell_amount
         )
-        backrun_tx = Transaction.build(
-            wallet,
-            [
-                swap_instruction(
-                    wallet.pubkey, pool, mint_out.address, sell_amount, min_amount_out=0
-                ),
-                build_tip_instruction(
-                    wallet.pubkey, tip, account_index=self.rng.randint(0, 7)
-                ),
-            ],
-        )
-
-        bundle_id = ctx.searcher.send_bundle([frontrun_tx, claimed, backrun_tx])
         contested = self.rng.bernoulli(config.contested_probability)
         private = config.private_channel_fraction > 0 and self.rng.bernoulli(
             config.private_channel_fraction
@@ -432,33 +439,9 @@ class SandwichAttacker(Behavior):
         while rival.pubkey == excluding.pubkey and len(self.wallets) > 1:
             rival = self.wallets.pick(self.rng)
         rival_tip = self._tip_for_profit(profit_lamports)
-        mint_out = pool.other_mint(mint_in)
-        self.wallets.ensure_lamports(rival, rival_tip + 1_000_000)
-        self.wallets.ensure_tokens(rival, mint_in, plan.frontrun_in)
-        frontrun_tx = Transaction.build(
-            rival,
-            [
-                swap_instruction(
-                    rival.pubkey, pool, mint_in, plan.frontrun_in, min_amount_out=0
-                )
-            ],
+        bundle_id = self._send_sandwich(
+            rival, rival_tip, claimed, pool, mint_in, plan, plan.frontrun_out
         )
-        backrun_tx = Transaction.build(
-            rival,
-            [
-                swap_instruction(
-                    rival.pubkey,
-                    pool,
-                    mint_out.address,
-                    plan.frontrun_out,
-                    min_amount_out=0,
-                ),
-                build_tip_instruction(
-                    rival.pubkey, rival_tip, account_index=self.rng.randint(0, 7)
-                ),
-            ],
-        )
-        bundle_id = ctx.searcher.send_bundle([frontrun_tx, claimed, backrun_tx])
         return ctx.record(
             bundle_id,
             Label.SANDWICH,

@@ -7,11 +7,15 @@ from dataclasses import dataclass, field
 from repro.agents.app_backend import AppBackendBundler, AppBackendConfig
 from repro.agents.arbitrage import ArbitrageBot, ArbitrageConfig
 from repro.agents.attacker import SandwichAttacker, SandwichConfig
-from repro.agents.base import AgentContext, Behavior, Label
-from repro.agents.defensive import DefensiveUser, DefensiveConfig
+from repro.agents.base import AgentContext, Behavior
+from repro.agents.defensive import (
+    DefensiveConfig,
+    DefensiveUser,
+    PriorityConfig,
+    PriorityUser,
+)
 from repro.agents.disguised import DisguisedAttacker, DisguiseConfig
 from repro.agents.opportunist import OpportunisticAttacker, OpportunistConfig
-from repro.agents.priority import PriorityUser, PriorityConfig
 from repro.agents.retail import RetailTrader, RetailConfig
 from repro.utils.rng import DeterministicRNG
 
@@ -72,21 +76,8 @@ class Population:
             "defensive": self.defensive,
             "priority": self.priority,
             "arbitrage": self.arbitrage,
-            "app_backend": self.app_backend,
+            "app_bundle": self.app_backend,
             "sandwich": self.attacker,
             "disguised": self.disguised,
             "opportunist": self.opportunist,
         }
-
-    @staticmethod
-    def label_for_class(event_class: str) -> Label | None:
-        """The ground-truth label an event class produces (None for retail)."""
-        mapping = {
-            "defensive": Label.DEFENSIVE,
-            "priority": Label.PRIORITY,
-            "arbitrage": Label.ARBITRAGE,
-            "app_backend": Label.APP_BUNDLE,
-            "sandwich": Label.SANDWICH,
-            "disguised": Label.DISGUISED_SANDWICH,
-        }
-        return mapping.get(event_class)

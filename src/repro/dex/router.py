@@ -3,8 +3,9 @@
 Quotes the best direct route for a pair, applies the user's slippage
 tolerance, and builds the swap transaction. The paper found that Jupiter's
 "MEV protection" option wraps the resulting transaction in a length-one Jito
-bundle; that wrapping lives in :mod:`repro.agents.defensive`, which uses this
-router for the swap leg.
+bundle; that wrapping lives in :class:`repro.agents.defensive.LengthOneBundler`,
+which builds its swap leg with this router for defensive and priority users
+alike.
 """
 
 from __future__ import annotations

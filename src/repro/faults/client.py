@@ -27,31 +27,12 @@ class FaultInjectingClient:
     # --- mutations --------------------------------------------------------------
 
     @staticmethod
-    def _mutate_bundles(
-        records: list[BundleRecord], decision: FaultDecision
-    ) -> list[BundleRecord]:
-        kind = decision.kind
-        if kind is FaultKind.TRUNCATE and decision.spec is not None:
-            keep = len(records) - int(
-                len(records) * decision.spec.drop_fraction
-            )
-            return records[:keep]
-        if kind is FaultKind.REORDER:
-            shuffled = list(records)
-            decision.rng.shuffle(shuffled)
-            return shuffled
-        if kind is FaultKind.CLOCK_SKEW and decision.spec is not None:
-            skew = decision.spec.skew_seconds
-            return [
-                dataclasses.replace(record, landed_at=record.landed_at + skew)
-                for record in records
-            ]
-        return records
+    def _mutate(records: list, decision: FaultDecision, time_field: str) -> list:
+        """Apply a mutation-kind fault to one response's records.
 
-    @staticmethod
-    def _mutate_transactions(
-        records: list[TransactionRecord], decision: FaultDecision
-    ) -> list[TransactionRecord]:
+        ``time_field`` names the server timestamp a clock skew shifts:
+        ``landed_at`` on bundles, ``block_time`` on transactions.
+        """
         kind = decision.kind
         if kind is FaultKind.TRUNCATE and decision.spec is not None:
             keep = len(records) - int(
@@ -66,7 +47,7 @@ class FaultInjectingClient:
             skew = decision.spec.skew_seconds
             return [
                 dataclasses.replace(
-                    record, block_time=record.block_time + skew
+                    record, **{time_field: getattr(record, time_field) + skew}
                 )
                 for record in records
             ]
@@ -81,7 +62,7 @@ class FaultInjectingClient:
             raise decision.to_error()
         records = self._inner.recent_bundles(limit)
         if decision is not None:
-            records = self._mutate_bundles(records, decision)
+            records = self._mutate(records, decision, "landed_at")
         return records
 
     def transactions(
@@ -93,7 +74,7 @@ class FaultInjectingClient:
             raise decision.to_error()
         records = self._inner.transactions(transaction_ids)
         if decision is not None:
-            records = self._mutate_transactions(records, decision)
+            records = self._mutate(records, decision, "block_time")
         return records
 
     def bundle(self, bundle_id: str) -> BundleRecord | None:
@@ -103,7 +84,7 @@ class FaultInjectingClient:
             raise decision.to_error()
         record = self._inner.bundle(bundle_id)
         if record is not None and decision is not None:
-            mutated = self._mutate_bundles([record], decision)
+            mutated = self._mutate([record], decision, "landed_at")
             record = mutated[0] if mutated else None
         return record
 

@@ -148,17 +148,6 @@ class SimulationEngine:
             "opportunist": config.opportunist_scans_per_day,
         }
 
-    _BEHAVIOR_BY_CLASS = {
-        "retail": "retail",
-        "defensive": "defensive",
-        "priority": "priority",
-        "arbitrage": "arbitrage",
-        "app_bundle": "app_backend",
-        "sandwich": "sandwich",
-        "disguised": "disguised",
-        "opportunist": "opportunist",
-    }
-
     # --- market making -----------------------------------------------------
 
     def _rebalance_pools(self) -> None:
@@ -233,8 +222,7 @@ class SimulationEngine:
                 else []
             )
             for event_class in chunk:
-                behavior = behaviors[self._BEHAVIOR_BY_CLASS[event_class]]
-                generated = behavior.generate()
+                generated = behaviors[event_class].generate()
                 if generated is not None:
                     stats.bundles_generated += 1
                     self._generated_metric.inc(event_class=event_class)

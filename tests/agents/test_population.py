@@ -3,7 +3,6 @@
 import pytest
 
 from repro.agents.base import Label
-from repro.agents.population import Population
 
 
 class TestPopulation:
@@ -14,18 +13,11 @@ class TestPopulation:
             "defensive",
             "priority",
             "arbitrage",
-            "app_backend",
+            "app_bundle",
             "sandwich",
             "disguised",
             "opportunist",
         }
-
-    def test_label_mapping(self):
-        assert Population.label_for_class("defensive") is Label.DEFENSIVE
-        assert Population.label_for_class("sandwich") is Label.SANDWICH
-        assert Population.label_for_class("app_backend") is Label.APP_BUNDLE
-        assert Population.label_for_class("retail") is None
-        assert Population.label_for_class("unknown") is None
 
     def test_attackers_share_victim_source(self, fresh_world):
         population = fresh_world.population
@@ -43,8 +35,13 @@ class TestPopulation:
         assert len(set(draws.values())) == len(draws)
 
     def test_every_bundle_behavior_produces_its_label(self, fresh_world):
-        population = fresh_world.population
-        for name in ("defensive", "priority", "arbitrage", "app_backend"):
-            generated = population.behaviors()[name].generate()
+        behaviors = fresh_world.population.behaviors()
+        for name, label in (
+            ("defensive", Label.DEFENSIVE),
+            ("priority", Label.PRIORITY),
+            ("arbitrage", Label.ARBITRAGE),
+            ("app_bundle", Label.APP_BUNDLE),
+        ):
+            generated = behaviors[name].generate()
             assert generated is not None
-            assert generated.label is Population.label_for_class(name)
+            assert generated.label is label
