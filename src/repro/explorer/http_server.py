@@ -16,8 +16,9 @@ operational endpoints:
 
 ``HEAD`` is answered on every GET route with the headers (including
 ``Content-Length``) the GET would have carried and no body; the server,
-request parsing and response framing are shared with the archive API via
-:mod:`repro.serve.httpcommon`.
+request parsing, the path a target routes by (empty segments drop out,
+so ``//healthz`` is ``/healthz``) and response framing are shared with
+the archive API via :mod:`repro.serve.httpcommon`.
 
 Typed service errors map onto HTTP statuses (400 / 429 / 503), which the
 collector's HTTP client maps back into the same typed errors — so the
@@ -35,7 +36,7 @@ and ``repro serve`` exercise the full network path::
 from __future__ import annotations
 
 from functools import partial
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs
 
 from repro.errors import (
     BadRequestError,
@@ -46,7 +47,11 @@ from repro.errors import (
 from repro.explorer.service import ExplorerService
 from repro.explorer.wire import bundle_record_to_json, transaction_record_to_json
 from repro.obs.export import render_prometheus
-from repro.serve.httpcommon import Handler, PlainText as _PlainText
+from repro.serve.httpcommon import (
+    Handler,
+    PlainText as _PlainText,
+    request_path,
+)
 from repro.utils.serialization import decode_json
 
 
@@ -111,8 +116,7 @@ def _route(
     body: bytes,
     client_id: str,
 ) -> tuple[int, "dict | list | _PlainText"]:
-    parts = urlsplit(target)
-    path = parts.path
+    path, query = request_path(target)
     if path == "/healthz":
         return 200, {"status": "ok"}
     if path == "/metrics":
@@ -123,8 +127,7 @@ def _route(
     if path == "/api/v1/bundles/recent":
         if method != "GET":
             return 405, {"error": "use GET"}
-        query = parse_qs(parts.query)
-        limit_values = query.get("limit")
+        limit_values = parse_qs(query).get("limit")
         limit = int(limit_values[0]) if limit_values else None
         records = service.recent_bundles(limit=limit, client_id=client_id)
         return 200, {"bundles": [bundle_record_to_json(r) for r in records]}

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs
 
 from repro.archive.database import ArchiveDatabase
 from repro.archive.query import ArchiveQuery
@@ -46,6 +46,7 @@ from repro.serve.httpcommon import (
     HttpServer,
     PlainText,
     RawBody,
+    request_path,
 )
 from repro.serve.repositories import (
     AggregateRepository,
@@ -187,14 +188,7 @@ class ArchiveApiApp:
         route_name = "unmatched"
         status = 500
         try:
-            parts = urlsplit(target)
-            # An origin-form target is all path up to its query or
-            # fragment; urlsplit would read a leading "//" as a host.
-            path = (
-                target.split("?", 1)[0].split("#", 1)[0]
-                if target.startswith("/")
-                else parts.path
-            )
+            path, raw_query = request_path(target)
             segments = tuple(filter(None, path.split("/")))
             route, captured = _FIXED.get(segments), ()
             if route is None and segments:
@@ -222,7 +216,7 @@ class ArchiveApiApp:
                         {"Retry-After": str(int(retry) + 1)},
                     )
             try:
-                query_params = self._query_params(parts.query)
+                query_params = self._query_params(raw_query)
                 if cached:
                     status, payload, extra = self._cached(
                         route, captured, query_params, headers

@@ -19,6 +19,7 @@ import threading
 import time
 from concurrent.futures import Future
 from typing import Callable
+from urllib.parse import urlsplit
 
 from repro.utils.serialization import encode_json
 
@@ -118,6 +119,23 @@ def parse_head(head: bytes) -> tuple[str, str, dict[str, str], int] | None:
     if length < 0 or length > MAX_BODY_BYTES:
         return None
     return method.upper(), target, headers, length
+
+
+def request_path(target: str) -> tuple[str, str]:
+    """The path a request target routes by, and its query string.
+
+    An origin-form target (one that starts with ``/``) is all path up to
+    its ``?`` or ``#``, and its query runs from the ``?`` to the ``#``;
+    ``urlsplit`` would read a leading ``//`` as a network location. Any
+    other target (absolute-form) splits as a URL. Empty segments drop
+    out of the path, so ``//v1//status/`` routes as ``/v1/status``.
+    """
+    if target.startswith("/"):
+        path, _, query = target.split("#", 1)[0].partition("?")
+    else:
+        parts = urlsplit(target)
+        path, query = parts.path, parts.query
+    return "/" + "/".join(filter(None, path.split("/"))), query
 
 
 def render_response(

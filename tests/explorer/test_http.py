@@ -175,63 +175,99 @@ class TestRawProtocol:
         assert declared == len(body)
 
 
+def _raw(port: int, payload: bytes) -> tuple[bytes, bytes]:
+    """Send ``payload`` on a fresh connection; the response's head and body."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
+        conn.sendall(payload)
+        chunks = bytearray()
+        while True:
+            chunk = conn.recv(65536)
+            if not chunk:
+                break
+            chunks.extend(chunk)
+    head, _, body = bytes(chunks).partition(b"\r\n\r\n")
+    return head, body
+
+
+def _content_length(head: bytes) -> int:
+    for line in head.split(b"\r\n"):
+        if line.lower().startswith(b"content-length"):
+            return int(line.split(b":")[1])
+    raise AssertionError(f"no Content-Length in {head!r}")
+
+
 class TestHeadRequests:
     """HEAD answers with the GET's headers (Content-Length included), no body."""
-
-    def _raw(self, port: int, payload: bytes) -> tuple[bytes, bytes]:
-        with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
-            conn.sendall(payload)
-            chunks = bytearray()
-            while True:
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                chunks.extend(chunk)
-        head, _, body = bytes(chunks).partition(b"\r\n\r\n")
-        return head, body
-
-    def _content_length(self, head: bytes) -> int:
-        for line in head.split(b"\r\n"):
-            if line.lower().startswith(b"content-length"):
-                return int(line.split(b":")[1])
-        raise AssertionError(f"no Content-Length in {head!r}")
 
     def test_head_matches_get_content_length_with_empty_body(
         self, http_world
     ):
         _, server, _ = http_world
-        get_head, get_body = self._raw(
+        get_head, get_body = _raw(
             server.port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
         )
-        head_head, head_body = self._raw(
+        head_head, head_body = _raw(
             server.port, b"HEAD /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
         )
         assert b"200" in head_head.split(b"\r\n")[0]
         assert head_body == b""
-        assert self._content_length(head_head) == len(get_body)
-        assert self._content_length(get_head) == len(get_body)
+        assert _content_length(head_head) == len(get_body)
+        assert _content_length(get_head) == len(get_body)
 
     def test_head_on_listing_route(self, http_world):
         _, server, _ = http_world
-        get_head, get_body = self._raw(
+        get_head, get_body = _raw(
             server.port,
             b"GET /api/v1/bundles/recent?limit=3 HTTP/1.1\r\nHost: x\r\n\r\n",
         )
-        head_head, head_body = self._raw(
+        head_head, head_body = _raw(
             server.port,
             b"HEAD /api/v1/bundles/recent?limit=3 HTTP/1.1\r\nHost: x\r\n\r\n",
         )
         assert head_body == b""
-        assert self._content_length(head_head) == len(get_body)
+        assert _content_length(head_head) == len(get_body)
 
     def test_head_on_missing_route_is_bodiless_404(self, http_world):
         _, server, _ = http_world
-        head, body = self._raw(
+        head, body = _raw(
             server.port, b"HEAD /nope HTTP/1.1\r\nHost: x\r\n\r\n"
         )
         assert b"404" in head.split(b"\r\n")[0]
         assert body == b""
-        assert self._content_length(head) > 0
+        assert _content_length(head) > 0
+
+
+class TestRequestTargets:
+    """A target routes by its path with empty segments dropped, as on the
+    archive API: a leading "//" is not a network location."""
+
+    @pytest.mark.parametrize(
+        "target", ["//healthz", "//api/v1/bundles/recent?limit=1"]
+    )
+    def test_leading_double_slash_routes_as_one(self, http_world, target):
+        _, server, _ = http_world
+        doubled = _raw(
+            server.port, f"GET {target} HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+        )
+        single = _raw(
+            server.port,
+            f"GET {target[1:]} HTTP/1.1\r\nHost: x\r\n\r\n".encode(),
+        )
+        assert doubled[0].split(b"\r\n")[0] == b"HTTP/1.1 200 OK"
+        assert doubled == single
+
+    def test_head_with_leading_double_slash(self, http_world):
+        _, server, _ = http_world
+        target = "//api/v1/bundles/recent?limit=1"
+        get_head, get_body = _raw(
+            server.port, f"GET {target} HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+        )
+        head_head, head_body = _raw(
+            server.port, f"HEAD {target} HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+        )
+        assert len(json.loads(get_body)["bundles"]) == 1
+        assert head_head == get_head
+        assert head_body == b""
 
 
 class TestBusyPort:

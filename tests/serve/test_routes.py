@@ -141,6 +141,8 @@ class TestErrors:
         ("GET", "//v1//status", 200, "status"),
         ("GET", "//x/v1/status", 404, "unmatched"),
         ("GET", "//v1/status?x=1", 400, "status"),
+        # ... so it is never parsed as one: "[" opens no IPv6 host here.
+        ("GET", "//[x", 404, "unmatched"),
         ("GET", "/v1/status#frag", 200, "status"),
         # An absolute-form target routes by its URL's path.
         ("GET", "http://h/v1/status", 200, "status"),
