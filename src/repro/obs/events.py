@@ -26,9 +26,7 @@ from typing import IO, Iterable
 class Severity(enum.IntEnum):
     """Event severity; a JSONL record names it."""
 
-    DEBUG = 10
     INFO = 20
-    WARNING = 30
     ERROR = 40
 
 
