@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from repro.agents.base import Label
+from repro.analysis.integrity import build_collection_integrity
 from repro.archive.checkpoint import scenario_fingerprint
 from repro.collector.campaign import MeasurementCampaign
+from repro.collector.detail_fetcher import DetailFetcherConfig
 from repro.conformance.canon import digest
 from repro.conformance.golden import (
     check_fixture,
@@ -25,7 +28,9 @@ from repro.conformance.simulation import (
     truth_digest,
 )
 from repro.errors import ConfigError, StoreError
+from repro.faults import preset_plan
 from repro.simulation import paper_scenario, small_scenario
+from repro.utils.serialization import dumps
 
 pytestmark = pytest.mark.golden
 
@@ -41,6 +46,16 @@ CONTESTED_STORE_SHA256 = (
 )
 CONTESTED_TRUTH_SHA256 = (
     "1b45de6a9f61681e9de4ce88c2c844fbcb82824a68aa371d8b5cf703ca6eb1a2"
+)
+
+#: The digests of :func:`test_chaos_retry_run_reproduces`'s campaign: the
+#: collected store, and the fault log as ``repro chaos`` writes it to
+#: ``fault_log.jsonl``.
+CHAOS_STORE_SHA256 = (
+    "1de3823cd5c400f15d39c7ca37441131217080aaaeee312626a262117c628e41"
+)
+CHAOS_FAULT_LOG_SHA256 = (
+    "fcf37b5f2d6d456d4cd5bfe3cf20c935889920a222e73e99ee98659d1b0a9d69"
 )
 
 
@@ -159,3 +174,31 @@ def test_contested_run_reproduces():
     assert (len(result.store), len(rivals)) == (348, 19)
     assert store_digest(result.store) == CONTESTED_STORE_SHA256
     assert truth_digest(truth) == CONTESTED_TRUTH_SHA256
+
+
+def test_chaos_retry_run_reproduces():
+    """Pin the collector's retry paths, which no corpus fixture reaches.
+
+    Only ``simulation-small``'s sampled downtime makes the poller retry,
+    and the detail fetcher retries nothing at its default ``max_retries``
+    of 0. This is the campaign ``repro chaos --small --days 2 --seed 9
+    --plan storm`` runs: the storm plan's 429s and 503s make both retry,
+    and run some polls and batches out of retries.
+    """
+    result = MeasurementCampaign(
+        small_scenario(seed=9, days=2),
+        fetcher_config=DetailFetcherConfig(max_retries=2),
+        fault_plan=preset_plan("storm"),
+    ).run()
+    integrity = build_collection_integrity(result)
+    assert (integrity.poll_retries, integrity.detail_retries) == (41, 18)
+    assert (integrity.polls_failed, integrity.batches_failed) == (3, 2)
+    assert len(result.store) == 521
+    assert store_digest(result.store) == CHAOS_STORE_SHA256
+    fault_log = "".join(
+        dumps(fault) + "\n" for fault in result.faults.fault_log_json()
+    )
+    assert (
+        hashlib.sha256(fault_log.encode()).hexdigest()
+        == CHAOS_FAULT_LOG_SHA256
+    )
