@@ -131,9 +131,7 @@ def _route(
         limit = int(limit_values[0]) if limit_values else None
         records = service.recent_bundles(limit=limit, client_id=client_id)
         return 200, {"bundles": [bundle_record_to_json(r) for r in records]}
-    if path.startswith("/api/v1/bundles/") and path != (
-        "/api/v1/bundles/recent"
-    ):
+    if path.startswith("/api/v1/bundles/") and path.count("/") == 4:
         if method != "GET":
             return 405, {"error": "use GET"}
         bundle_id = path.rsplit("/", 1)[-1]

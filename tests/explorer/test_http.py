@@ -242,10 +242,18 @@ class TestRequestTargets:
     archive API: a leading "//" is not a network location."""
 
     @pytest.mark.parametrize(
-        "target", ["//healthz", "//api/v1/bundles/recent?limit=1"]
+        "target",
+        [
+            "//healthz",
+            "//api/v1/bundles/recent?limit=1",
+            "//api/v1/bundles//{bundle_id}",
+        ],
     )
     def test_leading_double_slash_routes_as_one(self, http_world, target):
-        _, server, _ = http_world
+        world, server, _ = http_world
+        target = target.format(
+            bundle_id=world.block_engine.bundle_log[0].bundle_id
+        )
         doubled = _raw(
             server.port, f"GET {target} HTTP/1.1\r\nHost: x\r\n\r\n".encode()
         )
@@ -255,6 +263,20 @@ class TestRequestTargets:
         )
         assert doubled[0].split(b"\r\n")[0] == b"HTTP/1.1 200 OK"
         assert doubled == single
+
+    @pytest.mark.parametrize("prefix", ["x", "recent"])
+    def test_extra_segment_before_a_bundle_id_is_404(
+        self, http_world, prefix
+    ):
+        # A bundle id is the fourth and last segment, as on the archive API.
+        world, server, _ = http_world
+        bundle_id = world.block_engine.bundle_log[0].bundle_id
+        path = f"/api/v1/bundles/{prefix}/{bundle_id}"
+        head, body = _raw(
+            server.port, f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+        )
+        assert head.split(b"\r\n")[0] == b"HTTP/1.1 404 Not Found"
+        assert json.loads(body) == {"error": f"no route {path}"}
 
     def test_head_with_leading_double_slash(self, http_world):
         _, server, _ = http_world
