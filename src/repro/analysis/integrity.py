@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from repro.collector.campaign import CampaignResult
 from repro.collector.coverage import CollectionGap
+from repro.constants import POLL_INTERVAL_SECONDS
 from repro.obs.export import _sum_counter
 
 
@@ -92,12 +93,10 @@ def build_collection_integrity(result: CampaignResult) -> CollectionIntegrity:
     # Failures in adjacent poll slots are one hole in the record; allow
     # half a slot of slack for churn around each failure. Polls are also
     # gated by block cadence, so when blocks arrive slower than the
-    # configured interval the effective slot is the observed mean spacing.
+    # poll interval the effective slot is the observed mean spacing.
     elapsed = result.world.clock.elapsed()
     polls = max(1, result.poller.polls_attempted)
-    gap_threshold = 1.5 * max(
-        result.poller.config.poll_interval_seconds, elapsed / polls
-    )
+    gap_threshold = 1.5 * max(POLL_INTERVAL_SECONDS, elapsed / polls)
     target_length = fetcher.config.target_length
     details_missing = sum(
         1

@@ -100,13 +100,10 @@ class MeasurementCampaign:
         self,
         scenario: ScenarioConfig,
         downtime: DowntimeSchedule | None = None,
-        poller_config: PollerConfig | None = None,
         fetcher_config: DetailFetcherConfig | None = None,
-        explorer_config: ExplorerConfig | None = None,
         metrics: MetricsRegistry | None = None,
         store: BundleStore | None = None,
         fault_plan: FaultPlan | None = None,
-        feed_filter=None,
     ) -> None:
         # Observability is on by default: recording is passive and every
         # value derives from the shared sim clock, so instrumented and
@@ -121,20 +118,13 @@ class MeasurementCampaign:
         self.engine = SimulationEngine(scenario, downtime, metrics=self.metrics)
         world = self.engine.world
         self.metrics.set_time_fn(world.clock.now)
-        if explorer_config is None:
-            # Scale both page sizes to simulation volume, preserving the
-            # paper's widened-window-to-default ratio in spirit: the widened
-            # window covers ~2.4 poll intervals of flow, the website default
-            # an order of magnitude less.
-            window = recommended_window_limit(scenario)
-            explorer_config = ExplorerConfig(
-                default_recent_limit=max(1, window // 10),
-                max_recent_limit=window,
-            )
-        if (
-            feed_filter is None
-            and scenario.population.sandwich.private_channel_fraction > 0
-        ):
+        # Scale both page sizes to simulation volume, preserving the
+        # paper's widened-window-to-default ratio in spirit: the widened
+        # window covers ~2.4 poll intervals of flow, the website default an
+        # order of magnitude less.
+        window = recommended_window_limit(scenario)
+        feed_filter = None
+        if scenario.population.sandwich.private_channel_fraction > 0:
             # Attackers route a fraction of bundles through a private
             # channel: the ground truth records the channel per bundle as
             # it lands, and the explorer consults it live, so the poller
@@ -146,7 +136,10 @@ class MeasurementCampaign:
             world.ledger,
             world.clock,
             feed_filter=feed_filter,
-            config=explorer_config,
+            config=ExplorerConfig(
+                default_recent_limit=max(1, window // 10),
+                max_recent_limit=window,
+            ),
             downtime=world.downtime,
             metrics=self.metrics,
         )
@@ -170,16 +163,12 @@ class MeasurementCampaign:
             store if store is not None else BundleStore(metrics=self.metrics)
         )
         self.coverage = CoverageEstimator()
-        if poller_config is None:
-            poller_config = PollerConfig(
-                window_limit=explorer_config.max_recent_limit
-            )
         self.poller = BundlePoller(
             client,
             self.store,
             self.coverage,
             world.clock,
-            config=poller_config,
+            config=PollerConfig(window_limit=window),
             metrics=self.metrics,
         )
         self.fetcher = TxDetailFetcher(

@@ -3,7 +3,9 @@
 The paper limits detail pulls to bundles of length three (2.77% of bundles,
 the canonical sandwich shape), requesting at most 10,000 transactions at a
 time, spaced at least two minutes apart (Section 3.1). This fetcher applies
-the same policy against the simulated endpoint.
+the same policy against the simulated endpoint. A batch that hits a
+transient failure asks again at once, up to ``max_retries`` times; nothing
+sleeps in between, and the next two-minute slot is the wait.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from repro.errors import (
     TransportError,
 )
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.utils.backoff import ExponentialBackoff
-from repro.utils.rng import DeterministicRNG
 from repro.utils.simtime import SimClock
 
 
@@ -31,15 +31,13 @@ class DetailFetcherConfig:
 
     ``max_retries`` defaults to zero — a failed batch is simply retried at
     the next two-minute slot, which is the paper's polite behavior. Chaos
-    campaigns raise it so a batch survives transient 429/503 storms, with
-    ``retry_budget_seconds`` capping the cumulative backoff per cycle.
+    campaigns raise it so a batch survives transient 429/503 storms.
     """
 
     target_length: int = 3
     batch_limit: int = DETAIL_BATCH_LIMIT
     spacing_seconds: float = DETAIL_BATCH_SPACING_SECONDS
     max_retries: int = 0
-    retry_budget_seconds: float | None = None
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on nonsensical settings."""
@@ -51,11 +49,6 @@ class DetailFetcherConfig:
             raise ConfigError("spacing_seconds must be >= 0")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
-        if (
-            self.retry_budget_seconds is not None
-            and self.retry_budget_seconds <= 0
-        ):
-            raise ConfigError("retry_budget_seconds must be positive")
 
 
 @dataclass
@@ -78,14 +71,12 @@ class TxDetailFetcher:
         clock: SimClock,
         config: DetailFetcherConfig | None = None,
         metrics: MetricsRegistry | None = None,
-        rng: DeterministicRNG | None = None,
     ) -> None:
         self.config = config or DetailFetcherConfig()
         self.config.validate()
         self._client = client
         self._store = store
         self._clock = clock
-        self._rng = rng or DeterministicRNG(0).child("fetcher")
         self._next_due = clock.now()
         self.batches_fetched = 0
         self.batches_failed = 0
@@ -178,10 +169,8 @@ class TxDetailFetcher:
     def fetch_once(self) -> FetchResult:
         """Fetch one batch (up to the 10,000-transaction cap).
 
-        Transient errors are retried up to ``max_retries`` times within the
-        cycle, honoring any Retry-After hint and the cycle's time budget.
-        Jitter is drawn from a per-cycle substream named after the cycle
-        number, so checkpointed runs replay the same randomness.
+        A transient error is retried at once, up to ``max_retries`` times;
+        any other error propagates.
         """
         self.fetch_cycles += 1
         pending = self.pending_transaction_ids()
@@ -195,29 +184,9 @@ class TxDetailFetcher:
         self._next_due = self._clock.now() + self.config.spacing_seconds
         batch = pending[: self.config.batch_limit]
         self._batch_size_metric.observe(len(batch))
-        backoff = ExponentialBackoff(
-            base=2.0,
-            max_delay=60.0,
-            max_attempts=self.config.max_retries + 1,
-            rng=self._rng.child(f"retry:{self.fetch_cycles}"),
-        )
         last_error: str | None = None
-        retry_after_hint: float | None = None
-        delay_spent = 0.0
-        while not backoff.exhausted():
-            retrying = backoff.attempts_made > 0
-            delay = backoff.next_delay()  # budget; sim time doesn't sleep
-            if retrying:
-                if retry_after_hint is not None:
-                    delay = max(delay, retry_after_hint)
-                budget = self.config.retry_budget_seconds
-                if budget is not None and delay_spent + delay > budget:
-                    last_error = (
-                        f"retry budget of {budget}s exhausted: "
-                        f"{last_error}"
-                    )
-                    break
-                delay_spent += delay
+        for attempt in range(self.config.max_retries + 1):
+            if attempt:
                 self._retries_metric.inc()
             try:
                 records = self._client.transactions(batch)
@@ -227,7 +196,6 @@ class TxDetailFetcher:
                 TransportError,
             ) as exc:
                 last_error = str(exc)
-                retry_after_hint = getattr(exc, "retry_after", None)
                 continue
             stored = self._store.add_details(records)
             self.batches_fetched += 1

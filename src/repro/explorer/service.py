@@ -52,7 +52,6 @@ class ExplorerConfig:
 
     default_recent_limit: int = EXPLORER_DEFAULT_RECENT_LIMIT
     max_recent_limit: int = EXPLORER_MAX_RECENT_LIMIT
-    max_detail_batch: int = DETAIL_BATCH_LIMIT
     # Token bucket per client: sustained rate and burst capacity. The
     # defaults allow roughly one request per 10 seconds with short bursts,
     # comfortably above the paper's deliberately polite 2-minute cadence.
@@ -238,10 +237,10 @@ class ExplorerService:
         self._check_rate(client_id, "transactions")
         if not transaction_ids:
             raise BadRequestError("transaction id list is empty")
-        if len(transaction_ids) > self._config.max_detail_batch:
+        if len(transaction_ids) > DETAIL_BATCH_LIMIT:
             raise BadRequestError(
                 f"requested {len(transaction_ids)} transactions, "
-                f"maximum is {self._config.max_detail_batch}"
+                f"maximum is {DETAIL_BATCH_LIMIT}"
             )
         records: list[TransactionRecord] = []
         for tx_id in transaction_ids:

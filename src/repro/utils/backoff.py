@@ -2,7 +2,8 @@
 
 The paper's collection script ran for four months against an undocumented
 endpoint and had to survive "instability or changes to the Jito interface".
-The collector retries transient failures using this policy.
+The HTTP explorer client sleeps between its transport retries by this
+policy.
 """
 
 from __future__ import annotations

@@ -9,10 +9,13 @@ ordered by key, and was recorded before the archive's JSON encoding moved
 to :mod:`repro.utils.serialization`'s codec; the finished-marker
 checkpoint's, once its metrics snapshot held no wall-clock value. A digest
 may only move with a schema version bump. The two checkpoint digests were
-recorded again once, when the campaign's metrics snapshot lost the
-``span_duration_seconds`` and ``span_total`` families, which never held a
-nonzero duration: each payload then equalled its predecessor re-encoded
-with those two families dropped.
+recorded again each time the campaign's metrics snapshot lost families
+that no report reads: ``span_duration_seconds`` and ``span_total``, which
+never held a nonzero duration, and later
+``collector_backoff_delay_seconds``, the delays of retries that never
+waited, which held no series in this run. Each time, every payload
+equalled its predecessor decoded, with those families dropped, and
+re-encoded with ``encode_json_sorted``.
 """
 
 from __future__ import annotations
@@ -69,12 +72,12 @@ PINNED = {
     "checkpoints.payload": (
         "SELECT payload FROM checkpoints WHERE payload NOT LIKE "
         "'%\"finished\": true%' ORDER BY checkpoint_id",
-        "5920c876710798cf01e828cb6f7f108b21e59d9a398f5953a8fc9cd2b1021c32",
+        "f74d3a03aaea92c0fe76ad9522b12292911c08132c8cf79065865c6b1e5c6b5e",
     ),
     "checkpoints.payload.finished": (
         "SELECT payload FROM checkpoints WHERE payload LIKE "
         "'%\"finished\": true%' ORDER BY checkpoint_id",
-        "32090f9047c19555f69765033c8d69569dcbef51df0a84ef806c8fe6d8b7f777",
+        "8a1169b6cc9d24b6dc4a054fa8a63c4fd298cea8329523ef1ba61c156231a1c8",
     ),
 }
 

@@ -22,12 +22,14 @@ def bundle(i: int, length: int):
 class FakeClient:
     def __init__(self, fail_times: int = 0):
         self.fail_times = fail_times
+        self.calls = 0
         self.requests: list[list[str]] = []
 
     def recent_bundles(self, limit=None):  # pragma: no cover - unused
         return []
 
     def transactions(self, ids):
+        self.calls += 1
         if self.fail_times > 0:
             self.fail_times -= 1
             raise ServiceUnavailableError("down")
@@ -156,6 +158,19 @@ class TestFailures:
         result = fetcher.fetch_once()
         assert result.failed
         assert fetcher.batches_failed == 1
+
+    def test_retries_exhausted_fails_batch_at_once(self):
+        store = BundleStore()
+        store.add_bundles([bundle(1, 3)])
+        client = FakeClient(fail_times=100)
+        fetcher, clock = make_fetcher(store, client=client, max_retries=2)
+        start = clock.now()
+        result = fetcher.fetch_once()
+        assert result.failed and result.error == "down"
+        # Every retry goes out at once: max_retries + 1 requests, and the
+        # sim clock never moves inside the cycle.
+        assert client.calls == 3
+        assert clock.now() == start
 
     def test_drain_recovers_nothing_on_persistent_failure(self):
         store = BundleStore()

@@ -5,6 +5,7 @@ import pytest
 from repro.collector.coverage import CoverageEstimator
 from repro.collector.poller import BundlePoller, PollerConfig, PollStatus
 from repro.collector.store import BundleStore
+from repro.constants import POLL_INTERVAL_SECONDS
 from repro.errors import (
     BadRequestError,
     ConfigError,
@@ -42,12 +43,12 @@ class ScriptedClient:
         return []
 
 
-def make_poller(script, max_retries=2):
+def make_poller(script=(), max_retries=2, client=None):
     clock = SimClock()
     store = BundleStore()
     coverage = CoverageEstimator()
     poller = BundlePoller(
-        ScriptedClient(script),
+        client or ScriptedClient(script),
         store,
         coverage,
         clock,
@@ -83,12 +84,17 @@ class TestPolling:
         assert len(poller.store) == 1
 
     def test_retry_budget_exhaustion_fails_poll(self):
-        errors = [ServiceUnavailableError("down")] * 5
-        poller, _ = make_poller(errors, max_retries=2)
+        client = ScriptedClient([ServiceUnavailableError("down")] * 5)
+        poller, clock = make_poller(client=client, max_retries=2)
+        start = clock.now()
         result = poller.poll_once()
         assert result.status is PollStatus.FAILED
         assert "down" in result.error
         assert poller.coverage.failed_polls == 1
+        # Every retry goes out at once: max_retries + 1 requests, and the
+        # sim clock never moves inside the cycle.
+        assert client.calls == 3
+        assert clock.now() == start
 
     def test_bad_request_propagates(self):
         poller, _ = make_poller([BadRequestError("bad limit")])
@@ -110,7 +116,7 @@ class TestCadence:
     def test_due_after_interval(self):
         poller, clock = make_poller([[record(1)], [record(2)]])
         poller.poll_once()
-        clock.advance(PollerConfig().poll_interval_seconds)
+        clock.advance(POLL_INTERVAL_SECONDS)
         assert poller.due()
         assert poller.maybe_poll().status is PollStatus.OK
 
@@ -119,7 +125,6 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"poll_interval_seconds": 0},
             {"window_limit": 0},
             {"max_retries": -1},
         ],
