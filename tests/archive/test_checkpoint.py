@@ -98,11 +98,11 @@ class TestResumeIdentity:
         assert actual == expected
 
     def test_resumed_metrics_match_uninterrupted_run(self, scenario, tmp_path):
+        # The whole snapshot, not one counter: every collector, explorer,
+        # store and archive series must read as if the run never stopped.
         reference = CheckpointedCampaign(scenario, tmp_path / "ref.db")
         reference.run()
-        expected = reference.campaign.metrics.get(
-            "archive_checkpoints_total"
-        ).value()
+        expected = reference.campaign.metrics.snapshot()
         reference.store.close()
 
         killed = CheckpointedCampaign(scenario, tmp_path / "killed.db")
@@ -111,9 +111,7 @@ class TestResumeIdentity:
         del killed
         resumed = CheckpointedCampaign.resume(scenario, tmp_path / "killed.db")
         resumed.run()
-        actual = resumed.campaign.metrics.get(
-            "archive_checkpoints_total"
-        ).value()
+        actual = resumed.campaign.metrics.snapshot()
         resumed.store.close()
         assert actual == expected
 

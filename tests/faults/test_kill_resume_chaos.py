@@ -48,6 +48,7 @@ class TestKillResumeUnderChaos:
         assert reference_result.faults.log, "storm plan should have fired"
         expected_report = rendered_report(reference_result, scenario)
         expected_fault_log = reference_result.faults.fault_log_json()
+        expected_metrics = reference_result.metrics.snapshot()
         reference.store.close()
 
         # "Kill": checkpoint through day 2, collect day 3 (more faults and
@@ -72,9 +73,11 @@ class TestKillResumeUnderChaos:
         resumed_result = resumed.run()
         actual_report = rendered_report(resumed_result, scenario)
         actual_fault_log = resumed_result.faults.fault_log_json()
+        actual_metrics = resumed_result.metrics.snapshot()
         resumed.store.close()
         assert actual_fault_log == expected_fault_log
         assert actual_report == expected_report
+        assert actual_metrics == expected_metrics
 
 
 class TestResumeRefusals:
