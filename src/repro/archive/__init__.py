@@ -29,7 +29,7 @@ from repro.archive.query import (
     SandwichFilter,
 )
 from repro.archive.schema import SCHEMA_VERSION
-from repro.archive.store import ArchiveBundleStore, FlushPolicy
+from repro.archive.store import ArchiveBundleStore
 
 __all__ = [
     "ARCHIVE_FILENAME",
@@ -40,7 +40,6 @@ __all__ = [
     "BundleFilter",
     "CHECKPOINT_VERSION",
     "CheckpointedCampaign",
-    "FlushPolicy",
     "IncrementalAnalyzer",
     "IncrementalResult",
     "SandwichFilter",

@@ -1,24 +1,30 @@
 """Campaign checkpoint/resume: kill a campaign, continue it byte-identically.
 
-The trick that makes exact resume cheap is that collection never feeds back
-into the simulation — polling is read-only against the explorer. So a
-checkpoint does not need to serialize the simulated world at all. It stores
-only the *collector-side* state (poll cursor, detail-fetch worklist,
-coverage estimator, per-client rate-limit budgets, metrics snapshot) plus
-the archive's high-water marks, and resume proceeds by:
+A campaign is a pure function of its scenario and fault plan: the same
+seed replays the same simulation, the same polls and fetches at the same
+sim times, the same injected faults and the same archive flushes. So a
+checkpoint stores no collector state. It keeps only what checks a replay:
+the completed day count, the sim clock, the engine's root RNG
+fingerprint, the scenario and fault-plan fingerprints and the archive's
+high-water marks. Resume proceeds by:
 
-1. rolling the archive back to the checkpoint's high-water marks (a killed
-   run keeps writing between its last checkpoint and the crash),
-2. rebuilding the in-memory store from the archive in ``seq`` order,
-3. replaying the deterministic simulation up to the checkpointed day with
-   collection disabled (same seed, same RNG draws, same clock values),
-4. restoring collector state and overwriting the metrics registry with the
-   checkpointed snapshot,
-5. continuing the day loop exactly where the killed run stopped.
+1. replaying the killed run's days ``0 … completed-1`` with collection on,
+   from an empty in-memory store, flushing with trigger ``checkpoint``
+   after each day the archive holds a checkpoint for. The archive already
+   holds every row the replay collects, so a replayed flush adds none; one
+   that would add a row is rolled back and refused;
+2. checking the replay at the checkpointed day: the sim clock, the RNG
+   fingerprint, and the collected bundle and detail counts against the
+   archive's rows at or below its marks;
+3. rolling the archive back to those marks (a killed run keeps writing
+   between its last checkpoint and the crash);
+4. continuing the day loop exactly where the killed run stopped.
 
-Replay fidelity is verified, not assumed: the engine's root RNG fingerprint
-and the sim clock are checked against values recorded at checkpoint time,
-and any divergence raises instead of silently producing different numbers.
+The poller, detail fetcher, coverage estimator, explorer rate budgets,
+fault injector and metrics registry then hold what the uninterrupted run
+held, because the same code computed them from the same inputs. Any
+divergence raises instead of silently producing different numbers, and a
+refused resume leaves the archive's rows as it found them.
 """
 
 from __future__ import annotations
@@ -32,14 +38,18 @@ from repro.collector.campaign import CampaignResult, MeasurementCampaign
 from repro.collector.detail_fetcher import DetailFetcherConfig
 from repro.errors import ConfigError, StoreError
 from repro.faults.plan import FaultPlan
-from repro.obs.export import restore_snapshot_into
 from repro.obs.registry import MetricsRegistry
 from repro.simulation.config import ScenarioConfig
 from repro.utils.serialization import dumps
 
 #: Bump when the checkpoint payload layout changes; resume refuses
 #: payloads from other versions rather than guessing.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+#: Payload versions resume reads. A version 1 payload also carried the
+#: collector state and metrics snapshot resume once restored; it holds
+#: every version 2 field, so it is read the same way.
+_READABLE_VERSIONS = (1, CHECKPOINT_VERSION)
 
 #: Sim-clock drift tolerated between replay and checkpoint before resume
 #: refuses. Replay recomputes the same floats, so this is effectively an
@@ -90,24 +100,12 @@ class CheckpointedCampaign:
         )
         self.start_day = 0
 
-    # --- checkpoint capture ------------------------------------------------
+    # --- checkpoints and the day loop ------------------------------------
 
-    def _capture_payload(self, completed_days: int) -> dict:
+    def _payload(self, completed_days: int, finished: bool) -> dict:
+        """What checks a replay of this run through ``completed_days``."""
         engine = self.campaign.engine
-        payload = self._base_payload(engine, completed_days)
-        if self.campaign.faults is not None:
-            # Per-endpoint call counters restore the injector's RNG
-            # schedule; the accumulated log restores its integrity
-            # accounting. The plan fingerprint guards against resuming
-            # under a different fault schedule.
-            payload["faults"] = {
-                "plan_fingerprint": self.campaign.faults.plan.fingerprint(),
-                "state": self.campaign.faults.state(),
-            }
-        return payload
-
-    def _base_payload(self, engine, completed_days: int) -> dict:
-        return {
+        payload = {
             "version": CHECKPOINT_VERSION,
             "completed_days": completed_days,
             "sim_time": engine.clock.now(),
@@ -117,42 +115,44 @@ class CheckpointedCampaign:
                 "bundle_seq": self.store.database.max_seq("bundles"),
                 "detail_seq": self.store.database.max_seq("transactions"),
             },
-            "poller": self.campaign.poller.state(),
-            "fetcher": self.campaign.fetcher.state(),
-            "coverage": self.campaign.coverage.state(),
-            "explorer": self.campaign.service.state(),
             "rng": {"engine_root": engine.rng.state_fingerprint()},
-            "metrics": self.campaign.metrics.snapshot(),
         }
+        if self.campaign.faults is not None:
+            # Guards against resuming under a different fault schedule.
+            payload["faults"] = {
+                "plan_fingerprint": self.campaign.faults.plan.fingerprint()
+            }
+        if finished:
+            payload["finished"] = True
+        return payload
 
     def _save_checkpoint(
         self, completed_days: int, finished: bool = False
-    ) -> int:
+    ) -> int | None:
         # Flush first so the captured high-water marks cover everything
-        # collected so far; the payload (including its metrics snapshot)
-        # is then self-consistent with the archive's committed contents.
+        # collected so far.
         self.store.flush(trigger="checkpoint")
-        payload = self._capture_payload(completed_days)
-        if finished:
-            payload["finished"] = True
+        payload = self._payload(completed_days, finished)
         return self.store.save_checkpoint(
             payload, completed_days, payload["sim_time"]
         )
 
-    # --- the run loop ------------------------------------------------------
+    def _run_day(self, day: int, checkpoint_days: set[int]) -> None:
+        """Run one day, then checkpoint if ``checkpoint_days`` holds it."""
+        self.campaign.engine.run_day(day)
+        if day + 1 in checkpoint_days:
+            self._save_checkpoint(day + 1)
 
     def run(self) -> CampaignResult:
         """Run (or continue) the campaign, checkpointing between days."""
         days = self.scenario.days
-        engine = self.campaign.engine
+        every = self.checkpoint_every_days
+        checkpoint_days = set(range(every, days + 1, every)) | {days}
         for day in range(self.start_day, days):
-            engine.run_day(day)
-            completed = day + 1
-            if completed % self.checkpoint_every_days == 0 or completed == days:
-                self._save_checkpoint(completed)
+            self._run_day(day, checkpoint_days)
         result = self.campaign.finalize()
-        # A final marker checkpoint records completion (and the post-drain
-        # collector state) so resume can refuse already-finished archives.
+        # A final marker checkpoint records completion so resume can
+        # refuse already-finished archives.
         self._save_checkpoint(days, finished=True)
         return result
 
@@ -175,9 +175,10 @@ class CheckpointedCampaign:
 
         Raises:
             StoreError: if the archive holds no checkpoint, the campaign
-                already finished, or deterministic replay diverges from the
-                checkpointed RNG/clock state.
-            ConfigError: on scenario or checkpoint-version mismatch.
+                already finished, or the replay diverges from the
+                checkpoint or from the archive's rows.
+            ConfigError: on a scenario, fault-plan or checkpoint-version
+                mismatch.
         """
         self = cls(
             scenario,
@@ -192,10 +193,10 @@ class CheckpointedCampaign:
                 f"archive {self.store.database.path} holds no checkpoint "
                 "to resume from"
             )
-        if payload.get("version") != CHECKPOINT_VERSION:
+        if payload.get("version") not in _READABLE_VERSIONS:
             raise ConfigError(
                 f"checkpoint version {payload.get('version')!r} is not "
-                f"supported (expected {CHECKPOINT_VERSION})"
+                f"supported (expected one of {_READABLE_VERSIONS})"
             )
         if payload.get("finished"):
             raise StoreError(
@@ -208,19 +209,55 @@ class CheckpointedCampaign:
                 "collected under (fingerprint "
                 f"{payload.get('scenario_fingerprint')} != {expected})"
             )
-
-        # 1-2: roll the archive back to the checkpoint, rebuild the store.
+        self._check_fault_plan(payload.get("faults"))
+        self._replay(payload)
         self.store.truncate_after(
             int(payload["store"]["bundle_seq"]),
             int(payload["store"]["detail_seq"]),
         )
-        self.store.load_memory_state()
+        self.start_day = int(payload["completed_days"])
+        return self
 
-        # 3: deterministic replay of the simulation, collection off.
-        completed = int(payload["completed_days"])
-        self.campaign.collect_enabled = False
-        self.campaign.engine.run_days(0, completed)
-        self.campaign.collect_enabled = True
+    def _check_fault_plan(self, faults_payload: dict | None) -> None:
+        """Refuse a fault plan other than the one the archive ran under."""
+        if faults_payload is None:
+            if self.campaign.faults is not None:
+                raise ConfigError(
+                    "archive was collected without fault injection; resume "
+                    "must not introduce a fault plan"
+                )
+            return
+        if self.campaign.faults is None:
+            raise ConfigError(
+                "checkpoint was collected under fault injection; "
+                "resume requires the same fault plan"
+            )
+        expected_plan = self.campaign.faults.plan.fingerprint()
+        if faults_payload.get("plan_fingerprint") != expected_plan:
+            raise ConfigError(
+                "fault plan does not match the one this archive was "
+                "collected under (fingerprint "
+                f"{faults_payload.get('plan_fingerprint')} != "
+                f"{expected_plan})"
+            )
+
+    def _replay(self, payload: dict) -> None:
+        """Rerun the checkpointed days as they first ran, then check them.
+
+        The archive already holds every row the replay collects, so the
+        store refuses any flush that would add one. A replayed day flushes
+        for a checkpoint wherever the archive holds one, whatever the
+        cadence of this run.
+        """
+        conn = self.store.database.connection
+        archived_days = {
+            row[0]
+            for row in conn.execute("SELECT completed_days FROM checkpoints")
+        }
+        self.store.replaying = True
+        for day in range(int(payload["completed_days"])):
+            self._run_day(day, archived_days)
+        self.store.replaying = False
 
         clock_now = self.campaign.engine.clock.now()
         if abs(clock_now - float(payload["sim_time"])) > _CLOCK_TOLERANCE_SECONDS:
@@ -235,35 +272,20 @@ class CheckpointedCampaign:
                 f"({fingerprint} != {payload['rng']['engine_root']}); "
                 "the archive was not produced by this code/scenario"
             )
-
-        # 4: restore collector-side state and the metrics registry.
-        self.campaign.poller.restore_state(payload["poller"])
-        self.campaign.fetcher.restore_state(payload["fetcher"])
-        self.campaign.coverage.restore_state(payload["coverage"])
-        self.campaign.service.restore_state(payload["explorer"])
-        faults_payload = payload.get("faults")
-        if faults_payload is not None:
-            if self.campaign.faults is None:
-                raise ConfigError(
-                    "checkpoint was collected under fault injection; "
-                    "resume requires the same fault plan"
-                )
-            expected_plan = self.campaign.faults.plan.fingerprint()
-            if faults_payload.get("plan_fingerprint") != expected_plan:
-                raise ConfigError(
-                    "fault plan does not match the one this archive was "
-                    "collected under (fingerprint "
-                    f"{faults_payload.get('plan_fingerprint')} != "
-                    f"{expected_plan})"
-                )
-            self.campaign.faults.restore_state(faults_payload["state"])
-        elif self.campaign.faults is not None:
-            raise ConfigError(
-                "archive was collected without fault injection; resume "
-                "must not introduce a fault plan"
+        archived = tuple(
+            conn.execute(
+                f"SELECT COUNT(*) FROM {table} WHERE seq <= ?",
+                (int(payload["store"][mark]),),
+            ).fetchone()[0]
+            for table, mark in (
+                ("bundles", "bundle_seq"),
+                ("transactions", "detail_seq"),
             )
-        restore_snapshot_into(self.campaign.metrics, payload["metrics"])
-        self.store.note_resumed_checkpoint(float(payload["sim_time"]))
-
-        self.start_day = completed
-        return self
+        )
+        replayed = (len(self.store), self.store.detail_count())
+        if replayed != archived:
+            raise StoreError(
+                f"replay collected {replayed[0]} bundles and {replayed[1]} "
+                f"details, but the archive holds {archived[0]} and "
+                f"{archived[1]} at its checkpoint"
+            )

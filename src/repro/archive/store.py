@@ -2,15 +2,14 @@
 
 :class:`ArchiveBundleStore` implements the full :class:`BundleStore`
 interface, so the poller and detail fetcher write through it unchanged,
-while every insert is also queued for the SQLite archive. A configurable
-:class:`FlushPolicy` bounds how much collected data a crash can lose:
-pending rows are committed in one transaction whenever the buffer reaches
-``max_pending`` records (and always on checkpoint save and close).
+while every insert is also queued for the SQLite archive. Pending rows are
+committed in one transaction whenever the buffer reaches
+:data:`FLUSH_MAX_PENDING` records, the bound on what a crash can lose, and
+always on checkpoint save and close.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.archive.database import ArchiveDatabase
@@ -23,7 +22,7 @@ from repro.archive.schema import (
 from repro.collector.store import BundleStore
 from repro.core.defensive import DefensiveReport
 from repro.core.quantify import QuantifiedSandwich
-from repro.errors import ConfigError, StoreError
+from repro.errors import StoreError
 from repro.explorer.models import BundleRecord, TransactionRecord
 from repro.obs.registry import MetricsRegistry
 from repro.utils.serialization import decode_json, encode_json_sorted
@@ -57,24 +56,9 @@ _INSERT_DEFENSIVE = (
     "WHERE bundle_id = ?"
 )
 
-
-@dataclass(frozen=True)
-class FlushPolicy:
-    """When the batched writer commits its pending rows.
-
-    ``max_pending`` is the crash-loss bound: at most that many records
-    (bundles plus details combined) can sit uncommitted. The default favors
-    throughput — a campaign that needs tighter durability (or a test that
-    needs every insert visible immediately) lowers it, down to 1 for
-    write-through behavior.
-    """
-
-    max_pending: int = 256
-
-    def validate(self) -> None:
-        """Raise :class:`ConfigError` on nonsensical settings."""
-        if self.max_pending < 1:
-            raise ConfigError("flush policy max_pending must be >= 1")
+#: Records (bundles plus details) buffered before the writer commits them:
+#: at most this many collected records can be lost to a crash.
+FLUSH_MAX_PENDING = 256
 
 
 class ArchiveBundleStore(BundleStore):
@@ -82,15 +66,18 @@ class ArchiveBundleStore(BundleStore):
 
     The in-memory indexes stay authoritative for reads (analysis code is
     unchanged); the SQLite file is the durable, queryable mirror. Writes
-    are batched per :class:`FlushPolicy` and committed in insertion order,
-    so the archive's ``seq`` order always equals collection order — the
-    property checkpoint/resume relies on to rebuild identical stores.
+    are batched and committed in insertion order, so the archive's ``seq``
+    order always equals collection order.
+
+    While :attr:`replaying` is set, every write must already be archived:
+    a resumed campaign replays collection into an archive that holds what
+    the replay collects, so a flush that would add a row is refused and a
+    checkpoint is counted without a new row.
     """
 
     def __init__(
         self,
         database: ArchiveDatabase | str | Path,
-        flush_policy: FlushPolicy | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         super().__init__(metrics=metrics)
@@ -99,8 +86,7 @@ class ArchiveBundleStore(BundleStore):
             if isinstance(database, ArchiveDatabase)
             else ArchiveDatabase(database)
         )
-        self.flush_policy = flush_policy or FlushPolicy()
-        self.flush_policy.validate()
+        self.replaying = False
         self._pending_bundles: list[BundleRecord] = []
         self._pending_details: list[TransactionRecord] = []
         self._rows_metric = self.metrics.counter(
@@ -156,31 +142,42 @@ class ArchiveBundleStore(BundleStore):
         return added
 
     def _maybe_flush(self) -> None:
-        if self.pending >= self.flush_policy.max_pending:
+        if self.pending >= FLUSH_MAX_PENDING:
             self.flush(trigger="policy")
 
     def flush(self, trigger: str = "explicit") -> int:
-        """Commit all pending rows in one transaction; returns rows written."""
+        """Commit all pending rows in one transaction; returns rows written.
+
+        Raises:
+            StoreError: while :attr:`replaying`, when a pending row is not
+                yet archived; the flush is rolled back first.
+        """
         count = self.pending
         if count == 0:
             return 0
         conn = self.database.connection
-        conn.executemany(
+        added = conn.executemany(
             _INSERT_BUNDLE,
             [bundle_to_row(r) for r in self._pending_bundles],
-        )
-        conn.executemany(
+        ).rowcount
+        added += conn.executemany(
             _INSERT_MEMBER,
             [
                 (tx_id, record.bundle_id, position)
                 for record in self._pending_bundles
                 for position, tx_id in enumerate(record.transaction_ids)
             ],
-        )
-        conn.executemany(
+        ).rowcount
+        added += conn.executemany(
             _INSERT_DETAIL,
             [detail_to_row(r) for r in self._pending_details],
-        )
+        ).rowcount
+        if added and self.replaying:
+            conn.rollback()
+            raise StoreError(
+                f"replayed collection would add {added} row(s) the archive "
+                "does not hold; it does not match its checkpoint"
+            )
         conn.commit()
         self._rows_metric.inc(len(self._pending_bundles), table="bundles")
         self._rows_metric.inc(
@@ -279,36 +276,28 @@ class ArchiveBundleStore(BundleStore):
 
     def save_checkpoint(
         self, payload: dict, completed_days: int, sim_time: float
-    ) -> int:
+    ) -> int | None:
         """Flush, then persist a campaign checkpoint; returns its id.
 
         The flush-first ordering makes every checkpoint self-consistent: a
         checkpoint row never references collected data that is still
-        sitting in the write buffer.
+        sitting in the write buffer. While :attr:`replaying`, the archive
+        already holds the checkpoint: it is counted, no row is inserted,
+        and None is returned.
         """
         self.flush(trigger="checkpoint")
-        conn = self.database.connection
-        cursor = conn.execute(
-            "INSERT INTO checkpoints "
-            "(created_sim_time, completed_days, payload) VALUES (?,?,?)",
-            (sim_time, completed_days, encode_json_sorted(payload)),
-        )
-        conn.commit()
+        checkpoint_id = None
+        if not self.replaying:
+            conn = self.database.connection
+            checkpoint_id = conn.execute(
+                "INSERT INTO checkpoints "
+                "(created_sim_time, completed_days, payload) VALUES (?,?,?)",
+                (sim_time, completed_days, encode_json_sorted(payload)),
+            ).lastrowid
+            conn.commit()
         self._checkpoint_metric.inc()
         self._checkpoint_time_gauge.set(sim_time)
-        return int(cursor.lastrowid)
-
-    def note_resumed_checkpoint(self, sim_time: float) -> None:
-        """Re-apply the bookkeeping a restored metrics snapshot misses.
-
-        A checkpoint's embedded snapshot is captured *before* the
-        checkpoint row itself is counted (the snapshot cannot contain its
-        own increment), so a resumed campaign replays that one increment
-        here — keeping ``archive_checkpoints_total`` and the
-        last-checkpoint gauge identical to an uninterrupted run's.
-        """
-        self._checkpoint_metric.inc()
-        self._checkpoint_time_gauge.set(sim_time)
+        return checkpoint_id
 
     def latest_checkpoint(self) -> dict | None:
         """The most recent checkpoint payload, or None."""
@@ -323,10 +312,11 @@ class ArchiveBundleStore(BundleStore):
 
         Used on resume: a killed campaign keeps writing between its last
         checkpoint and the crash, and those post-checkpoint rows must be
-        rolled back before replaying so the resumed run re-collects them
-        on the same schedule as an uninterrupted one. The deleted bundles'
-        classification rows go with them: a re-collected bundle gets a
-        new ``seq``, and its old row would be counted beside the new one.
+        rolled back before the run continues, so the resumed run
+        re-collects them on the same schedule as an uninterrupted one. The
+        deleted bundles' classification rows go with them: a re-collected
+        bundle gets a new ``seq``, and its old row would be counted beside
+        the new one.
         Returns rows deleted.
         """
         conn = self.database.connection
@@ -371,10 +361,9 @@ class ArchiveBundleStore(BundleStore):
     def resume(
         cls,
         database: ArchiveDatabase | str | Path,
-        flush_policy: FlushPolicy | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> "ArchiveBundleStore":
         """Reopen an archive, loading everything written so far."""
-        store = cls(database, flush_policy=flush_policy, metrics=metrics)
+        store = cls(database, metrics=metrics)
         store.load_memory_state()
         return store

@@ -111,10 +111,6 @@ class MeasurementCampaign:
         # ``repro.obs.NULL_REGISTRY`` to disable entirely.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.scenario = scenario
-        # Collection can be switched off so checkpoint resume can replay
-        # the (deterministic, collection-independent) simulation without
-        # re-polling data the archive already holds.
-        self.collect_enabled = True
         self.engine = SimulationEngine(scenario, downtime, metrics=self.metrics)
         world = self.engine.world
         self.metrics.set_time_fn(world.clock.now)
@@ -181,8 +177,6 @@ class MeasurementCampaign:
         self.engine.on_block(self._after_block)
 
     def _after_block(self, world: SimulationWorld, _block) -> None:
-        if not self.collect_enabled:
-            return
         self.poller.maybe_poll()
         self.fetcher.maybe_fetch()
 

@@ -81,45 +81,6 @@ class CoverageEstimator:
         # predecessor window, so do not score the pair that straddles it.
         self._previous_ids = None
 
-    def state(self) -> dict:
-        """JSON-safe snapshot of the estimator (for campaign checkpoints)."""
-        return {
-            "pairs": [
-                {
-                    "poll_time": pair.poll_time,
-                    "overlapped": pair.overlapped,
-                    "new_bundles": pair.new_bundles,
-                }
-                for pair in self.pairs
-            ],
-            "failed_polls": self.failed_polls,
-            "successful_polls": self.successful_polls,
-            "failure_times": list(self.failure_times),
-            "previous_ids": (
-                sorted(self._previous_ids)
-                if self._previous_ids is not None
-                else None
-            ),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`state`."""
-        self.pairs = [
-            PollPairObservation(
-                poll_time=pair["poll_time"],
-                overlapped=pair["overlapped"],
-                new_bundles=pair["new_bundles"],
-            )
-            for pair in state["pairs"]
-        ]
-        self.failed_polls = int(state["failed_polls"])
-        self.successful_polls = int(state["successful_polls"])
-        self.failure_times = list(state["failure_times"])
-        previous = state["previous_ids"]
-        self._previous_ids = (
-            frozenset(previous) if previous is not None else None
-        )
-
     @property
     def pair_count(self) -> int:
         """Number of scored successive pairs."""

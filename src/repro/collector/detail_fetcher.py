@@ -80,7 +80,6 @@ class TxDetailFetcher:
         self._next_due = clock.now()
         self.batches_fetched = 0
         self.batches_failed = 0
-        self.fetch_cycles = 0
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._batches_metric = self.metrics.counter(
             "collector_detail_batches_total",
@@ -107,40 +106,6 @@ class TxDetailFetcher:
     def due(self) -> bool:
         """Whether the two-minute spacing allows another batch now."""
         return self._clock.now() >= self._next_due
-
-    def state(self) -> dict:
-        """JSON-safe snapshot of the fetch cursor (for checkpoints)."""
-        return {
-            "next_due": self._next_due,
-            "batches_fetched": self.batches_fetched,
-            "batches_failed": self.batches_failed,
-            "fetch_cycles": self.fetch_cycles,
-            "scan_offset": self._scan_offset,
-            "incomplete_ids": [
-                bundle.bundle_id for bundle in self._incomplete
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`state`.
-
-        The incomplete-bundle worklist is rebuilt from ids against the
-        (already restored) store, preserving its order — batch composition
-        after a resume must match the uninterrupted run's.
-        """
-        self._next_due = float(state["next_due"])
-        self.batches_fetched = int(state["batches_fetched"])
-        self.batches_failed = int(state["batches_failed"])
-        self.fetch_cycles = int(state.get("fetch_cycles", 0))
-        self._scan_offset = int(state["scan_offset"])
-        self._incomplete = [
-            bundle
-            for bundle in (
-                self._store.get_bundle(bundle_id)
-                for bundle_id in state["incomplete_ids"]
-            )
-            if bundle is not None
-        ]
 
     def _refresh_incomplete(self) -> None:
         new_records = self._store.bundles_of_length_since(
@@ -172,7 +137,6 @@ class TxDetailFetcher:
         A transient error is retried at once, up to ``max_retries`` times;
         any other error propagates.
         """
-        self.fetch_cycles += 1
         pending = self.pending_transaction_ids()
         if not pending:
             # No request went out, so the polite inter-batch spacing does

@@ -127,18 +127,6 @@ class BundlePoller:
         """Whether the next poll's scheduled time has arrived."""
         return self._clock.now() >= self._next_due
 
-    def state(self) -> dict:
-        """The poll cursor: everything a checkpoint needs to resume polling."""
-        return {
-            "next_due": self._next_due,
-            "polls_attempted": self.polls_attempted,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a poll cursor produced by :meth:`state`."""
-        self._next_due = float(state["next_due"])
-        self.polls_attempted = int(state["polls_attempted"])
-
     def poll_once(self) -> PollResult:
         """Poll now, regardless of schedule.
 

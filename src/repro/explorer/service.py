@@ -88,7 +88,6 @@ class ExplorerService:
             time_fn=clock.now,
         )
         self.requests_served = 0
-        self.requests_rejected = 0
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._requests_metric = self.metrics.counter(
             "explorer_requests_total",
@@ -113,7 +112,6 @@ class ExplorerService:
     def _check_available(self, endpoint: str) -> None:
         day_fraction = self._clock.elapsed() / SECONDS_PER_DAY
         if self._downtime.is_down(day_fraction):
-            self.requests_rejected += 1
             self._rejected_metric.inc(
                 endpoint=endpoint, reason="unavailable"
             )
@@ -125,7 +123,6 @@ class ExplorerService:
         admission = self._limiter.admit(client_id)
         if not admission.allowed:
             self._tokens_rejected_metric.inc()
-            self.requests_rejected += 1
             self._rejected_metric.inc(
                 endpoint=endpoint, reason="rate_limited"
             )
@@ -133,22 +130,6 @@ class ExplorerService:
                 f"client {client_id!r} exceeded rate limit",
                 retry_after=admission.retry_after,
             )
-
-    # --- checkpoint support ------------------------------------------------------
-
-    def state(self) -> dict:
-        """JSON-safe snapshot of per-client rate budgets and tallies."""
-        return {
-            "buckets": self._limiter.state(),
-            "requests_served": self.requests_served,
-            "requests_rejected": self.requests_rejected,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`state`."""
-        self._limiter.restore_state(state["buckets"])
-        self.requests_served = int(state["requests_served"])
-        self.requests_rejected = int(state["requests_rejected"])
 
     # --- endpoints ---------------------------------------------------------------
 

@@ -1,19 +1,19 @@
 """The fault injector: seed-reproducible decisions, observable outcomes.
 
 Every injection decision is drawn from a per-call child of the campaign
-RNG, keyed by ``(endpoint, call-index)`` — exactly the scheme the poller
-uses for retry jitter. That gives two properties the chaos suite depends
-on:
+RNG, keyed by ``(endpoint, call-index)``. That gives two properties the
+chaos suite depends on:
 
 - **Replayability** — the same seed and plan produce the same fault
   sequence, call for call, regardless of what other subsystems draw;
-- **Resumability** — a checkpoint needs only the per-endpoint call
-  counters (plus the accumulated log) to continue a killed chaos run with
-  the identical remaining schedule.
+- **Resumability** — a resumed chaos run replays its collection from the
+  seed, so the injector makes the same calls again and reaches the killed
+  run's counters and log with nothing restored; a checkpoint keeps only
+  the plan fingerprint, which refuses a resume under another plan.
 
 Injected faults are never silent: each one lands in the replayable fault
 log (seq, sim time, endpoint, kind and fields; ``repro chaos`` writes it
-to ``fault_log.jsonl`` and checkpoints carry it) and increments
+to ``fault_log.jsonl``) and increments
 ``faults_injected_total{kind,endpoint}``, so operators can tell injected
 failures from organic ones.
 """
@@ -177,27 +177,3 @@ class FaultInjector:
     def fault_log_json(self) -> list[dict]:
         """The full fault log in wire form (one dict per injection)."""
         return [fault.to_json() for fault in self.log]
-
-    # --- checkpoint support ------------------------------------------------------
-
-    def state(self) -> dict:
-        """JSON-safe snapshot: call counters plus the accumulated log.
-
-        The counters restore the RNG schedule; the log restores the
-        integrity accounting, so a resumed chaos run's final report is
-        byte-identical to an uninterrupted one.
-        """
-        return {
-            "calls": dict(sorted(self._calls.items())),
-            "log": self.fault_log_json(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`state`."""
-        self._calls = {
-            str(endpoint): int(count)
-            for endpoint, count in state["calls"].items()
-        }
-        self.log = [
-            InjectedFault.from_json(record) for record in state["log"]
-        ]

@@ -211,15 +211,3 @@ class InjectedFault:
         if self.fields:
             record["fields"] = self.fields
         return record
-
-    @classmethod
-    def from_json(cls, record: dict) -> "InjectedFault":
-        """Rebuild a log record from :meth:`to_json` output."""
-        return cls(
-            seq=int(record["seq"]),
-            time=float(record["time"]),
-            endpoint=str(record["endpoint"]),
-            kind=FaultKind(record["kind"]),
-            detail=str(record.get("detail", "")),
-            fields=dict(record.get("fields", {})),
-        )

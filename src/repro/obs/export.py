@@ -15,15 +15,8 @@ import json
 from pathlib import Path
 
 from repro.errors import ConfigError
-from repro.obs.registry import (
-    SNAPSHOT_SCHEMA,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    _HistogramState,
-    _label_key,
-)
+from repro.obs.registry import SNAPSHOT_SCHEMA, MetricsRegistry
+
 
 def save_snapshot(source: MetricsRegistry | dict, path: str | Path) -> dict:
     """Write a snapshot (from a registry or an existing dict) as JSON.
@@ -51,100 +44,6 @@ def load_snapshot(path: str | Path) -> dict:
             f"(expected {SNAPSHOT_SCHEMA!r})"
         )
     return snapshot
-
-
-def _histogram_bounds(family: dict) -> tuple[float, ...] | None:
-    for entry in family.get("series", []):
-        return tuple(
-            sorted(
-                float(bound)
-                for bound in entry["buckets"]
-                if bound != "+Inf"
-            )
-        )
-    return None
-
-
-def _restore_histogram_series(
-    metric: Histogram, entry: dict
-) -> _HistogramState:
-    state = _HistogramState(len(metric.buckets))
-    cumulative = entry["buckets"]
-    running = 0
-    for index, bound in enumerate(metric.buckets):
-        total = int(cumulative[repr(bound)])
-        state.bucket_counts[index] = total - running
-        running = total
-    state.bucket_counts[-1] = int(entry["count"]) - running
-    state.sum = float(entry["sum"])
-    state.count = int(entry["count"])
-    return state
-
-
-def restore_snapshot_into(
-    registry: MetricsRegistry, snapshot: dict
-) -> int:
-    """Load a snapshot's values into a live registry, overwriting in place.
-
-    Families are created when missing and *mutated* when present, so metric
-    handles components captured at construction keep working — this is how
-    a resumed campaign warm-starts its registry to the checkpointed values.
-    Returns the number of series restored.
-
-    Raises:
-        ConfigError: if a family exists with a different type, or a
-            histogram's bucket bounds disagree with the snapshot's.
-    """
-    if not registry.enabled:
-        return 0
-    restored = 0
-    for name, family in snapshot.get("metrics", {}).items():
-        kind = family.get("type")
-        help_text = family.get("help", "")
-        series = family.get("series", [])
-        if kind == "counter":
-            metric: Counter | Gauge | Histogram = registry.counter(
-                name, help_text
-            )
-        elif kind == "gauge":
-            metric = registry.gauge(name, help_text)
-        elif kind == "histogram":
-            bounds = _histogram_bounds(family)
-            existing = registry.get(name)
-            if existing is None and bounds is None:
-                continue  # empty family; nothing to restore
-            metric = (
-                existing
-                if isinstance(existing, Histogram)
-                else registry.histogram(name, help_text, buckets=bounds)
-            )
-            if not isinstance(metric, Histogram):
-                raise ConfigError(
-                    f"metric {name!r} is {metric.kind}, snapshot says "
-                    "histogram"
-                )
-            if bounds is not None and metric.buckets != bounds:
-                raise ConfigError(
-                    f"histogram {name!r} buckets {metric.buckets} do not "
-                    f"match snapshot buckets {bounds}"
-                )
-        else:
-            raise ConfigError(
-                f"cannot restore metric {name!r} of kind {kind!r}"
-            )
-        metric._series.clear()
-        for entry in series:
-            key = _label_key(
-                {str(k): str(v) for k, v in entry.get("labels", {}).items()}
-            )
-            if isinstance(metric, Histogram):
-                metric._series[key] = _restore_histogram_series(
-                    metric, entry
-                )
-            else:
-                metric._series[key] = float(entry["value"])
-            restored += 1
-    return restored
 
 
 def _format_value(value: float) -> str:

@@ -249,12 +249,7 @@ class SimulationEngine:
         return self.world.day_stats[-1]
 
     def run_days(self, start_day: int, stop_day: int) -> None:
-        """Simulate days ``start_day`` (inclusive) to ``stop_day`` (exclusive).
-
-        The checkpointed campaign drives the engine through this method so
-        it can persist collector state between days; plain runs use
-        :meth:`run`.
-        """
+        """Simulate days ``start_day`` to ``stop_day``, the stop excluded."""
         for day in range(start_day, stop_day):
             self.run_day(day)
 

@@ -84,26 +84,6 @@ class TokenBucket:
         self.rejected += 1
         return False
 
-    def state(self) -> dict:
-        """JSON-safe snapshot of the bucket's fill level and tallies.
-
-        Campaign checkpoints persist this so a resumed run faces exactly
-        the rate-limit budget the killed run had earned.
-        """
-        return {
-            "tokens": self._tokens,
-            "last_refill": self._last_refill,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`state`."""
-        self._tokens = min(self._capacity, float(state["tokens"]))
-        self._last_refill = float(state["last_refill"])
-        self.admitted = int(state["admitted"])
-        self.rejected = int(state["rejected"])
-
     def seconds_until_available(self, tokens: float = 1.0) -> float:
         """How long a caller must wait before ``tokens`` would be admitted.
 
@@ -199,23 +179,3 @@ class ClientRateLimiter:
             allowed=False,
             retry_after=bucket.seconds_until_available(),
         )
-
-    def state(self) -> dict:
-        """JSON-safe snapshot of every client's bucket, sorted by client id.
-
-        Campaign checkpoints persist this so a resumed client faces the
-        exact token budget the killed run had left.
-        """
-        return {
-            client_id: bucket.state()
-            for client_id, bucket in sorted(self._buckets.items())
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`state`.
-
-        Buckets are materialized eagerly, so a resumed client faces its
-        remaining budget, not a fresh burst.
-        """
-        for client_id, bucket_state in state.items():
-            self._bucket(client_id).restore_state(bucket_state)

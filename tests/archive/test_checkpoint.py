@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sqlite3
 
 import pytest
 
@@ -25,6 +26,19 @@ def scenario():
 def rendered_report(result, scenario) -> str:
     report = AnalysisPipeline().analyze_campaign(result)
     return render_campaign_report(result, report, scenario)
+
+
+def patch_latest_checkpoint(campaign, patch: dict) -> None:
+    """Overwrite fields of the archive's latest checkpoint payload."""
+    payload = campaign.store.latest_checkpoint()
+    payload.update(patch)
+    conn = campaign.store.database.connection
+    conn.execute(
+        "UPDATE checkpoints SET payload = ? WHERE checkpoint_id = "
+        "(SELECT MAX(checkpoint_id) FROM checkpoints)",
+        (json.dumps(payload),),
+    )
+    conn.commit()
 
 
 class TestCheckpointing:
@@ -97,6 +111,28 @@ class TestResumeIdentity:
         resumed.store.close()
         assert actual == expected
 
+    def test_version_one_checkpoint_resumes_byte_identically(
+        self, scenario, tmp_path
+    ):
+        # A version 1 payload also carried collector state, which resume
+        # now ignores: it replays collection instead.
+        reference = CheckpointedCampaign(scenario, tmp_path / "ref.db")
+        expected = rendered_report(reference.run(), scenario)
+        reference.store.close()
+
+        killed = CheckpointedCampaign(scenario, tmp_path / "killed.db")
+        killed.campaign.engine.run_day(0)
+        killed._save_checkpoint(1)
+        patch_latest_checkpoint(
+            killed, {"version": 1, "poller": {"polls_attempted": 0}}
+        )
+        killed.store.close()
+
+        resumed = CheckpointedCampaign.resume(scenario, tmp_path / "killed.db")
+        actual = rendered_report(resumed.run(), scenario)
+        resumed.store.close()
+        assert actual == expected
+
     def test_resumed_metrics_match_uninterrupted_run(self, scenario, tmp_path):
         # The whole snapshot, not one counter: every collector, explorer,
         # store and archive series must read as if the run never stopped.
@@ -142,7 +178,7 @@ class TestResumeRefusals:
         campaign = CheckpointedCampaign(scenario, tmp_path / "a.db")
         campaign.campaign.engine.run_day(0)
         campaign._save_checkpoint(1)
-        self._tamper(campaign, {"version": 99})
+        patch_latest_checkpoint(campaign, {"version": 99})
         campaign.store.close()
         with pytest.raises(ConfigError, match="version"):
             CheckpointedCampaign.resume(scenario, tmp_path / "a.db")
@@ -151,22 +187,92 @@ class TestResumeRefusals:
         campaign = CheckpointedCampaign(scenario, tmp_path / "a.db")
         campaign.campaign.engine.run_day(0)
         campaign._save_checkpoint(1)
-        self._tamper(campaign, {"rng": {"engine_root": "0" * 16}})
+        patch_latest_checkpoint(campaign, {"rng": {"engine_root": "0" * 16}})
         campaign.store.close()
         with pytest.raises(StoreError, match="RNG"):
             CheckpointedCampaign.resume(scenario, tmp_path / "a.db")
 
     @staticmethod
-    def _tamper(campaign, patch: dict) -> None:
-        payload = campaign.store.latest_checkpoint()
-        payload.update(patch)
-        conn = campaign.store.database.connection
+    def _killed_archive(scenario, path):
+        """Checkpoints after days 1 and 2, then day 3 collected and
+        flushed, as a kill between checkpoints leaves an archive."""
+        killed = CheckpointedCampaign(scenario, path)
+        for day in range(2):
+            killed.campaign.engine.run_day(day)
+            killed._save_checkpoint(day + 1)
+        killed.campaign.engine.run_day(2)
+        killed.store.flush()
+        killed.store.database.close()
+        conn = sqlite3.connect(path)
+        (payload,) = conn.execute(
+            "SELECT payload FROM checkpoints "
+            "ORDER BY checkpoint_id DESC LIMIT 1"
+        ).fetchone()
+        return conn, json.loads(payload)["store"]
+
+    @staticmethod
+    def _row_counts(path) -> tuple[int, int]:
+        conn = sqlite3.connect(path)
+        try:
+            return tuple(
+                conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+                for table in ("bundles", "transactions")
+            )
+        finally:
+            conn.close()
+
+    def _assert_refused_untouched(
+        self, scenario, path, match: str = "does not hold"
+    ) -> None:
+        before = self._row_counts(path)
+        with pytest.raises(StoreError, match=match):
+            CheckpointedCampaign.resume(scenario, path)
+        assert self._row_counts(path) == before
+
+    def test_archive_missing_a_checkpointed_bundle_refused(
+        self, scenario, tmp_path
+    ):
+        path = tmp_path / "killed.db"
+        conn, marks = self._killed_archive(scenario, path)
+        (bundle_id,) = conn.execute(
+            "SELECT bundle_id FROM bundles "
+            "WHERE num_transactions = 3 AND seq <= ? ORDER BY seq LIMIT 1",
+            (marks["bundle_seq"],),
+        ).fetchone()
         conn.execute(
-            "UPDATE checkpoints SET payload = ? WHERE checkpoint_id = "
-            "(SELECT MAX(checkpoint_id) FROM checkpoints)",
-            (json.dumps(payload),),
+            "DELETE FROM bundle_transactions WHERE bundle_id = ?", (bundle_id,)
+        )
+        conn.execute("DELETE FROM bundles WHERE bundle_id = ?", (bundle_id,))
+        conn.commit()
+        conn.close()
+        self._assert_refused_untouched(scenario, path)
+
+    def test_archive_missing_a_checkpointed_detail_refused(
+        self, scenario, tmp_path
+    ):
+        path = tmp_path / "killed.db"
+        conn, _ = self._killed_archive(scenario, path)
+        conn.execute(
+            "DELETE FROM transactions "
+            "WHERE seq = (SELECT MIN(seq) FROM transactions)"
         )
         conn.commit()
+        conn.close()
+        self._assert_refused_untouched(scenario, path)
+
+    def test_archive_with_a_row_the_replay_never_collects_refused(
+        self, scenario, tmp_path
+    ):
+        path = tmp_path / "killed.db"
+        conn, _ = self._killed_archive(scenario, path)
+        conn.execute(
+            "INSERT INTO bundles (seq, bundle_id, slot, landed_at, "
+            "landed_date, tip_lamports, num_transactions, transaction_ids) "
+            "VALUES (0, 'stray', 1, 1.0, '2024-01-01', 1, 0, '[]')"
+        )
+        conn.commit()
+        conn.close()
+        self._assert_refused_untouched(scenario, path, match="replay collected")
 
 
 class TestScenarioFingerprint:

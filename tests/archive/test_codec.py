@@ -28,7 +28,7 @@ from repro.archive.schema import (
     parse_transaction_ids,
     sandwich_from_columns,
 )
-from repro.archive.store import ArchiveBundleStore, FlushPolicy
+from repro.archive.store import ArchiveBundleStore
 from repro.core.events import SandwichEvent
 from repro.core.quantify import QuantifiedSandwich
 from repro.core.trades import TradeLeg
@@ -68,10 +68,8 @@ def stored_columns(store, table: str, columns: tuple[str, ...]) -> list:
 
 
 def fresh_store() -> ArchiveBundleStore:
-    """A write-through store over an in-memory database."""
-    return ArchiveBundleStore(
-        ArchiveDatabase(":memory:"), flush_policy=FlushPolicy(1)
-    )
+    """A store over an in-memory database."""
+    return ArchiveBundleStore(ArchiveDatabase(":memory:"))
 
 
 def id_only(item: QuantifiedSandwich) -> QuantifiedSandwich:
@@ -104,6 +102,7 @@ class TestDecodersMatchTheFrozenConstructor:
     def test_bundle(self, record):
         store = fresh_store()
         store.add_bundles([record])
+        store.flush()
         (row,) = stored_columns(store, "bundles", BUNDLE_COLUMNS)
         decoded = bundle_from_columns(*row)
         assert type(decoded) is BundleRecord
@@ -116,6 +115,7 @@ class TestDecodersMatchTheFrozenConstructor:
     def test_detail(self, record):
         store = fresh_store()
         store.add_details([record])
+        store.flush()
         (row,) = stored_columns(store, "transactions", DETAIL_COLUMNS)
         decoded = detail_from_columns(*row)
         assert type(decoded) is TransactionRecord
@@ -159,6 +159,7 @@ class TestDecodedRecordsStayFrozen:
     def test_detail(self, record):
         store = fresh_store()
         store.add_details([record])
+        store.flush()
         (row,) = stored_columns(store, "transactions", DETAIL_COLUMNS)
         decoded = detail_from_columns(*row)
         with pytest.raises(dataclasses.FrozenInstanceError):

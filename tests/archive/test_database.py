@@ -7,7 +7,7 @@ import pytest
 from repro.archive.database import ArchiveDatabase, is_archive_path
 from repro.archive.query import ArchiveQuery
 from repro.archive.schema import MIGRATIONS, SCHEMA_VERSION
-from repro.archive.store import ArchiveBundleStore, FlushPolicy
+from repro.archive.store import ArchiveBundleStore
 from repro.errors import StoreError
 from tests.archive.conftest import make_bundle, make_detail
 
@@ -24,7 +24,7 @@ class TestMigration:
 
     def test_data_survives_reopen(self, tmp_path):
         path = tmp_path / "a.db"
-        with ArchiveBundleStore(path, flush_policy=FlushPolicy(1)) as store:
+        with ArchiveBundleStore(path) as store:
             store.add_bundles([make_bundle(1)])
         with ArchiveDatabase(path) as db:
             assert db.table_counts()["bundles"] == 1
@@ -90,9 +90,10 @@ class TestMaintenance:
         assert db.max_seq("transactions") == 0
 
     def test_max_seq_tracks_inserts(self, db):
-        store = ArchiveBundleStore(db, flush_policy=FlushPolicy(1))
+        store = ArchiveBundleStore(db)
         store.add_bundles([make_bundle(1), make_bundle(2)])
         store.add_details([make_detail("t1-0")])
+        store.flush()
         assert db.max_seq("bundles") == 2
         assert db.max_seq("transactions") == 1
 
@@ -113,8 +114,9 @@ class TestMaintenance:
         assert all(n == 0 for n in counts.values())
 
     def test_file_size_and_vacuum(self, db):
-        store = ArchiveBundleStore(db, flush_policy=FlushPolicy(1))
+        store = ArchiveBundleStore(db)
         store.add_bundles([make_bundle(i) for i in range(50)])
+        store.flush()
         db.checkpoint_wal()
         assert db.file_size_bytes() > 0
         db.vacuum()

@@ -8,7 +8,6 @@ import pytest
 from repro.archive import (
     ArchiveBundleStore,
     ArchiveDatabase,
-    FlushPolicy,
     IncrementalAnalyzer,
 )
 from repro.collector.campaign import MeasurementCampaign
@@ -40,9 +39,10 @@ def monolithic(campaign_store):
 
 
 def fill_archive(db, bundles, details):
-    writer = ArchiveBundleStore(db, flush_policy=FlushPolicy(1))
+    writer = ArchiveBundleStore(db)
     writer.add_bundles(bundles)
     writer.add_details(details)
+    writer.flush()
 
 
 class TestTwoPassEqualsMonolithic:

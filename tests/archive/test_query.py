@@ -4,7 +4,7 @@ import pytest
 
 from repro.archive.database import ArchiveDatabase
 from repro.archive.query import ArchiveQuery, BundleFilter, SandwichFilter
-from repro.archive.store import ArchiveBundleStore, FlushPolicy
+from repro.archive.store import ArchiveBundleStore
 from repro.core.defensive import DefensiveReport
 from repro.errors import ConfigError
 from repro.obs.registry import MetricsRegistry
@@ -14,13 +14,14 @@ from tests.archive.conftest import make_bundle, make_detail, make_sandwich
 @pytest.fixture
 def populated(db):
     """An archive with ten bundles, two details, three sandwiches."""
-    store = ArchiveBundleStore(db, flush_policy=FlushPolicy(1))
+    store = ArchiveBundleStore(db)
     store.add_bundles(
         [make_bundle(i, length=3 if i % 3 == 0 else 1) for i in range(10)]
     )
     store.add_details(
         [make_detail("t0-0"), make_detail("t3-0", signer="signer-b")]
     )
+    store.flush()
     store.record_sandwiches(
         [
             make_sandwich(20, attacker="atk-a"),
@@ -220,18 +221,18 @@ class TestDataVersion:
             assert query.data_version() == first
             assert query.watermark().bundle_seq == 0
             assert query.data_version() == first
-            ArchiveBundleStore(db, flush_policy=FlushPolicy(1)).add_bundles(
-                [make_bundle(0)]
-            )
+            writer = ArchiveBundleStore(db)
+            writer.add_bundles([make_bundle(0)])
+            writer.flush()
             assert query.data_version() != first
         finally:
             reader.close()
         # The writer's own commits leave its number alone.
         own = ArchiveQuery(db)
         before = own.data_version()
-        ArchiveBundleStore(db, flush_policy=FlushPolicy(1)).add_bundles(
-            [make_bundle(1)]
-        )
+        writer = ArchiveBundleStore(db)
+        writer.add_bundles([make_bundle(1)])
+        writer.flush()
         assert own.data_version() == before
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.archive.database import ArchiveDatabase
-from repro.archive.store import ArchiveBundleStore, FlushPolicy
+from repro.archive.store import ArchiveBundleStore
 from repro.archive.schema import sandwich_with_bundle
 from repro.core.events import SandwichEvent
 from repro.core.quantify import QuantifiedSandwich
@@ -96,10 +96,8 @@ quantified_sandwiches = st.builds(
 
 
 def fresh_store() -> ArchiveBundleStore:
-    """A write-through store over an in-memory database."""
-    return ArchiveBundleStore(
-        ArchiveDatabase(":memory:"), flush_policy=FlushPolicy(1)
-    )
+    """A store over an in-memory database."""
+    return ArchiveBundleStore(ArchiveDatabase(":memory:"))
 
 
 class TestRowRoundTrips:
@@ -108,6 +106,7 @@ class TestRowRoundTrips:
     def test_bundle_survives_archive_trip(self, record):
         store = fresh_store()
         store.add_bundles([record])
+        store.flush()
         reloaded = ArchiveBundleStore.resume(store.database)
         out = reloaded.get_bundle(record.bundle_id)
         assert out == record
@@ -118,6 +117,7 @@ class TestRowRoundTrips:
     def test_detail_survives_archive_trip(self, record):
         store = fresh_store()
         store.add_details([record])
+        store.flush()
         reloaded = ArchiveBundleStore.resume(store.database)
         out = reloaded.get_detail(record.transaction_id)
         assert out == record

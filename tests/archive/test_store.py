@@ -1,10 +1,10 @@
-"""Batched archive writer: flush policy, dedup, truncation, reload."""
+"""Batched archive writer: flush bound, dedup, replay, truncation, reload."""
 
 import pytest
 
-from repro.archive.store import ArchiveBundleStore, FlushPolicy
+from repro.archive.store import FLUSH_MAX_PENDING, ArchiveBundleStore
 from repro.core.defensive import DefensiveReport
-from repro.errors import ConfigError, StoreError
+from repro.errors import StoreError
 from repro.obs.registry import MetricsRegistry
 from repro.utils.simtime import unix_to_date
 from tests.archive.conftest import make_bundle, make_detail, make_sandwich
@@ -24,50 +24,45 @@ def archived_store(db, *indexes: int) -> ArchiveBundleStore:
 
 
 class TestFlushPolicy:
-    def test_rejects_nonpositive_max_pending(self):
-        with pytest.raises(ConfigError):
-            FlushPolicy(max_pending=0).validate()
-
     def test_buffers_until_threshold(self, db):
-        store = ArchiveBundleStore(db, flush_policy=FlushPolicy(10))
-        store.add_bundles([make_bundle(1), make_bundle(2)])
-        assert store.pending == 2
+        store = ArchiveBundleStore(db)
+        store.add_bundles(
+            [make_bundle(i) for i in range(FLUSH_MAX_PENDING - 1)]
+        )
+        assert store.pending == FLUSH_MAX_PENDING - 1
         assert count(db, "bundles") == 0
 
     def test_policy_triggers_commit(self, db):
-        store = ArchiveBundleStore(db, flush_policy=FlushPolicy(3))
-        store.add_bundles([make_bundle(i) for i in range(3)])
+        store = ArchiveBundleStore(db)
+        store.add_bundles([make_bundle(i) for i in range(FLUSH_MAX_PENDING)])
         assert store.pending == 0
-        assert count(db, "bundles") == 3
+        assert count(db, "bundles") == FLUSH_MAX_PENDING
 
     def test_details_count_toward_threshold(self, db):
-        store = ArchiveBundleStore(db, flush_policy=FlushPolicy(2))
-        store.add_bundles([make_bundle(1)])
+        store = ArchiveBundleStore(db)
+        store.add_bundles(
+            [make_bundle(i) for i in range(FLUSH_MAX_PENDING - 1)]
+        )
         store.add_details([make_detail("t1-0")])
         assert store.pending == 0
         assert count(db, "transactions") == 1
 
-    def test_write_through_at_max_pending_one(self, db):
-        store = ArchiveBundleStore(db, flush_policy=FlushPolicy(1))
-        store.add_bundles([make_bundle(1)])
-        assert count(db, "bundles") == 1
-
     def test_explicit_flush_returns_rows_written(self, db):
-        store = ArchiveBundleStore(db, flush_policy=FlushPolicy(100))
+        store = ArchiveBundleStore(db)
         store.add_bundles([make_bundle(1), make_bundle(2)])
         assert store.flush() == 2
         assert store.flush() == 0
 
     def test_close_flushes(self, tmp_path):
         path = tmp_path / "a.db"
-        with ArchiveBundleStore(path, flush_policy=FlushPolicy(100)) as store:
+        with ArchiveBundleStore(path) as store:
             store.add_bundles([make_bundle(1)])
         assert count(ArchiveBundleStore.resume(path).database, "bundles") == 1
 
 
 class TestWritePath:
     def test_duplicates_not_requeued(self, db):
-        store = ArchiveBundleStore(db, flush_policy=FlushPolicy(100))
+        store = ArchiveBundleStore(db)
         store.add_bundles([make_bundle(1)])
         store.add_bundles([make_bundle(1), make_bundle(2)])
         assert store.pending == 2
@@ -75,25 +70,24 @@ class TestWritePath:
         assert count(db, "bundles") == 2
 
     def test_member_rows_written_per_transaction(self, db):
-        store = ArchiveBundleStore(db, flush_policy=FlushPolicy(1))
+        store = ArchiveBundleStore(db)
         store.add_bundles([make_bundle(1, length=3)])
+        store.flush()
         assert count(db, "bundle_transactions") == 3
 
     def test_in_memory_reads_unaffected_by_buffering(self, db):
-        store = ArchiveBundleStore(db, flush_policy=FlushPolicy(100))
+        store = ArchiveBundleStore(db)
         store.add_bundles([make_bundle(1)])
         assert store.get_bundle("b1") is not None
 
     def test_write_metrics_recorded(self, db):
         registry = MetricsRegistry()
-        store = ArchiveBundleStore(
-            db, flush_policy=FlushPolicy(2), metrics=registry
-        )
-        store.add_bundles([make_bundle(1), make_bundle(2)])
-        store.add_bundles([make_bundle(3)])
+        store = ArchiveBundleStore(db, metrics=registry)
+        store.add_bundles([make_bundle(i) for i in range(FLUSH_MAX_PENDING)])
+        store.add_bundles([make_bundle(FLUSH_MAX_PENDING)])
         store.flush()
         rows = registry.get("archive_rows_written_total")
-        assert rows.value(table="bundles") == 3
+        assert rows.value(table="bundles") == FLUSH_MAX_PENDING + 1
         flushes = registry.get("archive_flushes_total")
         assert flushes.value(trigger="policy") == 1
         assert flushes.value(trigger="explicit") == 1
@@ -203,7 +197,7 @@ class TestAnalysisOutputs:
         assert count(db, "defensive") == 1
 
     def test_record_analysis_flushes_pending_bundles_first(self, db):
-        store = ArchiveBundleStore(db, flush_policy=FlushPolicy(100))
+        store = ArchiveBundleStore(db)
         store.add_bundles([make_bundle(1), make_bundle(2)])
         assert store.pending == 2
 
@@ -310,9 +304,39 @@ class TestAnalysisOutputs:
         assert not db.connection.in_transaction
 
 
+class TestReplay:
+    def test_replayed_flush_of_archived_rows_adds_nothing(self, db):
+        archived_store(db, 1, 2)
+        replay = ArchiveBundleStore(db)
+        replay.replaying = True
+        replay.add_bundles([make_bundle(1), make_bundle(2)])
+        assert replay.flush() == 2
+        assert count(db, "bundles") == 2
+
+    def test_replayed_flush_that_adds_a_row_is_refused(self, db):
+        archived_store(db, 1)
+        replay = ArchiveBundleStore(db)
+        replay.replaying = True
+        replay.add_bundles([make_bundle(1), make_bundle(2, length=3)])
+        with pytest.raises(StoreError, match=r"would add 4 row\(s\)"):
+            replay.flush()
+        assert not db.connection.in_transaction
+        assert count(db, "bundles") == 1
+        assert count(db, "bundle_transactions") == 1
+
+    def test_replayed_checkpoint_is_counted_not_inserted(self, db):
+        registry = MetricsRegistry()
+        store = ArchiveBundleStore(db, metrics=registry)
+        store.replaying = True
+        assert store.save_checkpoint({"day": 1}, 1, 5.0) is None
+        assert count(db, "checkpoints") == 0
+        assert registry.get("archive_checkpoints_total").value() == 1
+        assert registry.get("archive_last_checkpoint_sim_time").value() == 5.0
+
+
 class TestCheckpointsAndTruncation:
     def test_checkpoint_flushes_first(self, db):
-        store = ArchiveBundleStore(db, flush_policy=FlushPolicy(100))
+        store = ArchiveBundleStore(db)
         store.add_bundles([make_bundle(1)])
         store.save_checkpoint({"k": "v"}, completed_days=1, sim_time=5.0)
         assert count(db, "bundles") == 1
@@ -328,9 +352,10 @@ class TestCheckpointsAndTruncation:
         assert store.latest_checkpoint() == {"day": 2}
 
     def test_truncate_after_rolls_back_late_rows(self, db):
-        store = ArchiveBundleStore(db, flush_policy=FlushPolicy(1))
+        store = ArchiveBundleStore(db)
         store.add_bundles([make_bundle(i, length=2) for i in range(1, 5)])
         store.add_details([make_detail("t1-0"), make_detail("t2-0")])
+        store.flush()
         deleted = store.truncate_after(bundle_seq=2, detail_seq=1)
         assert deleted > 0
         assert count(db, "bundles") == 2
@@ -357,7 +382,7 @@ class TestCheckpointsAndTruncation:
     def test_load_memory_state_preserves_insertion_order(self, tmp_path):
         path = tmp_path / "a.db"
         order = [4, 1, 3, 2]
-        with ArchiveBundleStore(path, flush_policy=FlushPolicy(1)) as store:
+        with ArchiveBundleStore(path) as store:
             store.add_bundles([make_bundle(i) for i in order])
         reopened = ArchiveBundleStore.resume(path)
         assert [b.bundle_id for b in reopened.bundles()] == [
@@ -368,7 +393,7 @@ class TestCheckpointsAndTruncation:
         path = tmp_path / "a.db"
         bundle = make_bundle(1, length=3)
         detail = make_detail("t1-0")
-        with ArchiveBundleStore(path, flush_policy=FlushPolicy(1)) as store:
+        with ArchiveBundleStore(path) as store:
             store.add_bundles([bundle])
             store.add_details([detail])
         reopened = ArchiveBundleStore.resume(path)

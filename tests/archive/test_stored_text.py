@@ -15,7 +15,12 @@ never held a nonzero duration, and later
 ``collector_backoff_delay_seconds``, the delays of retries that never
 waited, which held no series in this run. Each time, every payload
 equalled its predecessor decoded, with those families dropped, and
-re-encoded with ``encode_json_sorted``.
+re-encoded with ``encode_json_sorted``. They were recorded again when
+resume came to replay collection instead of restoring it (checkpoint
+version 2): every payload equalled its predecessor decoded, with
+``poller``, ``fetcher``, ``coverage``, ``explorer`` and ``metrics``
+dropped and ``version`` set to 2, and re-encoded with
+``encode_json_sorted``.
 """
 
 from __future__ import annotations
@@ -72,12 +77,12 @@ PINNED = {
     "checkpoints.payload": (
         "SELECT payload FROM checkpoints WHERE payload NOT LIKE "
         "'%\"finished\": true%' ORDER BY checkpoint_id",
-        "f74d3a03aaea92c0fe76ad9522b12292911c08132c8cf79065865c6b1e5c6b5e",
+        "9edefe351f374d32cd71677a6b5fda669f1c23da92acf1ec0a8843b3a9d34ff1",
     ),
     "checkpoints.payload.finished": (
         "SELECT payload FROM checkpoints WHERE payload LIKE "
         "'%\"finished\": true%' ORDER BY checkpoint_id",
-        "8a1169b6cc9d24b6dc4a054fa8a63c4fd298cea8329523ef1ba61c156231a1c8",
+        "39b41d20147334df70e5ec7e970b8abcefc2e2dc0b074e52c72ae6723212cfba",
     ),
 }
 

@@ -1,4 +1,4 @@
-"""FaultInjector: deterministic decisions, observability, checkpoint state."""
+"""FaultInjector: deterministic decisions and observability."""
 
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.faults.model import OutageWindow
@@ -128,25 +128,3 @@ class TestObservability:
         counts = injector.counts_by_kind()
         assert list(counts) == sorted(counts)
         assert sum(counts.values()) == len(injector.log)
-
-
-class TestCheckpointState:
-    def test_state_restore_continues_identically(self):
-        reference = make_injector(FLAKY)
-        drive(reference, calls=100)
-
-        interrupted = make_injector(FLAKY)
-        drive(interrupted, calls=40)
-        state = interrupted.state()
-
-        resumed = make_injector(FLAKY)
-        resumed.restore_state(state)
-        drive(resumed, calls=60)
-        assert resumed.fault_log_json() == reference.fault_log_json()
-
-    def test_state_is_json_safe(self):
-        import json
-
-        injector = make_injector(FLAKY)
-        drive(injector, calls=50)
-        assert json.loads(json.dumps(injector.state())) == injector.state()

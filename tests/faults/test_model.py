@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.faults import FaultKind, FaultSpec, InjectedFault, OutageWindow
+from repro.faults import FaultKind, FaultSpec, OutageWindow
 from repro.faults.model import ERROR_KINDS, KNOWN_ENDPOINTS
 
 
@@ -89,16 +89,3 @@ class TestOutageWindow:
     def test_json_round_trip(self):
         window = OutageWindow(0.25, 1.5, reason="interface change")
         assert OutageWindow.from_json(window.to_json()) == window
-
-
-class TestInjectedFault:
-    def test_json_round_trip(self):
-        fault = InjectedFault(
-            seq=3,
-            time=1234.5,
-            endpoint="recent_bundles",
-            kind=FaultKind.TRUNCATE,
-            detail="fault injection",
-            fields={"dropFraction": 0.5},
-        )
-        assert InjectedFault.from_json(fault.to_json()) == fault

@@ -1,10 +1,8 @@
-"""Per-client rate limiting: buckets, refills, eviction, checkpoints.
+"""Per-client rate limiting: buckets, refills, eviction.
 
 The one limiter the archive API, the explorer and the RPC facade admit
 through (:class:`repro.utils.ratelimit.ClientRateLimiter`).
 """
-
-import json
 
 import pytest
 
@@ -92,21 +90,3 @@ class TestConstruction:
         """Refused before any client arrives, not at its first request."""
         with pytest.raises(ConfigError):
             ClientRateLimiter(rate=rate, burst=burst, time_fn=FakeClock())
-
-
-class TestState:
-    def test_round_trip_keeps_each_budget(self):
-        clock = FakeClock()
-        limiter = ClientRateLimiter(rate=1.0, burst=2.0, time_fn=clock)
-        for client in ("b", "a", "b", "b"):
-            limiter.admit(client)
-        state = limiter.state()
-        assert list(state) == ["a", "b"]  # sorted by client id
-        assert json.loads(json.dumps(state)) == state
-
-        resumed = ClientRateLimiter(rate=1.0, burst=2.0, time_fn=clock)
-        resumed.restore_state(state)
-        assert resumed.state() == state
-        # "b" resumes drained, not with a fresh burst; "a" has one left.
-        assert not resumed.admit("b").allowed
-        assert resumed.admit("a").allowed

@@ -6,7 +6,7 @@ import pytest
 
 from repro.archive.database import ArchiveDatabase
 from repro.archive.query import ArchiveQuery
-from repro.archive.store import ArchiveBundleStore, FlushPolicy
+from repro.archive.store import ArchiveBundleStore
 from repro.core.defensive import DefensiveReport
 from repro.serve.repositories import (
     AggregateRepository,
@@ -23,11 +23,12 @@ from tests.archive.conftest import make_bundle, make_detail, make_sandwich
 def query(tmp_path):
     """A small archive: 10 bundles, 3 detections, 2 classified bundles."""
     db = ArchiveDatabase(tmp_path / "archive.db")
-    store = ArchiveBundleStore(db, flush_policy=FlushPolicy(1))
+    store = ArchiveBundleStore(db)
     store.add_bundles(
         [make_bundle(i, length=3 if i % 3 == 0 else 1) for i in range(10)]
     )
     store.add_details([make_detail("t0-0")])
+    store.flush()
     store.record_sandwiches(
         [
             make_sandwich(20, attacker="atk-a"),

@@ -10,7 +10,7 @@ watermark-keyed cache honest during collection.
 import pytest
 
 from repro.archive.database import ArchiveDatabase
-from repro.archive.store import ArchiveBundleStore, FlushPolicy
+from repro.archive.store import ArchiveBundleStore
 from repro.collector.campaign import MeasurementCampaign
 from repro.core.pipeline import AnalysisPipeline
 from repro.faults.plan import preset_plan
@@ -109,12 +109,13 @@ def test_streaming_campaign_archive_matches_batch_archive(tmp_path):
 def test_streaming_archive_watermark_advances_during_collection(tmp_path):
     """Streaming writes flush through the normal archive machinery, so
     the watermark consumers key caches on moves while the campaign is
-    still running — not only at close."""
+    still running — not only at close. Three days collect enough records
+    to reach the flush bound twice before the run ends."""
     db = tmp_path / "live.db"
-    store = ArchiveBundleStore(db, flush_policy=FlushPolicy(max_pending=16))
+    store = ArchiveBundleStore(db)
     seen = []
     streaming = StreamingCampaign(
-        small_scenario(seed=7, days=1),
+        small_scenario(seed=7, days=3),
         store=store,
         on_delta=lambda delta: seen.append(store.database.max_seq("bundles")),
     )
