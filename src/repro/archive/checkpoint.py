@@ -1,30 +1,27 @@
 """Campaign checkpoint/resume: kill a campaign, continue it byte-identically.
 
 A campaign is a pure function of its scenario and fault plan: the same
-seed replays the same simulation, the same polls and fetches at the same
-sim times, the same injected faults and the same archive flushes. So a
-checkpoint stores no collector state. It keeps only what checks a replay:
-the completed day count, the sim clock, the engine's root RNG
-fingerprint, the scenario and fault-plan fingerprints and the archive's
-high-water marks. Resume proceeds by:
+seed replays the same simulation, the same polls, fetches and injected
+faults at the same sim times, and the same archive flushes. So a
+checkpoint stores no collector state, only what checks a replay: the
+completed day count, the sim clock, the engine's root RNG fingerprint,
+the scenario and fault-plan fingerprints and the archive's high-water
+marks. Resume proceeds by:
 
-1. replaying the killed run's days ``0 … completed-1`` with collection on,
-   from an empty in-memory store, flushing with trigger ``checkpoint``
-   after each day the archive holds a checkpoint for. The archive already
-   holds every row the replay collects, so a replayed flush adds none; one
-   that would add a row is rolled back and refused;
+1. replaying days ``0 … completed-1`` with collection on, from an empty
+   in-memory store, flushing for a checkpoint after each day the archive
+   holds one for. The archive already holds every row the replay
+   collects, so a flush that would add one is rolled back and refused;
 2. checking the replay at the checkpointed day: the sim clock, the RNG
-   fingerprint, and the collected bundle and detail counts against the
-   archive's rows at or below its marks;
+   fingerprint, and the bundle and detail counts against the archive's
+   rows at or below its marks;
 3. rolling the archive back to those marks (a killed run keeps writing
    between its last checkpoint and the crash);
-4. continuing the day loop exactly where the killed run stopped.
+4. continuing the day loop where the killed run stopped.
 
-The poller, detail fetcher, coverage estimator, explorer rate budgets,
-fault injector and metrics registry then hold what the uninterrupted run
-held, because the same code computed them from the same inputs. Any
-divergence raises instead of silently producing different numbers, and a
-refused resume leaves the archive's rows as it found them.
+Collector, explorer, fault-injector and metrics state is then the
+uninterrupted run's, because the same code computed it from the same
+inputs. A refused resume leaves the archive's rows as it found them.
 """
 
 from __future__ import annotations
@@ -46,9 +43,8 @@ from repro.utils.serialization import dumps
 #: payloads from other versions rather than guessing.
 CHECKPOINT_VERSION = 2
 
-#: Payload versions resume reads. A version 1 payload also carried the
-#: collector state and metrics snapshot resume once restored; it holds
-#: every version 2 field, so it is read the same way.
+#: Payload versions resume reads. A version 1 payload holds every
+#: version 2 field, beside collector state that resume does not read.
 _READABLE_VERSIONS = (1, CHECKPOINT_VERSION)
 
 #: Sim-clock drift tolerated between replay and checkpoint before resume

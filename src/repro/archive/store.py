@@ -146,7 +146,7 @@ class ArchiveBundleStore(BundleStore):
             self.flush(trigger="policy")
 
     def flush(self, trigger: str = "explicit") -> int:
-        """Commit all pending rows in one transaction; returns rows written.
+        """Commit all pending records in one transaction; returns how many.
 
         Raises:
             StoreError: while :attr:`replaying`, when a pending row is not

@@ -114,8 +114,8 @@ class TestResumeIdentity:
     def test_version_one_checkpoint_resumes_byte_identically(
         self, scenario, tmp_path
     ):
-        # A version 1 payload also carried collector state, which resume
-        # now ignores: it replays collection instead.
+        # A version 1 payload carries collector state too; resume reads
+        # only the fields it shares with version 2.
         reference = CheckpointedCampaign(scenario, tmp_path / "ref.db")
         expected = rendered_report(reference.run(), scenario)
         reference.store.close()
