@@ -305,14 +305,6 @@ class TestAnalysisOutputs:
 
 
 class TestReplay:
-    def test_replayed_flush_of_archived_rows_adds_nothing(self, db):
-        archived_store(db, 1, 2)
-        replay = ArchiveBundleStore(db)
-        replay.replaying = True
-        replay.add_bundles([make_bundle(1), make_bundle(2)])
-        assert replay.flush() == 2
-        assert count(db, "bundles") == 2
-
     def test_replayed_flush_that_adds_a_row_is_refused(self, db):
         archived_store(db, 1)
         replay = ArchiveBundleStore(db)
