@@ -9,8 +9,9 @@ long-running campaign with offline re-analysis.
 from __future__ import annotations
 
 import sqlite3
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.archive.schema import (
     MIGRATION_BLOCKERS,
@@ -117,6 +118,26 @@ class ArchiveDatabase:
         cursor = self._conn.cursor()
         cursor.row_factory = None
         return cursor.execute(sql, params)
+
+    @contextmanager
+    def snapshot(self) -> Iterator[None]:
+        """Read one state of the file for the whole block.
+
+        Outside a transaction each statement reads the file as it stands
+        when the statement starts, so another connection's commit can land
+        between two reads. The block runs in one read transaction instead,
+        which it rolls back when it ends: it is for reads, and a write made
+        inside it is undone. Inside a transaction already open, the block
+        joins it.
+        """
+        if self._conn.in_transaction:
+            yield
+            return
+        self._conn.execute("BEGIN")
+        try:
+            yield
+        finally:
+            self._conn.rollback()
 
     def _migrate(self) -> None:
         """Upgrade the file one version at a time.

@@ -39,6 +39,30 @@ _DETAILS = ", ".join(DETAIL_COLUMNS)
 _T_DETAILS = ", ".join(f"t.{column}" for column in DETAIL_COLUMNS)
 _SANDWICHES = ", ".join(SANDWICH_COLUMNS)
 
+#: The seek of :meth:`ArchiveQuery.bundle_rows`, on parameters ``(offset,
+#: count, limit)``. A gap-free ``seq`` range, ``MAX(seq) - MIN(seq) + 1``
+#: rows long, holds the row at offset ``k`` at ``MIN(seq) + k``, and the
+#: ``k``-th from the top at ``MAX(seq) - k``; ``MIN`` and ``MAX`` are each
+#: one descent of the rowid tree. ``count`` is the table's row count read
+#: in the same snapshot, or NULL to count it in the statement. The check
+#: and the rows are one statement, so one snapshot, and on a range with
+#: gaps it reads no row. A resumed campaign leaves gaps, and ``seq``s are
+#: never reused (``AUTOINCREMENT``).
+_GAP_FREE = (
+    "(SELECT MAX(seq) FROM bundles) - (SELECT MIN(seq) FROM bundles) + 1"
+    " = COALESCE(?, (SELECT COUNT(*) FROM bundles))"
+)
+_SEEK_ASC = (
+    f"SELECT {_BUNDLES} FROM bundles"
+    f" WHERE seq >= (SELECT MIN(seq) FROM bundles) + ? AND {_GAP_FREE}"
+    " ORDER BY seq ASC LIMIT ?"
+)
+_SEEK_DESC = (
+    f"SELECT {_BUNDLES} FROM bundles"
+    f" WHERE seq <= (SELECT MAX(seq) FROM bundles) - ? AND {_GAP_FREE}"
+    " ORDER BY seq DESC LIMIT ?"
+)
+
 #: Columns ``order_by`` may name, per entity.
 BUNDLE_ORDER_COLUMNS = frozenset(
     {"seq", "slot", "landed_at", "tip_lamports", "num_transactions"}
@@ -266,10 +290,55 @@ class ArchiveQuery:
     ) -> list[tuple]:
         """Filtered, ordered, paginated :data:`BUNDLE_COLUMNS` rows, undecoded.
 
-        The API renders a bundle page straight from these; every other
-        reader takes :meth:`bundles`, which decodes them.
+        :meth:`bundles` decodes them; the API renders its pages from
+        :meth:`bundle_page`, which reads the same rows.
+
+        A page with no filter, in ``seq`` order and past offset 0 first
+        takes :data:`_SEEK_ASC` or :data:`_SEEK_DESC`, which start at the
+        ``offset``-th row's ``seq`` instead of stepping past ``offset``
+        rows. The seek reads no row from an archive whose ``seq`` range
+        has gaps, nor past the end; that page, like every other, takes
+        ``LIMIT … OFFSET``.
+        """
+        return self._bundle_rows(
+            where or BundleFilter(), order_by, descending, limit, offset
+        )
+
+    def bundle_page(
+        self,
+        where: BundleFilter | None = None,
+        order_by: str = "seq",
+        descending: bool = False,
+        limit: int | None = None,
+        offset: int = 0,
+    ) -> tuple[list[tuple], int]:
+        """:meth:`bundle_rows` and :meth:`count_bundles`, from one snapshot.
+
+        On an unfiltered page the count is the table's, so the seek's
+        gap check takes it instead of counting the table again.
         """
         where = where or BundleFilter()
+        with self._db.snapshot():
+            total = self.count_bundles(where)
+            rows = self._bundle_rows(
+                where, order_by, descending, limit, offset, total
+            )
+        return rows, total
+
+    def _bundle_rows(
+        self,
+        where: BundleFilter,
+        order_by: str,
+        descending: bool,
+        limit: int | None,
+        offset: int,
+        count: int | None = None,
+    ) -> list[tuple]:
+        """The rows of :meth:`bundle_rows`, timed once as ``bundles``.
+
+        ``count`` is the number of ``bundles`` rows, read in the snapshot
+        this call reads; None counts them inside the seek.
+        """
         clause, params = where.compile()
         page, page_params = _page_clause(limit, offset)
         sql = (
@@ -277,7 +346,19 @@ class ArchiveQuery:
             + _order_clause(order_by, descending, BUNDLE_ORDER_COLUMNS)
             + page
         )
-        return self._timed("bundles", sql, params + page_params, tuples=True)
+        started = time.perf_counter()
+        rows = None
+        if offset and not clause and order_by == "seq":
+            rows = self._db.tuples(
+                _SEEK_DESC if descending else _SEEK_ASC,
+                [offset, count, page_params[0]],
+            ).fetchall()
+        if not rows:
+            rows = self._db.tuples(sql, params + page_params).fetchall()
+        self._latency_metric.observe(
+            time.perf_counter() - started, query="bundles"
+        )
+        return rows
 
     def bundles(
         self,
@@ -351,15 +432,20 @@ class ArchiveQuery:
         )
         return rows[0]["n"]
 
-    def bundle(self, bundle_id: str) -> BundleRecord | None:
-        """One bundle by id."""
+    def bundle_row(self, bundle_id: str) -> tuple | None:
+        """One bundle's :data:`BUNDLE_COLUMNS` row by id, undecoded."""
         rows = self._timed(
             "bundle",
             f"SELECT {_BUNDLES} FROM bundles WHERE bundle_id = ?",
             [bundle_id],
             tuples=True,
         )
-        return bundle_from_columns(*rows[0]) if rows else None
+        return rows[0] if rows else None
+
+    def bundle(self, bundle_id: str) -> BundleRecord | None:
+        """One bundle by id."""
+        row = self.bundle_row(bundle_id)
+        return None if row is None else bundle_from_columns(*row)
 
     # --- transaction details ----------------------------------------------
 

@@ -19,6 +19,7 @@ body's canonical bytes straight from its archive rows.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
@@ -85,7 +86,10 @@ def _render_scalar(value: Any) -> str:
     SQLite hands back ``int``, ``float``, ``str``, ``bytes`` or ``None``;
     the first three take the conversions the canonical encoder makes (for
     a finite float, ``repr`` of its canonical form), and anything else the
-    full canonical path, which refuses ``bytes`` with ``TypeError``.
+    full canonical path, which refuses ``bytes`` with ``TypeError``. A
+    nonzero integral float under 1e12 in magnitude has at most 12
+    significant digits, so it is its own canonical form; zero is not,
+    since canon writes ``-0.0`` as ``0.0``.
     """
     kind = type(value)
     if kind is int:
@@ -93,12 +97,65 @@ def _render_scalar(value: Any) -> str:
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is float:
+        if 0.0 < abs(value) < 1e12 and value.is_integer():
+            return repr(value)
         if not math.isfinite(value):
             raise StoreError(
                 f"stored value {value!r} cannot be served as JSON"
             )
         return repr(canon_float(value))
     return encode_json_canonical(canon_jsonable(value))
+
+
+#: A ``transaction_ids`` text as the archive's encoder writes it when no id
+#: holds anything but printable ASCII other than ``"`` and ``\``, which is
+#: every base58 id: each id is then its own JSON string body.
+_PLAIN_IDS = re.compile(r'\["[ !#-\[\]-~]*"(?:, "[ !#-\[\]-~]*")*\]')
+
+
+def _encode_ids(transaction_ids: Sequence[str]) -> str:
+    return "[" + ",".join(map(encode_basestring_ascii, transaction_ids)) + "]"
+
+
+def _ids_array(raw: Any) -> tuple[str, int]:
+    """A stored ``transaction_ids`` as canonical JSON text and its length.
+
+    A text :data:`_PLAIN_IDS` matches is already canonical but for its
+    separators; any other value is parsed exactly, and a malformed one
+    raises :class:`StoreError`.
+    """
+    if type(raw) is str and _PLAIN_IDS.fullmatch(raw):
+        return raw.replace('", "', '","'), raw.count('", "') + 1
+    transaction_ids = parse_transaction_ids(raw)
+    return _encode_ids(transaction_ids), len(transaction_ids)
+
+
+def _render_row(
+    bundle_id: Any,
+    slot: Any,
+    landed_at: Any,
+    tip_lamports: Any,
+    ids: tuple[str, int],
+) -> str:
+    """A bundle in the explorer's wire shape plus its derived length.
+
+    Canonical JSON text: the keys in sorted order, values converted as
+    :func:`~repro.conformance.canon.canonical_json_bytes` converts them,
+    and ``ids`` the :func:`_ids_array` pair, which gives
+    ``transactionIds`` and ``numTransactions``. A value that fails raises
+    in that key order, as the canonical encoder would; a NaN or infinite
+    float raises :class:`StoreError`, since a stored value JSON cannot
+    carry is the archive's fault.
+    """
+    ids_text, num_transactions = ids
+    return (
+        f'{{"bundleId":{_render_scalar(bundle_id)}'
+        f',"landedAt":{_render_scalar(landed_at)}'
+        f',"numTransactions":{num_transactions}'
+        f',"slot":{_render_scalar(slot)}'
+        f',"tipLamports":{_render_scalar(tip_lamports)}'
+        f',"transactionIds":{ids_text}}}'
+    )
 
 
 def render_bundle(
@@ -108,23 +165,23 @@ def render_bundle(
     tip_lamports: Any,
     transaction_ids: Sequence[str],
 ) -> str:
-    """A bundle in the explorer's wire shape plus its derived length.
+    """A bundle whose ``transaction_ids`` are already parsed, rendered as
+    :func:`render_bundle_row` renders a stored row."""
+    return _render_row(
+        bundle_id,
+        slot,
+        landed_at,
+        tip_lamports,
+        (_encode_ids(transaction_ids), len(transaction_ids)),
+    )
 
-    Canonical JSON text: the keys in sorted order, values converted as
-    :func:`~repro.conformance.canon.canonical_json_bytes` converts them,
-    and ``numTransactions`` counted from the parsed ``transaction_ids``.
-    A value that fails raises in that key order, as the canonical encoder
-    would; a NaN or infinite float raises :class:`StoreError`, since a
-    stored value JSON cannot carry is the archive's fault.
-    """
-    return (
-        f'{{"bundleId":{_render_scalar(bundle_id)}'
-        f',"landedAt":{_render_scalar(landed_at)}'
-        f',"numTransactions":{len(transaction_ids)}'
-        f',"slot":{_render_scalar(slot)}'
-        f',"tipLamports":{_render_scalar(tip_lamports)}'
-        f',"transactionIds":['
-        f'{",".join(map(encode_basestring_ascii, transaction_ids))}]}}'
+
+def render_bundle_row(row: Sequence[Any]) -> str:
+    """One :data:`~repro.archive.schema.BUNDLE_COLUMNS` row as canonical
+    JSON text: a page's item, and the ``/v1/bundles/{id}`` bundle."""
+    bundle_id, slot, landed_at, tip_lamports, transaction_ids = row
+    return _render_row(
+        bundle_id, slot, landed_at, tip_lamports, _ids_array(transaction_ids)
     )
 
 
@@ -132,14 +189,14 @@ def render_bundle_page(rows: Sequence[tuple], meta: PageMeta) -> bytes:
     """The canonical ``/v1/bundles`` body for a page of bundle rows.
 
     ``rows`` are :data:`~repro.archive.schema.BUNDLE_COLUMNS` tuples.
-    Every row's ``transaction_ids`` is parsed before any row is rendered,
+    Every row's ``transaction_ids`` is checked before any row is rendered,
     so a malformed one is refused (:class:`StoreError`) ahead of any other
     error on the page, as decoding the whole page first would.
     """
-    ids = [parse_transaction_ids(row[4]) for row in rows]
+    ids = [_ids_array(row[4]) for row in rows]
     items = ",".join(
         [
-            render_bundle(bundle_id, slot, landed_at, tip, row_ids)
+            _render_row(bundle_id, slot, landed_at, tip, row_ids)
             for (bundle_id, slot, landed_at, tip, _), row_ids in zip(rows, ids)
         ]
     )

@@ -30,8 +30,8 @@ from repro.serve.models import (
     detection_to_json,
     financials_to_json,
     page_payload,
-    render_bundle,
     render_bundle_page,
+    render_bundle_row,
     status_to_json,
 )
 
@@ -132,14 +132,13 @@ class BundleRepository:
             date_from=params.get("date_from"),
             date_to=params.get("date_to"),
         )
-        rows = self._query.bundle_rows(
+        rows, total = self._query.bundle_page(
             where=where,
             order_by=order_by,
             descending=descending,
             limit=page.limit,
             offset=page.offset,
         )
-        total = self._query.count_bundles(where)
         body = render_bundle_page(
             rows,
             PageMeta(
@@ -153,18 +152,12 @@ class BundleRepository:
 
     def detail(self, bundle_id: str) -> RawBody | None:
         """One bundle by id, or None for a 404."""
-        record = self._query.bundle(bundle_id)
-        if record is None:
+        row = self._query.bundle_row(bundle_id)
+        if row is None:
             return None
-        bundle = render_bundle(
-            record.bundle_id,
-            record.slot,
-            record.landed_at,
-            record.tip_lamports,
-            record.transaction_ids,
-        )
         return RawBody(
-            ('{"bundle":' + bundle + "}").encode("utf-8"), JSON_CONTENT_TYPE
+            ('{"bundle":' + render_bundle_row(row) + "}").encode("utf-8"),
+            JSON_CONTENT_TYPE,
         )
 
 

@@ -20,6 +20,7 @@ from repro.serve.models import (
     page_payload,
     render_bundle,
     render_bundle_page,
+    render_bundle_row,
     status_to_json,
 )
 from tests.archive.conftest import make_sandwich
@@ -209,6 +210,60 @@ class TestRenderBundle:
         meta = PageMeta(limit=5, offset=0, returned=len(rows), total=9)
         assert _outcome(render_bundle_page, rows, meta) is refused
         assert _expected(rows, meta) is refused
+
+
+class TestRenderShortcuts:
+    """Integral floats and plain id texts skip the canonical conversions;
+    each example renders as the record path does, or is refused alike."""
+
+    @pytest.mark.parametrize(
+        ("landed_at", "text"),
+        [
+            (1.0, "1.0"),
+            (-5.0, "-5.0"),
+            (1739059498.0, "1739059498.0"),
+            (999999999999.0, "999999999999.0"),
+            (1e12, "1000000000000.0"),
+            (-0.0, "0.0"),
+            (0.0, "0.0"),
+        ],
+    )
+    def test_integral_float(self, landed_at, text):
+        row = ("b", 1, landed_at, 1, '["t"]')
+        meta = PageMeta(limit=1, offset=0, returned=1, total=1)
+        assert render_bundle_page([row], meta) == _record_path_body(
+            [row], meta
+        )
+        assert f'"landedAt":{text},' in render_bundle_row(row)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            '[""]',
+            "[]",
+            '["a\\"b"]',
+            '["\\u00e9"]',
+            '["é"]',
+            '["a\\u0001b"]',
+            '["\\u0041"]',
+            '["a\\/b"]',
+            '["a\x01b"]',
+            '["a","b"]',
+            '["a", "b", "c"]',
+            '["a",  "b"]',
+            '["a" , "b"]',
+        ],
+    )
+    def test_ids_text(self, ids):
+        rows = [("b", 1, 1.5, 1, ids)]
+        meta = PageMeta(limit=1, offset=0, returned=1, total=1)
+        expected = _expected(rows, meta)
+        assert _outcome(render_bundle_page, rows, meta) == expected
+        if isinstance(expected, bytes):
+            record = bundle_from_columns(*rows[0])
+            assert render_bundle_row(rows[0]) == render_bundle(
+                "b", 1, 1.5, 1, record.transaction_ids
+            )
 
 
 class TestDetectionJson:
