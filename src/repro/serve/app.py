@@ -17,7 +17,9 @@ Request flow, in order:
    and caches the result. The watermark is reread only when SQLite's
    ``data_version`` shows a commit by another connection since the last
    read; this connection is read-only, so every change comes from
-   another,
+   another. A miss reads its token and runs the handler in one read
+   transaction, so the body and the token it is cached under describe
+   one state of the archive,
 4. compare the strong ETag against ``If-None-Match`` (304 on match),
 5. record per-route latency, status, and cache-outcome metrics.
 
@@ -280,14 +282,24 @@ class ArchiveApiApp:
         the server answers with a 500: the request was fine, the archive
         is not. A miss is counted once the handler has run, unless it
         refused the request: a 400 is neither a hit nor a miss.
+
+        A miss reads its token and runs its handler in one snapshot, so a
+        commit landing mid-request moves neither the body nor the token
+        it is cached under. A key the cache does not hold misses under
+        any token, so it goes there at once; one the cache holds takes
+        the token first, to find out whether it still hits.
         """
-        token = self._token()
         key = (route[0], captured, tuple(sorted(query_params.items())))
-        entry = self.cache.get(token, key)
+        entry = None
+        if key in self.cache:
+            token = self._token()
+            entry = self.cache.get(token, key)
         if entry is None:
             refused = False
             try:
-                result = self._call(route, captured, query_params)
+                with self._db.snapshot():
+                    token = self._token()
+                    result = self._call(route, captured, query_params)
             except (ValueError, ConfigError):
                 refused = True
                 raise

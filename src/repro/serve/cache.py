@@ -70,6 +70,10 @@ class ResponseCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: Hashable) -> bool:
+        """Whether an entry for ``key`` is held, under whatever token."""
+        return key in self._entries
+
     @property
     def generation(self) -> str | None:
         """The watermark token the current entries were built under."""
