@@ -20,7 +20,8 @@ def measure_costs(campaign, report):
     world = campaign.world
 
     # Simulated-scale facts.
-    explorer_requests = campaign.service.requests_served
+    served = campaign.metrics.get("explorer_requests_total")
+    explorer_requests = int(sum(value for _, value in served.series()))
     jito_detected = report.sandwich_count
 
     rpc = SolanaRpc(

@@ -87,7 +87,6 @@ class ExplorerService:
             burst=self._config.burst_capacity,
             time_fn=clock.now,
         )
-        self.requests_served = 0
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._requests_metric = self.metrics.counter(
             "explorer_requests_total",
@@ -164,7 +163,6 @@ class ExplorerService:
                 if self._feed_filter(outcome.bundle_id)
             ]
         window = log[-limit:]
-        self.requests_served += 1
         self._requests_metric.inc(endpoint="recent_bundles")
         return [
             BundleRecord(
@@ -191,11 +189,9 @@ class ExplorerService:
         if self._feed_filter is not None and not self._feed_filter(bundle_id):
             # A privately-submitted bundle is indistinguishable from one
             # that never landed, from the public explorer's vantage point.
-            self.requests_served += 1
             self._requests_metric.inc(endpoint="bundle")
             return None
         outcome = self._engine.get_landed_bundle(bundle_id)
-        self.requests_served += 1
         self._requests_metric.inc(endpoint="bundle")
         if outcome is None:
             return None
@@ -231,6 +227,5 @@ class ExplorerService:
             block = self._ledger.block_at_slot(receipt.slot)
             block_time = block.unix_timestamp if block else 0.0
             records.append(record_from_receipt(receipt, block_time))
-        self.requests_served += 1
         self._requests_metric.inc(endpoint="transactions")
         return records

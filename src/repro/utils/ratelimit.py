@@ -49,8 +49,6 @@ class TokenBucket:
         self._time_fn = time_fn
         self._tokens = capacity
         self._last_refill = time_fn()
-        self.admitted = 0
-        self.rejected = 0
 
     @property
     def capacity(self) -> float:
@@ -69,19 +67,13 @@ class TokenBucket:
         return self._tokens
 
     def try_acquire(self, tokens: float = 1.0) -> bool:
-        """Consume ``tokens`` if available; return whether admission succeeded.
-
-        Admissions and rejections are tallied on :attr:`admitted` and
-        :attr:`rejected`.
-        """
+        """Consume ``tokens`` if available; return whether admission succeeded."""
         if tokens <= 0:
             raise ConfigError(f"must acquire a positive token count, got {tokens}")
         self._refill()
         if self._tokens >= tokens:
             self._tokens -= tokens
-            self.admitted += 1
             return True
-        self.rejected += 1
         return False
 
     def seconds_until_available(self, tokens: float = 1.0) -> float:
@@ -145,7 +137,6 @@ class ClientRateLimiter:
         self._time_fn = time_fn or time.monotonic
         self._max_clients = max_clients
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
-        self.rejections = 0
 
     def __len__(self) -> int:
         return len(self._buckets)
@@ -174,7 +165,6 @@ class ClientRateLimiter:
         bucket = self._bucket(client_id)
         if bucket.try_acquire():
             return _ADMITTED
-        self.rejections += 1
         return Admission(
             allowed=False,
             retry_after=bucket.seconds_until_available(),

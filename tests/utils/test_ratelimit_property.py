@@ -38,14 +38,22 @@ class FakeClock:
 
 def run_arrivals(rate, capacity, gap_list):
     """Drive one request per arrival; return (clock, bucket, admit log)."""
+    clock, bucket, admitted_at, _ = run_decisions(rate, capacity, gap_list)
+    return clock, bucket, admitted_at
+
+
+def run_decisions(rate, capacity, gap_list):
+    """:func:`run_arrivals`, plus every decision the bucket gave back."""
     clock = FakeClock()
     bucket = TokenBucket(rate=rate, capacity=capacity, time_fn=clock)
     admitted_at = []
+    decisions = []
     for gap in gap_list:
         clock.now += gap
-        if bucket.try_acquire():
+        decisions.append(bucket.try_acquire())
+        if decisions[-1]:
             admitted_at.append(clock.now)
-    return clock, bucket, admitted_at
+    return clock, bucket, admitted_at, decisions
 
 
 class TestWindowBound:
@@ -74,9 +82,11 @@ class TestWindowBound:
     @settings(deadline=None, derandomize=True, max_examples=100)
     @given(rate=rates, capacity=capacities, gap_list=gaps)
     def test_tallies_account_for_every_arrival(self, rate, capacity, gap_list):
-        _, bucket, admitted_at = run_arrivals(rate, capacity, gap_list)
-        assert bucket.admitted == len(admitted_at)
-        assert bucket.admitted + bucket.rejected == len(gap_list)
+        _, _, admitted_at, decisions = run_decisions(rate, capacity, gap_list)
+        assert decisions.count(True) == len(admitted_at)
+        assert decisions.count(True) + decisions.count(False) == len(
+            gap_list
+        )
 
 
 class TestNoStarvation:
