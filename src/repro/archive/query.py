@@ -336,8 +336,10 @@ class ArchiveQuery:
     ) -> list[tuple]:
         """The rows of :meth:`bundle_rows`, timed once as ``bundles``.
 
-        ``count`` is the number of ``bundles`` rows, read in the snapshot
-        this call reads; None counts them inside the seek.
+        ``count`` is how many rows ``where`` matches, read in the snapshot
+        this call reads, or None. Only the seek reads it, on an unfiltered
+        page, where it is the table's row count; None counts the table
+        inside the seek.
         """
         clause, params = where.compile()
         page, page_params = _page_clause(limit, offset)
